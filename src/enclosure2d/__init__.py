@@ -7,8 +7,7 @@ from .admittivity import (AdmittivityField, JumpReport, ReductionInput,
                           complex_admittivity, jump_analysis, reduce_background)
 from .fem import (BoundaryBasis, DtNMatrix, SolveResult, analytic_two_layer_dtn,
                   assemble_dtn_matrix, dtn_pairing, energy_gap,
-                  fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check,
-                  solve_dirichlet)
+                  fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check)
 from .indicator import (IndicatorSeries, RegionEstimate, SupportEstimate,
                         cone_carving, convex_hull_estimate, indicator_cgo,
                         indicator_ml, j_oracle, support_slope_fit,

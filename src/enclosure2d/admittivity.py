@@ -45,10 +45,6 @@ def _sym_batch(values, n: int, name: str) -> np.ndarray:
     return a
 
 
-def scalar_matrix(c: float) -> np.ndarray:
-    return float(c) * np.eye(2)
-
-
 @dataclass(frozen=True)
 class ReductionInput:
     """Original-background problem data: constants (sigma0, epsilon0), frequency
@@ -98,7 +94,6 @@ class AdmittivityField:
     @staticmethod
     def from_scalars(mesh: Mesh, a: float, b: float, omega: float) -> "AdmittivityField":
         """Scalar contrasts a, b applied on every inclusion triangle."""
-        nt = mesh.n_triangles
         inc = (mesh.labels == INCLUSION).astype(float)
         eye = np.eye(2)
         return AdmittivityField(mesh=mesh,

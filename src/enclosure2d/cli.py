@@ -18,7 +18,6 @@ import hashlib
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -28,10 +27,10 @@ import numpy as np
 from . import __version__
 from .admittivity import (AdmittivityField, ReductionInput, complex_admittivity,
                           reduce_background)
-from .fem import (DirichletSystem, DtNMatrix, assemble_dtn_matrix,
+from .fem import (DirichletSystem, DtNMatrix, SolverError, assemble_dtn_matrix,
                   fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check,
                   analytic_two_layer_dtn, fourier_trace, read_dtn, write_dtn)
-from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
+from .indicator import (cone_carving, convex_hull_estimate,
                         cones_avoid_shape, default_tau_ladder,
                         fit_support_directions, hull_contains_shape,
                         indicator_cgo, indicator_ml, j_oracle,
@@ -76,7 +75,6 @@ class ExperimentConfig:
     t_search: tuple[float, float] = (-5.0, -0.2)
     out_dir: str = "out"
     validation_mode: bool = False
-    threads: int = 1
     seed: int = 0
     config_hash: str = ""
 
@@ -271,7 +269,6 @@ def _build_mesh(cfg: ExperimentConfig) -> Mesh:
 def _build_field(cfg: ExperimentConfig, mesh: Mesh) -> AdmittivityField:
     if cfg.background is not None:
         s0, e0, w = cfg.background
-        nt = mesh.n_triangles
         inc = (mesh.labels == 1).astype(float)[:, None, None]
         eye = np.eye(2)
         inp = ReductionInput(sigma0=s0, epsilon0=e0, omega=w,
@@ -279,12 +276,6 @@ def _build_field(cfg: ExperimentConfig, mesh: Mesh) -> AdmittivityField:
                              beta=inc * cfg.beta_orig * eye)
         return reduce_background(inp, mesh)
     return AdmittivityField.from_scalars(mesh, cfg.a_value, cfg.b_value, cfg.omega)
-
-
-def _background_field(mesh: Mesh, omega: float) -> AdmittivityField:
-    nt = mesh.n_triangles
-    return AdmittivityField(mesh=mesh, a=np.zeros((nt, 2, 2)),
-                            b=np.zeros((nt, 2, 2)), omega=omega)
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -316,7 +307,7 @@ def cmd_dtn(cfg: ExperimentConfig, basis_kind: str = "nodal",
     out = _out(cfg)
     prov = cfg.provenance()
     for name, fld in (("dtn_perturbed.txt", field),
-                      ("dtn_background.txt", _background_field(mesh, omega))):
+                      ("dtn_background.txt", AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))):
         dtn = assemble_dtn_matrix(mesh, fld, basis)
         write_dtn(dtn, out / name, provenance=prov)
         print(f"{name}: {basis.kind} basis, size {basis.size}, "
@@ -326,65 +317,47 @@ def cmd_dtn(cfg: ExperimentConfig, basis_kind: str = "nodal",
 
 def _load_pair(cfg: ExperimentConfig) -> tuple[DtNMatrix, DtNMatrix]:
     out = _out(cfg)
-    pert = out / "dtn_perturbed.txt"
-    back = out / "dtn_background.txt"
-    for p in (pert, back):
+    paths = (out / "dtn_perturbed.txt", out / "dtn_background.txt")
+    for p in paths:
         if not p.exists():
             raise ConfigError(f"missing operator file {p}; run the dtn command first")
-    return read_dtn(pert), read_dtn(back)
+    pair = []
+    for p in paths:
+        try:
+            pair.append(read_dtn(p))
+        except (SolverError, ValueError) as exc:
+            raise ConfigError(f"cannot read operator file {p}: {exc}") from exc
+    return pair[0], pair[1]
 
 
 def cmd_indicate(cfg: ExperimentConfig) -> int:
     pair = _load_pair(cfg)
     taus = cfg.tau_ladder()
-    rows = []
     mesh = _build_mesh(cfg) if cfg.validation_mode else None
-
-    def cgo_rows(th):
-        tp = rot90(th)
-        out = []
-        for tau in taus:
-            val = indicator_cgo(pair, th, tp, cfg.t_value, float(tau))
-            row = {"family": "cgo", "alpha": None, "theta_x": th[0], "theta_y": th[1],
-                   "y_x": None, "y_y": None, "t": cfg.t_value, "tau": float(tau),
-                   "I": val, "logabsI": math.log(abs(val)) if val != 0 else None}
-            if mesh is not None:
-                spec = ProbeSpec(kind="cgo", theta=(th[0], th[1]), theta_perp=(tp[0], tp[1]),
-                                 t=cfg.t_value, tau=float(tau))
-                row["J"] = j_oracle(mesh, spec, float(tau), cfg.t_value)
-            out.append(row)
-        return out
-
-    def ml_rows(pair_geom):
-        y, th = pair_geom
-        out = []
-        for tau in taus:
-            val = indicator_ml(pair, cfg.ml_alpha, y, th, cfg.t_value, float(tau))
-            row = {"family": "mittag_leffler", "alpha": cfg.ml_alpha,
-                   "theta_x": th[0], "theta_y": th[1], "y_x": y[0], "y_y": y[1],
-                   "t": cfg.t_value, "tau": float(tau), "I": val,
-                   "logabsI": math.log(abs(val)) if val != 0 and math.isfinite(val) else None}
-            if mesh is not None:
-                spec = ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]),
-                                 theta_perp=tuple(rot90(th)), t=cfg.t_value,
-                                 tau=float(tau), y=(y[0], y[1]), alpha=cfg.ml_alpha)
-                row["J"] = j_oracle(mesh, spec, float(tau), cfg.t_value)
-            out.append(row)
-        return out
-
     if cfg.probe_family == "cgo":
-        work = list(cfg.directions())
-        runner = cgo_rows
+        probes = [ProbeSpec(kind="cgo", theta=(th[0], th[1]), theta_perp=tuple(rot90(th)),
+                            t=cfg.t_value, tau=0.0) for th in cfg.directions()]
     else:
-        work = cfg.ml_probe_geometry()
-        runner = ml_rows
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            chunks = list(ex.map(runner, work))
-    else:
-        chunks = [runner(w) for w in work]
-    for chunk in chunks:
-        rows.extend(chunk)
+        probes = [ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]),
+                            theta_perp=tuple(rot90(th)), t=cfg.t_value, tau=0.0,
+                            y=(y[0], y[1]), alpha=cfg.ml_alpha)
+                  for y, th in cfg.ml_probe_geometry()]
+    rows = []
+    for probe in probes:
+        for tau in taus:
+            spec = probe.with_t_tau(cfg.t_value, float(tau))
+            if spec.kind == "cgo":
+                val = indicator_cgo(pair, spec.theta, spec.theta_perp, spec.t, spec.tau)
+            else:
+                val = indicator_ml(pair, spec.alpha, spec.y, spec.theta, spec.t, spec.tau)
+            row = {"family": spec.kind, "alpha": spec.alpha, "theta_x": spec.theta[0],
+                   "theta_y": spec.theta[1], "t": spec.t, "tau": spec.tau, "I": val,
+                   "logabsI": math.log(abs(val)) if val != 0 and math.isfinite(val) else None}
+            if spec.y is not None:
+                row["y_x"], row["y_y"] = spec.y
+            if mesh is not None:
+                row["J"] = j_oracle(mesh, spec, spec.tau, spec.t)
+            rows.append(row)
     out = _out(cfg) / "indicators.csv"
     write_indicator_csv(out, rows, provenance=cfg.provenance())
     print(f"indicators: {len(rows)} rows -> {out}")
@@ -469,7 +442,6 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
 
     mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
-    nt = mesh.n_triangles
 
     # reduction scaling of the boundary operators
     inc = (mesh.labels == 1).astype(float)[:, None, None]
@@ -489,10 +461,10 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     # integral inequalities on random coefficient pairs
     bad = 0
     for _ in range(5):
-        a1 = _random_spd_perturbation(rng, nt, mesh)
-        a2 = _random_spd_perturbation(rng, nt, mesh)
-        b1 = _random_sym(rng, nt, mesh, 0.4)
-        b2 = _random_sym(rng, nt, mesh, 0.4)
+        a1 = _random_spd_perturbation(rng, mesh)
+        a2 = _random_spd_perturbation(rng, mesh)
+        b1 = _random_sym(rng, mesh, 0.4)
+        b2 = _random_sym(rng, mesh, 0.4)
         f1 = AdmittivityField(mesh=mesh, a=a1, b=b1, omega=1.0)
         f2 = AdmittivityField(mesh=mesh, a=a2, b=b2, omega=1.0)
         sys1 = DirichletSystem(mesh, complex_admittivity(f1))
@@ -534,9 +506,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     f_neg = AdmittivityField.from_scalars(mesh, -0.5, 1.0, 0.25)
     nodal = nodal_basis_for_mesh(mesh)
     pair_pos = (assemble_dtn_matrix(mesh, f_pos, nodal),
-                assemble_dtn_matrix(mesh, _background_field(mesh, 1.0), nodal))
+                assemble_dtn_matrix(mesh, AdmittivityField.from_scalars(mesh, 0.0, 0.0, 1.0),
+                                    nodal))
     pair_neg = (assemble_dtn_matrix(mesh, f_neg, nodal),
-                assemble_dtn_matrix(mesh, _background_field(mesh, 0.25), nodal))
+                assemble_dtn_matrix(mesh, AdmittivityField.from_scalars(mesh, 0.0, 0.0, 0.25),
+                                    nodal))
     taus = default_tau_ladder(mesh.h, 8)
     th = np.array([1.0, 0.0])
     vals_pos = [indicator_cgo(pair_pos, th, rot90(th), 0.5, float(t)) for t in taus]
@@ -550,7 +524,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     return 0 if failures == 0 else EXIT_NUMERIC
 
 
-def _random_spd_perturbation(rng, nt, mesh):
+def _random_spd_perturbation(rng, mesh):
     """a with I + a symmetric positive definite (eigenvalues in [0.3, 3])."""
     inc = (mesh.labels == 1).astype(float)[:, None, None]
     phi = rng.uniform(0, math.pi)
@@ -560,7 +534,7 @@ def _random_spd_perturbation(rng, nt, mesh):
     return inc * (sigma - np.eye(2))
 
 
-def _random_sym(rng, nt, mesh, scale):
+def _random_sym(rng, mesh, scale):
     inc = (mesh.labels == 1).astype(float)[:, None, None]
     q = rng.normal(size=(2, 2)) * scale
     return inc * (q + q.T) / 2
@@ -586,21 +560,20 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--validate", action="store_true",
-                       help="enable validation mode (ground-truth checks)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-
     for name in ("mesh", "dtn", "indicate", "reconstruct", "validate"):
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("--config", required=True, help="experiment config file")
+        if name != "validate":
+            p.add_argument("--out", help="output directory (overrides config)")
+        if name in ("indicate", "reconstruct"):
+            p.add_argument("--validate", action="store_true",
+                           help="enable validation mode (ground-truth checks)")
         if name == "dtn":
             p.add_argument("--basis", choices=("nodal", "fourier"), default="nodal")
             p.add_argument("--modes", type=int, default=8,
                            help="fourier mode cutoff when --basis fourier")
+        if name == "validate":
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("mleval")
     p.add_argument("--alpha", type=float, required=True)
@@ -617,12 +590,11 @@ def main(argv=None) -> int:
         if args.command == "mleval":
             return cmd_mleval(args.alpha, args.grid, args.out)
         cfg = load_config(args.config)
-        if args.out:
+        if getattr(args, "out", None):
             cfg.out_dir = args.out
-        if args.validate:
+        if getattr(args, "validate", False):
             cfg.validation_mode = True
-        cfg.threads = args.threads
-        cfg.seed = args.seed
+        cfg.seed = getattr(args, "seed", cfg.seed)
         if args.command == "mesh":
             return cmd_mesh(cfg)
         if args.command == "dtn":
@@ -637,9 +609,7 @@ def main(argv=None) -> int:
     except (ConfigError, MeshError, ProbeError, MLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IndicatorError, Exception) as exc:  # numerical failures
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
+    except Exception as exc:  # numerical failures
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -27,8 +27,6 @@ import scipy.sparse.linalg as spla
 from .admittivity import AdmittivityField, complex_admittivity, sym_eig_bounds
 from .mesh import Mesh
 
-_SOLVER_TOL = 1e-10
-
 
 class SolverError(RuntimeError):
     """Singular or ill-conditioned system, or an invalid coefficient field."""
@@ -132,12 +130,10 @@ def fourier_trace(mesh: Mesh, n: int) -> np.ndarray:
 
 @dataclass
 class SolveResult:
-    """Nodal solution with its relative interior residual and the factorization
-    used (reusable across further right-hand sides)."""
+    """Nodal solution with its relative interior residual."""
 
     u: np.ndarray
     residual: float
-    system: "DirichletSystem"
 
 
 class DirichletSystem:
@@ -164,46 +160,25 @@ class DirichletSystem:
         k = self.stiffness.tocsr()
         self.k_ii = k[self.interior][:, self.interior].tocsc()
         self.k_ib = k[self.interior][:, self.boundary].tocsc()
-        self._iterative = False
         try:
             self._lu = spla.splu(self.k_ii)
-        except MemoryError:
-            # diagonal-preconditioned iterative fallback for memory-bound cases
-            self._iterative = True
-            self._diag_inv = 1.0 / self.k_ii.diagonal()
         except RuntimeError as exc:
             raise SolverError(f"interior block factorization failed: {exc}") from exc
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        if not self._iterative:
-            return self._lu.solve(rhs)
-        precond = spla.LinearOperator(self.k_ii.shape, matvec=lambda x: self._diag_inv * x)
-        if rhs.ndim == 1:
-            cols = [rhs]
-        else:
-            cols = [rhs[:, j] for j in range(rhs.shape[1])]
-        out = []
-        for col in cols:
-            x, info = spla.gmres(self.k_ii, col, rtol=1e-10, M=precond, maxiter=5000)
-            if info != 0:
-                raise SolverError(f"iterative solve stalled (info={info})")
-            out.append(x)
-        return out[0] if rhs.ndim == 1 else np.stack(out, axis=1)
+        return self._lu.solve(rhs)
 
     def solve(self, trace: np.ndarray) -> SolveResult:
         """Solution with the given boundary-node values (ordered as the loop)."""
         trace = np.asarray(trace, dtype=complex)
         if trace.shape != (len(self.boundary),):
             raise SolverError("trace length must match the boundary loop")
+        u = self.solve_block(trace[:, None])[:, 0]
         rhs = -(self.k_ib @ trace)
-        ui = self._solve_interior(rhs)
-        res = np.linalg.norm(self.k_ii @ ui - rhs) / max(np.linalg.norm(rhs), 1e-300)
+        res = np.linalg.norm(self.k_ii @ u[self.interior] - rhs) / max(np.linalg.norm(rhs), 1e-300)
         if not np.isfinite(res) or res > 1e-6:
             raise SolverError(f"direct solve residual {res:.3g}; system may be singular")
-        u = np.zeros(self.mesh.n_vertices, dtype=complex)
-        u[self.boundary] = trace
-        u[self.interior] = ui
-        return SolveResult(u=u, residual=float(res), system=self)
+        return SolveResult(u=u, residual=float(res))
 
     def solve_block(self, traces: np.ndarray) -> np.ndarray:
         """Solutions for several traces at once; returns (n_vertices, k)."""
@@ -228,12 +203,18 @@ class DirichletSystem:
         return float(np.sum(areas * (np.abs(g) ** 2).sum(axis=1)))
 
 
-def _assemble_stiffness(mesh: Mesh, gamma: np.ndarray) -> sp.csr_matrix:
+def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle P1 coefficients (b, c), each (nt, 3), and signed areas."""
     p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
     x, y = p[..., 0], p[..., 1]
     bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     area = 0.5 * (bvec[:, 0] * cvec[:, 1] - bvec[:, 1] * cvec[:, 0])
+    return bvec, cvec, area
+
+
+def _assemble_stiffness(mesh: Mesh, gamma: np.ndarray) -> sp.csr_matrix:
+    bvec, cvec, area = _p1_geometry(mesh)
     # grad(lambda_i) = (b_i, c_i) / (2A); constant per triangle
     grads = np.stack([bvec, cvec], axis=2) / (2.0 * area)[:, None, None]
     ke = np.einsum("tik,tkl,tjl->tij", grads, gamma, grads) * area[:, None, None]
@@ -246,20 +227,11 @@ def _assemble_stiffness(mesh: Mesh, gamma: np.ndarray) -> sp.csr_matrix:
 
 def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Per-triangle constant gradient of a P1 function; (nt, 2) complex."""
-    p = mesh.vertices[mesh.triangles]
-    x, y = p[..., 0], p[..., 1]
-    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (bvec[:, 0] * cvec[:, 1] - bvec[:, 1] * cvec[:, 0])
+    bvec, cvec, area = _p1_geometry(mesh)
     uv = np.asarray(u, dtype=complex)[mesh.triangles]
     gx = (uv * bvec).sum(axis=1) / (2.0 * area)
     gy = (uv * cvec).sum(axis=1) / (2.0 * area)
     return np.stack([gx, gy], axis=1)
-
-
-def solve_dirichlet(mesh: Mesh, field: AdmittivityField, trace: np.ndarray) -> SolveResult:
-    """P1 solution of the admittivity equation with the given boundary values."""
-    return DirichletSystem(mesh, complex_admittivity(field)).solve(trace)
 
 
 def dtn_pairing(mesh: Mesh, field: AdmittivityField,
@@ -284,7 +256,6 @@ class DtNMatrix:
     omega: float
     matrix: np.ndarray
     mesh_h: float
-    solver_tol: float = _SOLVER_TOL
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -370,9 +341,8 @@ def energy_gap(data: Union[DtnPair, tuple[Mesh, AdmittivityField]],
     mesh, field = data  # type: ignore[misc]
     f = np.asarray(f, dtype=complex)
     v1 = dtn_pairing(mesh, field, f, np.conj(f))
-    bg = AdmittivityField(mesh=mesh, a=np.zeros((mesh.n_triangles, 2, 2)),
-                          b=np.zeros((mesh.n_triangles, 2, 2)), omega=field.omega)
-    v0 = dtn_pairing(mesh, bg, f, np.conj(f))
+    v0 = dtn_pairing(mesh, AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega),
+                     f, np.conj(f))
     return float(np.real(v1 - v0))
 
 
@@ -471,18 +441,28 @@ def write_dtn(dtn: DtNMatrix, path, provenance: Optional[dict] = None) -> None:
 
 
 def read_dtn(path) -> DtNMatrix:
+    """Inverse of ``write_dtn``; a malformed or truncated file raises SolverError."""
     with open(path) as f:
         lines = [ln for ln in f if not ln.startswith("#")]
-    kind, n_param, omega, h, n_thetas, radius = lines[0].split()
+    header = lines[0].split() if lines else []
+    if len(header) != 6 or len(lines) < 2:
+        raise SolverError("corrupt operator file: need a 6-field header and a node angle line")
+    kind, n_param, omega, h, n_thetas, radius = header
     thetas = np.array([float(x) for x in lines[1].split()])
     if len(thetas) != int(n_thetas):
         raise SolverError("corrupt operator file: node angle count mismatch")
     basis = BoundaryBasis(kind=kind, thetas=thetas,
                           n_modes=int(n_param) if kind == "fourier" else 0,
                           radius=float(radius))
+    if len(lines) - 2 != basis.size:
+        raise SolverError(f"corrupt operator file: {len(lines) - 2} matrix rows, "
+                          f"expected {basis.size}")
     rows = []
-    for ln in lines[2:2 + basis.size]:
+    for ln in lines[2:]:
         vals = np.array([float(x) for x in ln.split()])
+        if len(vals) != 2 * basis.size:
+            raise SolverError(f"corrupt operator file: a matrix row holds {len(vals)} "
+                              f"numbers, expected {2 * basis.size}")
         rows.append(vals[0::2] + 1j * vals[1::2])
     return DtNMatrix(basis=basis, omega=float(omega), matrix=np.array(rows),
                      mesh_h=float(h))

@@ -125,19 +125,35 @@ def default_tau_ladder(mesh_h: float, n_points: int = 12, tau_min: float = 1.0,
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _expand_probe(pair: DtnPair, spec: ProbeSpec,
-                  params: Optional[MLParams] = None) -> tuple[np.ndarray, BoundaryBasis]:
-    basis = pair[0].basis
+def _expand_probe(basis: BoundaryBasis, spec: ProbeSpec,
+                  params: Optional[MLParams] = None) -> Optional[np.ndarray]:
+    """Coefficients of the probe's boundary trace in the basis; None when the
+    trace overflows."""
     pts = basis.points
     if spec.kind == "cgo":
         vals = cgo_trace(spec, pts)
     else:
         vals = ml_probe_trace(spec, pts, params)
+    if not np.all(np.isfinite(vals)):
+        return None
     coef, res = basis.expand(vals)
-    if res > _EXPANSION_WARN and np.all(np.isfinite(vals)):
+    if res > _EXPANSION_WARN:
         warnings.warn(f"trace expansion residual {res:.2e} exceeds {_EXPANSION_WARN:.0e}",
                       stacklevel=2)
-    return coef, basis
+    return coef
+
+
+def _ml_form(gap: np.ndarray, basis: BoundaryBasis, alpha: float, y, th: np.ndarray,
+             tp: np.ndarray, t: float, tau: float,
+             params: Optional[MLParams]) -> tuple[float, Optional[np.ndarray]]:
+    """Cone-probe quadratic form Re <(L1 - L0) f, conj f> with the expansion
+    coefficients of f; (inf, None) when the probe trace overflows."""
+    spec = ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]), theta_perp=(tp[0], tp[1]),
+                     t=t, tau=tau, y=tuple(y), alpha=alpha, domain_radius=basis.radius)
+    coef = _expand_probe(basis, spec, params)
+    if coef is None:
+        return math.inf, None
+    return quadratic_gap(gap, basis, coef), coef
 
 
 def indicator_cgo(pair: DtnPair, theta, theta_perp, t: float, tau: float) -> float:
@@ -148,8 +164,8 @@ def indicator_cgo(pair: DtnPair, theta, theta_perp, t: float, tau: float) -> flo
                       f"({0.9 / h:.3g}) for h = {h}", stacklevel=2)
     spec = ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(theta_perp),
                      t=t, tau=tau)
-    coef, basis = _expand_probe(pair, spec)
-    return quadratic_gap(gap_matrix(pair), basis, coef)
+    basis = pair[0].basis
+    return quadratic_gap(gap_matrix(pair), basis, _expand_probe(basis, spec))
 
 
 def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau: float,
@@ -157,13 +173,7 @@ def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau: float,
     """Cone-probe indicator; rejects probes whose base cone meets the domain."""
     th = np.asarray(theta, dtype=float)
     tp = rot90(th) if theta_perp is None else np.asarray(theta_perp, dtype=float)
-    spec = ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]), theta_perp=(tp[0], tp[1]),
-                     t=t, tau=tau, y=tuple(y), alpha=alpha,
-                     domain_radius=pair[0].basis.radius)
-    coef, basis = _expand_probe(pair, spec, params)
-    if not np.all(np.isfinite(coef)):
-        return math.inf
-    return quadratic_gap(gap_matrix(pair), basis, coef)
+    return _ml_form(gap_matrix(pair), pair[0].basis, alpha, y, th, tp, t, tau, params)[0]
 
 
 def indicator_series_cgo(pair: DtnPair, theta, theta_perp, t: float,
@@ -242,11 +252,6 @@ def fit_support_directions(pair: DtnPair, thetas: np.ndarray, t: float,
 # Cone-probe transition search
 
 
-def _classification_noise_floor(pair: DtnPair, coef_mag_sq: float) -> float:
-    g = gap_matrix(pair)
-    return coef_mag_sq * float(np.max(np.abs(g))) * g.shape[0] * 1e-16
-
-
 def classify_series(taus: np.ndarray, values: np.ndarray,
                     noise_floors: Optional[np.ndarray] = None,
                     dead_band: float = _DEAD_BAND) -> tuple[str, bool]:
@@ -305,7 +310,6 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
     taus = np.asarray(taus, dtype=float)
     params = params or MLParams(alpha=alpha)
     basis = pair[0].basis
-    pts = basis.points
     gap = gap_matrix(pair)
     gap_scale = float(np.max(np.abs(gap))) * gap.shape[0] * 1e-16
     th = np.asarray(theta, dtype=float)
@@ -314,20 +318,13 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
 
     def classify(t: float) -> str:
         nonlocal low_conf
-        vals = np.empty(len(taus))
-        floors = np.empty(len(taus))
+        # samples from the first overflowing trace on stay infinite
+        vals = np.full(len(taus), np.inf)
+        floors = np.zeros(len(taus))
         for i, tau in enumerate(taus):
-            spec = ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]),
-                             theta_perp=(tp[0], tp[1]), t=t, tau=float(tau),
-                             y=tuple(y), alpha=alpha, domain_radius=basis.radius)
-            trace = ml_probe_trace(spec, pts, params)
-            if not np.all(np.isfinite(trace)):
-                vals[i:] = np.inf
-                floors[i:] = 0.0
+            vals[i], coef = _ml_form(gap, basis, alpha, y, th, tp, t, float(tau), params)
+            if coef is None:
                 break
-            coef, _ = basis.expand(trace)
-            cc = basis.conjugate_coefficients(coef)
-            vals[i] = float(np.real(np.dot(coef, gap @ cc)))
             floors[i] = float(np.max(np.abs(coef)) ** 2) * gap_scale
         label, tie = classify_series(taus, vals, floors)
         if tie:

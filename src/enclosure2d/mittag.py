@@ -31,6 +31,7 @@ _CONTOUR_BAND = 1e-3         # |arg z| this close to pi*a goes through the arc p
 _ARC_EXP_CAP = 25.0          # largest exponent the arc path can integrate accurately
 _MAX_PANELS = 4096
 _TINY = 1e-300
+_EXP_MAX = math.log(np.finfo(float).max)   # largest real part exp() keeps finite
 
 
 class MLError(ValueError):
@@ -188,9 +189,10 @@ def _asymptotic(params: MLParams, z: np.ndarray, alpha: float, beta: float,
         w = np.exp(np.log(z[inside]) / alpha)     # principal branch of z^(1/alpha)
         pre = np.exp(np.log(z[inside]) * ((1 - beta) / alpha)) if beta != 1.0 else 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            val = (1.0 / alpha) * pre * np.exp(np.where(w.real > 700.0, 0.0, w))
+            val = (1.0 / alpha) * pre * np.exp(np.where(w.real > _EXP_MAX, 0.0, w))
         # values past double range are reported as a clean complex infinity
-        out[inside] = np.where(w.real > 700.0, complex(np.inf, 0.0), val)
+        out[inside] = np.where((w.real > _EXP_MAX) | ~np.isfinite(val),
+                               complex(np.inf, 0.0), val)
     tail = np.zeros(z.shape, dtype=complex)
     zinv = 1.0 / z
     p = np.ones(z.shape, dtype=complex)
@@ -284,10 +286,13 @@ def _contour_point(params: MLParams, z: complex, alpha: float, beta: float) -> c
                       MLAccuracyWarning)
     if abs(arg) < math.pi * alpha:
         w = np.exp(np.log(z) / alpha)
-        if w.real > 700.0:
+        if w.real > _EXP_MAX:
             return complex(np.inf, 0.0)
         pre = np.exp(np.log(z) * ((1 - beta) / alpha)) if beta != 1.0 else 1.0
-        k_val = k_val + (1.0 / alpha) * pre * np.exp(w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_val = k_val + (1.0 / alpha) * pre * np.exp(w)
+        if not np.isfinite(k_val):
+            return complex(np.inf, 0.0)
     return complex(k_val)
 
 

@@ -247,12 +247,6 @@ class ProbeSpec:
         return ConeSpec(vertex=self.y, axis=self.theta,
                         half_aperture=math.pi * self.alpha / 2)
 
-    def offset_cone(self, t: Optional[float] = None) -> ConeSpec:
-        t = self.t if t is None else t
-        y = np.asarray(self.y) + t * np.asarray(self.theta)
-        return ConeSpec(vertex=(y[0], y[1]), axis=self.theta,
-                        half_aperture=math.pi * self.alpha / 2)
-
     def with_t_tau(self, t: float, tau: float) -> "ProbeSpec":
         return ProbeSpec(kind=self.kind, theta=self.theta, theta_perp=self.theta_perp,
                          t=t, tau=tau, y=self.y, alpha=self.alpha,

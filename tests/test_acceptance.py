@@ -34,9 +34,7 @@ DEFAULT_H = 0.02
 
 
 def _background(mesh, omega):
-    nt = mesh.n_triangles
-    return AdmittivityField(mesh=mesh, a=np.zeros((nt, 2, 2)),
-                            b=np.zeros((nt, 2, 2)), omega=omega)
+    return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
 
 
 # ---------------------------------------------------------------------------

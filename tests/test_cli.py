@@ -141,6 +141,24 @@ def test_indicate_missing_upstream_fails(tmp_path):
     assert main(["indicate", "--config", cfg]) == 2
 
 
+def test_indicate_truncated_operator_file_fails(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg]) == 0
+    pert = out / "dtn_perturbed.txt"
+    pert.write_text("".join(pert.read_text().splitlines(keepends=True)[:-1]))
+    assert main(["indicate", "--config", cfg]) == 2
+    assert "dtn_perturbed.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"]])
+def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
+    cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg])
+    assert exc.value.code == 2
+
+
 def test_mleval_exponential_column(tmp_path):
     out = tmp_path / "ml.csv"
     assert main(["mleval", "--alpha", "1.0", "--grid", "-2 2 0 0 9",

@@ -21,9 +21,7 @@ def two_layer():
 
 
 def _background(mesh, omega=0.0):
-    nt = mesh.n_triangles
-    return AdmittivityField(mesh=mesh, a=np.zeros((nt, 2, 2)),
-                            b=np.zeros((nt, 2, 2)), omega=omega)
+    return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
 
 
 def _homogeneous(h=0.05):
@@ -270,6 +268,20 @@ def test_dtn_file_roundtrip(tmp_path, two_layer):
     assert back.basis.radius == 1.0
     assert np.allclose(back.matrix, dtn.matrix)
     assert np.allclose(back.basis.thetas, basis.thetas)
+
+
+def test_truncated_dtn_file_rejected(tmp_path, two_layer):
+    mesh, field = two_layer
+    dtn = assemble_dtn_matrix(mesh, field, fourier_basis_for_mesh(mesh, 3))
+    path = tmp_path / "dtn.txt"
+    write_dtn(dtn, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))                        # last row missing
+    with pytest.raises(SolverError, match="corrupt operator file"):
+        read_dtn(path)
+    path.write_text("".join(lines[:-1]) + lines[-1].rsplit(" ", 1)[0] + "\n")   # short row
+    with pytest.raises(SolverError, match="corrupt operator file"):
+        read_dtn(path)
 
 
 @pytest.mark.parametrize("kind", ["cgo", "mittag_leffler"])

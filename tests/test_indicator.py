@@ -20,9 +20,7 @@ from enclosure2d.probes import ProbeSpec, rot90
 
 
 def _background(mesh, omega=0.0):
-    nt = mesh.n_triangles
-    return AdmittivityField(mesh=mesh, a=np.zeros((nt, 2, 2)),
-                            b=np.zeros((nt, 2, 2)), omega=omega)
+    return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
 
 
 @pytest.fixture(scope="module")

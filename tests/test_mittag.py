@@ -4,6 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from enclosure2d.mittag import (MLError, MLParams, growth_sector, ml_deriv,
                                 ml_eval, ml_eval_many)
@@ -174,3 +175,14 @@ def test_vectorized_matches_scalar():
         batch = ml_eval_many(p, zs)
         singles = np.array([ml_eval(p, z) for z in zs])
     assert np.allclose(batch, singles, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("z", [26.56, 32 + 17.92j, 32 - 17.92j])
+def test_values_near_double_overflow_stay_finite(z):
+    # E_1/2(z) = exp(z^2) erfc(-z) stays finite until Re z^2 reaches
+    # log(DBL_MAX) ~ 709.78; z = 26.56 takes the kernel path and
+    # z = 32 +- 17.92i the sector expansion
+    ref = wofz(-1j * z)
+    val = ml_eval(MLParams(alpha=0.5), z)
+    assert np.isfinite(val)
+    assert abs(val - ref) <= 1e-10 * abs(ref)

@@ -25,12 +25,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .admittivity import (AdmittivityField, ReductionInput, complex_admittivity,
-                          reduce_background)
+from .admittivity import (AdmittivityField, FieldError, ReductionInput,
+                          complex_admittivity, reduce_background)
 from .fem import (DirichletSystem, DtNMatrix, SolverError, assemble_dtn_matrix,
                   fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check,
                   analytic_two_layer_dtn, fourier_trace, read_dtn, write_dtn)
-from .indicator import (cone_carving, convex_hull_estimate,
+from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
                         cones_avoid_shape, default_tau_ladder,
                         fit_support_directions, hull_contains_shape,
                         indicator_cgo, indicator_ml, j_oracle,
@@ -302,8 +302,11 @@ def cmd_dtn(cfg: ExperimentConfig, basis_kind: str = "nodal",
     mesh = _build_mesh(cfg)
     field = _build_field(cfg, mesh)
     omega = field.omega
-    basis = (nodal_basis_for_mesh(mesh) if basis_kind == "nodal"
-             else fourier_basis_for_mesh(mesh, fourier_modes))
+    try:
+        basis = (nodal_basis_for_mesh(mesh) if basis_kind == "nodal"
+                 else fourier_basis_for_mesh(mesh, fourier_modes))
+    except ValueError as exc:
+        raise ConfigError(f"--modes: {exc}") from exc
     out = _out(cfg)
     prov = cfg.provenance()
     for name, fld in (("dtn_perturbed.txt", field),
@@ -412,8 +415,11 @@ def cmd_mleval(alpha: float, grid_spec: str, out_path: str) -> int:
     parts = grid_spec.split()
     if len(parts) != 5:
         raise ConfigError("grid spec must be 're_min re_max im_min im_max n'")
-    re0, re1, im0, im1 = (float(x) for x in parts[:4])
-    n = int(parts[4])
+    try:
+        re0, re1, im0, im1 = (float(x) for x in parts[:4])
+        n = int(parts[4])
+    except ValueError as exc:
+        raise ConfigError(f"grid spec: {exc}") from exc
     params = MLParams(alpha=alpha)
     with open(out_path, "w") as f:
         f.write(f"# alpha: {alpha:.17g}\n# grid: {grid_spec}\n# version: {__version__}\n")
@@ -606,10 +612,11 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg)
         raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, MeshError, ProbeError, MLError) as exc:
+    except (ConfigError, MeshError, ProbeError, MLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # numerical failures
+    except (SolverError, IndicatorError, FieldError, np.linalg.LinAlgError,
+            FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -508,14 +508,34 @@ def write_mesh(mesh: Mesh, path, provenance: Optional[dict] = None) -> None:
 
 
 def read_mesh(path) -> Mesh:
+    """Inverse of write_mesh; raises MeshError("corrupt mesh file: ...") when
+    the header, a row count, a row length, an index or a label is wrong."""
     with open(path) as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    nv, nt, nb = (int(x) for x in lines[0].split()[:3])
-    h, radius = (float(x) for x in lines[0].split()[3:5])
-    vertices = np.array([[float(x) for x in ln.split()] for ln in lines[1:1 + nv]])
-    tl = np.array([[int(x) for x in ln.split()] for ln in lines[1 + nv:1 + nv + nt]],
-                  dtype=np.int64)
-    edges = [ln.split() for ln in lines[1 + nv + nt:1 + nv + nt + nb]]
-    loop = np.array([int(e[0]) for e in edges], dtype=np.int64)
+        rows = [ln.split() for ln in f if not ln.startswith("#")]
+    try:
+        if not rows or len(rows[0]) != 5:
+            raise ValueError("need a 5-field header")
+        nv, nt, nb = (int(x) for x in rows[0][:3])
+        h, radius = (float(x) for x in rows[0][3:])
+        if min(nv, nt, nb) < 0 or len(rows) != 1 + nv + nt + nb:
+            raise ValueError(f"{len(rows) - 1} data rows, header declares "
+                             f"{nv} + {nt} + {nb}")
+        for what, block, width in (("vertex", rows[1:1 + nv], 2),
+                                   ("triangle", rows[1 + nv:1 + nv + nt], 4),
+                                   ("boundary edge", rows[1 + nv + nt:], 4)):
+            if any(len(r) != width for r in block):
+                raise ValueError(f"a {what} row does not hold {width} fields")
+        vertices = np.array([[float(x) for x in r] for r in rows[1:1 + nv]]).reshape(nv, 2)
+        tl = np.array([[int(x) for x in r] for r in rows[1 + nv:1 + nv + nt]],
+                      dtype=np.int64).reshape(nt, 4)
+        edges = np.array([[int(x) for x in r[:2]] for r in rows[1 + nv + nt:]],
+                         dtype=np.int64).reshape(nb, 2)
+    except ValueError as exc:
+        raise MeshError(f"corrupt mesh file: {exc}") from exc
+    for idx in (tl[:, :3], edges):
+        if idx.size and (idx.min() < 0 or idx.max() >= nv):
+            raise MeshError("corrupt mesh file: vertex index out of range")
+    if np.any((tl[:, 3] != BACKGROUND) & (tl[:, 3] != INCLUSION)):
+        raise MeshError("corrupt mesh file: triangle label is not 0 or 1")
     return Mesh(vertices=vertices, triangles=tl[:, :3], labels=tl[:, 3],
-                boundary_loop=loop, h=h, domain_radius=radius)
+                boundary_loop=edges[:, 0], h=h, domain_radius=radius)

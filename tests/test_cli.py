@@ -172,6 +172,34 @@ def test_mleval_exponential_column(tmp_path):
         assert abs(val - np.exp(z)) <= 1e-12 * abs(np.exp(z))
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--config", "{tmp}/absent.cfg"],
+    ["mleval", "--alpha", "0.5", "--grid", "-1 1 -1 1 many", "--out", "{tmp}/ml.csv"],
+    ["dtn", "--config", "{cfg}", "--basis", "fourier", "--modes", "1000"],
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    assert main([a.format(tmp=tmp_path, cfg=cfg) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_numerical_error_exits_3_and_programming_error_propagates(tmp_path, monkeypatch):
+    import enclosure2d.cli as cli
+    from enclosure2d.fem import SolverError
+    cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+
+    def fail_with(exc):
+        def cmd(*args, **kwargs):
+            raise exc
+        return cmd
+
+    monkeypatch.setattr(cli, "cmd_mesh", fail_with(SolverError("singular")))
+    assert main(["mesh", "--config", cfg]) == 3
+    monkeypatch.setattr(cli, "cmd_mesh", fail_with(TypeError("a bug")))
+    with pytest.raises(TypeError):
+        main(["mesh", "--config", cfg])
+
 TWO_LAYER_CONFIG = """\
 [domain]
 radius = 1.0

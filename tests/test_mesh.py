@@ -144,6 +144,32 @@ def test_mesh_roundtrip(tmp_path):
     back.validate()
 
 
+
+def test_truncated_mesh_file_rejected(tmp_path):
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_disk_mesh(1.0, 0.2, None), path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(MeshError, match="corrupt mesh file"):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: [rows[0] + " 7"] + rows[1:],                 # 6-field header
+    lambda rows: rows[:2] + [rows[2] + " 0.5"] + rows[3:],    # 3-field vertex row
+    lambda rows: rows[:-1] + ["0 1 0.5"],                     # 3-field edge row
+    lambda rows: rows + ["0 1 0.5 0.5"],                      # extra row
+    lambda rows: rows[:-1] + ["0 99999 0.5 0.5"],             # index out of range
+    lambda rows: [r if i != 1 + int(rows[0].split()[0]) else "0 1 2 5"
+                  for i, r in enumerate(rows)],               # label 5
+])
+def test_corrupt_mesh_file_rejected(tmp_path, edit):
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_disk_mesh(1.0, 0.2, None), path)
+    rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
+    path.write_text("\n".join(edit(rows)) + "\n")
+    with pytest.raises(MeshError, match="corrupt mesh file"):
+        read_mesh(path)
+
 def test_mesh_arrays_immutable():
     mesh = build_disk_mesh(1.0, 0.2, None)
     with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from enclosure2d.mittag import (MLError, MLParams, growth_sector, ml_deriv,
-                                ml_eval, ml_eval_many)
+from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
+                                ml_deriv, ml_deriv_many, ml_eval, ml_eval_many)
 
 mp.mp.dps = 220
 
@@ -137,7 +137,7 @@ def test_conjugation_symmetry():
 def test_regime_stitching_continuity():
     # same argument evaluated by adjacent methods agrees within 10x accuracy
     # wherever the series certifies itself (the dispatcher's switch points)
-    from enclosure2d.mittag import _asymptotic, _contour_point, _taylor
+    from enclosure2d.mittag import _asymptotic, _kernel, _taylor
     for alpha in (0.5, 0.8):
         p = MLParams(alpha=alpha)
         checked = 0
@@ -146,13 +146,13 @@ def test_regime_stitching_continuity():
             tv, cert = _taylor(p, z, alpha, 1.0)
             if not cert[0]:
                 continue
-            cv = _contour_point(p, complex(z[0]), alpha, 1.0)
+            cv = _kernel(p, z, alpha, 1.0)[0]
             assert abs(tv[0] - cv) <= 10 * p.accuracy * abs(cv)
             checked += 1
         assert checked >= 1
-        z = complex(p.r_large * np.exp(1j * 2.5))
-        cv = _contour_point(p, z, alpha, 1.0)
-        av = _asymptotic(p, np.array([z]), alpha, 1.0)[0]
+        z = np.array([p.r_large * np.exp(1j * 2.5)])
+        cv = _kernel(p, z, alpha, 1.0)[0]
+        av = _asymptotic(p, z, alpha, 1.0)[0]
         assert abs(cv - av) <= 10 * p.accuracy * abs(av)
 
 
@@ -186,3 +186,96 @@ def test_values_near_double_overflow_stay_finite(z):
     val = ml_eval(MLParams(alpha=0.5), z)
     assert np.isfinite(val)
     assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+def _mixed_batch(alpha):
+    """Points of every evaluation path: zero, certified series, kernel on the
+    shared cut radius, kernel with its own cut radius (5 < |z| < 5.3 for
+    alpha = 1/2, and a decaying |z| = 4 the series cannot certify), the
+    sector-edge arc (for alpha = 1/2 the last of the three is past the arc's
+    exponent cap), and the sector expansion."""
+    edge = math.pi * alpha
+    return np.array([0.0, 0.3 + 0.1j, -2.0, 1e-3j,
+                     12 + 5j, -8 + 3j, 20 - 3j, 26.56,
+                     5.1 * np.exp(0.3j), 5.2 * np.exp(-2.9j), 4.0 * np.exp(2.5j),
+                     4.3 * np.exp(1j * edge), 4.45 * np.exp(-1j * (edge - 5e-4)),
+                     4.8 * np.exp(1j * edge), 40 * np.exp(2.9j)])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8])
+def test_batch_matches_per_point_on_every_path(alpha):
+    from enclosure2d.mittag import _kernel_cut_radius, _near_edge
+    p = MLParams(alpha=alpha)
+    zs = _mixed_batch(alpha)
+    assert _near_edge(p, zs[11:14], alpha).all()
+    if alpha == 0.5:
+        radii = _kernel_cut_radius(p.accuracy, alpha, np.abs(zs[4:11]))
+        assert len(np.unique(radii)) == 4      # one shared radius, three own
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for many, one in ((ml_eval_many, ml_eval), (ml_deriv_many, ml_deriv)):
+            batch = many(p, zs)
+            singles = np.array([one(p, z) for z in zs])
+            np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
+            assert many(p, zs[:0]).shape == (0,)
+            np.testing.assert_allclose(many(p, zs[4:5]), singles[4:5], rtol=1e-14, atol=0)
+
+
+def test_kernel_band_matches_oracle():
+    # E_1/2(z) = wofz(-iz); the sample avoids the arc band and double overflow
+    rng = np.random.default_rng(5)
+    z = rng.uniform(5.0, 30.0, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+    ref = wofz(-1j * z)
+    keep = np.isfinite(ref)
+    val = ml_eval_many(MLParams(alpha=0.5), z[keep])
+    assert keep.sum() > 250
+    assert np.all(np.abs(val - ref[keep]) <= 1e-10 * np.abs(ref[keep]))
+
+
+def test_one_warning_per_uncertified_point(monkeypatch):
+    # with a single panel level nothing can be compared, so every kernel and
+    # arc point is uncertified; series and sector-expansion points are not
+    import enclosure2d.mittag as mittag
+    monkeypatch.setattr(mittag, "_MAX_PANELS", 8)
+    p = MLParams(alpha=0.5)
+    zs = _mixed_batch(0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ml_eval_many(p, zs)
+    batch = [w for w in caught if issubclass(w.category, MLAccuracyWarning)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for z in zs:
+            ml_eval(p, z)
+    singles = [w for w in caught if issubclass(w.category, MLAccuracyWarning)]
+    assert len(batch) == len(singles) == 10    # 7 kernel + 3 arc points
+
+
+def test_high_panel_batch_is_chunked_and_matches_per_point(monkeypatch):
+    # near the sector edge the kernel pole sits just off the cut, so at
+    # accuracy 1e-14 points double up to thousands of panels; a small chunk
+    # bound splits those levels
+    import enclosure2d.mittag as mittag
+    monkeypatch.setattr(mittag, "_CHUNK", 1 << 13)
+    calls = []
+    kernel_sums = mittag._kernel_sums
+
+    def spy(z, r, *args):
+        calls.append((len(z), r.shape[-1]))
+        return kernel_sums(z, r, *args)
+
+    monkeypatch.setattr(mittag, "_kernel_sums", spy)
+    k = np.arange(48)
+    z = (5.3 + 1.5 * k / 48) * np.exp(1j * (-1) ** k * (math.pi / 2 - 1.05e-3 - 6e-5 * (k % 7)))
+    p = MLParams(alpha=0.5, accuracy=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = ml_eval_many(p, z)
+        n_batch = len(calls)
+        singles = np.array([ml_eval(p, x) for x in z])
+    np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(batch, wofz(-1j * z), rtol=1e-12, atol=0)
+    batch_calls = calls[:n_batch]
+    assert max(nodes for _, nodes in batch_calls) >= 16384
+    assert all(points * nodes <= max(mittag._CHUNK, nodes) for points, nodes in batch_calls)
+    assert any(points * nodes == mittag._CHUNK for points, nodes in batch_calls)

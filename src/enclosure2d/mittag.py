@@ -15,7 +15,8 @@ level is one (points x nodes) evaluation, and only points whose value has not
 yet stabilized go on to the doubled panel count.  Points within _CONTOUR_BAND
 of the sector edge |arg z| = pi*a, where the kernel pole sits on the cut, are
 the only ones evaluated one at a time, on a path that detours around the pole
-along an arc.
+along an arc.  The sector expansion stops each point's algebraic tail on that
+point's own increments, so no value depends on the rest of its batch.
 
 E_a'(z) is evaluated as E_{a,a}(z)/a; both the series and the integral kernels
 are implemented for the two second parameters needed (beta = 1 and beta = a).
@@ -207,28 +208,29 @@ def _residue(z: np.ndarray, alpha: float, beta: float):
 def _asymptotic(params: MLParams, z: np.ndarray, alpha: float, beta: float,
                 max_alg: int = 10) -> np.ndarray:
     """Exponential part (inside |arg z| <= pi*alpha) plus the algebraic tail,
-    carried until the increment drops below the accuracy target."""
+    carried for each point until its increment drops below the accuracy
+    target, so a point's value does not depend on the rest of its batch."""
     out = np.zeros(z.shape, dtype=complex)
     inside = np.abs(np.angle(z)) <= math.pi * alpha
     if inside.any():
         out[inside] = _residue(z[inside], alpha, beta)[0]
-    tail = np.zeros(z.shape, dtype=complex)
     zinv = 1.0 / z
     p = np.ones(z.shape, dtype=complex)
-    small_runs = 0
+    tail = np.zeros(z.shape, dtype=complex)
+    incs, tails = [], []
     for k in range(1, max_alg + 1):
         p = p * zinv
         inc = p * rgamma(beta - alpha * k)
-        tail -= inc
-        # a reciprocal-gamma pole gives a spurious zero increment, so require
-        # two consecutive increments below target before stopping
-        if np.all(np.abs(inc) <= params.accuracy * np.maximum(np.abs(out + tail), _TINY)):
-            small_runs += 1
-            if small_runs >= 2:
-                break
-        else:
-            small_runs = 0
-    return out + tail
+        tail = tail - inc
+        incs.append(inc)
+        tails.append(tail)
+    inc, tail = np.array(incs), np.array(tails)           # (max_alg, n)
+    small = np.abs(inc) <= params.accuracy * np.maximum(np.abs(out + tail), _TINY)
+    # a reciprocal-gamma pole gives a spurious zero increment, so a point stops
+    # at the second of two consecutive increments below target
+    two = small[1:] & small[:-1]
+    stop = np.where(two.any(axis=0), two.argmax(axis=0) + 1, max_alg - 1)
+    return out + tail[stop, np.arange(z.size)]
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,18 @@ def test_indicate_truncated_operator_file_fails(tmp_path, capsys):
     assert "dtn_perturbed.txt" in capsys.readouterr().err
 
 
+def test_indicate_non_numeric_operator_entry_fails(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg]) == 0
+    back = out / "dtn_background.txt"
+    lines = back.read_text().splitlines(keepends=True)
+    lines[-1] = "x " + lines[-1].split(" ", 1)[1]        # same field count
+    back.write_text("".join(lines))
+    assert main(["indicate", "--config", cfg]) == 2
+    assert "dtn_background.txt" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"]])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
-from enclosure2d.fem import (DirichletSystem, SolverError, analytic_two_layer_dtn,
-                             assemble_dtn_matrix, dtn_pairing, energy_gap,
-                             fourier_basis_for_mesh, fourier_trace, gap_matrix,
-                             nodal_basis_for_mesh, prop21_check, read_dtn,
+from enclosure2d.fem import (BoundaryBasis, DirichletSystem, DtNMatrix, SolverError,
+                             analytic_two_layer_dtn, assemble_dtn_matrix, dtn_pairing,
+                             energy_gap, fourier_basis_for_mesh, fourier_trace,
+                             gap_matrix, nodal_basis_for_mesh, prop21_check, read_dtn,
                              write_dtn)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ProbeSpec
@@ -282,6 +282,80 @@ def test_truncated_dtn_file_rejected(tmp_path, two_layer):
     path.write_text("".join(lines[:-1]) + lines[-1].rsplit(" ", 1)[0] + "\n")   # short row
     with pytest.raises(SolverError, match="corrupt operator file"):
         read_dtn(path)
+
+
+class _SolveSpy:
+    """Stands in for a factor: records each right-hand side, and can add an
+    error to the last column of each solution."""
+
+    def __init__(self, lu, error=0.0):
+        self.lu, self.error, self.rhs = lu, error, []
+
+    def solve(self, rhs):
+        self.rhs.append(rhs)
+        x = self.lu.solve(rhs)
+        x.reshape(len(x), -1)[:, -1] += self.error * np.abs(x).max()
+        return x
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_bad_solution_raises_from_solve_and_assembly(two_layer, b):
+    mesh, _ = two_layer
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    assert (sys_._lu.L.dtype.kind == "c") == (b != 0.0)
+    sys_._lu = _SolveSpy(sys_._lu, error=1e-3)
+    with pytest.raises(SolverError, match="residual"):
+        sys_.solve(fourier_trace(mesh, 1))
+    with pytest.raises(SolverError, match="residual"):
+        assemble_dtn_matrix(mesh, field, nodal_basis_for_mesh(mesh), system=sys_)
+
+
+@pytest.mark.parametrize("b, kind", [(0.0, "nodal"), (0.0, "fourier"), (0.5, "nodal")])
+def test_operator_matches_dense_schur_complement(b, kind):
+    # real coefficient: real factor, with complex fourier traces solved as
+    # [Re | Im] real columns; complex coefficient: complex factor
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    real = b == 0.0
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    assert (sys_._lu.L.dtype.kind == "c") != real
+    spy = sys_._lu = _SolveSpy(sys_._lu)
+    basis = nodal_basis_for_mesh(mesh) if kind == "nodal" else fourier_basis_for_mesh(mesh, 4)
+    dtn = assemble_dtn_matrix(mesh, field, basis, system=sys_)
+    assert all(np.iscomplexobj(r) != real for r in spy.rhs)
+    if kind == "fourier":
+        assert [r.shape[1] for r in spy.rhs] == [2 * basis.size]
+    k = sys_.stiffness.toarray()
+    i, bd = sys_.interior, sys_.boundary
+    schur = k[np.ix_(bd, bd)] - k[np.ix_(bd, i)] @ np.linalg.solve(k[np.ix_(i, i)],
+                                                                  k[np.ix_(i, bd)])
+    p = basis.nodal_matrix()
+    ref = p.T @ schur.T @ p
+    assert np.abs(dtn.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_write_dtn_text_and_roundtrip_are_exact(tmp_path):
+    # the per-row writer gives the text of the per-entry f-strings, and reading
+    # it back restores every bit, signed zeros and subnormals included
+    vals = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, -1.0 / 3.0, 2.5, -7e-300,
+                     123456789.123456789, -0.0, 1.0, -5e-324, 1e-5, -2.0 ** 0.5, 3.0, 0.0,
+                     6.02e23, -1.602e-19, 0.5, -0.25])
+    rng = np.random.default_rng(3)
+    m = np.concatenate([vals, rng.normal(size=12) * 10.0 ** rng.integers(-20, 20, 12)])
+    matrix = np.empty((4, 4), dtype=complex)
+    matrix.real, matrix.imag = m[:16].reshape(4, 4), m[16:].reshape(4, 4)
+    basis = BoundaryBasis(kind="nodal", thetas=np.array([-0.0, 1.0 / 3.0, -3.0, 5e-324]))
+    dtn = DtNMatrix(basis=basis, omega=0.25, matrix=matrix, mesh_h=0.1)
+    path = tmp_path / "dtn.txt"
+    write_dtn(dtn, path)
+    per_entry = ([" ".join(f"{t:.17g}" for t in basis.thetas) + "\n"]
+                 + [" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) + "\n"
+                    for row in matrix])
+    assert path.read_text().splitlines(keepends=True)[-5:] == per_entry
+    back = read_dtn(path)
+    assert np.array_equal(back.matrix.view(np.uint64), matrix.view(np.uint64))
+    assert np.array_equal(back.basis.thetas.view(np.uint64), basis.thetas.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", ["cgo", "mittag_leffler"])

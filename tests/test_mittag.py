@@ -221,6 +221,17 @@ def test_batch_matches_per_point_on_every_path(alpha):
             np.testing.assert_allclose(many(p, zs[4:5]), singles[4:5], rtol=1e-14, atol=0)
 
 
+def test_asymptotic_tail_stops_per_point():
+    # each point's algebraic tail stops on its own increments, so its value is
+    # the same alone and inside a batch
+    p = MLParams(alpha=0.5)
+    zs = np.concatenate([[35 + 2j], 31.0 * np.exp(1j * np.linspace(-3.0, 3.0, 14))])
+    assert np.all(np.abs(zs) >= p.r_large)
+    batch = ml_eval_many(p, zs)
+    assert batch[0] == ml_eval(p, 35 + 2j)
+    assert np.array_equal(batch, [ml_eval(p, z) for z in zs])
+
+
 def test_kernel_band_matches_oracle():
     # E_1/2(z) = wofz(-iz); the sample avoids the arc band and double overflow
     rng = np.random.default_rng(5)

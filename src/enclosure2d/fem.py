@@ -14,7 +14,14 @@ with no imaginary part (omega = 0, a real jump, and always the background
 sigma = 1, epsilon = 0) is assembled and factorized in real arithmetic; a
 complex trace is then solved as its real and imaginary columns through the
 same real factor.  Every block of solutions checks its interior residual, and
-operator entries use only the boundary rows of the stiffness matrix.
+operator entries use only the boundary rows of the stiffness matrix.  On a real
+factor the fourier basis solves only the modes n >= 0, as the real columns
+cos n theta and sin n theta: the solution for mode -n is the conjugate of the
+solution for mode n.
+
+The fourier basis builds its mode matrix and its least-squares projector
+(the pseudo-inverse of that matrix) once, on first use, and keeps both
+read-only; expanding a trace is then one matrix-vector product.
 
 A separated-variables oracle for the concentric two-layer disk provides the
 reference eigenvalues used to validate the assembly.
@@ -23,6 +30,7 @@ reference eigenvalues used to validate the assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -48,8 +56,9 @@ class BoundaryBasis:
     kind "nodal": one hat function per boundary node (coefficients are nodal
     values).  kind "fourier": interpolated modes exp(i n theta), |n| <= N,
     ordered n = -N..N.  ``thetas`` are the polar angles of the boundary nodes
-    and ``radius`` the circle they sit on, kept here so that traces can be
-    expanded and probes evaluated without access to the mesh interior.
+    (kept as a read-only float copy) and ``radius`` the circle they sit on,
+    kept here so that traces can be expanded and probes evaluated without
+    access to the mesh interior.
     """
 
     kind: str
@@ -62,7 +71,9 @@ class BoundaryBasis:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.kind == "fourier" and self.n_modes < 1:
             raise ValueError("fourier basis needs N >= 1")
-        np.asarray(self.thetas).setflags(write=False)
+        thetas = np.array(self.thetas, dtype=float)
+        thetas.setflags(write=False)
+        object.__setattr__(self, "thetas", thetas)
 
     @property
     def size(self) -> int:
@@ -79,22 +90,38 @@ class BoundaryBasis:
             raise ValueError("mode numbers only exist for the fourier basis")
         return np.arange(-self.n_modes, self.n_modes + 1)
 
+    @cached_property
+    def _modes(self) -> np.ndarray:
+        p = np.exp(1j * np.outer(self.thetas, self.mode_numbers))
+        p.setflags(write=False)
+        return p
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        # the singular-value cutoff of lstsq(rcond=None); pinv's default is 1e-15
+        p = self._modes
+        pinv = np.linalg.pinv(p, rcond=max(p.shape) * np.finfo(float).eps)
+        pinv.setflags(write=False)
+        return pinv
+
     def nodal_matrix(self) -> np.ndarray:
-        """(n_boundary_nodes, size) matrix of basis-function nodal values;
-        real for the nodal basis."""
+        """(n_boundary_nodes, size) matrix of basis-function nodal values: the
+        identity for the nodal basis, and for the fourier basis a matrix built
+        once and returned read-only."""
         if self.kind == "nodal":
             return np.eye(len(self.thetas))
-        return np.exp(1j * np.outer(self.thetas, self.mode_numbers))
+        return self._modes
 
     def expand(self, values: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares coefficients of boundary-node values in this basis,
-        with the relative interpolation residual."""
+        with the relative interpolation residual.  The fourier basis applies
+        the pseudo-inverse of its mode matrix, built on the first call and
+        cached on the basis."""
         v = np.asarray(values, dtype=complex)
         if self.kind == "nodal":
             return v.copy(), 0.0
-        p = self.nodal_matrix()
-        coef, *_ = np.linalg.lstsq(p, v, rcond=None)
-        res = np.linalg.norm(p @ coef - v) / max(np.linalg.norm(v), 1e-300)
+        coef = self._projector @ v
+        res = np.linalg.norm(self._modes @ coef - v) / max(np.linalg.norm(v), 1e-300)
         return coef, float(res)
 
     def conjugate_coefficients(self, coef: np.ndarray) -> np.ndarray:
@@ -290,19 +317,42 @@ def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField,
                         basis: BoundaryBasis,
                         system: Optional[DirichletSystem] = None,
                         block: int = 64) -> DtNMatrix:
-    """Assemble B over the basis, reusing one factorization for all columns."""
+    """Assemble B over the basis, reusing one factorization for all columns.
+
+    On a real factor the fourier basis solves only cos n theta (n = 0..N) and
+    sin n theta (n = 1..N), 2N + 1 real columns: the boundary rows for mode n
+    are those of cos + i sin, and those for mode -n their conjugate.
+    """
     if len(basis.thetas) != len(mesh.boundary_loop):
         raise SolverError("basis does not match the mesh boundary loop")
     sys_ = system or DirichletSystem(mesh, complex_admittivity(field))
     p = basis.nodal_matrix()                       # (nb, m)
+    if basis.kind == "fourier" and not np.iscomplexobj(sys_.k_ii):
+        n = basis.n_modes
+        r = _boundary_rows(sys_, np.hstack([p[:, n:].real, p[:, n + 1:].imag]), block)
+        r_pos = r[:, :n + 1].astype(complex)       # modes 0..N
+        r_pos[:, 1:] += 1j * r[:, n + 1:]
+        r = np.hstack([np.conj(r_pos[:, :0:-1]), r_pos])
+    else:
+        r = _boundary_rows(sys_, p, block)
     m = p.shape[1]
     b = np.empty((m, m), dtype=complex)
-    for start in range(0, m, block):
-        cols = slice(start, min(start + block, m))
-        u, _ = sys_.solve_block(p[:, cols])
-        r = sys_.k_b @ u                           # boundary rows of K u, (nb, nblk)
-        b[cols, :] = r.T @ p                       # row j: <L phi_j, phi_k> over k
+    for start in range(0, m, block):               # row blocks: no (m, m) temporary
+        rows = slice(start, min(start + block, m))
+        b[rows] = r[:, rows].T @ p                 # row j: <L phi_j, phi_k> over k
     return DtNMatrix(basis=basis, omega=field.omega, matrix=b, mesh_h=mesh.h)
+
+
+def _boundary_rows(sys_: DirichletSystem, traces: np.ndarray, block: int) -> np.ndarray:
+    """Boundary rows of K u for the solution u of each trace column, (nb, k),
+    solved ``block`` columns at a time."""
+    k = traces.shape[1]
+    r = np.empty(traces.shape, dtype=np.result_type(traces, sys_.k_b.dtype))
+    for start in range(0, k, block):
+        cols = slice(start, min(start + block, k))
+        u, _ = sys_.solve_block(traces[:, cols])
+        r[:, cols] = sys_.k_b @ u
+    return r
 
 
 def analytic_two_layer_dtn(rho: float, k: complex, n: int) -> complex:
@@ -477,6 +527,11 @@ def read_dtn(path) -> DtNMatrix:
     thetas = np.array(lines[1].split(), dtype=float)
     if len(thetas) != int(n_thetas):
         raise SolverError("corrupt operator file: node angle count mismatch")
+    if kind == "fourier" and int(n_param) > len(thetas) // 8:
+        # the limit fourier_basis_for_mesh enforces: above it the modes alias
+        # on the nodes, and past nb / 2 the projector is rank-deficient
+        raise SolverError(f"corrupt operator file: N = {n_param} exceeds the aliasing "
+                          f"limit {len(thetas) // 8} for {len(thetas)} node angles")
     basis = BoundaryBasis(kind=kind, thetas=thetas,
                           n_modes=int(n_param) if kind == "fourier" else 0,
                           radius=float(radius))

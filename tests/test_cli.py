@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
-from enclosure2d.fem import read_dtn
+from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
 from enclosure2d.indicator import read_indicator_csv
 
 BASE_CONFIG = """\
@@ -163,6 +163,22 @@ def test_indicate_non_numeric_operator_entry_fails(tmp_path, capsys):
     assert "dtn_background.txt" in capsys.readouterr().err
 
 
+def test_indicate_operator_file_above_alias_limit_fails(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "4"]) == 0
+    pert = out / "dtn_perturbed.txt"
+    thetas = read_dtn(pert).basis.thetas
+    n = len(thetas) // 8 + 1                              # a consistent file, one mode too many
+    basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=n)
+    write_dtn(DtNMatrix(basis=basis, omega=0.0, matrix=np.zeros((2 * n + 1, 2 * n + 1),
+                                                                  dtype=complex), mesh_h=0.1),
+              pert)
+    assert main(["indicate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "dtn_perturbed.txt" in err and "aliasing limit" in err
+
+
 @pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"]])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
@@ -240,14 +256,8 @@ directory = {out}
 """
 
 
-def test_reconstruct_two_layer_hull_quality(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = _write(tmp_path, TWO_LAYER_CONFIG.format(out=out))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["dtn", "--config", cfg]) == 0
-        assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
-    assert "contains true inclusion: True" in capsys.readouterr().out
+def _assert_two_layer_hull(out, printed):
+    assert "contains true inclusion: True" in printed
     rows = [ln for ln in (out / "hull.csv").read_text().splitlines()
             if "," in ln and not ln.startswith(("#", "x"))]
     poly = np.array([[float(v) for v in r.split(",")] for r in rows])
@@ -255,6 +265,33 @@ def test_reconstruct_two_layer_hull_quality(tmp_path, capsys):
     area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
     true_area = math.pi * 0.25
     assert true_area <= area <= 1.4 * true_area
+
+
+def test_reconstruct_two_layer_hull_quality(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, TWO_LAYER_CONFIG.format(out=out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["dtn", "--config", cfg]) == 0
+        assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
+    _assert_two_layer_hull(out, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("b, omega", [(0.0, 0.0), (0.5, 1.0)])
+def test_reconstruct_two_layer_hull_fourier_basis(tmp_path, capsys, b, omega):
+    # a real coefficient takes the real factor and its n >= 0 mode solves, a
+    # complex one the complex factor; both expand every probe in 33 modes
+    out = tmp_path / "out"
+    text = TWO_LAYER_CONFIG.format(out=out).replace(
+        "b = 0.0\nomega = 0.0", f"b = {b}\nomega = {omega}")
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "16"]) == 0
+        assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
+    pert = read_dtn(out / "dtn_perturbed.txt")
+    assert (pert.basis.size, pert.omega) == (33, omega)
+    _assert_two_layer_hull(out, capsys.readouterr().out)
 
 
 ML_CONFIG = """\

@@ -284,6 +284,88 @@ def test_truncated_dtn_file_rejected(tmp_path, two_layer):
         read_dtn(path)
 
 
+def test_dtn_file_above_alias_limit_rejected(tmp_path):
+    # fourier_basis_for_mesh allows N <= nb // 8; a file may not claim more
+    thetas = np.linspace(-math.pi, math.pi, 40, endpoint=False)
+    path = tmp_path / "dtn.txt"
+    for n in (5, 6):
+        basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=n)
+        write_dtn(DtNMatrix(basis=basis, omega=0.0, mesh_h=0.1,
+                            matrix=np.eye(basis.size, dtype=complex)), path)
+        if n == 5:
+            assert read_dtn(path).basis.n_modes == 5
+    with pytest.raises(SolverError, match="corrupt operator file: N = 6 exceeds the aliasing"):
+        read_dtn(path)
+
+
+def _expansion_bases():
+    mesh, _ = _homogeneous(0.1)
+    rng = np.random.default_rng(5)
+    nb = 80
+    jittered = np.sort(rng.uniform(-math.pi, math.pi, nb)
+                       + rng.uniform(-0.02, 0.02, nb))       # non-uniform angles
+    return {"mesh": fourier_basis_for_mesh(mesh, 7),
+            "jittered": BoundaryBasis(kind="fourier", thetas=jittered, n_modes=nb // 8)}
+
+
+@pytest.mark.parametrize("which", ["mesh", "jittered"])
+def test_fourier_expand_matches_lstsq(which):
+    from enclosure2d.indicator import _EXPANSION_WARN
+    basis = _expansion_bases()[which]
+    p = basis.nodal_matrix()
+    rng = np.random.default_rng(11)
+    n = basis.n_modes
+    th = basis.thetas
+    outside = np.exp(1j * (n + 1) * th)                   # first mode outside the span
+    traces = [p @ (rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)),
+              np.exp(3.0 * np.cos(th - 0.4)) * np.exp(3j * np.sin(th - 0.4)),   # a CGO-like trace
+              rng.normal(size=len(th)) + 1j * rng.normal(size=len(th)),
+              outside]
+    for v in traces:
+        ref, *_ = np.linalg.lstsq(p, v, rcond=None)
+        ref_res = np.linalg.norm(p @ ref - v) / np.linalg.norm(v)
+        coef, res = basis.expand(v)
+        if v is not outside:                              # its coefficients are roundoff
+            assert np.linalg.norm(coef - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert abs(res - ref_res) <= 1e-13 * max(ref_res, 1.0)
+    assert basis.expand(traces[0])[1] < 1e-13
+    assert basis.expand(outside)[1] > _EXPANSION_WARN
+
+
+def test_fourier_projector_built_once(monkeypatch):
+    calls = []
+    pinv = np.linalg.pinv
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    first, second = _expansion_bases().values()
+    v = np.exp(1j * first.thetas)
+    results = [first.expand(v)[0] for _ in range(4)]
+    assert len(calls) == 1
+    assert all(np.array_equal(r, results[0]) for r in results)
+    second.expand(np.exp(1j * second.thetas))
+    second.expand(np.exp(2j * second.thetas))
+    assert len(calls) == 2
+    assert first.nodal_matrix() is first.nodal_matrix()
+    assert not first.nodal_matrix().flags.writeable
+
+
+def test_basis_keeps_a_read_only_copy_of_thetas():
+    thetas = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -3.0, -2.0, -1.0]
+    basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=1)
+    assert isinstance(basis.thetas, np.ndarray) and basis.thetas.dtype == float
+    assert not basis.thetas.flags.writeable
+    coef, _ = basis.expand(np.cos(np.array(thetas)))
+    thetas[0] = 0.5                                     # the caller's list is not the basis's
+    with pytest.raises(ValueError):
+        basis.thetas[0] = 0.5
+    assert basis.thetas[0] == 0.0
+    assert np.array_equal(basis.expand(np.cos(basis.thetas))[0], coef)
+
+
 class _SolveSpy:
     """Stands in for a factor: records each right-hand side, and can add an
     error to the last column of each solution."""
@@ -313,8 +395,8 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b):
 
 @pytest.mark.parametrize("b, kind", [(0.0, "nodal"), (0.0, "fourier"), (0.5, "nodal")])
 def test_operator_matches_dense_schur_complement(b, kind):
-    # real coefficient: real factor, with complex fourier traces solved as
-    # [Re | Im] real columns; complex coefficient: complex factor
+    # real coefficient: real factor, with the fourier modes solved as the
+    # real columns of modes n >= 0; complex coefficient: complex factor
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
     real = b == 0.0
@@ -325,7 +407,8 @@ def test_operator_matches_dense_schur_complement(b, kind):
     dtn = assemble_dtn_matrix(mesh, field, basis, system=sys_)
     assert all(np.iscomplexobj(r) != real for r in spy.rhs)
     if kind == "fourier":
-        assert [r.shape[1] for r in spy.rhs] == [2 * basis.size]
+        # modes n >= 0 only, as cos n theta (n = 0..4) and sin n theta (n = 1..4)
+        assert [r.shape[1] for r in spy.rhs] == [basis.size]
     k = sys_.stiffness.toarray()
     i, bd = sys_.interior, sys_.boundary
     schur = k[np.ix_(bd, bd)] - k[np.ix_(bd, i)] @ np.linalg.solve(k[np.ix_(i, i)],

@@ -311,13 +311,3 @@ def probe_trace(spec: ProbeSpec, points, params: Optional[MLParams] = None) -> n
 def probe_gradient(spec: ProbeSpec, points, params: Optional[MLParams] = None) -> np.ndarray:
     return cgo_gradient(spec, points) if spec.kind == "cgo" else ml_probe_gradient(spec, points, params)
 
-
-def write_probe_csv(path, spec: ProbeSpec, points,
-                    params: Optional[MLParams] = None) -> None:
-    """Tabulate probe values for debugging: columns x, y, re, im."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = probe_trace(spec, pts, params)
-    with open(path, "w") as f:
-        f.write("x,y,re,im\n")
-        for (x, y), v in zip(pts, vals):
-            f.write(f"{x:.17g},{y:.17g},{v.real:.17g},{v.imag:.17g}\n")

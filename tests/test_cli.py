@@ -179,6 +179,20 @@ def test_indicate_operator_file_above_alias_limit_fails(tmp_path, capsys):
     assert "dtn_perturbed.txt" in err and "aliasing limit" in err
 
 
+@pytest.mark.parametrize("command", ["indicate", "reconstruct"])
+def test_non_finite_operator_entry_fails(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg]) == 0
+    pert = out / "dtn_perturbed.txt"
+    lines = pert.read_text().splitlines(keepends=True)
+    lines[-1] = "nan " + lines[-1].split(" ", 1)[1]        # same field count
+    pert.write_text("".join(lines))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "dtn_perturbed.txt" in err and "non-finite" in err
+
+
 @pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"]])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))

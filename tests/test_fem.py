@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
 from enclosure2d.fem import (BoundaryBasis, DirichletSystem, DtNMatrix, SolverError,
@@ -298,6 +300,26 @@ def test_dtn_file_above_alias_limit_rejected(tmp_path):
         read_dtn(path)
 
 
+def test_dtn_file_with_non_finite_or_inconsistent_fields_rejected(tmp_path):
+    thetas = np.linspace(-math.pi, math.pi, 4, endpoint=False)
+    basis = BoundaryBasis(kind="nodal", thetas=thetas)
+    path = tmp_path / "dtn.txt"
+    write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
+                        matrix=np.eye(4, dtype=complex)), path)
+    comment, header, angles, *rows = path.read_text().splitlines(keepends=True)
+    assert read_dtn(path).basis.size == 4
+    fields = header.split()
+    corrupt = {"entry": [header, angles, "nan" + rows[0][1:], *rows[1:]],
+               "angle": [header, "inf " + angles.split(" ", 1)[1], *rows],
+               "nodal size": [" ".join(["nodal", "7", *fields[2:]]) + "\n", angles, *rows]}
+    for i, name in ((2, "omega"), (3, "h"), (5, "radius")):
+        corrupt[name] = [" ".join(fields[:i] + ["nan"] + fields[i + 1:]) + "\n", angles, *rows]
+    for name, lines in corrupt.items():
+        path.write_text("".join(lines))
+        with pytest.raises(SolverError, match="corrupt operator file"):
+            read_dtn(path)
+
+
 def _expansion_bases():
     mesh, _ = _homogeneous(0.1)
     rng = np.random.default_rng(5)
@@ -366,49 +388,85 @@ def test_basis_keeps_a_read_only_copy_of_thetas():
     assert np.array_equal(basis.expand(np.cos(basis.thetas))[0], coef)
 
 
-class _SolveSpy:
-    """Stands in for a factor: records each right-hand side, and can add an
-    error to the last column of each solution."""
+class _FactorSpy:
+    """Stands in for the boundary-last factor of a DirichletSystem.  Its L
+    gains ``l21_error`` F in the boundary rows of the interior columns, which
+    moves S = K_bb - L_21 U_12 by E = -F U_12; every solution gains
+    ``solve_error`` times its largest entry; ``reorder`` reverses perm_c."""
 
-    def __init__(self, lu, error=0.0):
-        self.lu, self.error, self.rhs = lu, error, []
+    def __init__(self, lu, l21_error=None, solve_error=0.0, reorder=False):
+        self.lu, self.solve_error, self.U, self.perm_r = lu, solve_error, lu.U, lu.perm_r
+        self.perm_c = lu.perm_c[::-1] if reorder else lu.perm_c
+        self.L = lu.L
+        if l21_error is not None:
+            ni = l21_error.shape[1]
+            self.L = self.L.toarray()
+            self.L[ni:, :ni] += l21_error
+            self.L = sp.csc_matrix(self.L)
 
     def solve(self, rhs):
-        self.rhs.append(rhs)
         x = self.lu.solve(rhs)
-        x.reshape(len(x), -1)[:, -1] += self.error * np.abs(x).max()
-        return x
+        return x + self.solve_error * np.abs(x).max()
+
+
+def _install_factor_spy(monkeypatch, make):
+    """Route every complete factorization through ``make(lu)``."""
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **kwargs: make(splu(a, **kwargs)))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
-def test_bad_solution_raises_from_solve_and_assembly(two_layer, b):
+def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
     mesh, _ = two_layer
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
     assert (sys_._lu.L.dtype.kind == "c") == (b != 0.0)
-    sys_._lu = _SolveSpy(sys_._lu, error=1e-3)
+    sys_._lu = _FactorSpy(sys_._lu, solve_error=1e-3)
     with pytest.raises(SolverError, match="residual"):
         sys_.solve(fourier_trace(mesh, 1))
+    _install_factor_spy(monkeypatch, lambda lu: _FactorSpy(lu, solve_error=1e-3))
     with pytest.raises(SolverError, match="residual"):
-        assemble_dtn_matrix(mesh, field, nodal_basis_for_mesh(mesh), system=sys_)
+        DirichletSystem(mesh, complex_admittivity(field))
+    with pytest.raises(SolverError, match="residual"):
+        assemble_dtn_matrix(mesh, field, nodal_basis_for_mesh(mesh))
 
 
-@pytest.mark.parametrize("b, kind", [(0.0, "nodal"), (0.0, "fourier"), (0.5, "nodal")])
+@pytest.mark.parametrize("check", ["leaks current", "symmetry defect", "boundary current",
+                                   "reordered"])
+def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
+    # each corruption keeps what the earlier checks test, so only the named
+    # check can raise
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0))
+    nb = len(mesh.boundary_loop)
+    ni = mesh.n_vertices - nb
+
+    def corrupt(lu):
+        v = -lu.U[:ni, ni:] @ np.ones(nb)            # -U_12 1, so that E 1 = F v
+        k0, k1 = np.argsort(np.abs(v))[-2:]
+        f = np.zeros((nb, ni), dtype=complex)
+        if check == "leaks current":                 # E = -F U_12: row 0 moves, E 1 != 0
+            f[0, k0] = 1e-4
+        elif check == "symmetry defect":             # row 0 moves with E 1 = 0
+            f[0, k0], f[0, k1] = 1e-4 * v[k1], -1e-4 * v[k0]
+        return _FactorSpy(lu, l21_error=f, reorder=check == "reordered",
+                          solve_error=1e-7 if check == "boundary current" else 0.0)
+
+    _install_factor_spy(monkeypatch, corrupt)
+    with pytest.raises(SolverError, match=check):
+        DirichletSystem(mesh, gamma)
+
+
+@pytest.mark.parametrize("b, kind", [(0.0, "nodal"), (0.0, "fourier"), (0.5, "nodal"),
+                                     (0.5, "fourier")])
 def test_operator_matches_dense_schur_complement(b, kind):
-    # real coefficient: real factor, with the fourier modes solved as the
-    # real columns of modes n >= 0; complex coefficient: complex factor
+    # real coefficient: real factor; complex coefficient: complex factor
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
-    real = b == 0.0
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    assert (sys_._lu.L.dtype.kind == "c") != real
-    spy = sys_._lu = _SolveSpy(sys_._lu)
+    assert (sys_._lu.L.dtype.kind == "c") != (b == 0.0)
     basis = nodal_basis_for_mesh(mesh) if kind == "nodal" else fourier_basis_for_mesh(mesh, 4)
     dtn = assemble_dtn_matrix(mesh, field, basis, system=sys_)
-    assert all(np.iscomplexobj(r) != real for r in spy.rhs)
-    if kind == "fourier":
-        # modes n >= 0 only, as cos n theta (n = 0..4) and sin n theta (n = 1..4)
-        assert [r.shape[1] for r in spy.rhs] == [basis.size]
     k = sys_.stiffness.toarray()
     i, bd = sys_.interior, sys_.boundary
     schur = k[np.ix_(bd, bd)] - k[np.ix_(bd, i)] @ np.linalg.solve(k[np.ix_(i, i)],
@@ -462,7 +520,8 @@ def test_probe_discrete_harmonicity_first_order(kind):
         v = probe_trace(spec, mesh.vertices)
         r = sys_.stiffness @ v
         r_i = r[sys_.interior]
-        dual = math.sqrt(abs(np.vdot(r_i, sys_._solve_interior(r_i)).real))
+        k_ii = sys_.stiffness[sys_.interior][:, sys_.interior].tocsc()
+        dual = math.sqrt(abs(np.vdot(r_i, spla.spsolve(k_ii, r_i)).real))
         energy = math.sqrt(abs(np.vdot(v, sys_.stiffness @ v).real))
         rels.append(dual / energy)
     assert rels[0] / rels[1] > 1.7

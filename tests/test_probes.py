@@ -209,20 +209,6 @@ def test_critical_offset_requires_bracketing():
                              math.pi / 4, d, -0.4, -0.05)
 
 
-def test_probe_csv_tabulation(tmp_path):
-    from enclosure2d.probes import write_probe_csv
-    spec = _cgo(t=0.1, tau=1.5)
-    pts = np.array([[0.2, 0.3], [-0.4, 0.0]])
-    path = tmp_path / "probe.csv"
-    write_probe_csv(path, spec, pts)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,re,im"
-    vals = cgo_trace(spec, pts)
-    parts = lines[1].split(",")
-    assert float(parts[2]) == pytest.approx(vals[0].real)
-    assert float(parts[3]) == pytest.approx(vals[0].imag)
-
-
 def test_probe_spec_validation():
     with pytest.raises(ProbeError):
         ProbeSpec(kind="cgo", theta=(1.0, 0.1), theta_perp=(0.0, 1.0), t=0.0, tau=1.0)

@@ -1,25 +1,23 @@
 """Mittag-Leffler function E_a(z) and its derivative for complex arguments.
 
 Evaluation switches between three methods: the defining power series for
-small |z| (with a running cancellation guard), a real-line kernel integral of
-Gorenflo-Loutchko-Luchko type at intermediate |z|, and the sector expansion
+small |z| (with a running cancellation guard), the trapezoid rule on an
+optimal parabolic contour for the inverse Laplace transform at intermediate
+|z| and wherever the series cannot certify itself, and the sector expansion
 (exponential part plus an algebraic tail) at large |z|.  E_a grows like
 exp(z^(1/a)) for |arg z| <= pi*a/2 and decays algebraically outside; the
 principal branch of z^(1/a) is used throughout, so the growth region matches
 the sector classifier exactly.
 
-Every method works on whole batches.  In the kernel integral only a rational
-factor depends on z, so points that share a cut radius share one composite
-Gauss-Legendre node set, built once per panel count and cached; each panel
-level is one (points x nodes) evaluation, and only points whose value has not
-yet stabilized go on to the doubled panel count.  Points within _CONTOUR_BAND
-of the sector edge |arg z| = pi*a, where the kernel pole sits on the cut, are
-the only ones evaluated one at a time, on a path that detours around the pole
-along an arc.  The sector expansion stops each point's algebraic tail on that
-point's own increments, so no value depends on the rest of its batch.
+Every method works on whole batches, and no value depends on the rest of its
+batch.  The contour rule chooses each point's contour and node count from
+closed formulas, with no adaptive refinement and no per-point path; points
+with the same node count are summed together, each over its own nodes in a
+fixed order.  The sector expansion stops each point's algebraic tail on that
+point's own increments.
 
-E_a'(z) is evaluated as E_{a,a}(z)/a; both the series and the integral kernels
-are implemented for the two second parameters needed (beta = 1 and beta = a).
+E_a'(z) is evaluated as E_{a,a}(z)/a; every method takes the second
+parameter, and the two needed are beta = 1 and beta = a.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ _DECAY = "algebraic_decay"
 _BOUNDARY = "boundary"
 
 _SECTOR_BAND = 1e-9          # radians; classification dead band
-_CONTOUR_BAND = 1e-3         # |arg z| this close to pi*a goes through the arc path
-_ARC_EXP_CAP = 25.0          # largest exponent the arc path can integrate accurately
-_MAX_PANELS = 4096
-_CHUNK = 1 << 20             # largest (points x nodes) array one quadrature step builds
+_LOG_EPS = math.log(np.finfo(float).eps)   # round-off floor of the contour rule
+_FINEST = 1e-15              # finest contour tolerance (Garrappa's default)
+_MAX_NODES = 200             # a contour needing more runs at a coarser tolerance
 _TINY = 1e-300
 _EXP_MAX = math.log(np.finfo(float).max)   # largest real part exp() keeps finite
 
@@ -55,8 +52,12 @@ class MLAccuracyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MLParams:
-    """Evaluation parameters: order alpha in (0, 1], target relative accuracy,
-    series truncation cap, and the method hand-off radii."""
+    """Evaluation parameters: order alpha in (0, 1]; the target relative
+    accuracy, at which the sector expansion stops, while the series stops a
+    hundredth below it and the contour rule's tolerance is accuracy / 100;
+    the series truncation cap; and the hand-off radii: the series for
+    |z| <= r_small, the sector expansion for |z| >= r_large, and the contour
+    rule between them and for every point the series cannot certify."""
 
     alpha: float
     accuracy: float = 1e-10
@@ -135,13 +136,9 @@ def _eval_batch(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> n
     if big.any():
         out[big] = _asymptotic(params, zf[big], alpha, beta)
 
-    rest = np.flatnonzero((~zero) & (~ok) & (~big))
-    if rest.size:
-        edge = _near_edge(params, zf[rest], alpha)
-        for i in rest[edge]:
-            out[i] = _contour_point(params, complex(zf[i]), alpha, beta)
-        if not edge.all():
-            out[rest[~edge]] = _kernel(params, zf[rest[~edge]], alpha, beta)
+    rest = (~zero) & (~ok) & (~big)
+    if rest.any():
+        out[rest] = _contour(params, zf[rest], alpha, beta)
     return out.reshape(shape)
 
 
@@ -167,7 +164,7 @@ _GUARD_EPS = 1e-13
 def _taylor(params: MLParams, z: np.ndarray, alpha: float, beta: float):
     """Vectorized truncated series.  Returns (values, certified) where
     ``certified`` is False for points whose running cancellation would eat the
-    accuracy target; those are rerouted to the kernel integral."""
+    accuracy target; those go to the contour rule."""
     ratios = _term_ratios(alpha, beta, params.max_terms)
     s = np.full(z.shape, complex(rgamma(beta)), dtype=complex)
     term = s.copy()
@@ -179,8 +176,10 @@ def _taylor(params: MLParams, z: np.ndarray, alpha: float, beta: float):
         s = np.where(active, s + term, s)
         mag = np.abs(term)
         peak = np.maximum(peak, np.where(active, mag, 0.0))
-        # stop once terms are past their hump and negligible
-        done = active & (mag <= tol * np.maximum(np.abs(s), _TINY)) & (mag <= peak * 1e-6)
+        # stop once terms are past their hump and negligible; the tail past
+        # the last term added can be many times that term, so a term must be
+        # a hundredth of the target
+        done = active & (mag <= 0.01 * tol * np.maximum(np.abs(s), _TINY)) & (mag <= peak * 1e-6)
         active &= ~done
         if not active.any():
             break
@@ -234,192 +233,143 @@ def _asymptotic(params: MLParams, z: np.ndarray, alpha: float, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# kernel integral (intermediate |z|)
+# trapezoid rule on a parabolic contour (intermediate |z|)
 #
-# E_{a,b}(z) = int_0^inf K(r, z) dr (+ residue inside |arg z| < pi*a), with
-# K(r, z) = g(r) (r s1 - z s2) / (r^2 - 2 r z cos(pi a) + z^2), where
-# g(r) = r^((1-b)/a) exp(-r^(1/a)) / (pi a), s1 = sin(pi(1-b)) and
-# s2 = sin(pi(1-b+a)).  Only the rational factor depends on z, so the nodes of
-# a rule on the cut [0, r0], with the Gauss weights folded into g, are shared
-# by every point with the same cut radius.
+# E_{a,b}(z) is the inverse Laplace transform at t = 1 of s^(a-b) / (s^a - z):
+# the integral of exp(s) s^(a-b) / (s^a - z) / (2 pi i) along a contour that
+# wraps the branch cut s <= 0, plus the residue at the pole s* = z^(1/a) if
+# the contour passes left of it.  For 0 < a < 1 that pole is the only one,
+# and it lies off the cut only for |arg z| < pi*a.  On the parabola
+# s(u) = mu (1 + iu)^2 the trapezoid rule u_k = k h, |k| <= N, converges
+# geometrically.  (mu, h, N) follow Garrappa (SIAM J. Numer. Anal. 53, 2015),
+# after Weideman & Trefethen (Math. Comp. 76, 2007), for the contour between
+# the origin and the pole or the one beyond the pole, whichever needs fewer
+# nodes.  A region is measured by phi(s) = (Re s + |s|) / 2, the parameter of
+# the parabola through s.
 
 
-@lru_cache(maxsize=4)
-def _gauss_rule(n: int = 16):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _region_below(phi: np.ndarray, log_eps: float):
+    """(mu, h, N) of Garrappa's OptimalParam_RB for the region between the
+    branch point (strength 0) and a simple pole at level phi.  The region is
+    admissible for every tolerance at or above _FINEST."""
+    f_max = math.exp(log_eps - _LOG_EPS)
+    f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+    sq_bar = (2.0 / (2.0 + 1.0 / f_bar)) * np.minimum(np.sqrt(phi), 2.0 * math.sqrt(log_eps - _LOG_EPS))
+    log_eps -= math.log(f_bar)
+    mu = (sq_bar / (2.0 - sq_bar * sq_bar / log_eps)) ** 2
+    h = -2.0 * math.pi / log_eps
+    return mu, h, np.ceil(np.sqrt(1.0 - log_eps / mu) * (1.0 / h))
 
 
-def _panel_rule(alpha: float, beta: float, a, b, n: int):
-    """Nodes r and weight pairs (w, r w), w = Gauss weight * half-width * g(r),
-    of the n-panel composite Gauss-Legendre rule on [a, b].  ``a`` and ``b``
-    are arrays of interval ends, one row of nodes per interval."""
-    x0, w0 = _gauss_rule()
-    edges = np.linspace(a, b, n + 1, axis=-1)
-    half = 0.5 * (edges[:, 1] - edges[:, 0])
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    r = (mid[:, :, None] + half[:, None, None] * x0).reshape(len(edges), -1)
-    with np.errstate(over="ignore"):
-        g = np.exp(-np.power(r, 1.0 / alpha)) / (math.pi * alpha)
-    if beta != 1.0:
-        g *= np.power(r, (1 - beta) / alpha)
-    w = np.tile(w0, n) * half[:, None] * g
-    return r, np.stack([w, r * w], axis=-1)
+def _region_above(phi: np.ndarray, pole: bool, log_eps: float):
+    """(mu, h, N) of Garrappa's OptimalParam_RU for the region beyond a simple
+    pole at level phi, or beyond the branch point (phi = 0, no pole).  N is
+    inf where round-off leaves no contour."""
+    sq_phi = np.sqrt(phi)
+    sq_bar = np.sqrt(1.01 * phi if pole else np.full(phi.shape, 0.01))
+    again = np.ones(phi.shape, dtype=bool)
+    while again.any():
+        # move the contour until the pole's factor sq_mu / (sq_bar - sq_phi)
+        # lies in (1, 10); a point that is done recomputes the same values
+        bar = sq_bar * sq_bar
+        n = np.ceil((bar - 1.5 * log_eps + np.sqrt(bar * (bar - 2.0 * log_eps))) / math.pi)
+        a = (math.pi * n) / bar
+        sq_mu = sq_bar * np.abs(4.0 - a) / np.abs(7.0 - np.sqrt(12.0 * a + 1.0))
+        f = sq_mu / (sq_bar - sq_phi)
+        again = pole & ((f <= 1.0) | (f >= 10.0))
+        sq_bar = np.where(again, 0.2 * sq_mu + sq_phi, sq_bar)
+    mu = sq_mu * sq_mu
+    h = (2.0 * np.sqrt(12.0 * a + 1.0) - 3.0 * a - 2.0) / ((4.0 - a) * n)
+    # a contour reaching past the round-off bound is pulled back onto it,
+    # if the pole leaves room
+    bound = log_eps - _LOG_EPS
+    pull = mu > bound
+    q = (0.2 * sq_mu + sq_phi) ** 2 if pole else phi
+    w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_eps))
+    # q < bound keeps the denominator negative where n_pull is used
+    n_pull = np.ceil((w * log_eps / (2 * math.pi)) / (np.sqrt(q / -_LOG_EPS) * w - 1))
+    n = np.where(pull, np.where(q < bound, n_pull, np.inf), n)
+    h = np.where(pull, w / n, h)
+    return np.where(pull, bound, mu), h, n
 
 
-@lru_cache(maxsize=64)
-def _shared_rule(alpha: float, beta: float, a: float, b: float, n: int):
-    """_panel_rule for one interval, built once per panel count."""
-    r, rw = (v[0] for v in _panel_rule(alpha, beta, np.array([a]), np.array([b]), n))
-    r.setflags(write=False)
-    rw.setflags(write=False)
-    return r, rw
+@lru_cache(maxsize=16)
+def _branch_params(log_eps: float):
+    """(mu, h, N) for a point with no pole: the region beyond the branch
+    point, the same for every such point."""
+    mu, h, n = _region_above(np.zeros(1), False, log_eps)
+    return mu[0], h[0], n[0]
 
 
-def _kernel_sums(z: np.ndarray, r: np.ndarray, rw: np.ndarray,
-                 alpha: float, beta: float) -> np.ndarray:
-    """sum_j w_j (r_j s1 - z s2) / (r_j^2 - 2 r_j z cos(pi alpha) + z^2) per
-    point, for nodes shared by the batch (r of shape (N,)) or per point
-    (P, N): one reciprocal per (point, node) and a contraction with the
-    weight pairs (w, r w)."""
-    zc = z[:, None]
-    inv = 1.0 / ((r * r + zc * zc) - (2.0 * math.cos(math.pi * alpha) * r) * zc)
-    # einsum sums each row in a fixed order, so a point's value does not
-    # depend on the rest of its batch
-    s = np.einsum("pn,nk->pk" if r.ndim == 1 else "pn,pnk->pk", inv, rw)
-    return (math.sin(math.pi * (1 - beta)) * s[:, 1]
-            - math.sin(math.pi * (1 - beta + alpha)) * z * s[:, 0])
+def _contour_params(phi: np.ndarray, pole: np.ndarray, log_eps: float):
+    """(mu, h, N, left) of the region needing fewer nodes; ``left`` marks the
+    points whose contour passes left of the pole.  The region beyond the pole
+    is a candidate only while phi is below the round-off bound."""
+    mu, h, n = (np.where(pole, np.inf, v) for v in _branch_params(log_eps))
+    near = np.flatnonzero(pole & (phi < log_eps - _LOG_EPS))
+    if near.size:
+        mu[near], h[near], n[near] = _region_above(phi[near], True, log_eps)
+    left = np.zeros(phi.shape, dtype=bool)
+    below = np.flatnonzero(pole)
+    if below.size:
+        mu_b, h_b, n_b = _region_below(phi[below], log_eps)
+        fewer = n_b < n[below]
+        take = below[fewer]
+        left[take] = True
+        mu[take], h[take], n[take] = mu_b[fewer], h_b, n_b[fewer]
+    return mu, h, n, left
 
 
-def _kernel_integral(z: np.ndarray, a, b, alpha: float, beta: float, tol: float):
-    """int_a^b K(r, z) dr for a batch, by composite Gauss-Legendre with
-    batch-wide panel doubling (8, 16, ... _MAX_PANELS panels of 16 nodes).
+def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+    """E_{alpha,beta}(z) for a batch by the trapezoid rule on each point's
+    optimal parabolic contour, plus the residue where the contour passes left
+    of the pole.
 
-    ``a`` and ``b`` are one interval shared by the batch (floats; its rules
-    are cached) or arrays with one interval per point.  A point is done at
-    the first panel count whose value moved by at most ``tol`` relative to the
-    previous one; only unfinished points go on, in chunks of at most _CHUNK
-    (points x nodes) entries.  Returns (values, uncertified) where the
-    uncertified points carry their _MAX_PANELS value."""
-    shared = np.isscalar(b)
-    value = np.empty_like(z)
-    prev = np.empty_like(z)
-    todo = np.arange(z.size)
-    n = 8
-    while todo.size and n <= _MAX_PANELS:
-        step = max(1, _CHUNK // (16 * n))
-        cur = np.empty(todo.size, dtype=complex)
-        for start in range(0, todo.size, step):
-            idx = todo[start:start + step]
-            rule = (_shared_rule(alpha, beta, a, b, n) if shared
-                    else _panel_rule(alpha, beta, a[idx], b[idx], n))
-            cur[start:start + step] = _kernel_sums(z[idx], *rule, alpha, beta)
-        done = np.zeros(todo.size, dtype=bool)
-        if n > 8:
-            done = np.abs(cur - prev[todo]) <= tol * np.maximum(np.abs(cur), _TINY)
-            value[todo[done]] = cur[done]
-        prev[todo] = cur
-        todo = todo[~done]
-        n *= 2
-    value[todo] = prev[todo]
-    return value, todo
-
-
-def _shared_cut_radius(accuracy: float, alpha: float) -> float:
-    return max(1.0, (-2.0 * math.log(accuracy * math.pi / 6.0)) ** alpha)
-
-
-def _kernel_cut_radius(accuracy: float, alpha: float, absz: np.ndarray) -> np.ndarray:
-    # past the decay scale the kernel pole at r = |z| is exponentially
-    # suppressed and every point shares one cut; nearer in it reaches 2|z|
-    rc = _shared_cut_radius(accuracy, alpha)
-    near = absz ** (1.0 / alpha) <= -math.log(accuracy) + 5.0
-    return np.where(near, np.maximum(rc, 2.0 * absz), rc)
-
-
-def _kernel(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """E_{alpha,beta}(z) by the kernel integral over the cut [0, r0] plus the
-    residue term inside the sector |arg z| < pi*alpha, for a batch.  Points
-    on the shared cut radius use cached rules, the rest per-point nodes; each
-    uncertified point raises one MLAccuracyWarning."""
-    tol = 0.1 * params.accuracy
-    rc = _shared_cut_radius(params.accuracy, alpha)
-    r0 = _kernel_cut_radius(params.accuracy, alpha, np.abs(z))
-    own = r0 != rc
-    out = np.empty_like(z)
-    uncertified = 0
-    if not own.all():
-        out[~own], bad = _kernel_integral(z[~own], 0.0, rc, alpha, beta, tol)
-        uncertified += bad.size
-    if own.any():
-        out[own], bad = _kernel_integral(z[own], np.zeros(own.sum()), r0[own],
-                                         alpha, beta, tol)
-        uncertified += bad.size
+    The rule's tolerance is params.accuracy / 100, which met the accuracy
+    target on every point measured, but no finer than _FINEST.  A point whose
+    contour needs more than _MAX_NODES nodes runs at a tolerance ten times
+    coarser, as often as needed.  Each point that ran coarser than its
+    tolerance raises one MLAccuracyWarning.  Points with the same N are summed
+    together, each over its own 2N + 1 nodes in a fixed order, so a value does
+    not depend on the rest of its batch."""
+    target = math.log(params.accuracy / 100)
+    log_z = np.log(z)
+    star = np.exp(log_z / alpha)
+    phi = 0.5 * (star.real + np.abs(star))
+    # a pole on the cut (phi = 0 up to rounding) is dropped, as Garrappa does
+    pole = (np.abs(log_z.imag) < math.pi * alpha) & (phi > 1e-15)
+    phi = np.where(pole, phi, 0.0)
+    log_eps = max(target, math.log(_FINEST))
+    mu, h, n, left = _contour_params(phi, pole, log_eps)
+    over = np.flatnonzero(n > _MAX_NODES)
+    uncertified = z.size if log_eps > target else over.size
+    while over.size:
+        log_eps += math.log(10.0)
+        mu[over], h[over], n[over], left[over] = _contour_params(phi[over], pole[over], log_eps)
+        over = over[n[over] > _MAX_NODES]
     for _ in range(uncertified):
-        warnings.warn("kernel integral did not stabilize; best value returned",
+        warnings.warn("contour rule ran above its tolerance; best value returned",
                       MLAccuracyWarning)
-    inside = np.abs(np.angle(z)) < math.pi * alpha
-    if inside.any():
-        res, over = _residue(z[inside], alpha, beta)
-        out[inside] = np.where(over, res, out[inside] + res)
+    # s = mu t^2 with t = 1 + iu, so ds/du = 2i mu t and the rule's factor
+    # h / (2 pi i) ds/du is h mu t / pi.  Node -k is the conjugate of node k,
+    # so the z-free factors are computed for k >= 0 only.
+    out = np.empty_like(z)
+    for m in set(n.tolist()):
+        g = np.flatnonzero(n == m)
+        t = 1.0 + 1j * (h[g, None] * np.arange(int(m) + 1))
+        s = mu[g, None] * (t * t)
+        log_s = np.log(s)
+        num = np.exp(s + (alpha - beta) * log_s) * t
+        s_a = np.exp(alpha * log_s)
+        zg = z[g, None]
+        up = num / (s_a - zg)
+        down = num[:, 1:].conj() / (s_a[:, 1:].conj() - zg)
+        # cumsum adds each row's nodes in order, whatever the group's size;
+        # adding the two halves last keeps E(conj z) = conj E(z) exact
+        total = up[:, 0] + (np.cumsum(up[:, 1:], axis=1)[:, -1]
+                            + np.cumsum(down, axis=1)[:, -1])
+        out[g] = (h[g] * mu[g] / math.pi) * total
+    if left.any():
+        res, inf = _residue(z[left], alpha, beta)
+        out[left] = np.where(inf, res, out[left] + res)
     return out
-
-
-def _near_edge(params: MLParams, z: np.ndarray, alpha: float) -> np.ndarray:
-    """Points so close to the sector edge |arg z| = pi*alpha that the kernel
-    pole at r = |z| sits on the cut with a weight above the target."""
-    gap = np.abs(np.abs(np.angle(z)) - math.pi * alpha)
-    return (gap < _CONTOUR_BAND) & (np.exp(-np.abs(z) ** (1.0 / alpha)) > 0.1 * params.accuracy)
-
-
-def _composite_gauss(f, a: float, b: float, tol: float):
-    """Composite Gauss-Legendre with panel doubling until stable."""
-    x0, w0 = _gauss_rule()
-    prev = None
-    n = 8
-    while n <= _MAX_PANELS:
-        edges = np.linspace(a, b, n + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        pts = (mid + half * x0[None, :]).ravel()
-        vals = f(pts).reshape(n, -1)
-        total = half * np.sum(vals @ w0)
-        if prev is not None and abs(total - prev) <= tol * max(abs(total), _TINY):
-            return total, True
-        prev = total
-        n *= 2
-    return prev, False
-
-
-def _contour_point(params: MLParams, z: complex, alpha: float, beta: float) -> complex:
-    """E_{alpha,beta}(z) for a point near the sector edge (see _near_edge):
-    the cut integral starts past the pole at eps = |z| + 1/2 and an arc of
-    radius eps about the origin closes the path."""
-    absz = abs(z)
-    tol = 0.1 * params.accuracy
-    eps = absz + 0.5
-    if eps ** (1.0 / alpha) <= _ARC_EXP_CAP:
-        r0 = _kernel_cut_radius(params.accuracy, alpha, np.array([absz]))
-        k_val, bad = _kernel_integral(np.array([z]), np.array([eps]), r0, alpha, beta, tol)
-        p_val, ok = _composite_gauss(
-            lambda phi: _kernel_p(phi, z, alpha, beta, eps),
-            -math.pi * alpha, math.pi * alpha, tol)
-        if bad.size or not ok:
-            warnings.warn("kernel integral did not stabilize; best value returned",
-                          MLAccuracyWarning)
-        return complex(k_val[0] + p_val)
-    # arc would overflow: the sector expansion is the best available value
-    val = _asymptotic(params, np.array([z]), alpha, beta)[0]
-    if absz < 10.0:
-        warnings.warn("argument near the sector edge outside certified range; "
-                      "sector-expansion value returned", MLAccuracyWarning)
-    return complex(val)
-
-
-def _kernel_p(phi: np.ndarray, z: complex, alpha: float, beta: float, eps: float) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    e_pow = eps ** (1.0 / alpha)
-    w = e_pow * np.sin(phi / alpha) + phi * (1 + (1 - beta) / alpha)
-    num = np.exp(e_pow * np.cos(phi / alpha)) * (np.cos(w) + 1j * np.sin(w))
-    den = eps * np.exp(1j * phi) - z
-    return eps ** (1 + (1 - beta) / alpha) / (2 * math.pi * alpha) * num / den

@@ -8,7 +8,6 @@ mesher, so the printed numbers reproduce bit for bit.
 import math
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -27,8 +26,8 @@ from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLParams, ml_eval
 from enclosure2d.probes import (ProbeSpec, critical_cone_offset,
                                 ml_probe_trace, rot90)
+from ml_oracle import criterion6_points, load
 
-mp.mp.dps = 220
 
 DEFAULT_H = 0.02
 
@@ -230,34 +229,22 @@ def test_criterion_5_negative_jump_sign():
           f"omega=0.25: {worst[0.25]:.3e}, omega=0: {worst[0.0]:.3e}")
 
 
-def _series_oracle(alpha, z, beta=1.0):
-    al = mp.mpf(alpha)
-    be = mp.mpf(beta)
-    zc = mp.mpc(complex(z).real, complex(z).imag)
-    s = mp.mpc(0)
-    for n in range(0, 12000):
-        t = zc ** n / mp.gamma(al * n + be)
-        s += t
-        if n > 10 and abs(t) < mp.mpf(10) ** (-140) * max(abs(s), mp.mpf(1)):
-            break
-    return complex(s)
-
-
 def test_criterion_6_ml_accuracy_and_sectors():
     """<= 1e-9 relative against the extended-precision series on a 200-point
-    grid with |z| <= 5, and sector-asymptote deviations shrinking from
-    |z| = 50 to |z| = 200 on growth and decay rays."""
-    rng = np.random.default_rng(0)
+    grid with |z| <= 5 (stored 220-digit values, tests/ml_oracle.py), and
+    sector-asymptote deviations shrinking from |z| = 50 to |z| = 200 on growth
+    and decay rays."""
+    points = criterion6_points()
     worst = {}
     for alpha in (0.3, 0.5, 0.8, 1.0):
         params = MLParams(alpha=alpha)
+        zs, oracle = load("criterion6", alpha)
+        np.testing.assert_array_equal(points[alpha], zs)
         errs = []
-        for _ in range(50):
-            z = rng.uniform(0.05, 5.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        for z, o in zip(zs, oracle):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 v = ml_eval(params, z)
-            o = _series_oracle(alpha, z)
             errs.append(abs(v - o) / abs(o))
         worst[alpha] = max(errs)
         assert worst[alpha] <= 1e-9, f"alpha={alpha}: worst {worst[alpha]:.2e}"

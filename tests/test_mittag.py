@@ -8,24 +8,7 @@ from scipy.special import wofz
 
 from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
                                 ml_deriv, ml_deriv_many, ml_eval, ml_eval_many)
-
-mp.mp.dps = 220
-
-
-def series_oracle(alpha, z, beta=1.0):
-    """Extended-precision truncated series.  The order parameter is kept as the
-    exact binary double throughout: the sum is violently sensitive to per-term
-    rounding of the gamma arguments in the cancelling regime."""
-    al = mp.mpf(alpha)
-    be = mp.mpf(beta)
-    zc = mp.mpc(complex(z).real, complex(z).imag)
-    s = mp.mpc(0)
-    for n in range(0, 12000):
-        t = zc ** n / mp.gamma(al * n + be)
-        s += t
-        if n > 10 and abs(t) < mp.mpf(10) ** (-140) * max(abs(s), mp.mpf(1)):
-            break
-    return complex(s)
+from ml_oracle import band08_points, load, series42_points, series_oracle
 
 
 def test_exponential_special_case():
@@ -49,14 +32,14 @@ def test_half_order_at_one():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
 def test_accuracy_against_series_oracle(alpha):
-    rng = np.random.default_rng(42)
+    # 25 seeded points with |z| <= 5 against the stored 220-digit series
+    zs, oracle = load("series42", alpha)
+    np.testing.assert_array_equal(series42_points(alpha), zs)
     p = MLParams(alpha=alpha)
-    for _ in range(25):
-        z = rng.uniform(0.05, 5.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    for z, o in zip(zs, oracle):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             v = ml_eval(p, z)
-        o = series_oracle(alpha, z)
         assert abs(v - o) <= 1e-9 * abs(o)
 
 
@@ -136,8 +119,10 @@ def test_conjugation_symmetry():
 
 def test_regime_stitching_continuity():
     # same argument evaluated by adjacent methods agrees within 10x accuracy
-    # wherever the series certifies itself (the dispatcher's switch points)
-    from enclosure2d.mittag import _asymptotic, _kernel, _taylor
+    # wherever the series certifies itself: the series hands off to the
+    # contour rule at r_small, the contour rule to the sector expansion at
+    # r_large
+    from enclosure2d.mittag import _asymptotic, _contour, _taylor
     for alpha in (0.5, 0.8):
         p = MLParams(alpha=alpha)
         checked = 0
@@ -146,12 +131,12 @@ def test_regime_stitching_continuity():
             tv, cert = _taylor(p, z, alpha, 1.0)
             if not cert[0]:
                 continue
-            cv = _kernel(p, z, alpha, 1.0)[0]
+            cv = _contour(p, z, alpha, 1.0)[0]
             assert abs(tv[0] - cv) <= 10 * p.accuracy * abs(cv)
             checked += 1
         assert checked >= 1
         z = np.array([p.r_large * np.exp(1j * 2.5)])
-        cv = _kernel(p, z, alpha, 1.0)[0]
+        cv = _contour(p, z, alpha, 1.0)[0]
         av = _asymptotic(p, z, alpha, 1.0)[0]
         assert abs(cv - av) <= 10 * p.accuracy * abs(av)
 
@@ -180,7 +165,7 @@ def test_vectorized_matches_scalar():
 @pytest.mark.parametrize("z", [26.56, 32 + 17.92j, 32 - 17.92j])
 def test_values_near_double_overflow_stay_finite(z):
     # E_1/2(z) = exp(z^2) erfc(-z) stays finite until Re z^2 reaches
-    # log(DBL_MAX) ~ 709.78; z = 26.56 takes the kernel path and
+    # log(DBL_MAX) ~ 709.78; z = 26.56 takes the contour rule and
     # z = 32 +- 17.92i the sector expansion
     ref = wofz(-1j * z)
     val = ml_eval(MLParams(alpha=0.5), z)
@@ -189,11 +174,10 @@ def test_values_near_double_overflow_stay_finite(z):
 
 
 def _mixed_batch(alpha):
-    """Points of every evaluation path: zero, certified series, kernel on the
-    shared cut radius, kernel with its own cut radius (5 < |z| < 5.3 for
-    alpha = 1/2, and a decaying |z| = 4 the series cannot certify), the
-    sector-edge arc (for alpha = 1/2 the last of the three is past the arc's
-    exponent cap), and the sector expansion."""
+    """Points of every evaluation path: zero, certified series, the contour
+    rule with and without a pole (12 + 5j and -8 + 3j for alpha = 1/2), just
+    past r_small, a decaying |z| = 4 the series cannot certify, on and near
+    the sector edge |arg z| = pi*alpha, and the sector expansion."""
     edge = math.pi * alpha
     return np.array([0.0, 0.3 + 0.1j, -2.0, 1e-3j,
                      12 + 5j, -8 + 3j, 20 - 3j, 26.56,
@@ -204,13 +188,8 @@ def _mixed_batch(alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8])
 def test_batch_matches_per_point_on_every_path(alpha):
-    from enclosure2d.mittag import _kernel_cut_radius, _near_edge
     p = MLParams(alpha=alpha)
     zs = _mixed_batch(alpha)
-    assert _near_edge(p, zs[11:14], alpha).all()
-    if alpha == 0.5:
-        radii = _kernel_cut_radius(p.accuracy, alpha, np.abs(zs[4:11]))
-        assert len(np.unique(radii)) == 4      # one shared radius, three own
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for many, one in ((ml_eval_many, ml_eval), (ml_deriv_many, ml_deriv)):
@@ -233,7 +212,8 @@ def test_asymptotic_tail_stops_per_point():
 
 
 def test_kernel_band_matches_oracle():
-    # E_1/2(z) = wofz(-iz); the sample avoids the arc band and double overflow
+    # E_1/2(z) = wofz(-iz) between r_small and r_large; the sample avoids
+    # double overflow
     rng = np.random.default_rng(5)
     z = rng.uniform(5.0, 30.0, 300) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
     ref = wofz(-1j * z)
@@ -243,11 +223,46 @@ def test_kernel_band_matches_oracle():
     assert np.all(np.abs(val - ref[keep]) <= 1e-10 * np.abs(ref[keep]))
 
 
+def test_series_band_matches_wofz():
+    # the |z| <= 5 points of the mlgrid benchmark grid (spacing 0.32); a
+    # series stopped at the first term below the target misses it by its tail
+    g = np.linspace(-32, 32, 201)
+    z = (g[None, :] + 1j * g[:, None]).ravel()
+    z = z[np.abs(z) <= 5.0]
+    ref = wofz(-1j * z)
+    val = ml_eval_many(MLParams(alpha=0.5), z)
+    assert np.all(np.abs(val - ref) <= 1e-10 * np.abs(ref))
+
+
+def test_sector_edge_matches_wofz():
+    # on and within 1e-3 rad of |arg z| = pi/2, where the pole s* = z^2 meets
+    # the branch cut, for alpha = 1/2
+    r = np.linspace(3.5, 4.9, 15)[:, None]
+    ang = math.pi / 2 + np.array([-1e-3, -5e-4, -1e-5, 0.0, 1e-5, 5e-4, 1e-3])
+    z = (r * np.exp(1j * np.concatenate([ang, -ang]))).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MLAccuracyWarning)
+        val = ml_eval_many(MLParams(alpha=0.5), z)
+    ref = wofz(-1j * z)
+    assert np.all(np.abs(val - ref) <= 1e-10 * np.abs(ref))
+
+
+def test_alpha_08_band_matches_series():
+    # 12 < |z| < 17 near |arg z| = 0.55 pi, against the stored 220-digit series
+    zs, oracle = load("band08", 0.8)
+    np.testing.assert_array_equal(band08_points(), zs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MLAccuracyWarning)
+        val = ml_eval_many(MLParams(alpha=0.8), zs)
+    assert np.all(np.abs(val - oracle) <= 1e-10 * np.abs(oracle))
+
+
 def test_one_warning_per_uncertified_point(monkeypatch):
-    # with a single panel level nothing can be compared, so every kernel and
-    # arc point is uncertified; series and sector-expansion points are not
+    # below the smallest node count every contour point hits the cap and runs
+    # at a coarser tolerance, so each is uncertified; series and
+    # sector-expansion points are not
     import enclosure2d.mittag as mittag
-    monkeypatch.setattr(mittag, "_MAX_PANELS", 8)
+    monkeypatch.setattr(mittag, "_MAX_NODES", 10)
     p = MLParams(alpha=0.5)
     zs = _mixed_batch(0.5)
     with warnings.catch_warnings(record=True) as caught:
@@ -259,34 +274,20 @@ def test_one_warning_per_uncertified_point(monkeypatch):
         for z in zs:
             ml_eval(p, z)
     singles = [w for w in caught if issubclass(w.category, MLAccuracyWarning)]
-    assert len(batch) == len(singles) == 10    # 7 kernel + 3 arc points
+    assert len(batch) == len(singles) == 10    # the 10 contour points
 
 
-def test_high_panel_batch_is_chunked_and_matches_per_point(monkeypatch):
-    # near the sector edge the kernel pole sits just off the cut, so at
-    # accuracy 1e-14 points double up to thousands of panels; a small chunk
-    # bound splits those levels
-    import enclosure2d.mittag as mittag
-    monkeypatch.setattr(mittag, "_CHUNK", 1 << 13)
-    calls = []
-    kernel_sums = mittag._kernel_sums
-
-    def spy(z, r, *args):
-        calls.append((len(z), r.shape[-1]))
-        return kernel_sums(z, r, *args)
-
-    monkeypatch.setattr(mittag, "_kernel_sums", spy)
+def test_high_accuracy_batch_matches_per_point_and_oracle():
+    # accuracy 1e-14 asks for a contour tolerance below double precision:
+    # each point runs at the finest one without raising and is flagged once,
+    # alone and in the batch; near the sector edge it still meets wofz
     k = np.arange(48)
     z = (5.3 + 1.5 * k / 48) * np.exp(1j * (-1) ** k * (math.pi / 2 - 1.05e-3 - 6e-5 * (k % 7)))
     p = MLParams(alpha=0.5, accuracy=1e-14)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         batch = ml_eval_many(p, z)
-        n_batch = len(calls)
         singles = np.array([ml_eval(p, x) for x in z])
+    assert sum(issubclass(w.category, MLAccuracyWarning) for w in caught) == 2 * z.size
     np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
     np.testing.assert_allclose(batch, wofz(-1j * z), rtol=1e-12, atol=0)
-    batch_calls = calls[:n_batch]
-    assert max(nodes for _, nodes in batch_calls) >= 16384
-    assert all(points * nodes <= max(mittag._CHUNK, nodes) for points, nodes in batch_calls)
-    assert any(points * nodes == mittag._CHUNK for points, nodes in batch_calls)

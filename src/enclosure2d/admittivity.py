@@ -233,17 +233,28 @@ def write_field(field: AdmittivityField, path) -> None:
 
 
 def read_field(mesh: Mesh, path) -> AdmittivityField:
+    """Inverse of write_field; raises FieldError("corrupt field file: ...")
+    when the header, the row count, a row length or an element index is
+    wrong."""
     with open(path) as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    nt, omega = int(lines[0].split()[0]), float(lines[0].split()[1])
+        rows = [ln.split() for ln in f if not ln.startswith("#")]
+    try:
+        if not rows or len(rows[0]) != 2:
+            raise ValueError("need a 2-field header")
+        nt, omega = int(rows[0][0]), float(rows[0][1])
+        if len(rows) - 1 != nt:
+            raise ValueError(f"{len(rows) - 1} element rows, header declares {nt}")
+        if any(len(r) != 7 for r in rows[1:]):
+            raise ValueError("an element row does not hold 7 fields")
+        elems = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
+        vals = np.array([[float(x) for x in r[1:]] for r in rows[1:]]).reshape(nt, 6)
+    except ValueError as exc:
+        raise FieldError(f"corrupt field file: {exc}") from exc
     if nt != mesh.n_triangles:
         raise FieldError("field file does not match the mesh")
-    a = np.zeros((nt, 2, 2))
-    b = np.zeros((nt, 2, 2))
-    for ln in lines[1:1 + nt]:
-        parts = ln.split()
-        e = int(parts[0])
-        a11, a12, a22, b11, b12, b22 = (float(x) for x in parts[1:7])
-        a[e] = [[a11, a12], [a12, a22]]
-        b[e] = [[b11, b12], [b12, b22]]
+    if np.any((elems < 0) | (elems >= nt)) or np.unique(elems).size != nt:
+        raise FieldError("corrupt field file: element index out of range or repeated")
+    vals = vals[np.argsort(elems)]      # rows a11 a12 a22 b11 b12 b22
+    a = vals[:, [0, 1, 1, 2]].reshape(nt, 2, 2)
+    b = vals[:, [3, 4, 4, 5]].reshape(nt, 2, 2)
     return AdmittivityField(mesh=mesh, a=a, b=b, omega=omega)

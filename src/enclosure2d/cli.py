@@ -223,8 +223,7 @@ def load_config(path) -> ExperimentConfig:
     cfg.n_directions = get("probes", "directions", int, cfg.n_directions)
     cfg.t_value = get("probes", "t", float, cfg.t_value)
     cfg.tau_min = get("probes", "tau_min", float, cfg.tau_min)
-    if parser.has_option("probes", "tau_max"):
-        cfg.tau_max = float(parser.get("probes", "tau_max"))
+    cfg.tau_max = get("probes", "tau_max", float, cfg.tau_max)
     cfg.tau_points = get("probes", "tau_points", int, cfg.tau_points)
     cfg.ml_alpha = get("probes", "ml_alpha", float, cfg.ml_alpha)
     cfg.vertex_ring_radius = get("probes", "vertex_ring_radius", float, cfg.vertex_ring_radius)
@@ -239,6 +238,14 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("[probes] vertex ring must lie outside the domain")
     if cfg.tau_points < 5:
         raise ConfigError("[probes] need at least 5 tau points")
+    if not cfg.tau_min > 0:
+        raise ConfigError("[probes] tau_min must be positive")
+    if cfg.tau_max is not None and not cfg.tau_max > cfg.tau_min:
+        raise ConfigError("[probes] tau_max must exceed tau_min")
+    if cfg.n_directions < 3:
+        raise ConfigError("[probes] need at least 3 directions")
+    if not (cfg.t_search[0] < cfg.t_search[1] < 0):
+        raise ConfigError("[probes] t_search must satisfy t_lo < t_hi < 0")
 
     cfg.out_dir = get("output", "directory", str, cfg.out_dir)
     cfg.validation_mode = get("output", "validation_mode",
@@ -420,6 +427,8 @@ def cmd_mleval(alpha: float, grid_spec: str, out_path: str) -> int:
         n = int(parts[4])
     except ValueError as exc:
         raise ConfigError(f"grid spec: {exc}") from exc
+    if n < 0:
+        raise ConfigError("grid spec: n must be nonnegative")
     params = MLParams(alpha=alpha)
     with open(out_path, "w") as f:
         f.write(f"# alpha: {alpha:.17g}\n# grid: {grid_spec}\n# version: {__version__}\n")

@@ -182,3 +182,17 @@ def test_field_file_roundtrip(mesh, tmp_path):
     assert back.omega == field.omega
     assert np.allclose(back.a, field.a)
     assert np.allclose(back.b, field.b)
+    # a file cut short, an empty one, a short row, a repeated or an
+    # out-of-range element index is refused, not read as zeros
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[2].split()
+    bad = {"truncated": lines[:12], "empty": [],
+           "short row": lines[:2] + [" ".join(row[:6]) + "\n"] + lines[3:],
+           "repeated": lines[:3] + [lines[2]] + lines[4:],
+           "out of range": lines[:2] + [f"{mesh.n_triangles} " + " ".join(row[1:]) + "\n"]
+           + lines[3:]}
+    for name, text in bad.items():
+        p = tmp_path / f"bad-{name}.txt"
+        p.write_text("".join(text))
+        with pytest.raises(FieldError, match="corrupt field file"):
+            read_field(mesh, p)

@@ -79,10 +79,23 @@ def test_config_validation_errors(tmp_path):
     bad2 = BASE_CONFIG.format(out=tmp_path).replace("family = cgo", "family = sine")
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, bad2, "e2.cfg"))
+    # tau grid, direction count and search interval: each refused on load
+    for k, (old, new) in enumerate([("tau_min = 1.0", "tau_min = 0"),
+                                    ("tau_min = 1.0", "tau_min = 1.0\ntau_max = 1.0"),
+                                    ("tau_min = 1.0", "tau_min = 1.0\ntau_max = 0.5"),
+                                    ("directions = 8", "directions = 2"),
+                                    ("t = 0.0", "t = 0.0\nt_search = -0.2 -5.0"),
+                                    ("t = 0.0", "t = 0.0\nt_search = -1.0 0.5")]):
+        text = BASE_CONFIG.format(out=tmp_path).replace(old, new)
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, text, f"e{k + 3}.cfg"))
 
 
 def test_cli_exit_code_on_config_error(tmp_path):
     bad = _write(tmp_path, "[domain]\nmesh_h = not_a_number\n")
+    assert main(["mesh", "--config", bad]) == 2
+    # formerly an uncaught geomspace ValueError (exit 1)
+    bad = _write(tmp_path, "[probes]\ntau_min = 0\n", "tau.cfg")
     assert main(["mesh", "--config", bad]) == 2
 
 
@@ -219,6 +232,7 @@ def test_mleval_exponential_column(tmp_path):
     ["mesh", "--config", "{tmp}/absent.cfg"],
     ["mleval", "--alpha", "0.5", "--grid", "-1 1 -1 1 many", "--out", "{tmp}/ml.csv"],
     ["dtn", "--config", "{cfg}", "--basis", "fourier", "--modes", "1000"],
+    ["mleval", "--alpha", "0.5", "--grid", "-1 1 -1 1 -3", "--out", "{tmp}/ml.csv"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))

@@ -110,17 +110,20 @@ class BoundaryBasis:
             return np.eye(len(self.thetas))
         return self._modes
 
-    def expand(self, values: np.ndarray) -> tuple[np.ndarray, float]:
+    def expand(self, values: np.ndarray):
         """Least-squares coefficients of boundary-node values in this basis,
-        with the relative interpolation residual.  The fourier basis applies
-        the pseudo-inverse of its mode matrix, built on the first call and
-        cached on the basis."""
+        with the relative interpolation residual: for (nodes,) values a float,
+        for (nodes, k) values one residual per column.  The fourier basis
+        applies the pseudo-inverse of its mode matrix, built on the first call
+        and cached on the basis."""
         v = np.asarray(values, dtype=complex)
         if self.kind == "nodal":
-            return v.copy(), 0.0
-        coef = self._projector @ v
-        res = np.linalg.norm(self._modes @ coef - v) / max(np.linalg.norm(v), 1e-300)
-        return coef, float(res)
+            coef, res = v.copy(), np.zeros(v.shape[1:])
+        else:
+            coef = self._projector @ v
+            res = (np.linalg.norm(self._modes @ coef - v, axis=0)
+                   / np.maximum(np.linalg.norm(v, axis=0), 1e-300))
+        return coef, (float(res) if v.ndim == 1 else res)
 
     def conjugate_coefficients(self, coef: np.ndarray) -> np.ndarray:
         """Coefficients of the complex-conjugate trace: nodal conjugates, or
@@ -384,18 +387,30 @@ DtnPair = tuple[DtNMatrix, DtNMatrix]
 
 
 def gap_matrix(pair: DtnPair) -> np.ndarray:
-    """Difference matrix of a (perturbed, background) operator pair."""
+    """Difference matrix of a (perturbed, background) operator pair; a real
+    array when both operators are real."""
     b1, b0 = pair
     if b1.basis.kind != b0.basis.kind or b1.basis.size != b0.basis.size:
         raise SolverError("operator pair bases do not match")
-    return b1.matrix - b0.matrix
+    gap = b1.matrix - b0.matrix
+    return gap if gap.imag.any() else gap.real.copy()
 
 
-def quadratic_gap(gap: np.ndarray, basis: BoundaryBasis, coef: np.ndarray) -> float:
-    """Re <(L1 - L0) f, conj(f)> from expansion coefficients of f."""
+def quadratic_gap(gap: np.ndarray, basis: BoundaryBasis, coef: np.ndarray):
+    """Re <(L1 - L0) f, conj(f)> from expansion coefficients of f: a float for
+    (size,) coefficients, one value per column for (size, k)."""
     c = np.asarray(coef, dtype=complex)
-    cc = basis.conjugate_coefficients(c)
-    return float(np.real(np.dot(c, gap @ cc)))
+    cols = c[:, None] if c.ndim == 1 else c
+    cc = basis.conjugate_coefficients(cols)
+    if np.iscomplexobj(gap):
+        w = gap @ cc
+    else:
+        # one real product on the stacked parts, not a complex copy of the gap
+        k = cc.shape[1]
+        w = gap @ np.hstack([cc.real, cc.imag])
+        w = w[:, :k] + 1j * w[:, k:]
+    vals = np.real(np.sum(cols * w, axis=0))
+    return float(vals[0]) if c.ndim == 1 else vals
 
 
 def energy_gap(data: Union[DtnPair, tuple[Mesh, AdmittivityField]],

@@ -125,61 +125,66 @@ def default_tau_ladder(mesh_h: float, n_points: int = 12, tau_min: float = 1.0,
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _expand_probe(basis: BoundaryBasis, spec: ProbeSpec,
-                  params: Optional[MLParams] = None) -> Optional[np.ndarray]:
-    """Coefficients of the probe's boundary trace in the basis; None when the
-    trace overflows."""
+def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis, spec: ProbeSpec,
+                  params: Optional[MLParams] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic forms Re <(L1 - L0) f, conj f> over the probe's tau ladder
+    (``spec.tau`` an array), with the expansion coefficients of the traces f,
+    one column per tau.  From the first trace that overflows on, the forms are
+    inf and have no column."""
     pts = basis.points
     if spec.kind == "cgo":
-        vals = cgo_trace(spec, pts)
+        traces = cgo_trace(spec, pts)
     else:
-        vals = ml_probe_trace(spec, pts, params)
-    if not np.all(np.isfinite(vals)):
-        return None
-    coef, res = basis.expand(vals)
-    if res > _EXPANSION_WARN:
-        warnings.warn(f"trace expansion residual {res:.2e} exceeds {_EXPANSION_WARN:.0e}",
-                      stacklevel=2)
-    return coef
+        traces = ml_probe_trace(spec, pts, params)
+    finite = np.isfinite(traces).all(axis=1)
+    stop = len(finite) if finite.all() else int(finite.argmin())
+    coef, res = basis.expand(traces[:stop].T)
+    for r in res[res > _EXPANSION_WARN]:
+        warnings.warn(f"trace expansion residual {r:.2e} exceeds {_EXPANSION_WARN:.0e}",
+                      stacklevel=3)
+    vals = np.full(len(finite), np.inf)
+    vals[:stop] = quadratic_gap(gap, basis, coef)
+    return vals, coef
 
 
-def _ml_form(gap: np.ndarray, basis: BoundaryBasis, alpha: float, y, th: np.ndarray,
-             tp: np.ndarray, t: float, tau: float,
-             params: Optional[MLParams]) -> tuple[float, Optional[np.ndarray]]:
-    """Cone-probe quadratic form Re <(L1 - L0) f, conj f> with the expansion
-    coefficients of f; (inf, None) when the probe trace overflows."""
-    spec = ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]), theta_perp=(tp[0], tp[1]),
-                     t=t, tau=tau, y=tuple(y), alpha=alpha, domain_radius=basis.radius)
-    coef = _expand_probe(basis, spec, params)
-    if coef is None:
-        return math.inf, None
-    return quadratic_gap(gap, basis, coef), coef
+def _ml_spec(basis: BoundaryBasis, alpha: float, y, th: np.ndarray, tp: np.ndarray,
+             t: float, taus: np.ndarray) -> ProbeSpec:
+    """Cone probe over a tau ladder; rejects probes whose base cone meets the domain."""
+    return ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]), theta_perp=(tp[0], tp[1]),
+                     t=t, tau=taus, y=tuple(y), alpha=alpha, domain_radius=basis.radius)
 
 
-def indicator_cgo(pair: DtnPair, theta, theta_perp, t: float, tau: float) -> float:
-    """Depth-shifted exponential-probe indicator from an operator pair."""
+def indicator_cgo(pair: DtnPair, theta, theta_perp, t: float, tau):
+    """Depth-shifted exponential-probe indicator from an operator pair: a
+    float for a scalar tau, one value per tau for an array of them."""
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
     h = pair[0].mesh_h
-    if tau * h > 0.9:
-        warnings.warn(f"tau = {tau:.3g} exceeds the mesh-resolution advisory "
+    for x in taus[taus * h > 0.9]:
+        warnings.warn(f"tau = {x:.3g} exceeds the mesh-resolution advisory "
                       f"({0.9 / h:.3g}) for h = {h}", stacklevel=2)
     spec = ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(theta_perp),
-                     t=t, tau=tau)
-    basis = pair[0].basis
-    return quadratic_gap(gap_matrix(pair), basis, _expand_probe(basis, spec))
+                     t=t, tau=taus)
+    vals = _ladder_forms(gap_matrix(pair), pair[0].basis, spec)[0]
+    return float(vals[0]) if np.ndim(tau) == 0 else vals
 
 
-def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau: float,
-                 theta_perp=None, params: Optional[MLParams] = None) -> float:
-    """Cone-probe indicator; rejects probes whose base cone meets the domain."""
+def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau,
+                 theta_perp=None, params: Optional[MLParams] = None):
+    """Cone-probe indicator: a float for a scalar tau, one value per tau for
+    an array of them, inf from the first overflowing trace on; rejects probes
+    whose base cone meets the domain."""
     th = np.asarray(theta, dtype=float)
     tp = rot90(th) if theta_perp is None else np.asarray(theta_perp, dtype=float)
-    return _ml_form(gap_matrix(pair), pair[0].basis, alpha, y, th, tp, t, tau, params)[0]
+    basis = pair[0].basis
+    spec = _ml_spec(basis, alpha, y, th, tp, t, np.atleast_1d(np.asarray(tau, dtype=float)))
+    vals = _ladder_forms(gap_matrix(pair), basis, spec, params)[0]
+    return float(vals[0]) if np.ndim(tau) == 0 else vals
 
 
 def indicator_series_cgo(pair: DtnPair, theta, theta_perp, t: float,
                          taus: Sequence[float]) -> IndicatorSeries:
     taus = np.asarray(taus, dtype=float)
-    vals = np.array([indicator_cgo(pair, theta, theta_perp, t, tau) for tau in taus])
+    vals = indicator_cgo(pair, theta, theta_perp, t, taus)
     spec = ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(theta_perp),
                      t=t, tau=float(taus[-1]))
     return IndicatorSeries(spec=spec, taus=taus, values=vals)
@@ -319,13 +324,10 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
     def classify(t: float) -> str:
         nonlocal low_conf
         # samples from the first overflowing trace on stay infinite
-        vals = np.full(len(taus), np.inf)
+        vals, coef = _ladder_forms(gap, basis, _ml_spec(basis, alpha, y, th, tp, t, taus),
+                                   params)
         floors = np.zeros(len(taus))
-        for i, tau in enumerate(taus):
-            vals[i], coef = _ml_form(gap, basis, alpha, y, th, tp, t, float(tau), params)
-            if coef is None:
-                break
-            floors[i] = float(np.max(np.abs(coef)) ** 2) * gap_scale
+        floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * gap_scale
         label, tie = classify_series(taus, vals, floors)
         if tie:
             low_conf += 1

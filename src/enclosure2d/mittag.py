@@ -12,8 +12,11 @@ Both methods work on whole batches, and no value depends on the rest of its
 batch.  The contour rule chooses each point's contour and node count from
 closed formulas, with no adaptive refinement and no per-point path; points
 with the same node count are summed together, each over its own nodes in a
-fixed order.  The sector expansion stops each point's algebraic tail on that
-point's own increments.
+fixed order.  The powers of the node variable are computed once per step size
+among them, so each node of each point costs one complex exp, and a call has a
+fixed cost that large batches share: the probe indicators pass a whole tau
+ladder per call and ``mleval`` a whole grid row.  The sector expansion stops
+each point's algebraic tail on that point's own increments.
 
 E_a'(z) is evaluated as E_{a,a}(z)/a; every method takes the second
 parameter, and the two needed are beta = 1 and beta = a.
@@ -294,15 +297,23 @@ def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.n
                       MLAccuracyWarning)
     # s = mu t^2 with t = 1 + iu, so ds/du = 2i mu t and the rule's factor
     # h / (2 pi i) ds/du is h mu t / pi.  Node -k is the conjugate of node k,
-    # so the z-free factors are computed for k >= 0 only.
+    # so the z-free factors are computed for k >= 0 only.  With s^a =
+    # mu^a t^(2a) and exp(s) s^(a-b) = exp(mu t^2 + (a-b) log mu) t^(2(a-b)),
+    # the powers of t are computed once per step h and each node of each
+    # point costs one complex exp.
     out = np.empty_like(z)
     for m in set(n.tolist()):
         g = np.flatnonzero(n == m)
-        t = 1.0 + 1j * (h[g, None] * np.arange(int(m) + 1))
-        s = mu[g, None] * (t * t)
-        log_s = np.log(s)
-        num = np.exp(s + (alpha - beta) * log_s) * t
-        s_a = np.exp(alpha * log_s)
+        steps, row = np.unique(h[g], return_inverse=True)
+        t = 1.0 + 1j * (steps[:, None] * np.arange(int(m) + 1))
+        t2 = t * t
+        log_t2 = np.log(t2)
+        t_num = (np.exp((alpha - beta) * log_t2) * t)[row]
+        t_a = np.exp(alpha * log_t2)[row]
+        t2 = t2[row]
+        mu_g = mu[g, None]
+        num = np.exp(mu_g * t2 + (alpha - beta) * np.log(mu_g)) * t_num
+        s_a = mu_g ** alpha * t_a
         zg = z[g, None]
         up = num / (s_a - zg)
         down = num[:, 1:].conj() / (s_a[:, 1:].conj() - zg)

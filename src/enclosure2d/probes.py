@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -205,7 +205,9 @@ class ProbeSpec:
     """CGO (pure exponential) or Mittag-Leffler probe parameters.
 
     ``theta_perp`` must be a unit vector orthogonal to ``theta``; flipping its
-    sign conjugates the probe values.  ML probes additionally carry the cone
+    sign conjugates the probe values.  ``tau`` is one value or a ladder of
+    them (an array); a ladder's traces have one row per tau, each equal to
+    the trace at that tau alone (the gradients take one tau).  ML probes additionally carry the cone
     vertex ``y`` outside the domain and the order ``alpha`` in (0, 1); the
     vertex cone of half-aperture pi*alpha/2 must avoid the domain disk, which
     is checked when ``domain_radius`` is supplied.
@@ -215,7 +217,7 @@ class ProbeSpec:
     theta: tuple[float, float]
     theta_perp: tuple[float, float]
     t: float
-    tau: float
+    tau: Union[float, np.ndarray]
     y: Optional[tuple[float, float]] = None
     alpha: Optional[float] = None
     domain_radius: Optional[float] = None
@@ -225,7 +227,7 @@ class ProbeSpec:
         tp = _unit(self.theta_perp, "theta_perp")
         if abs(th @ tp) > 1e-9:
             raise ProbeError("theta_perp must be orthogonal to theta")
-        if self.tau < 0:
+        if np.any(np.asarray(self.tau) < 0):
             raise ProbeError("tau must be nonnegative")
         if self.kind == "cgo":
             return
@@ -258,7 +260,7 @@ class ProbeSpec:
         y = np.asarray(self.y)
         th, tp = np.asarray(self.theta), np.asarray(self.theta_perp)
         d = p - y
-        return self.tau * ((d @ th - self.t) + 1j * (d @ tp))
+        return np.multiply.outer(self.tau, (d @ th - self.t) + 1j * (d @ tp))
 
 
 def cgo_trace(spec: ProbeSpec, points) -> np.ndarray:
@@ -267,11 +269,11 @@ def cgo_trace(spec: ProbeSpec, points) -> np.ndarray:
         raise ProbeError("cgo_trace needs a cgo probe")
     p = np.atleast_2d(np.asarray(points, dtype=float))
     th, tp = np.asarray(spec.theta), np.asarray(spec.theta_perp)
-    ex = spec.tau * (p @ th - spec.t)
+    ex = np.multiply.outer(spec.tau, p @ th - spec.t)
     if ex.size and ex.max() > _OVERFLOW_GUARD:
         raise ProbeError(
             f"exponent {ex.max():.3g} exceeds the overflow guard; lower tau or raise t")
-    return np.exp(ex + 1j * spec.tau * (p @ tp))
+    return np.exp(ex + 1j * np.multiply.outer(spec.tau, p @ tp))
 
 
 def cgo_gradient(spec: ProbeSpec, points) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
 from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
 from enclosure2d.indicator import read_indicator_csv
+from enclosure2d.mittag import MLParams, ml_eval
 
 BASE_CONFIG = """\
 [domain]
@@ -228,11 +229,30 @@ def test_mleval_exponential_column(tmp_path):
 
 
 
+def test_mleval_rows_equal_per_point_values(tmp_path):
+    # each grid row is one batch; its text must be that of per-point ml_eval
+    # on every path: the origin, the contour rule, the sector expansion at the
+    # corners and the overflow at z = 31
+    out = tmp_path / "ml.csv"
+    assert main(["mleval", "--alpha", "0.5", "--grid", "-31 31 -31 31 13",
+                 "--out", str(out)]) == 0
+    p = MLParams(alpha=0.5)
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if not ln.startswith(("#", "alpha"))]
+    assert len(rows) == 169
+    for r in rows:
+        v = ml_eval(p, complex(float(r[1]), float(r[2])))
+        assert r[3:5] == [f"{v.real:.17g}", f"{v.imag:.17g}"]
+    assert ["inf", "0"] in [r[3:5] for r in rows]
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh", "--config", "{tmp}/absent.cfg"],
     ["mleval", "--alpha", "0.5", "--grid", "-1 1 -1 1 many", "--out", "{tmp}/ml.csv"],
     ["dtn", "--config", "{cfg}", "--basis", "fourier", "--modes", "1000"],
     ["mleval", "--alpha", "0.5", "--grid", "-1 1 -1 1 -3", "--out", "{tmp}/ml.csv"],
+    ["mleval", "--alpha", "0.5", "--grid", "inf 1 0 1 3", "--out", "{tmp}/ml.csv"],
+    ["mleval", "--alpha", "0.5", "--grid", "0 1 nan 1 3", "--out", "{tmp}/ml.csv"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))

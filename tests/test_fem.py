@@ -535,3 +535,42 @@ def test_conjugate_coefficients_fourier():
     trace = basis.nodal_matrix() @ c
     cc = basis.conjugate_coefficients(c)
     assert np.allclose(basis.nodal_matrix() @ cc, np.conj(trace), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["nodal", "fourier"])
+def test_quadratic_gap_real_gap_and_coefficient_columns(two_layer, kind):
+    # a real nodal pair gives a real gap, whose stacked real product agrees
+    # with the complex one (fourier operators are complex); (size, k)
+    # coefficients give one value per column
+    from enclosure2d.fem import quadratic_gap
+    mesh, field = two_layer
+    basis = nodal_basis_for_mesh(mesh) if kind == "nodal" else fourier_basis_for_mesh(mesh, 8)
+    pair = (assemble_dtn_matrix(mesh, field, basis),
+            assemble_dtn_matrix(mesh, _background(mesh), basis))
+    gap = gap_matrix(pair)
+    assert np.iscomplexobj(gap) == (kind == "fourier")
+    rng = np.random.default_rng(4)
+    coef = rng.normal(size=(basis.size, 5)) + 1j * rng.normal(size=(basis.size, 5))
+    cols = quadratic_gap(gap, basis, coef)
+    assert cols.shape == (5,)
+    for j in range(5):
+        one = quadratic_gap(gap, basis, coef[:, j])
+        assert isinstance(one, float)
+        ref = float(np.real(np.dot(coef[:, j], gap.astype(complex)
+                                   @ basis.conjugate_coefficients(coef[:, j]))))
+        scale = np.abs(coef[:, j]) @ np.abs(gap) @ np.abs(coef[:, j])
+        assert abs(one - ref) <= 1e-13 * scale
+        assert abs(cols[j] - one) <= 1e-13 * scale
+
+
+def test_expand_columns_match_single_traces():
+    mesh, _ = _homogeneous(0.1)
+    basis = fourier_basis_for_mesh(mesh, 4)
+    vals = np.stack([np.exp(1j * basis.thetas), np.cos(3 * basis.thetas) ** 3], axis=1)
+    coef, res = basis.expand(vals)
+    assert coef.shape == (9, 2) and res.shape == (2,)
+    for j in range(2):
+        c1, r1 = basis.expand(vals[:, j])
+        np.testing.assert_allclose(coef[:, j], c1, rtol=0, atol=1e-14)
+        assert isinstance(r1, float) and r1 == pytest.approx(res[j], rel=1e-12, abs=1e-15)
+    assert res[0] < 1e-13 and res[1] > 1e-3

@@ -182,6 +182,58 @@ def test_transition_search_no_transition_on_empty(empty_pair):
     assert est.h_est is None
 
 
+def test_tau_ladder_matches_scalar_calls(disk_pair):
+    # one call per ladder gives the per-tau values; the ML traces at the last
+    # two taus overflow, and their samples are inf either way
+    _, pair = disk_pair
+    th = np.array([1.0, 0.0])
+    taus = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 10.0, 12.0])
+    ladder = indicator_ml(pair, 0.5, (3.0, 0.0), th, -6.0, taus)
+    singles = np.array([indicator_ml(pair, 0.5, (3.0, 0.0), th, -6.0, float(t)) for t in taus])
+    assert np.isinf(ladder[-2:]).all() and np.isinf(singles[-2:]).all()
+    np.testing.assert_allclose(ladder[:-2], singles[:-2], rtol=1e-12, atol=0)
+    taus = np.geomspace(1.0, 10.0, 8)
+    ladder = indicator_cgo(pair, th, rot90(th), 0.3, taus)
+    singles = [indicator_cgo(pair, th, rot90(th), 0.3, float(t)) for t in taus]
+    np.testing.assert_allclose(ladder, singles, rtol=1e-12, atol=0)
+
+
+def test_cgo_ladder_keeps_per_tau_checks():
+    # the advisory and the expansion residual warn once per offending tau, and
+    # the overflow guard rejects the whole ladder
+    from enclosure2d.fem import fourier_basis_for_mesh
+    from enclosure2d.probes import ProbeError
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
+    basis = fourier_basis_for_mesh(mesh, 4)
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
+    pair = (assemble_dtn_matrix(mesh, field, basis),
+            assemble_dtn_matrix(mesh, _background(mesh), basis))
+    th = np.array([1.0, 0.0])
+    # tau = 0 is a constant trace, which 9 modes hold exactly
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        indicator_cgo(pair, th, rot90(th), 0.0, np.array([0.0, 4.0, 6.0, 10.0]))
+    text = [str(w.message) for w in caught]
+    assert sum("expansion residual" in m for m in text) == 3
+    assert sum("mesh-resolution advisory" in m for m in text) == 1
+    with pytest.raises(ProbeError), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        indicator_cgo(pair, th, rot90(th), 0.0, np.array([1.0, 800.0]))
+
+
+def test_transition_search_estimate_is_unchanged(disk_pair):
+    # the bisection's decisions are discrete, so evaluating each tau ladder in
+    # one call must land exactly on the estimate recorded with one call per tau
+    _, pair = disk_pair
+    ang = math.radians(70.0)
+    est = transition_search_ml(pair, 0.5, (3.0, 0.0), (math.cos(ang), math.sin(ang)),
+                               (-6.0, -0.2), np.geomspace(0.35, 2.4, 16))
+    assert est.status == "ok"
+    assert est.h_est == -3.0830078125
+    assert est.bracket == (-3.088671875, -3.07734375)
+    assert est.low_confidence_steps == 2
+
+
 def test_transition_search_interval_validation(empty_pair):
     with pytest.raises(IndicatorError):
         transition_search_ml(empty_pair, 0.5, (3.0, 0.0), (1.0, 0.0), (-1.0, 0.5),

@@ -117,7 +117,7 @@ def test_conjugation_symmetry():
                 b = ml_eval(p, np.conj(z))
             if not (np.isfinite(a) and np.isfinite(b)):
                 continue  # genuine double-range overflow; nothing to compare
-            assert abs(np.conj(a) - b) <= 1e-12 * max(abs(a), 1e-300)
+            assert np.conj(a) == b
 
 
 def test_regime_stitching_continuity():
@@ -188,9 +188,9 @@ def test_batch_matches_per_point_on_every_path(alpha):
         for many, one in ((ml_eval_many, ml_eval), (ml_deriv_many, ml_deriv)):
             batch = many(p, zs)
             singles = np.array([one(p, z) for z in zs])
-            np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(batch, singles)
             assert many(p, zs[:0]).shape == (0,)
-            np.testing.assert_allclose(many(p, zs[4:5]), singles[4:5], rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(many(p, zs[4:5]), singles[4:5])
 
 
 @pytest.mark.parametrize("alpha, z", [(0.5, 40.0), (0.3, 20.0)])

@@ -398,18 +398,21 @@ def gap_matrix(pair: DtnPair) -> np.ndarray:
 
 def quadratic_gap(gap: np.ndarray, basis: BoundaryBasis, coef: np.ndarray):
     """Re <(L1 - L0) f, conj(f)> from expansion coefficients of f: a float for
-    (size,) coefficients, one value per column for (size, k)."""
+    (size,) coefficients, one value per column for (size, k).  A form whose
+    products pass double range is inf."""
     c = np.asarray(coef, dtype=complex)
     cols = c[:, None] if c.ndim == 1 else c
     cc = basis.conjugate_coefficients(cols)
-    if np.iscomplexobj(gap):
-        w = gap @ cc
-    else:
-        # one real product on the stacked parts, not a complex copy of the gap
-        k = cc.shape[1]
-        w = gap @ np.hstack([cc.real, cc.imag])
-        w = w[:, :k] + 1j * w[:, k:]
-    vals = np.real(np.sum(cols * w, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.iscomplexobj(gap):
+            w = gap @ cc
+        else:
+            # one real product on the stacked parts, not a complex copy of the gap
+            k = cc.shape[1]
+            w = gap @ np.hstack([cc.real, cc.imag])
+            w = w[:, :k] + 1j * w[:, k:]
+        vals = np.real(np.sum(cols * w, axis=0))
+    vals = np.where(np.isfinite(vals), vals, np.inf)
     return float(vals[0]) if c.ndim == 1 else vals
 
 

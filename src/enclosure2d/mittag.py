@@ -1,25 +1,26 @@
 """Mittag-Leffler function E_a(z) and its derivative for complex arguments.
 
-Evaluation uses two methods: the trapezoid rule on an optimal parabolic
-contour for the inverse Laplace transform at every nonzero |z| below
-r_large, and the sector expansion (exponential part plus an algebraic tail)
-at |z| >= r_large; z = 0 gives 1 / Gamma(beta).  E_a grows like
-exp(z^(1/a)) for |arg z| <= pi*a/2 and decays algebraically outside; the
-principal branch of z^(1/a) is used throughout, so the growth region matches
-the sector classifier exactly.
+Every nonzero z takes one method, the trapezoid rule on an optimal parabolic
+contour for the inverse Laplace transform; z = 0 gives 1 / Gamma(beta), and
+a = beta = 1 gives exp(z).  E_a grows like exp(z^(1/a)) for
+|arg z| <= pi*a/2 and decays algebraically outside; the principal branch of
+z^(1/a) is used throughout, so the growth region matches the sector
+classifier exactly.
 
-Both methods work on whole batches, and no value depends on the rest of its
-batch.  The contour rule chooses each point's contour and node count from
-closed formulas, with no adaptive refinement and no per-point path; points
-with the same node count are summed together, each over its own nodes in a
-fixed order.  The powers of the node variable are computed once per step size
-among them, so each node of each point costs one complex exp, and a call has a
-fixed cost that large batches share: the probe indicators pass a whole tau
-ladder per call and ``mleval`` a whole grid row.  The sector expansion stops
-each point's algebraic tail on that point's own increments.
+The rule works on whole batches, and no value depends on the rest of its
+batch.  It chooses each point's contour and node count from closed formulas,
+with no adaptive refinement and no per-point path; points with the same node
+count are summed together, each over its own nodes in a fixed order.  The
+powers of the node variable are computed once per step size among them, so
+each node of each point costs one complex exp, and a call has a fixed cost
+that large batches share: the probe indicators pass a whole tau ladder per
+call and ``mleval`` a whole grid row.
 
-E_a'(z) is evaluated as E_{a,a}(z)/a; every method takes the second
-parameter, and the two needed are beta = 1 and beta = a.
+E_a'(z) is evaluated as E_{a,a}(z)/a, so the rule takes the second parameter,
+and the two needed are beta = 1 and beta = a.  Where E_{a,a} decays it is
+about |z| times smaller than the integrand it is summed from, so the rule runs
+a hundred times finer for beta != 1, and a beta != 1 point with |z| above
+_DERIV_R_MAX, where even that falls short, is counted as uncertified.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ _SECTOR_BAND = 1e-9          # radians; classification dead band
 _LOG_EPS = math.log(np.finfo(float).eps)   # round-off floor of the contour rule
 _FINEST = 1e-15              # finest contour tolerance (Garrappa's default)
 _MAX_NODES = 200             # a contour needing more runs at a coarser tolerance
-_TINY = 1e-300
-_MAX_ALG = 10                # most algebraic-tail terms of the sector expansion
+_DERIV_R_MAX = 1e3           # largest |z| certified for beta != 1
 _EXP_MAX = math.log(np.finfo(float).max)   # largest real part exp() keeps finite
 
 
@@ -57,16 +57,16 @@ class MLAccuracyWarning(UserWarning):
 @dataclass(frozen=True)
 class MLParams:
     """Evaluation parameters: order alpha in (0, 1] and the target relative
-    accuracy, at which the sector expansion stops; the contour rule's
-    tolerance is accuracy / 100.  The sector expansion serves |z| >= r_large
-    and the contour rule every other nonzero z."""
+    accuracy.  The contour rule runs at tolerance accuracy / 100 for E_alpha
+    and accuracy / 1e4 for E_{alpha,alpha}, the derivative's function."""
 
     alpha: float
     accuracy: float = 1e-10
-    r_large: ClassVar[float] = 30.0   # hand-off to the sector expansion
-    # evaluation does not use r_small: only the benchmark's regime counters
-    # (perfbench/tracing.py) read it, to count the points with |z| <= 5
+    # evaluation uses neither radius: only the benchmark's regime counters
+    # (perfbench/tracing.py) read them, to count the points with |z| <= 5
+    # and with |z| >= 30
     r_small: ClassVar[float] = 5.0
+    r_large: ClassVar[float] = 30.0
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -103,13 +103,12 @@ def ml_eval_many(params: MLParams, z) -> np.ndarray:
 
 def ml_deriv_many(params: MLParams, z) -> np.ndarray:
     a = params.alpha
-    if a == 1.0:
-        return np.exp(np.asarray(z, dtype=complex))
     out = _eval_batch(params, np.asarray(z, dtype=complex), a, a)
     # each part on its own: a complex division would turn an overflowed
-    # inf+0j into inf+nanj
-    out.real /= a
-    out.imag /= a
+    # inf+0j into inf+nanj; a value that overflows in the division is inf too
+    with np.errstate(over="ignore"):
+        out.real /= a
+        out.imag /= a
     return out
 
 
@@ -125,60 +124,12 @@ def _eval_batch(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> n
     out = np.empty(zf.shape, dtype=complex)
     zero = zf == 0
     out[zero] = rgamma(beta)
-    big = np.abs(zf) >= params.r_large
-    if big.any():
-        out[big] = _asymptotic(params, zf[big], alpha, beta)
-    rest = ~(zero | big)
-    if rest.any():
-        out[rest] = _contour(params, zf[rest], alpha, beta)
+    out[~zero] = _contour(params, zf[~zero], alpha, beta)
     return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
-# sector expansion
-
-
-def _residue(z: np.ndarray, alpha: float, beta: float):
-    """(1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) on the principal branch.
-    Returns (values, overflowed); a value past double range is reported as a
-    clean complex infinity."""
-    w = np.exp(np.log(z) / alpha)
-    pre = np.exp(np.log(z) * ((1 - beta) / alpha)) if beta != 1.0 else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = (1.0 / alpha) * pre * np.exp(np.where(w.real > _EXP_MAX, 0.0, w))
-    over = (w.real > _EXP_MAX) | ~np.isfinite(val)
-    return np.where(over, complex(np.inf, 0.0), val), over
-
-
-def _asymptotic(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Exponential part (inside |arg z| <= pi*alpha) plus the algebraic tail,
-    carried for each point until its increment drops below the accuracy
-    target, so a point's value does not depend on the rest of its batch."""
-    out = np.zeros(z.shape, dtype=complex)
-    inside = np.abs(np.angle(z)) <= math.pi * alpha
-    if inside.any():
-        out[inside] = _residue(z[inside], alpha, beta)[0]
-    zinv = 1.0 / z
-    p = np.ones(z.shape, dtype=complex)
-    tail = np.zeros(z.shape, dtype=complex)
-    incs, tails = [], []
-    for k in range(1, _MAX_ALG + 1):
-        p = p * zinv
-        inc = p * rgamma(beta - alpha * k)
-        tail = tail - inc
-        incs.append(inc)
-        tails.append(tail)
-    inc, tail = np.array(incs), np.array(tails)           # (_MAX_ALG, n)
-    small = np.abs(inc) <= params.accuracy * np.maximum(np.abs(out + tail), _TINY)
-    # a reciprocal-gamma pole gives a spurious zero increment, so a point stops
-    # at the second of two consecutive increments below target
-    two = small[1:] & small[:-1]
-    stop = np.where(two.any(axis=0), two.argmax(axis=0) + 1, _MAX_ALG - 1)
-    return out + tail[stop, np.arange(z.size)]
-
-
-# ---------------------------------------------------------------------------
-# trapezoid rule on a parabolic contour (0 < |z| < r_large)
+# trapezoid rule on a parabolic contour (z != 0)
 #
 # E_{a,b}(z) is the inverse Laplace transform at t = 1 of s^(a-b) / (s^a - z):
 # the integral of exp(s) s^(a-b) / (s^a - z) / (2 pi i) along a contour that
@@ -265,19 +216,33 @@ def _contour_params(phi: np.ndarray, pole: np.ndarray, log_eps: float):
     return mu, h, n, left
 
 
+def _residue(z: np.ndarray, alpha: float, beta: float):
+    """(1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) on the principal branch.
+    Returns (values, overflowed); a value past double range is reported as a
+    clean complex infinity."""
+    w = np.exp(np.log(z) / alpha)
+    pre = np.exp(np.log(z) * ((1 - beta) / alpha)) if beta != 1.0 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = (1.0 / alpha) * pre * np.exp(np.where(w.real > _EXP_MAX, 0.0, w))
+    over = (w.real > _EXP_MAX) | ~np.isfinite(val)
+    return np.where(over, complex(np.inf, 0.0), val), over
+
+
 def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """E_{alpha,beta}(z) for a batch by the trapezoid rule on each point's
     optimal parabolic contour, plus the residue where the contour passes left
     of the pole.
 
-    The rule's tolerance is params.accuracy / 100, which met the accuracy
-    target on every point measured, but no finer than _FINEST.  A point whose
-    contour needs more than _MAX_NODES nodes runs at a tolerance ten times
-    coarser, as often as needed.  Each point that ran coarser than its
-    tolerance raises one MLAccuracyWarning.  Points with the same N are summed
-    together, each over its own 2N + 1 nodes in a fixed order, so a value does
-    not depend on the rest of its batch."""
-    target = math.log(params.accuracy / 100)
+    The rule's tolerance is params.accuracy / 100 for beta = 1 and
+    params.accuracy / 1e4 otherwise, which met the accuracy target on every
+    point measured (for beta != 1, up to |z| = _DERIV_R_MAX), but no finer
+    than _FINEST.  A point whose contour needs more than _MAX_NODES nodes runs
+    at a tolerance ten times coarser, as often as needed.  Each point that ran
+    coarser than its tolerance, and each beta != 1 point beyond _DERIV_R_MAX,
+    raises one MLAccuracyWarning.  Points with the same N are summed together,
+    each over its own 2N + 1 nodes in a fixed order, so a value does not
+    depend on the rest of its batch."""
+    target = math.log(params.accuracy / (100 if beta == 1.0 else 1e4))
     log_z = np.log(z)
     star = np.exp(log_z / alpha)
     phi = 0.5 * (star.real + np.abs(star))
@@ -287,14 +252,16 @@ def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.n
     log_eps = max(target, math.log(_FINEST))
     mu, h, n, left = _contour_params(phi, pole, log_eps)
     over = np.flatnonzero(n > _MAX_NODES)
-    uncertified = z.size if log_eps > target else over.size
+    uncertified = (n > _MAX_NODES) | (log_eps > target)
+    if beta != 1.0:
+        uncertified |= np.abs(z) > _DERIV_R_MAX
     while over.size:
         log_eps += math.log(10.0)
         mu[over], h[over], n[over], left[over] = _contour_params(phi[over], pole[over], log_eps)
         over = over[n[over] > _MAX_NODES]
-    for _ in range(uncertified):
-        warnings.warn("contour rule ran above its tolerance; best value returned",
-                      MLAccuracyWarning)
+    for _ in range(np.count_nonzero(uncertified)):
+        warnings.warn("contour rule could not certify the accuracy target; "
+                      "best value returned", MLAccuracyWarning)
     # s = mu t^2 with t = 1 + iu, so ds/du = 2i mu t and the rule's factor
     # h / (2 pi i) ds/du is h mu t / pi.  Node -k is the conjugate of node k,
     # so the z-free factors are computed for k >= 0 only.  With s^a =

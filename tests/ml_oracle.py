@@ -1,14 +1,17 @@
-"""Stored 220-digit series values of E_alpha at the seeded points of the
-Mittag-Leffler oracle tests, so the tests need no extended-precision sums.
+"""Stored extended-precision values of E_{alpha,beta} at the seeded points of
+the Mittag-Leffler oracle tests, so the tests need no extended-precision sums.
 
-Each set regenerates its points from its seed here, and the tests assert that
-those equal the stored points before comparing values.  Regenerate the
-fixture after changing a set (about a minute)::
+Most sets hold E_alpha (beta = 1); the ``*_deriv`` sets hold E_{alpha,alpha},
+which is alpha times the derivative E_alpha'.  Each set regenerates its points
+from its seed here, and the tests assert that those equal the stored points
+before comparing values.  Regenerate the fixture after changing a set (about
+two minutes)::
 
     python tests/ml_oracle.py
 """
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +44,36 @@ def band08_points():
         1j * math.pi * rng.choice([-1, 1], n) * rng.uniform(0.5, 0.6, n))
 
 
+def far_points(alpha):
+    """alpha in {0.7, 0.8}: 40 points with 30 <= |z| <= 45, every argument.
+    The largest series term there is at most about 1e100, which 220 digits
+    absorb; they do not for alpha <= 0.6."""
+    rng = np.random.default_rng(round(100 * alpha))
+    n = 40
+    return rng.uniform(30.0, 45.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+
+def erfc_points():
+    """alpha = 1/2: 5 <= |z| <= 30, every argument where E_{1/2,1/2} stays
+    well inside double range (Re z^2 < 700)."""
+    rng = np.random.default_rng(5)
+    n = 120
+    z = rng.uniform(5.0, 30.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+    return z[(z * z).real < 700]
+
+
 def all_points():
-    """(set name, alpha, points) for every stored set, in file order."""
-    sets = [("criterion6", a, z) for a, z in criterion6_points().items()]
-    sets += [("series42", a, series42_points(a)) for a in (0.3, 0.5, 0.8)]
-    sets.append(("band08", 0.8, band08_points()))
+    """(set name, alpha, points, oracle) for every stored set, in file order;
+    ``oracle(z)`` gives the stored value."""
+    sets = [("criterion6", a, z, partial(series_oracle, a))
+            for a, z in criterion6_points().items()]
+    sets += [("series42", a, series42_points(a), partial(series_oracle, a))
+             for a in (0.3, 0.5, 0.8)]
+    sets.append(("band08", 0.8, band08_points(), partial(series_oracle, 0.8)))
+    sets += [("far", a, far_points(a), partial(series_oracle, a)) for a in (0.7, 0.8)]
+    sets += [("far_deriv", a, far_points(a), partial(series_oracle, a, beta=a))
+             for a in (0.7, 0.8)]
+    sets.append(("erfc_deriv", 0.5, erfc_points(), erfc_oracle))
     return sets
 
 
@@ -78,11 +106,20 @@ def series_oracle(alpha, z, beta=1.0):
         return complex(s)
 
 
+def erfc_oracle(z):
+    """E_{1/2,1/2}(z) = 1/sqrt(pi) + z exp(z^2) erfc(-z) at 60 digits."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        zc = mp.mpc(complex(z).real, complex(z).imag)
+        return complex(1 / mp.sqrt(mp.pi) + zc * mp.exp(zc * zc) * mp.erfc(-zc))
+
+
 def main():
     lines = ["set,alpha,re_z,im_z,re_E,im_E"]
-    for name, alpha, zs in all_points():
+    for name, alpha, zs, oracle in all_points():
         for z in zs:
-            e = series_oracle(alpha, z)
+            e = oracle(z)
             lines.append(",".join([name] + [repr(float(x)) for x in
                                             (alpha, z.real, z.imag, e.real, e.imag)]))
     FIXTURE.write_text("\n".join(lines) + "\n")

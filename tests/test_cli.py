@@ -231,8 +231,8 @@ def test_mleval_exponential_column(tmp_path):
 
 def test_mleval_rows_equal_per_point_values(tmp_path):
     # each grid row is one batch; its text must be that of per-point ml_eval
-    # on every path: the origin, the contour rule, the sector expansion at the
-    # corners and the overflow at z = 31
+    # on every path: the origin, the contour rule below and past |z| = 30 at
+    # the corners, and the overflow at z = 31
     out = tmp_path / "ml.csv"
     assert main(["mleval", "--alpha", "0.5", "--grid", "-31 31 -31 31 13",
                  "--out", str(out)]) == 0

@@ -366,3 +366,12 @@ def test_region_svg_written(tmp_path):
     text = path.read_text()
     assert text.startswith("<svg") and "</svg>" in text
     assert "circle" in text and "path" in text
+
+
+def test_overflowing_form_is_inf_not_nan(disk_pair):
+    # at tau = 5.9 the cone probe's trace is finite but its quadratic form
+    # passes double range; the form is inf, as from an overflowing trace on
+    _, pair = disk_pair
+    assert indicator_ml(pair, 0.5, (3.0, 0.0), (1.0, 0.0), -6.0, 5.9) == np.inf
+    ladder = indicator_ml(pair, 0.5, (3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9]))
+    assert np.isfinite(ladder[0]) and ladder[1] == np.inf

@@ -8,7 +8,8 @@ from scipy.special import wofz
 
 from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
                                 ml_deriv, ml_deriv_many, ml_eval, ml_eval_many)
-from ml_oracle import band08_points, load, series42_points, series_oracle
+from ml_oracle import (band08_points, erfc_oracle, erfc_points, far_points, load,
+                       series42_points, series_oracle)
 
 
 def test_exponential_special_case():
@@ -70,7 +71,7 @@ def test_deriv_against_series_oracle():
                 warnings.simplefilter("ignore")
                 v = ml_deriv(p, z)
             o = series_oracle(alpha, z, beta=alpha) / alpha
-            assert abs(v - o) <= 2e-9 * abs(o)
+            assert abs(v - o) <= 1e-10 * abs(o)
 
 
 def test_growth_sector_classification():
@@ -120,18 +121,6 @@ def test_conjugation_symmetry():
             assert np.conj(a) == b
 
 
-def test_regime_stitching_continuity():
-    # the contour rule hands off to the sector expansion at r_large; both
-    # agree there within 10x accuracy
-    from enclosure2d.mittag import _asymptotic, _contour
-    for alpha in (0.5, 0.8):
-        p = MLParams(alpha=alpha)
-        z = np.array([p.r_large * np.exp(1j * 2.5)])
-        cv = _contour(p, z, alpha, 1.0)[0]
-        av = _asymptotic(p, z, alpha, 1.0)[0]
-        assert abs(cv - av) <= 10 * p.accuracy * abs(av)
-
-
 def test_parameter_validation():
     with pytest.raises(MLError):
         MLParams(alpha=0.0)
@@ -158,8 +147,8 @@ def test_vectorized_matches_scalar():
 @pytest.mark.parametrize("z", [26.56, 32 + 17.92j, 32 - 17.92j])
 def test_values_near_double_overflow_stay_finite(z):
     # E_1/2(z) = exp(z^2) erfc(-z) stays finite until Re z^2 reaches
-    # log(DBL_MAX) ~ 709.78; z = 26.56 takes the contour rule and
-    # z = 32 +- 17.92i the sector expansion
+    # log(DBL_MAX) ~ 709.78; at z = 32 +- 17.92i the contour rule adds a
+    # residue just below that
     ref = wofz(-1j * z)
     val = ml_eval(MLParams(alpha=0.5), z)
     assert np.isfinite(val)
@@ -167,10 +156,10 @@ def test_values_near_double_overflow_stay_finite(z):
 
 
 def _mixed_batch(alpha):
-    """Points of every evaluation path: zero; the contour rule at small |z|,
-    with and without a pole (12 + 5j and -8 + 3j for alpha = 1/2), just past
-    |z| = 5, at a decaying |z| = 4, and on and near the sector edge
-    |arg z| = pi*alpha; and the sector expansion."""
+    """Points of every evaluation path: zero; and the contour rule at small
+    |z|, with and without a pole (12 + 5j and -8 + 3j for alpha = 1/2), just
+    past |z| = 5, at a decaying |z| = 4, on and near the sector edge
+    |arg z| = pi*alpha, and past r_large at |z| = 40."""
     edge = math.pi * alpha
     return np.array([0.0, 0.3 + 0.1j, -2.0, 1e-3j,
                      12 + 5j, -8 + 3j, 20 - 3j, 26.56,
@@ -205,15 +194,12 @@ def test_deriv_overflow_is_infinite_not_nan(alpha, z):
     assert not np.isfinite(d[0])
 
 
-def test_asymptotic_tail_stops_per_point():
-    # each point's algebraic tail stops on its own increments, so its value is
-    # the same alone and inside a batch
+def test_deriv_overflowing_in_the_division_is_inf():
+    # E_{1/2,1/2}(26.56) is finite, about 1.2e308, and twice it passes double
+    # range
     p = MLParams(alpha=0.5)
-    zs = np.concatenate([[35 + 2j], 31.0 * np.exp(1j * np.linspace(-3.0, 3.0, 14))])
-    assert np.all(np.abs(zs) >= p.r_large)
-    batch = ml_eval_many(p, zs)
-    assert batch[0] == ml_eval(p, 35 + 2j)
-    assert np.array_equal(batch, [ml_eval(p, z) for z in zs])
+    assert np.isfinite(ml_eval(p, 26.56))
+    assert ml_deriv(p, 26.56) == complex(np.inf, 0.0)
 
 
 def test_kernel_band_matches_oracle():
@@ -264,8 +250,7 @@ def test_alpha_08_band_matches_series():
 
 def test_one_warning_per_uncertified_point(monkeypatch):
     # below the smallest node count every contour point hits the cap and runs
-    # at a coarser tolerance, so each is uncertified; zero and the
-    # sector-expansion point are not
+    # at a coarser tolerance, so each is uncertified; zero is not
     import enclosure2d.mittag as mittag
     monkeypatch.setattr(mittag, "_MAX_NODES", 10)
     p = MLParams(alpha=0.5)
@@ -279,7 +264,7 @@ def test_one_warning_per_uncertified_point(monkeypatch):
         for z in zs:
             ml_eval(p, z)
     singles = [w for w in caught if issubclass(w.category, MLAccuracyWarning)]
-    assert len(batch) == len(singles) == 13    # the 13 contour points
+    assert len(batch) == len(singles) == 14    # the 14 contour points
 
 
 def test_high_accuracy_batch_matches_per_point_and_oracle():
@@ -296,3 +281,50 @@ def test_high_accuracy_batch_matches_per_point_and_oracle():
     assert sum(issubclass(w.category, MLAccuracyWarning) for w in caught) == 2 * z.size
     np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
     np.testing.assert_allclose(batch, wofz(-1j * z), rtol=1e-12, atol=0)
+
+
+def _assert_certified(many, alpha, zs, oracle):
+    """many(zs) within 1e-10 of oracle, with no MLAccuracyWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MLAccuracyWarning)
+        val = many(MLParams(alpha=alpha), zs)
+    assert np.all(np.abs(val - oracle) <= 1e-10 * np.abs(oracle))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.8])
+def test_far_band_matches_series(alpha):
+    # 30 <= |z| <= 45 at every argument, against the stored 220-digit series
+    zs, oracle = load("far", alpha)
+    np.testing.assert_array_equal(far_points(alpha), zs)
+    _assert_certified(ml_eval_many, alpha, zs, oracle)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.8])
+def test_far_band_deriv_matches_series(alpha):
+    # the same points for E_alpha' = E_{alpha,alpha} / alpha
+    zs, oracle = load("far_deriv", alpha)
+    np.testing.assert_array_equal(far_points(alpha), zs)
+    _assert_certified(ml_deriv_many, alpha, zs, oracle / alpha)
+
+
+def test_half_order_deriv_matches_erfc():
+    # 5 <= |z| <= 30 against the closed form of E_{1/2,1/2}; where it decays
+    # it is about |z| times smaller than the contour rule's integrand
+    zs, oracle = load("erfc_deriv", 0.5)
+    np.testing.assert_array_equal(erfc_points(), zs)
+    _assert_certified(ml_deriv_many, 0.5, zs, oracle / 0.5)
+
+
+def test_deriv_uncertified_beyond_deriv_radius():
+    # E_{alpha,alpha} is certified up to |z| = 1,000, and meets the target
+    # there; a point beyond raises one warning, and E_alpha there none
+    p = MLParams(alpha=0.5)
+    near, far = 900.0 * np.exp(2.5j), 2000.0 * np.exp(2.5j)
+    for z, many, expected in ((near, ml_deriv_many, 0), (far, ml_deriv_many, 1),
+                              (far, ml_eval_many, 0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            many(p, np.array([z]))
+        assert sum(issubclass(w.category, MLAccuracyWarning) for w in caught) == expected
+    o = erfc_oracle(near) / 0.5
+    assert abs(ml_deriv(p, near) - o) <= 1e-10 * abs(o)

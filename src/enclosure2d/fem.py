@@ -14,8 +14,12 @@ back-substitution, and solves for the discrete solution of any trace.  A
 coefficient with no imaginary part (omega = 0, a real jump, and always the
 background sigma = 1, epsilon = 0) is assembled and factorized in real
 arithmetic; a complex trace is then solved as its real and imaginary columns
-through the same real factor.  Each system checks S and each solve its
-interior residual.
+through the same real factor.  A system forms and checks S only when S is
+first asked for, and each solve checks its interior residual.
+
+Only assembly and factorization need scipy.sparse, and they import it where
+they run: a process that reads operator files and evaluates probes never
+loads scipy.
 
 The fourier basis builds its mode matrix and its least-squares projector
 (the pseudo-inverse of that matrix) once, on first use, and keeps both
@@ -32,8 +36,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .admittivity import AdmittivityField, complex_admittivity, sym_eig_bounds
 from .mesh import Mesh
@@ -181,10 +183,14 @@ class DirichletSystem:
     interior nodes first in the minimum-degree order of K_ii + K_ii^T.  Its
     off-diagonal blocks give K_bi K_ii^-1 K_ib = L_21 U_12, so ``operator``,
     S = K_bb - L_21 U_12 (read-only, in loop order), maps a trace to the
-    boundary currents of its solution.
+    boundary currents of its solution.  S is formed and checked on first
+    access; a solve needs only S f, from sparse products with the blocks.
     """
 
     def __init__(self, mesh: Mesh, gamma: np.ndarray):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         gamma = np.asarray(gamma, dtype=complex)
         if gamma.shape != (mesh.n_triangles, 2, 2):
             raise SolverError("gamma must have shape (n_triangles, 2, 2)")
@@ -220,20 +226,21 @@ class DirichletSystem:
         if not (np.array_equal(self._lu.perm_r, np.arange(n))
                 and np.array_equal(self._lu.perm_c, np.arange(n))):
             raise SolverError("the factorization reordered the nodes")
+        self._k_bb = self.stiffness[self.boundary][:, self.boundary]
+        self._l21 = self._lu.L[ni:, :ni]
+        self._u12 = self._lu.U[:ni, ni:]
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        """S, formed on first access.  SolverError above 1e-8 in any of three
+        relative defects, zero in exact arithmetic: S 1 (constants carry no
+        current), S - S^T, and the boundary currents of a seeded random trace
+        solved through the factor less S f.  The largest measured is 4e-11,
+        S 1 at a contrast of 1e6."""
         # rather than L_22 U_22 - c I, which adds the roundoff of the trailing
         # block's own elimination and of the shift
-        k_bb = self.stiffness[self.boundary][:, self.boundary].toarray()
-        s = k_bb - (self._lu.L[ni:, :ni] @ self._lu.U[:ni, ni:]).toarray()
+        s = self._k_bb.toarray() - (self._l21 @ self._u12).toarray()
         s.setflags(write=False)
-        self.operator = s
-        self._check_operator()
-
-    def _check_operator(self) -> None:
-        """Raise SolverError above 1e-8 in any of three relative defects, zero in
-        exact arithmetic: S 1 (constants carry no current), S - S^T, and the
-        boundary currents of a seeded random trace solved through the factor
-        less S f.  The largest measured is 4e-11, S 1 at a contrast of 1e6."""
-        s = self.operator
         leak = np.abs(s.sum(axis=1)).max() / np.abs(s).sum(axis=1).max()
         if not leak <= 1e-8:
             raise SolverError(f"boundary operator leaks current on constants: {leak:.3g}")
@@ -246,13 +253,14 @@ class DirichletSystem:
         if not mismatch <= 1e-8:
             raise SolverError(f"boundary current of a solved trace differs from the "
                               f"boundary operator by {mismatch:.3g}")
+        return s
 
     def solve(self, trace: np.ndarray) -> SolveResult:
         """Solution with the given boundary-node values (ordered as the loop),
-        through the factor as K' [u_i; f] = [0; (S + c I) f], with the
-        right-hand side as [Re | Im] columns (SuperLU solves only in its
-        factor's type).  A relative interior residual above 1e-6 raises
-        SolverError."""
+        through the factor as K' [u_i; f] = [0; (S + c I) f], with S f =
+        K_bb f - L_21 (U_12 f) and the right-hand side as [Re | Im] columns
+        (SuperLU solves only in its factor's type).  A relative interior
+        residual above 1e-6 raises SolverError."""
         trace = np.asarray(trace, dtype=complex)
         nb = len(self.boundary)
         if trace.shape != (nb,):
@@ -261,7 +269,7 @@ class DirichletSystem:
         u[self.boundary] = trace
         scale = np.linalg.norm((self.stiffness @ u)[self.interior])     # |K_ib f|
         rhs = np.zeros_like(u)
-        rhs[-nb:] = self.operator @ trace + self._shift * trace
+        rhs[-nb:] = self._k_bb @ trace - self._l21 @ (self._u12 @ trace) + self._shift * trace
         x = self._lu.solve(np.column_stack([rhs.real, rhs.imag]))
         u[self._order[:-nb]] = x[:-nb, 0] + 1j * x[:-nb, 1]
         res = np.linalg.norm((self.stiffness @ u)[self.interior]) / max(scale, 1e-300)
@@ -292,7 +300,10 @@ def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bvec, cvec, area
 
 
-def _assemble_stiffness(mesh: Mesh, gamma: np.ndarray) -> sp.csr_matrix:
+def _assemble_stiffness(mesh: Mesh, gamma: np.ndarray):
+    """The P1 stiffness matrix, as a scipy.sparse CSR matrix."""
+    import scipy.sparse as sp
+
     bvec, cvec, area = _p1_geometry(mesh)
     # grad(lambda_i) = (b_i, c_i) / (2A); constant per triangle
     grads = np.stack([bvec, cvec], axis=2) / (2.0 * area)[:, None, None]

@@ -1,7 +1,8 @@
 """Mittag-Leffler function E_a(z) and its derivative for complex arguments.
 
 Every nonzero z takes one method, the trapezoid rule on an optimal parabolic
-contour for the inverse Laplace transform; z = 0 gives 1 / Gamma(beta), and
+contour for the inverse Laplace transform; z = 0 gives 1 / Gamma(beta),
+computed as 1.0 / math.gamma(beta) so that the module needs no scipy, and
 a = beta = 1 gives exp(z).  E_a grows like exp(z^(1/a)) for
 |arg z| <= pi*a/2 and decays algebraically outside; the principal branch of
 z^(1/a) is used throughout, so the growth region matches the sector
@@ -32,7 +33,6 @@ from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import rgamma
 
 _GROWTH = "exponential_growth"
 _DECAY = "algebraic_decay"
@@ -123,7 +123,7 @@ def _eval_batch(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> n
         return np.exp(zf).reshape(shape)
     out = np.empty(zf.shape, dtype=complex)
     zero = zf == 0
-    out[zero] = rgamma(beta)
+    out[zero] = 1.0 / math.gamma(beta)
     out[~zero] = _contour(params, zf[~zero], alpha, beta)
     return out.reshape(shape)
 

@@ -5,7 +5,7 @@ Most sets hold E_alpha (beta = 1); the ``*_deriv`` sets hold E_{alpha,alpha},
 which is alpha times the derivative E_alpha'.  Each set regenerates its points
 from its seed here, and the tests assert that those equal the stored points
 before comparing values.  Regenerate the fixture after changing a set (about
-two minutes)::
+three minutes on one core)::
 
     python tests/ml_oracle.py
 """
@@ -34,6 +34,17 @@ def series42_points(alpha):
     rng = np.random.default_rng(42)
     return np.array([rng.uniform(0.05, 5.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
                      for _ in range(25)])
+
+
+def series9_points():
+    """test_deriv_against_series_oracle: per order, 10 points with
+    0.1 <= |z| <= 4 from one stream, then four tiny ones down to a subnormal
+    |z| = 1e-320."""
+    rng = np.random.default_rng(9)
+    tiny = [1e-12, 1e-12 * np.exp(2.0j), 1e-320, -1e-320j]
+    return {alpha: np.array([rng.uniform(0.1, 4.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+                             for _ in range(10)] + tiny)
+            for alpha in (0.3, 0.5, 0.8)}
 
 
 def band08_points():
@@ -74,6 +85,8 @@ def all_points():
     sets += [("far_deriv", a, far_points(a), partial(series_oracle, a, beta=a))
              for a in (0.7, 0.8)]
     sets.append(("erfc_deriv", 0.5, erfc_points(), erfc_oracle))
+    sets += [("series9_deriv", a, z, partial(series_oracle, a, beta=a))
+             for a, z in series9_points().items()]
     return sets
 
 

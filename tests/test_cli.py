@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enclosure2d
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
 from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
 from enclosure2d.indicator import read_indicator_csv
@@ -389,6 +394,41 @@ def test_ml_reconstruct_pipeline(tmp_path, capsys):
              if "," in ln and not ln.startswith(("#", "vertex"))]
     assert len(cones) >= 1
     assert "cones avoid true inclusion: True" in capsys.readouterr().out
+
+
+_SCIPY_PROBE = """\
+import sys
+from enclosure2d.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:                  # argparse's --version
+    code = exc.code
+print(code, any(m.partition(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+def _run_and_check_scipy(argv, cwd):
+    """(exit code, whether scipy was imported) of one CLI run in a fresh interpreter."""
+    src = str(Path(enclosure2d.__file__).parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.split()[-2:]
+    return int(code), loaded == "True"
+
+
+def test_only_the_solver_commands_load_scipy(tmp_path):
+    # reconstruction reads only operator files, so a process that does not
+    # factorize never imports the sparse solver; dtn is the positive control
+    cfg = _write(tmp_path, ML_CONFIG.format(out=tmp_path / "out"))
+    assert _run_and_check_scipy(["dtn", "--config", cfg], tmp_path) == (0, True)
+    for argv in (["--version"], ["mesh", "--config", cfg], ["indicate", "--config", cfg],
+                 ["indicate", "--config", cfg, "--validate"], ["reconstruct", "--config", cfg],
+                 ["mleval", "--alpha", "0.5", "--grid", "-3 3 -3 3 5",
+                  "--out", str(tmp_path / "ml.csv")]):
+        assert _run_and_check_scipy(argv, tmp_path) == (0, False), argv
 
 
 def test_validate_command_passes(tmp_path, capsys):

@@ -131,6 +131,15 @@ def test_extension_independence(two_layer):
     assert abs(zero_ext - harm_ext) <= 1e-8 * abs(zero_ext)
 
 
+def test_operator_is_formed_on_first_access_only(two_layer):
+    # solves need only S f, so a system built to solve traces skips the product
+    mesh, field = two_layer
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    sys_.solve(fourier_trace(mesh, 1))
+    assert "operator" not in vars(sys_)
+    assert sys_.operator is sys_.operator and not sys_.operator.flags.writeable
+
+
 def test_nonpositive_definite_field_rejected():
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
     gamma = np.broadcast_to(np.eye(2), (mesh.n_triangles, 2, 2)).copy().astype(complex)
@@ -426,7 +435,7 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
         sys_.solve(fourier_trace(mesh, 1))
     _install_factor_spy(monkeypatch, lambda lu: _FactorSpy(lu, solve_error=1e-3))
     with pytest.raises(SolverError, match="residual"):
-        DirichletSystem(mesh, complex_admittivity(field))
+        DirichletSystem(mesh, complex_admittivity(field)).operator
     with pytest.raises(SolverError, match="residual"):
         assemble_dtn_matrix(mesh, field, nodal_basis_for_mesh(mesh))
 
@@ -454,7 +463,7 @@ def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
 
     _install_factor_spy(monkeypatch, corrupt)
     with pytest.raises(SolverError, match=check):
-        DirichletSystem(mesh, gamma)
+        DirichletSystem(mesh, gamma).operator
 
 
 @pytest.mark.parametrize("b, kind", [(0.0, "nodal"), (0.0, "fourier"), (0.5, "nodal"),

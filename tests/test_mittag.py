@@ -9,7 +9,7 @@ from scipy.special import wofz
 from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
                                 ml_deriv, ml_deriv_many, ml_eval, ml_eval_many)
 from ml_oracle import (band08_points, erfc_oracle, erfc_points, far_points, load,
-                       series42_points, series_oracle)
+                       series9_points, series42_points)
 
 
 def test_exponential_special_case():
@@ -20,7 +20,7 @@ def test_exponential_special_case():
 
 def test_value_at_origin_is_one():
     for alpha in (0.3, 0.5, 0.8, 1.0):
-        assert ml_eval(MLParams(alpha=alpha), 0.0) == pytest.approx(1.0)
+        assert ml_eval(MLParams(alpha=alpha), 0.0) == 1.0
 
 
 def test_half_order_at_one():
@@ -45,9 +45,12 @@ def test_accuracy_against_series_oracle(alpha):
 
 
 def test_deriv_at_origin():
-    assert ml_deriv(MLParams(alpha=1.0), 0.0) == pytest.approx(1.0)
-    # first series coefficient: 1 / Gamma(1 + alpha)
-    assert ml_deriv(MLParams(alpha=0.5), 0.0) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-12)
+    assert ml_deriv(MLParams(alpha=1.0), 0.0) == 1.0
+    # first series coefficient 1 / Gamma(1 + alpha), from 1 / Gamma(alpha) / alpha
+    for alpha in (0.3, 0.5, 0.8):
+        ref = float(1 / mp.gamma(1 + mp.mpf(alpha)))
+        v = ml_deriv(MLParams(alpha=alpha), 0.0)
+        assert v.imag == 0.0 and abs(v.real - ref) <= math.ulp(ref)
 
 
 def test_deriv_matches_finite_difference():
@@ -60,17 +63,16 @@ def test_deriv_matches_finite_difference():
 
 def test_deriv_against_series_oracle():
     # seeded points with 0.1 <= |z| <= 4, and tiny ones down to a subnormal
-    # |z| = 1e-320, where the contour rule meets z without a pole
-    rng = np.random.default_rng(9)
-    for alpha in (0.3, 0.5, 0.8):
+    # |z| = 1e-320, where the contour rule meets z without a pole, against the
+    # stored 220-digit series of E_{alpha,alpha}
+    for alpha, points in series9_points().items():
+        zs, oracle = load("series9_deriv", alpha)
+        np.testing.assert_array_equal(points, zs)
         p = MLParams(alpha=alpha)
-        tiny = [1e-12, 1e-12 * np.exp(2.0j), 1e-320, -1e-320j]
-        for z in [rng.uniform(0.1, 4.0) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-                  for _ in range(10)] + tiny:
+        for z, o in zip(zs, oracle / alpha):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 v = ml_deriv(p, z)
-            o = series_oracle(alpha, z, beta=alpha) / alpha
             assert abs(v - o) <= 1e-10 * abs(o)
 
 

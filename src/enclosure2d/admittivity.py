@@ -138,14 +138,6 @@ def reduce_background(inp: ReductionInput, mesh: Mesh) -> AdmittivityField:
     return AdmittivityField(mesh=mesh, a=a, b=b, omega=w)
 
 
-def perturbation_roundtrip(inp: ReductionInput, field: AdmittivityField) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the reduction map: recover (alpha, beta) from (a, b)."""
-    s0, e0, w = inp.sigma0, inp.epsilon0, inp.omega
-    alpha = s0 * field.a - w ** 2 * e0 * field.b
-    beta = e0 * field.a + s0 * field.b
-    return alpha, beta
-
-
 def complex_admittivity(field: AdmittivityField) -> np.ndarray:
     """Per-element gamma = sigma - i omega epsilon (identity off the inclusion)."""
     return field.sigma() - 1j * field.omega * field.b
@@ -216,45 +208,3 @@ def jump_analysis(field: AdmittivityField, theta, delta: float) -> JumpReport:
     return JumpReport(theta=(t[0], t[1]), delta=float(delta), sign=sign,
                       c_theta=max(c, 0.0), m=m, big_m=big_m,
                       omega_max=omega_max, n_elements=n)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text field exchange keyed to mesh element indices
-
-
-def write_field(field: AdmittivityField, path) -> None:
-    with open(path, "w") as f:
-        f.write("# enclosure2d field v1\n")
-        f.write(f"{field.mesh.n_triangles} {field.omega:.17g}\n")
-        for e in range(field.mesh.n_triangles):
-            a, b = field.a[e], field.b[e]
-            f.write(f"{e} {a[0, 0]:.17g} {a[0, 1]:.17g} {a[1, 1]:.17g} "
-                    f"{b[0, 0]:.17g} {b[0, 1]:.17g} {b[1, 1]:.17g}\n")
-
-
-def read_field(mesh: Mesh, path) -> AdmittivityField:
-    """Inverse of write_field; raises FieldError("corrupt field file: ...")
-    when the header, the row count, a row length or an element index is
-    wrong."""
-    with open(path) as f:
-        rows = [ln.split() for ln in f if not ln.startswith("#")]
-    try:
-        if not rows or len(rows[0]) != 2:
-            raise ValueError("need a 2-field header")
-        nt, omega = int(rows[0][0]), float(rows[0][1])
-        if len(rows) - 1 != nt:
-            raise ValueError(f"{len(rows) - 1} element rows, header declares {nt}")
-        if any(len(r) != 7 for r in rows[1:]):
-            raise ValueError("an element row does not hold 7 fields")
-        elems = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-        vals = np.array([[float(x) for x in r[1:]] for r in rows[1:]]).reshape(nt, 6)
-    except ValueError as exc:
-        raise FieldError(f"corrupt field file: {exc}") from exc
-    if nt != mesh.n_triangles:
-        raise FieldError("field file does not match the mesh")
-    if np.any((elems < 0) | (elems >= nt)) or np.unique(elems).size != nt:
-        raise FieldError("corrupt field file: element index out of range or repeated")
-    vals = vals[np.argsort(elems)]      # rows a11 a12 a22 b11 b12 b22
-    a = vals[:, [0, 1, 1, 2]].reshape(nt, 2, 2)
-    b = vals[:, [3, 4, 4, 5]].reshape(nt, 2, 2)
-    return AdmittivityField(mesh=mesh, a=a, b=b, omega=omega)

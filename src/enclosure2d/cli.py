@@ -28,7 +28,7 @@ from . import __version__, mittag
 from .admittivity import (AdmittivityField, FieldError, ReductionInput,
                           complex_admittivity, reduce_background)
 from .fem import (DirichletSystem, DtNMatrix, SolverError, assemble_dtn_matrix,
-                  fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check,
+                  check_pair, fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check,
                   analytic_two_layer_dtn, fourier_trace, read_dtn, write_dtn)
 from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
                         cones_avoid_shape, default_tau_ladder,
@@ -337,7 +337,13 @@ def _load_pair(cfg: ExperimentConfig) -> tuple[DtNMatrix, DtNMatrix]:
             pair.append(read_dtn(p))
         except (SolverError, ValueError) as exc:
             raise ConfigError(f"cannot read operator file {p}: {exc}") from exc
-    return pair[0], pair[1]
+    b1, b0 = pair
+    try:
+        check_pair((b1, b0))
+    except SolverError as exc:
+        raise ConfigError(f"{paths[0]} and {paths[1]} are not one dtn run's pair: "
+                          f"{exc}") from exc
+    return b1, b0
 
 
 def cmd_indicate(cfg: ExperimentConfig) -> int:
@@ -389,7 +395,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
                 f.write(f"{p[0]:.17g},{p[1]:.17g}\n")
         print(f"hull: {len(region.polygon)} vertices, area {region.area():.6g}")
         if cfg.validation_mode and cfg.inclusion is not None:
-            sound = hull_contains_shape(est, cfg.inclusion, tol=1e-9)
+            sound = hull_contains_shape(est, cfg.inclusion)
             print(f"validation: hull contains true inclusion: {sound}")
     else:
         ests = []

@@ -22,12 +22,14 @@ import numpy as np
 
 from .fem import BoundaryBasis, DtnPair, gap_matrix, quadratic_gap
 from .mesh import INCLUSION, Mesh, ShapeSpec
-from .mittag import MLParams
 from .probes import (ConeSpec, ProbeSpec, cgo_trace, cone_avoids_shape,
                      cone_contains_many, probe_gradient, rot90, ml_probe_trace)
 
 _UNDERFLOW_FLOOR = 1e-280
 _DEAD_BAND = 1e-2
+_HULL_SIDES = 128
+_SUPPORT_TOL = 1e-9
+_SVG_SIZE = 600
 _FIT_RESIDUAL = 0.05
 _EXPANSION_WARN = 1e-6
 
@@ -39,12 +41,11 @@ class IndicatorError(ValueError):
 @dataclass(frozen=True)
 class IndicatorSeries:
     """Indicator samples I(tau, t) over an increasing tau grid, with the probe
-    metadata and optional ground-truth energy values J for validation."""
+    metadata."""
 
     spec: ProbeSpec
     taus: np.ndarray
     values: np.ndarray
-    j_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.taus) <= 0):
@@ -70,14 +71,6 @@ class SupportFit:
 @dataclass(frozen=True)
 class SupportEstimate:
     fits: tuple[SupportFit, ...]
-
-    @property
-    def directions(self) -> np.ndarray:
-        return np.array([f.theta for f in self.fits])
-
-    @property
-    def h_values(self) -> np.ndarray:
-        return np.array([f.h_est for f in self.fits])
 
 
 @dataclass(frozen=True)
@@ -125,8 +118,8 @@ def default_tau_ladder(mesh_h: float, n_points: int = 12, tau_min: float = 1.0,
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis, spec: ProbeSpec,
-                  params: Optional[MLParams] = None) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis,
+                  spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms Re <(L1 - L0) f, conj f> over the probe's tau ladder
     (``spec.tau`` an array), with the expansion coefficients of the traces f,
     one column per tau.  From the first trace that overflows on, the forms are
@@ -135,7 +128,7 @@ def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis, spec: ProbeSpec,
     if spec.kind == "cgo":
         traces = cgo_trace(spec, pts)
     else:
-        traces = ml_probe_trace(spec, pts, params)
+        traces = ml_probe_trace(spec, pts)
     finite = np.isfinite(traces).all(axis=1)
     stop = len(finite) if finite.all() else int(finite.argmin())
     coef, res = basis.expand(traces[:stop].T)
@@ -168,8 +161,7 @@ def indicator_cgo(pair: DtnPair, theta, theta_perp, t: float, tau):
     return float(vals[0]) if np.ndim(tau) == 0 else vals
 
 
-def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau,
-                 theta_perp=None, params: Optional[MLParams] = None):
+def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau, theta_perp=None):
     """Cone-probe indicator: a float for a scalar tau, one value per tau for
     an array of them, inf from the first overflowing trace on; rejects probes
     whose base cone meets the domain."""
@@ -177,31 +169,19 @@ def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau,
     tp = rot90(th) if theta_perp is None else np.asarray(theta_perp, dtype=float)
     basis = pair[0].basis
     spec = _ml_spec(basis, alpha, y, th, tp, t, np.atleast_1d(np.asarray(tau, dtype=float)))
-    vals = _ladder_forms(gap_matrix(pair), basis, spec, params)[0]
+    vals = _ladder_forms(gap_matrix(pair), basis, spec)[0]
     return float(vals[0]) if np.ndim(tau) == 0 else vals
 
 
-def indicator_series_cgo(pair: DtnPair, theta, theta_perp, t: float,
-                         taus: Sequence[float]) -> IndicatorSeries:
-    taus = np.asarray(taus, dtype=float)
-    vals = indicator_cgo(pair, theta, theta_perp, t, taus)
-    spec = ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(theta_perp),
-                     t=t, tau=float(taus[-1]))
-    return IndicatorSeries(spec=spec, taus=taus, values=vals)
-
-
-def j_oracle(mesh: Mesh, spec: ProbeSpec, tau: float, t: float,
-             params: Optional[MLParams] = None) -> float:
+def j_oracle(mesh: Mesh, spec: ProbeSpec, tau: float, t: float) -> float:
     """Ground-truth probe energy: quadrature of |grad probe|^2 over the labeled
     inclusion elements (validation mode only)."""
     inc = mesh.labels == INCLUSION
     if not inc.any():
         return 0.0
-    s = spec.with_t_tau(t, tau) if spec.kind == "mittag_leffler" else ProbeSpec(
-        kind="cgo", theta=spec.theta, theta_perp=spec.theta_perp, t=t, tau=tau)
     cents = mesh.centroids()[inc]
     areas = mesh.triangle_areas()[inc]
-    g = probe_gradient(s, cents, params)
+    g = probe_gradient(spec.with_t_tau(t, tau), cents)
     return float(np.sum(areas * (np.abs(g) ** 2).sum(axis=1)))
 
 
@@ -246,10 +226,14 @@ def support_slope_fit(series: IndicatorSeries) -> SupportFit:
 def fit_support_directions(pair: DtnPair, thetas: np.ndarray, t: float,
                            taus: Sequence[float]) -> SupportEstimate:
     """Slope fits over a direction set (theta_perp taken as the left normal)."""
+    taus = np.asarray(taus, dtype=float)
     fits = []
     for th in np.atleast_2d(thetas):
-        series = indicator_series_cgo(pair, th, rot90(np.asarray(th)), t, taus)
-        fits.append(support_slope_fit(series))
+        tp = rot90(th)
+        spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(tp),
+                         t=t, tau=float(taus[-1]))
+        vals = indicator_cgo(pair, th, tp, t, taus)
+        fits.append(support_slope_fit(IndicatorSeries(spec=spec, taus=taus, values=vals)))
     return SupportEstimate(fits=tuple(fits))
 
 
@@ -258,8 +242,7 @@ def fit_support_directions(pair: DtnPair, thetas: np.ndarray, t: float,
 
 
 def classify_series(taus: np.ndarray, values: np.ndarray,
-                    noise_floors: Optional[np.ndarray] = None,
-                    dead_band: float = _DEAD_BAND) -> tuple[str, bool]:
+                    noise_floors: Optional[np.ndarray] = None) -> tuple[str, bool]:
     """Label a series "growth" or "decay" by the monotonicity of log|I| over
     the trailing half; ties are labelled growth with a low-confidence flag
     (growth errs toward a shallower, containment-safe estimate).
@@ -292,9 +275,9 @@ def classify_series(taus: np.ndarray, values: np.ndarray,
         return "growth", True
     half = logs[len(logs) // 2:]
     mean_step = float(np.mean(np.diff(half)))
-    if mean_step > dead_band:
+    if mean_step > _DEAD_BAND:
         return "growth", False
-    if mean_step < -dead_band:
+    if mean_step < -_DEAD_BAND:
         return "decay", False
     return "growth", True
 
@@ -302,8 +285,7 @@ def classify_series(taus: np.ndarray, values: np.ndarray,
 def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
                          t_interval: tuple[float, float],
                          taus: Sequence[float],
-                         dt_tol: float = 0.02,
-                         params: Optional[MLParams] = None) -> TransitionEstimate:
+                         dt_tol: float = 0.02) -> TransitionEstimate:
     """Bisect the decay/growth transition of the cone-probe indicator in t.
 
     The search interval must lie in (-inf, 0); if both endpoints classify the
@@ -313,7 +295,6 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
     if not (t_lo < t_hi < 0):
         raise IndicatorError("search interval must satisfy t_lo < t_hi < 0")
     taus = np.asarray(taus, dtype=float)
-    params = params or MLParams(alpha=alpha)
     basis = pair[0].basis
     gap = gap_matrix(pair)
     gap_scale = float(np.max(np.abs(gap))) * gap.shape[0] * 1e-16
@@ -324,8 +305,7 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
     def classify(t: float) -> str:
         nonlocal low_conf
         # samples from the first overflowing trace on stay infinite
-        vals, coef = _ladder_forms(gap, basis, _ml_spec(basis, alpha, y, th, tp, t, taus),
-                                   params)
+        vals, coef = _ladder_forms(gap, basis, _ml_spec(basis, alpha, y, th, tp, t, taus))
         floors = np.zeros(len(taus))
         floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * gap_scale
         label, tie = classify_series(taus, vals, floors)
@@ -374,12 +354,11 @@ def clip_polygon_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float) 
     return np.array(out) if out else np.empty((0, 2))
 
 
-def convex_hull_estimate(estimate: SupportEstimate, domain_radius: float,
-                         n_boundary: int = 128) -> RegionEstimate:
+def convex_hull_estimate(estimate: SupportEstimate, domain_radius: float) -> RegionEstimate:
     """Intersection of the half-planes {x . theta <= h(theta)}, clipped to the domain."""
     if len(estimate.fits) < 3:
         raise IndicatorError("need at least 3 directions for a hull")
-    ang = np.linspace(0, 2 * math.pi, n_boundary, endpoint=False)
+    ang = np.linspace(0, 2 * math.pi, _HULL_SIDES, endpoint=False)
     poly = domain_radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     for fit in estimate.fits:
         poly = clip_polygon_halfplane(poly, np.asarray(fit.theta), fit.h_est)
@@ -417,10 +396,9 @@ def _polygon_area(poly: np.ndarray) -> float:
 # Validation helpers (ground truth required)
 
 
-def hull_contains_shape(estimate: SupportEstimate, shape: ShapeSpec,
-                        tol: float = 1e-9) -> bool:
+def hull_contains_shape(estimate: SupportEstimate, shape: ShapeSpec) -> bool:
     """Soundness: the true support never exceeds the fitted one per direction."""
-    return all(shape.support(np.asarray(f.theta)) <= f.h_est + tol
+    return all(shape.support(np.asarray(f.theta)) <= f.h_est + _SUPPORT_TOL
                for f in estimate.fits)
 
 
@@ -453,32 +431,12 @@ def write_indicator_csv(path, rows: Sequence[dict], provenance: Optional[dict] =
             f.write(",".join(out) + "\n")
 
 
-def read_indicator_csv(path) -> list[dict]:
-    rows = []
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if not ln.startswith("#")]
-    header = lines[0].split(",")
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        row = {}
-        for key, val in zip(header, parts):
-            if key == "family":
-                row[key] = val
-            elif val == "":
-                row[key] = None
-            else:
-                row[key] = float(val)
-        rows.append(row)
-    return rows
-
-
 def write_region_svg(path, estimate: RegionEstimate,
                      true_shape: Optional[ShapeSpec] = None,
-                     size: int = 600, provenance: Optional[dict] = None) -> None:
+                     provenance: Optional[dict] = None) -> None:
     """Overlay of the domain circle, the estimate, and (in validation mode)
     the true inclusion."""
+    size = _SVG_SIZE
     r = estimate.domain_radius
     scale = size / (2.2 * r)
 

@@ -170,16 +170,6 @@ class ShapeSpec:
             return math.pi * self.semi_axes[0] * self.semi_axes[1]
         return _polygon_area(self.vertices)
 
-    def perimeter(self) -> float:
-        if self.kind == "disk":
-            return 2 * math.pi * self.radius
-        if self.kind == "ellipse":
-            a, b = self.semi_axes
-            h = ((a - b) / (a + b)) ** 2
-            return math.pi * (a + b) * (1 + 3 * h / (10 + math.sqrt(4 - 3 * h)))
-        v = self.vertices
-        return float(sum(np.hypot(*(v[(i + 1) % len(v)] - v[i])) for i in range(len(v))))
-
     def _to_local(self, p: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center)
         ct, st = math.cos(self.rotation), math.sin(self.rotation)
@@ -284,9 +274,6 @@ class Mesh:
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
-
-    def inclusion_area(self) -> float:
-        return float(self.triangle_areas()[self.labels == INCLUSION].sum())
 
     def boundary_polygon_area(self) -> float:
         return _polygon_area(self.vertices[self.boundary_loop])
@@ -505,37 +492,3 @@ def write_mesh(mesh: Mesh, path, provenance: Optional[dict] = None) -> None:
             f.write(f"{i} {j} {k} {lab}\n")
         for (i, j), (nx, ny) in zip(edges, normals):
             f.write(f"{i} {j} {nx:.17g} {ny:.17g}\n")
-
-
-def read_mesh(path) -> Mesh:
-    """Inverse of write_mesh; raises MeshError("corrupt mesh file: ...") when
-    the header, a row count, a row length, an index or a label is wrong."""
-    with open(path) as f:
-        rows = [ln.split() for ln in f if not ln.startswith("#")]
-    try:
-        if not rows or len(rows[0]) != 5:
-            raise ValueError("need a 5-field header")
-        nv, nt, nb = (int(x) for x in rows[0][:3])
-        h, radius = (float(x) for x in rows[0][3:])
-        if min(nv, nt, nb) < 0 or len(rows) != 1 + nv + nt + nb:
-            raise ValueError(f"{len(rows) - 1} data rows, header declares "
-                             f"{nv} + {nt} + {nb}")
-        for what, block, width in (("vertex", rows[1:1 + nv], 2),
-                                   ("triangle", rows[1 + nv:1 + nv + nt], 4),
-                                   ("boundary edge", rows[1 + nv + nt:], 4)):
-            if any(len(r) != width for r in block):
-                raise ValueError(f"a {what} row does not hold {width} fields")
-        vertices = np.array([[float(x) for x in r] for r in rows[1:1 + nv]]).reshape(nv, 2)
-        tl = np.array([[int(x) for x in r] for r in rows[1 + nv:1 + nv + nt]],
-                      dtype=np.int64).reshape(nt, 4)
-        edges = np.array([[int(x) for x in r[:2]] for r in rows[1 + nv + nt:]],
-                         dtype=np.int64).reshape(nb, 2)
-    except ValueError as exc:
-        raise MeshError(f"corrupt mesh file: {exc}") from exc
-    for idx in (tl[:, :3], edges):
-        if idx.size and (idx.min() < 0 or idx.max() >= nv):
-            raise MeshError("corrupt mesh file: vertex index out of range")
-    if np.any((tl[:, 3] != BACKGROUND) & (tl[:, 3] != INCLUSION)):
-        raise MeshError("corrupt mesh file: triangle label is not 0 or 1")
-    return Mesh(vertices=vertices, triangles=tl[:, :3], labels=tl[:, 3],
-                boundary_loop=edges[:, 0], h=h, domain_radius=radius)

@@ -283,33 +283,20 @@ def cgo_gradient(spec: ProbeSpec, points) -> np.ndarray:
     return vals[:, None] * d[None, :]
 
 
-def _ml_params_for(spec: ProbeSpec, params: Optional[MLParams]) -> MLParams:
-    if params is None:
-        return MLParams(alpha=spec.alpha)
-    if params.alpha != spec.alpha:
-        raise ProbeError("evaluation parameters do not match the probe order")
-    return params
-
-
-def ml_probe_trace(spec: ProbeSpec, points, params: Optional[MLParams] = None) -> np.ndarray:
+def ml_probe_trace(spec: ProbeSpec, points) -> np.ndarray:
     """E_alpha evaluated at the depth-shifted cone coordinate of each point."""
     if spec.kind != "mittag_leffler":
         raise ProbeError("ml_probe_trace needs a mittag_leffler probe")
-    return ml_eval_many(_ml_params_for(spec, params), spec.ml_argument(points))
+    return ml_eval_many(MLParams(alpha=spec.alpha), spec.ml_argument(points))
 
 
-def ml_probe_gradient(spec: ProbeSpec, points, params: Optional[MLParams] = None) -> np.ndarray:
+def ml_probe_gradient(spec: ProbeSpec, points) -> np.ndarray:
     if spec.kind != "mittag_leffler":
         raise ProbeError("ml_probe_gradient needs a mittag_leffler probe")
-    dv = ml_deriv_many(_ml_params_for(spec, params), spec.ml_argument(points))
+    dv = ml_deriv_many(MLParams(alpha=spec.alpha), spec.ml_argument(points))
     d = spec.tau * (np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
     return dv[:, None] * d[None, :]
 
 
-def probe_trace(spec: ProbeSpec, points, params: Optional[MLParams] = None) -> np.ndarray:
-    return cgo_trace(spec, points) if spec.kind == "cgo" else ml_probe_trace(spec, points, params)
-
-
-def probe_gradient(spec: ProbeSpec, points, params: Optional[MLParams] = None) -> np.ndarray:
-    return cgo_gradient(spec, points) if spec.kind == "cgo" else ml_probe_gradient(spec, points, params)
-
+def probe_gradient(spec: ProbeSpec, points) -> np.ndarray:
+    return cgo_gradient(spec, points) if spec.kind == "cgo" else ml_probe_gradient(spec, points)

@@ -11,8 +11,11 @@ import pytest
 import enclosure2d
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
 from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
-from enclosure2d.indicator import read_indicator_csv
+from enclosure2d.indicator import j_oracle
+from enclosure2d.mesh import build_disk_mesh
 from enclosure2d.mittag import MLParams, ml_eval
+from enclosure2d.probes import ProbeSpec, rot90
+from indicator_csv import read_indicator_csv
 
 BASE_CONFIG = """\
 [domain]
@@ -212,6 +215,40 @@ def test_non_finite_operator_entry_fails(tmp_path, capsys, command):
     assert "dtn_perturbed.txt" in err and "non-finite" in err
 
 
+def _retag_background(out, index, value):
+    back = out / "dtn_background.txt"
+    lines = back.read_text().splitlines(keepends=True)
+    i = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+    fields = lines[i].split()
+    fields[index] = value
+    lines[i] = " ".join(fields) + "\n"
+    back.write_text("".join(lines))
+
+
+def _nodal_background(out):
+    op = read_dtn(out / "dtn_background.txt")
+    basis = BoundaryBasis(kind="nodal", thetas=op.basis.thetas, radius=op.basis.radius)
+    n = len(op.basis.thetas)
+    write_dtn(DtNMatrix(basis=basis, omega=op.omega, mesh_h=op.mesh_h,
+                        matrix=np.zeros((n, n), dtype=complex)), out / "dtn_background.txt")
+
+
+@pytest.mark.parametrize("field, tamper", [
+    ("radius", lambda out: _retag_background(out, 5, "2")),
+    ("omega", lambda out: _retag_background(out, 2, "7")),
+    ("basis kind", _nodal_background),
+], ids=["radius", "omega", "kind"])
+def test_indicate_rejects_a_mismatched_operator_pair(tmp_path, capsys, field, tamper):
+    # each file reads on its own, but the two do not come from one dtn run
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "4"]) == 0
+    tamper(out)
+    assert main(["indicate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"differs in {field}" in err
+
+
 @pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"]])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
@@ -377,6 +414,32 @@ t_search = -5.0 -0.2
 [output]
 directory = {out}
 """
+
+
+@pytest.mark.parametrize("template", [BASE_CONFIG, ML_CONFIG], ids=["cgo", "mittag_leffler"])
+def test_indicate_validate_fills_j_with_the_oracle(tmp_path, template):
+    # without --validate the J column is empty; with it, each row's J is the
+    # probe energy on the labelled inclusion of the config's mesh
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, template.format(out=out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["dtn", "--config", cfg]) == 0
+        assert main(["indicate", "--config", cfg]) == 0
+        plain = read_indicator_csv(out / "indicators.csv")
+        assert main(["indicate", "--config", cfg, "--validate"]) == 0
+    rows = read_indicator_csv(out / "indicators.csv")
+    assert all(r["J"] is None for r in plain)
+    assert [{**r, "J": None} for r in rows] == plain
+    conf = load_config(cfg)
+    mesh = build_disk_mesh(conf.domain_radius, conf.mesh_h, conf.inclusion,
+                           refine_levels=conf.refine_levels)
+    for r in rows:
+        th = np.array([r["theta_x"], r["theta_y"]])
+        spec = ProbeSpec(kind=r["family"], theta=tuple(th), theta_perp=tuple(rot90(th)),
+                         t=r["t"], tau=r["tau"], alpha=r["alpha"],
+                         y=None if r["y_x"] is None else (r["y_x"], r["y_y"]))
+        assert r["J"] == j_oracle(mesh, spec, r["tau"], r["t"]) > 0
 
 
 def test_ml_reconstruct_pipeline(tmp_path, capsys):

@@ -7,12 +7,12 @@ import scipy.sparse.linalg as spla
 
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
 from enclosure2d.fem import (BoundaryBasis, DirichletSystem, DtNMatrix, SolverError,
-                             analytic_two_layer_dtn, assemble_dtn_matrix, dtn_pairing,
-                             energy_gap, fourier_basis_for_mesh, fourier_trace,
-                             gap_matrix, nodal_basis_for_mesh, prop21_check, read_dtn,
+                             analytic_two_layer_dtn, assemble_dtn_matrix,
+                             fourier_basis_for_mesh, fourier_trace, gap_matrix,
+                             nodal_basis_for_mesh, prop21_check, quadratic_gap, read_dtn,
                              write_dtn)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
-from enclosure2d.probes import rot90, cgo_trace, ProbeSpec
+from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,27 @@ def _background(mesh, omega=0.0):
 def _homogeneous(h=0.05):
     mesh = build_disk_mesh(1.0, h, None)
     return mesh, _background(mesh)
+
+
+def dtn_pairing(mesh, field, f_trace, g_trace):
+    """<L f, g> for boundary-node traces f and g, from a direct solve."""
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    return sys_.pairing(sys_.solve(np.asarray(f_trace, dtype=complex)).u, g_trace)
+
+
+def energy_gap_direct(mesh, field, f):
+    """Re <(L_{sigma,eps} - L_{1,0}) f, conj(f)> for boundary-node values f,
+    with both operators applied by direct solves."""
+    f = np.asarray(f, dtype=complex)
+    v1 = dtn_pairing(mesh, field, f, np.conj(f))
+    v0 = dtn_pairing(mesh, _background(mesh, field.omega), f, np.conj(f))
+    return float(np.real(v1 - v0))
+
+
+def energy_gap(pair, coef):
+    """The same form from an assembled (perturbed, background) pair and the
+    expansion coefficients of f."""
+    return quadratic_gap(gap_matrix(pair), pair[0].basis, coef)
 
 
 def test_p1_reproduces_linear_harmonics():
@@ -152,12 +173,12 @@ def test_energy_gap_signs():
     mesh = build_disk_mesh(1.0, 0.06, ShapeSpec.disk((0.0, 0.0), 0.5))
     f = fourier_trace(mesh, 1) + 0.5 * fourier_trace(mesh, -2)
     pos = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
-    assert energy_gap((mesh, pos), f) > -1e-10
+    assert energy_gap_direct(mesh, pos, f) > -1e-10
     neg = AdmittivityField.from_scalars(mesh, a=-0.5, b=0.0, omega=0.0)
     th = np.array([1.0, 0.0])
     spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(rot90(th)), t=0.5, tau=8.0)
     probe = cgo_trace(spec, mesh.boundary_points)
-    assert energy_gap((mesh, neg), probe) < 1e-12
+    assert energy_gap_direct(mesh, neg, probe) < 1e-12
 
 
 def test_energy_gap_from_matrices_matches_fields():
@@ -169,7 +190,7 @@ def test_energy_gap_from_matrices_matches_fields():
     f = fourier_trace(mesh, 1) + 0.3 * fourier_trace(mesh, 3)
     coef, _ = basis.expand(f)
     via_matrices = energy_gap(pair, coef)
-    direct = energy_gap((mesh, field), f)
+    direct = energy_gap_direct(mesh, field, f)
     assert via_matrices == pytest.approx(direct, rel=1e-8)
 
 
@@ -320,7 +341,8 @@ def test_dtn_file_with_non_finite_or_inconsistent_fields_rejected(tmp_path):
     fields = header.split()
     corrupt = {"entry": [header, angles, "nan" + rows[0][1:], *rows[1:]],
                "angle": [header, "inf " + angles.split(" ", 1)[1], *rows],
-               "nodal size": [" ".join(["nodal", "7", *fields[2:]]) + "\n", angles, *rows]}
+               "nodal size": [" ".join(["nodal", "7", *fields[2:]]) + "\n", angles, *rows],
+               "no nodes": ["nodal 0 1 0.1 0 1\n", "\n"]}
     for i, name in ((2, "omega"), (3, "h"), (5, "radius")):
         corrupt[name] = [" ".join(fields[:i] + ["nan"] + fields[i + 1:]) + "\n", angles, *rows]
     for name, lines in corrupt.items():
@@ -512,7 +534,6 @@ def test_write_dtn_text_and_roundtrip_are_exact(tmp_path):
 def test_probe_discrete_harmonicity_first_order(kind):
     # interpolated probe values leave a stiffness residual whose discrete dual
     # norm, relative to the probe energy, decays at first order in h
-    from enclosure2d.probes import probe_trace
     th = np.array([1.0, 0.0])
     if kind == "cgo":
         spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=tuple(rot90(th)),
@@ -526,7 +547,7 @@ def test_probe_discrete_harmonicity_first_order(kind):
         mesh = build_disk_mesh(1.0, h, None)
         sys_ = DirichletSystem(mesh, np.broadcast_to(
             np.eye(2, dtype=complex), (mesh.n_triangles, 2, 2)).copy())
-        v = probe_trace(spec, mesh.vertices)
+        v = (cgo_trace if kind == "cgo" else ml_probe_trace)(spec, mesh.vertices)
         r = sys_.stiffness @ v
         r_i = r[sys_.interior]
         k_ii = sys_.stiffness[sys_.interior][:, sys_.interior].tocsc()
@@ -551,7 +572,6 @@ def test_quadratic_gap_real_gap_and_coefficient_columns(two_layer, kind):
     # a real nodal pair gives a real gap, whose stacked real product agrees
     # with the complex one (fourier operators are complex); (size, k)
     # coefficients give one value per column
-    from enclosure2d.fem import quadratic_gap
     mesh, field = two_layer
     basis = nodal_basis_for_mesh(mesh) if kind == "nodal" else fourier_basis_for_mesh(mesh, 8)
     pair = (assemble_dtn_matrix(mesh, field, basis),

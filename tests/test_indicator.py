@@ -12,11 +12,12 @@ from enclosure2d.indicator import (IndicatorError, IndicatorSeries,
                                    cones_avoid_shape, convex_hull_estimate,
                                    default_tau_ladder, fit_support_directions,
                                    hull_contains_shape, indicator_cgo, indicator_ml,
-                                   j_oracle, read_indicator_csv, support_slope_fit,
+                                   j_oracle, support_slope_fit,
                                    transition_search_ml, write_indicator_csv,
                                    write_region_svg)
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.probes import ProbeSpec, rot90
+from indicator_csv import read_indicator_csv
 
 
 def _background(mesh, omega=0.0):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from enclosure2d.mesh import (BACKGROUND, INCLUSION, Mesh, MeshError, ShapeSpec,
-                              build_disk_mesh, read_mesh, support_function_exact,
-                              write_mesh)
+from enclosure2d.mesh import (BACKGROUND, INCLUSION, MeshError, ShapeSpec,
+                              build_disk_mesh, support_function_exact, write_mesh)
+
+
+def _labelled_area(mesh):
+    return float(mesh.triangle_areas()[mesh.labels == INCLUSION].sum())
 
 
 def test_empty_inclusion_all_background_and_loop_length():
@@ -18,7 +21,7 @@ def test_empty_inclusion_all_background_and_loop_length():
 
 def test_centered_disk_inclusion_area():
     mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.0, 0.0), 0.5))
-    assert abs(mesh.inclusion_area() - math.pi * 0.25) < 0.02 * math.pi * 0.25
+    assert abs(_labelled_area(mesh) - math.pi * 0.25) < 0.02 * math.pi * 0.25
 
 
 def test_labeled_area_error_decreases_with_h():
@@ -26,7 +29,7 @@ def test_labeled_area_error_decreases_with_h():
     errors = []
     for h in (0.1, 0.05, 0.025):
         mesh = build_disk_mesh(1.0, h, ShapeSpec.disk((0.0, 0.0), 0.5))
-        errors.append(abs(mesh.inclusion_area() - math.pi * 0.25))
+        errors.append(abs(_labelled_area(mesh) - math.pi * 0.25))
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -34,7 +37,8 @@ def test_labeled_area_within_stated_bound():
     shape = ShapeSpec.disk((0.2, 0.1), 0.4)
     for h in (0.08, 0.04):
         mesh = build_disk_mesh(1.0, h, shape, refine_levels=1)
-        assert abs(mesh.inclusion_area() - shape.area()) <= 2 * h * shape.perimeter()
+        perimeter = 2 * math.pi * shape.radius
+        assert abs(_labelled_area(mesh) - shape.area()) <= 2 * h * perimeter
 
 
 def test_areas_tile_boundary_polygon():
@@ -131,44 +135,28 @@ def test_polygon_validation():
         ShapeSpec.polygon([(0, 0), (0, 1), (1, 0)])  # negatively oriented
 
 
-def test_mesh_roundtrip(tmp_path):
+def test_write_mesh_blocks_match_the_mesh(tmp_path):
+    # a header (counts, h, radius), then the vertex, triangle-and-label and
+    # boundary-edge blocks; '%.17g' text reads back bit for bit
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.4))
     path = tmp_path / "mesh.txt"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert back.n_vertices == mesh.n_vertices
-    assert np.allclose(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.labels, mesh.labels)
-    assert np.array_equal(back.boundary_loop, mesh.boundary_loop)
-    back.validate()
+    write_mesh(mesh, path, provenance={"config": "xyz"})
+    assert path.read_text().startswith("# enclosure2d mesh v1\n# config: xyz\n")
+    rows = [ln.split() for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    nv, nt, nb = (int(x) for x in rows[0][:3])
+    assert (nv, nt, nb) == (mesh.n_vertices, mesh.n_triangles, len(mesh.boundary_loop))
+    assert [float(x) for x in rows[0][3:]] == [mesh.h, mesh.domain_radius]
+    assert len(rows) == 1 + nv + nt + nb
+    vertices = np.array(rows[1:1 + nv], dtype=float)
+    tl = np.array(rows[1 + nv:1 + nv + nt], dtype=np.int64)
+    edges = np.array(rows[1 + nv + nt:], dtype=float)
+    assert np.array_equal(vertices, mesh.vertices)
+    assert np.array_equal(tl[:, :3], mesh.triangles)
+    assert np.array_equal(tl[:, 3], mesh.labels) and set(tl[:, 3]) == {BACKGROUND, INCLUSION}
+    assert np.array_equal(edges[:, 0], mesh.boundary_loop)
+    assert np.array_equal(edges[:, 1], np.roll(mesh.boundary_loop, -1))
+    assert np.array_equal(edges[:, 2:], mesh.boundary_normals)
 
-
-
-def test_truncated_mesh_file_rejected(tmp_path):
-    path = tmp_path / "mesh.txt"
-    write_mesh(build_disk_mesh(1.0, 0.2, None), path)
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    with pytest.raises(MeshError, match="corrupt mesh file"):
-        read_mesh(path)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda rows: [rows[0] + " 7"] + rows[1:],                 # 6-field header
-    lambda rows: rows[:2] + [rows[2] + " 0.5"] + rows[3:],    # 3-field vertex row
-    lambda rows: rows[:-1] + ["0 1 0.5"],                     # 3-field edge row
-    lambda rows: rows + ["0 1 0.5 0.5"],                      # extra row
-    lambda rows: rows[:-1] + ["0 99999 0.5 0.5"],             # index out of range
-    lambda rows: [r if i != 1 + int(rows[0].split()[0]) else "0 1 2 5"
-                  for i, r in enumerate(rows)],               # label 5
-])
-def test_corrupt_mesh_file_rejected(tmp_path, edit):
-    path = tmp_path / "mesh.txt"
-    write_mesh(build_disk_mesh(1.0, 0.2, None), path)
-    rows = [r for r in path.read_text().splitlines() if not r.startswith("#")]
-    path.write_text("\n".join(edit(rows)) + "\n")
-    with pytest.raises(MeshError, match="corrupt mesh file"):
-        read_mesh(path)
 
 def test_mesh_arrays_immutable():
     mesh = build_disk_mesh(1.0, 0.2, None)

@@ -9,13 +9,17 @@ z^(1/a) is used throughout, so the growth region matches the sector
 classifier exactly.
 
 The rule works on whole batches, and no value depends on the rest of its
-batch.  It chooses each point's contour and node count from closed formulas,
-with no adaptive refinement and no per-point path; points with the same node
-count are summed together, each over its own nodes in a fixed order.  The
-powers of the node variable are computed once per step size among them, so
-each node of each point costs one complex exp, and a call has a fixed cost
-that large batches share: the probe indicators pass a whole tau ladder per
-call and ``mleval`` a whole grid row.
+batch.  Contours and node counts come from closed formulas, with no adaptive
+refinement and no per-point path, and each pole level is rounded onto a fixed
+geometric grid, so a batch needs only a few contours, each shared by many
+points.  A contour's weights and node powers are computed once, and each
+node of each point then costs one subtraction and one division.  Contours
+and residues are found for slices of _BATCH points, and a contour's points
+are summed in chunks of at most _CHUNK (point, node) entries, so that beyond
+its values a batch holds only a contour key and a flag per point.  A call
+has a fixed cost that large batches share: the probe indicators pass a whole
+tau ladder per call and ``mleval`` its whole grid.  A z that is not finite
+raises MLError.
 
 E_a'(z) is evaluated as E_{a,a}(z)/a, so the rule takes the second parameter,
 and the two needed are beta = 1 and beta = a.  Where E_{a,a} decays it is
@@ -34,9 +38,8 @@ from typing import ClassVar
 
 import numpy as np
 
-_GROWTH = "exponential_growth"
-_DECAY = "algebraic_decay"
-_BOUNDARY = "boundary"
+_SECTOR_NAMES = np.array(["algebraic_decay", "exponential_growth", "boundary", "origin"],
+                         dtype=object)
 
 _SECTOR_BAND = 1e-9          # radians; classification dead band
 _LOG_EPS = math.log(np.finfo(float).eps)   # round-off floor of the contour rule
@@ -44,6 +47,12 @@ _FINEST = 1e-15              # finest contour tolerance (Garrappa's default)
 _MAX_NODES = 200             # a contour needing more runs at a coarser tolerance
 _DERIV_R_MAX = 1e3           # largest |z| certified for beta != 1
 _EXP_MAX = math.log(np.finfo(float).max)   # largest real part exp() keeps finite
+_LEVELS = 4                  # pole levels per octave; points share a level's contour
+_LOG_STAR_MAX = 700.0        # cap on log|s*|, far past the last level that moves a contour
+_NO_POLE = np.iinfo(np.int64).min   # contour key of the points without a pole,
+_ZERO = _NO_POLE + 1         # and of z = 0; every pole's key is larger
+_BATCH = 1 << 12             # points whose contours and residues are found at a time
+_CHUNK = 1 << 12             # (point, node) entries summed at a time
 
 
 class MLError(ValueError):
@@ -81,10 +90,15 @@ def growth_sector(alpha: float, z: complex) -> str:
         raise MLError("alpha must lie in (0, 1]")
     if z == 0:
         raise MLError("sector of z = 0 is undefined")
-    gap = abs(abs(np.angle(complex(z))) - math.pi * alpha / 2)
-    if gap <= _SECTOR_BAND:
-        return _BOUNDARY
-    return _GROWTH if abs(np.angle(complex(z))) < math.pi * alpha / 2 else _DECAY
+    return _sectors(alpha, np.array([complex(z)]))[0]
+
+
+def _sectors(alpha: float, z: np.ndarray) -> np.ndarray:
+    """growth_sector of each point of an array, and "origin" where z = 0."""
+    arg = np.abs(np.angle(z))
+    edge = math.pi * alpha / 2
+    return _SECTOR_NAMES[np.select([z == 0, np.abs(arg - edge) <= _SECTOR_BAND, arg < edge],
+                              [3, 2, 1], 0)]
 
 
 def ml_eval(params: MLParams, z: complex) -> complex:
@@ -119,17 +133,15 @@ def ml_deriv_many(params: MLParams, z) -> np.ndarray:
 def _eval_batch(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     shape = z.shape
     zf = z.ravel()
+    if not np.isfinite(zf).all():
+        raise MLError("z must be finite")
     if alpha == 1.0 and beta == 1.0:
         return np.exp(zf).reshape(shape)
-    out = np.empty(zf.shape, dtype=complex)
-    zero = zf == 0
-    out[zero] = 1.0 / math.gamma(beta)
-    out[~zero] = _contour(params, zf[~zero], alpha, beta)
-    return out.reshape(shape)
+    return _contour(params, zf, alpha, beta).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
-# trapezoid rule on a parabolic contour (z != 0)
+# trapezoid rule on a parabolic contour
 #
 # E_{a,b}(z) is the inverse Laplace transform at t = 1 of s^(a-b) / (s^a - z):
 # the integral of exp(s) s^(a-b) / (s^a - z) / (2 pi i) along a contour that
@@ -197,18 +209,35 @@ def _branch_params(log_eps: float):
     return mu[0], h[0], n[0]
 
 
-def _contour_params(phi: np.ndarray, pole: np.ndarray, log_eps: float):
-    """(mu, h, N, left) of the region needing fewer nodes; ``left`` marks the
-    points whose contour passes left of the pole.  The region beyond the pole
-    is a candidate only while phi is below the round-off bound."""
+def _level(k):
+    """The pole level 2^(k / _LEVELS) of grid index k."""
+    return np.exp2(k / _LEVELS)
+
+
+def _grid_indices(phi: np.ndarray):
+    """Grid indices (k_lo, k_hi) of the levels at or below and at or above
+    each phi > 0; they are equal where phi lies on a level."""
+    k = np.floor(_LEVELS * np.log2(phi))
+    # log2 may round across a level; the level itself decides
+    k -= _level(k) > phi
+    k += _level(k + 1) <= phi
+    return k, k + (_level(k) < phi)
+
+
+def _contour_params(lo: np.ndarray, hi: np.ndarray, pole: np.ndarray, log_eps: float):
+    """(mu, h, N, left) of the region needing fewer nodes, for a pole between
+    the levels lo <= hi; ``left`` marks the contours passing left of the pole.
+    The region below the pole is laid out for a pole at lo and the region
+    beyond it for a pole at hi, and the latter is a candidate only while hi is
+    below the round-off bound."""
     mu, h, n = (np.where(pole, np.inf, v) for v in _branch_params(log_eps))
-    near = np.flatnonzero(pole & (phi < log_eps - _LOG_EPS))
+    near = np.flatnonzero(pole & (hi < log_eps - _LOG_EPS))
     if near.size:
-        mu[near], h[near], n[near] = _region_above(phi[near], True, log_eps)
-    left = np.zeros(phi.shape, dtype=bool)
+        mu[near], h[near], n[near] = _region_above(hi[near], True, log_eps)
+    left = np.zeros(lo.shape, dtype=bool)
     below = np.flatnonzero(pole)
     if below.size:
-        mu_b, h_b, n_b = _region_below(phi[below], log_eps)
+        mu_b, h_b, n_b = _region_below(lo[below], log_eps)
         fewer = n_b < n[below]
         take = below[fewer]
         left[take] = True
@@ -217,79 +246,125 @@ def _contour_params(phi: np.ndarray, pole: np.ndarray, log_eps: float):
 
 
 def _residue(z: np.ndarray, alpha: float, beta: float):
-    """(1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) on the principal branch.
-    Returns (values, overflowed); a value past double range is reported as a
-    clean complex infinity."""
-    w = np.exp(np.log(z) / alpha)
-    pre = np.exp(np.log(z) * ((1 - beta) / alpha)) if beta != 1.0 else 1.0
+    """(1/alpha) z^((1-beta)/alpha) exp(z^(1/alpha)) on the principal branch,
+    as (1/alpha) exp(w + (1-beta) log w) with w = z^(1/alpha).  Returns
+    (values, overflowed); a value past double range is reported as a clean
+    complex infinity, and one below it is zero."""
     with np.errstate(over="ignore", invalid="ignore"):
-        val = (1.0 / alpha) * pre * np.exp(np.where(w.real > _EXP_MAX, 0.0, w))
-    over = (w.real > _EXP_MAX) | ~np.isfinite(val)
+        log_w = np.log(z) / alpha
+        arg = np.exp(log_w) + (1 - beta) * log_w
+        over = arg.real > _EXP_MAX
+        val = (1.0 / alpha) * np.exp(np.where(over, 0.0, arg))
+    over |= ~np.isfinite(val)
     return np.where(over, complex(np.inf, 0.0), val), over
 
 
+def _contour_key(z: np.ndarray, alpha: float) -> np.ndarray:
+    """Each point's contour: k_lo + k_hi of the levels around its pole level
+    phi = (Re s* + |s*|) / 2, _NO_POLE without a pole, and _ZERO at z = 0."""
+    zero = z == 0
+    log_z = np.log(np.where(zero, 1.0, z))
+    # capping |s*| at exp(_LOG_STAR_MAX) keeps phi finite; so large a phi
+    # moves no contour, and the residue is computed from z itself
+    log_star = log_z / alpha
+    np.minimum(log_star.real, _LOG_STAR_MAX, out=log_star.real)
+    star = np.exp(log_star)
+    phi = 0.5 * (star.real + np.abs(star))
+    # a pole on the cut (phi = 0 up to rounding) is dropped, as Garrappa does
+    pole = (np.abs(log_z.imag) < math.pi * alpha) & (phi > 1e-15)
+    key = np.full(z.shape, _NO_POLE, dtype=np.int64)
+    key[pole] = sum(_grid_indices(phi[pole]))
+    key[zero] = _ZERO
+    return key
+
+
 def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """E_{alpha,beta}(z) for a batch by the trapezoid rule on each point's
-    optimal parabolic contour, plus the residue where the contour passes left
-    of the pole.
+    """E_{alpha,beta}(z) for a batch by the trapezoid rule on a parabolic
+    contour shared by many points, plus the residue where the contour passes
+    left of the pole.
+
+    Each pole level phi is rounded onto the geometric grid 2^(k/_LEVELS): the
+    region below the pole takes the level at or below phi, and the region
+    beyond it the level at or above, whichever needs fewer nodes.  Either way
+    the true pole lies at least as far from the contour as the level it was
+    laid out for.  In the node variable w = u + iv of s = mu (1 + iw)^2, the
+    pole lies on the line v = 1 - sqrt(phi / mu), and the rule's
+    discretization error decays with its distance |v| from the real axis.
+    The region beyond the pole has phi < mu, and there v falls as phi
+    grows; the region below has phi > mu, and there |v| grows with phi.
+    Rounding phi down below the pole, or up beyond it, therefore moves the
+    pole that the contour is laid out for towards the contour, and the true
+    pole lies at least as far off: the rule's error bound holds for it.  Its
+    other error terms, from the strip's other side and from truncating at N
+    nodes, depend on the contour alone.  Points with no pole share one
+    contour.
 
     The rule's tolerance is params.accuracy / 100 for beta = 1 and
     params.accuracy / 1e4 otherwise, which met the accuracy target on every
     point measured (for beta != 1, up to |z| = _DERIV_R_MAX), but no finer
-    than _FINEST.  A point whose contour needs more than _MAX_NODES nodes runs
-    at a tolerance ten times coarser, as often as needed.  Each point that ran
-    coarser than its tolerance, and each beta != 1 point beyond _DERIV_R_MAX,
-    raises one MLAccuracyWarning.  Points with the same N are summed together,
-    each over its own 2N + 1 nodes in a fixed order, so a value does not
-    depend on the rest of its batch."""
+    than _FINEST.  A contour needing more than _MAX_NODES nodes runs at a
+    tolerance ten times coarser, as often as needed.  Each point whose contour
+    ran coarser than its tolerance, and each beta != 1 point beyond
+    _DERIV_R_MAX, raises one MLAccuracyWarning.  The points of one contour are
+    summed in chunks of at most _CHUNK (point, node) entries, each over the
+    nodes in a fixed order, so a value does not depend on the rest of its
+    batch."""
     target = math.log(params.accuracy / (100 if beta == 1.0 else 1e4))
-    log_z = np.log(z)
-    star = np.exp(log_z / alpha)
-    phi = 0.5 * (star.real + np.abs(star))
-    # a pole on the cut (phi = 0 up to rounding) is dropped, as Garrappa does
-    pole = (np.abs(log_z.imag) < math.pi * alpha) & (phi > 1e-15)
-    phi = np.where(pole, phi, 0.0)
+    key = np.empty(z.shape, dtype=np.int64)
+    for c in range(0, z.size, _BATCH):
+        key[c:c + _BATCH] = _contour_key(z[c:c + _BATCH], alpha)
+    keys, counts = np.unique(key, return_counts=True)
+    has_pole = keys > _ZERO
+    k = np.where(has_pole, keys, 0)
+    lo, hi = _level(k // 2), _level(k - k // 2)
     log_eps = max(target, math.log(_FINEST))
-    mu, h, n, left = _contour_params(phi, pole, log_eps)
+    mu, h, n, left = _contour_params(lo, hi, has_pole, log_eps)
     over = np.flatnonzero(n > _MAX_NODES)
-    uncertified = (n > _MAX_NODES) | (log_eps > target)
-    if beta != 1.0:
-        uncertified |= np.abs(z) > _DERIV_R_MAX
+    uncertified = ((n > _MAX_NODES) | (log_eps > target)) & (keys != _ZERO)
     while over.size:
         log_eps += math.log(10.0)
-        mu[over], h[over], n[over], left[over] = _contour_params(phi[over], pole[over], log_eps)
+        mu[over], h[over], n[over], left[over] = _contour_params(
+            lo[over], hi[over], has_pole[over], log_eps)
         over = over[n[over] > _MAX_NODES]
-    for _ in range(np.count_nonzero(uncertified)):
+    count = counts[uncertified].sum()
+    if beta != 1.0:
+        count += np.count_nonzero(~np.isin(key[np.abs(z) > _DERIV_R_MAX], keys[uncertified]))
+    for _ in range(count):
         warnings.warn("contour rule could not certify the accuracy target; "
                       "best value returned", MLAccuracyWarning)
     # s = mu t^2 with t = 1 + iu, so ds/du = 2i mu t and the rule's factor
     # h / (2 pi i) ds/du is h mu t / pi.  Node -k is the conjugate of node k,
-    # so the z-free factors are computed for k >= 0 only.  With s^a =
-    # mu^a t^(2a) and exp(s) s^(a-b) = exp(mu t^2 + (a-b) log mu) t^(2(a-b)),
-    # the powers of t are computed once per step h and each node of each
-    # point costs one complex exp.
+    # so a contour's weights h mu t exp(s) s^(a-b) / pi and its s^a are
+    # computed for k >= 0 only, and each node of each point costs one
+    # subtraction and one division.
     out = np.empty_like(z)
-    for m in set(n.tolist()):
-        g = np.flatnonzero(n == m)
-        steps, row = np.unique(h[g], return_inverse=True)
-        t = 1.0 + 1j * (steps[:, None] * np.arange(int(m) + 1))
-        t2 = t * t
-        log_t2 = np.log(t2)
-        t_num = (np.exp((alpha - beta) * log_t2) * t)[row]
-        t_a = np.exp(alpha * log_t2)[row]
-        t2 = t2[row]
-        mu_g = mu[g, None]
-        num = np.exp(mu_g * t2 + (alpha - beta) * np.log(mu_g)) * t_num
-        s_a = mu_g ** alpha * t_a
-        zg = z[g, None]
-        up = num / (s_a - zg)
-        down = num[:, 1:].conj() / (s_a[:, 1:].conj() - zg)
-        # cumsum adds each row's nodes in order, whatever the group's size;
-        # adding the two halves last keeps E(conj z) = conj E(z) exact
-        total = up[:, 0] + (np.cumsum(up[:, 1:], axis=1)[:, -1]
-                            + np.cumsum(down, axis=1)[:, -1])
-        out[g] = (h[g] * mu[g] / math.pi) * total
-    if left.any():
-        res, inf = _residue(z[left], alpha, beta)
-        out[left] = np.where(inf, res, out[left] + res)
+    on_left = np.zeros(z.shape, dtype=bool)
+    for i, kv in enumerate(keys.tolist()):
+        g = np.flatnonzero(key == kv)
+        on_left[g] = left[i]
+        if kv == _ZERO:
+            out[g] = 1.0 / math.gamma(beta)
+            continue
+        m = int(n[i])
+        t = 1.0 + 1j * (h[i] * np.arange(m + 1))
+        s = mu[i] * (t * t)
+        log_s = np.log(s)
+        w = (h[i] * mu[i] / math.pi) * t * np.exp(s) * np.exp((alpha - beta) * log_s)
+        s_a = np.exp(alpha * log_s)
+        w_c, s_ac = w[1:].conj(), s_a[1:].conj()
+        rows = max(1, _CHUNK // (m + 1))
+        for c in range(0, g.size, rows):
+            j = g[c:c + rows]
+            zj = z[j, None]
+            up = w / (s_a - zj)
+            down = w_c / (s_ac - zj)
+            # cumsum adds each row's nodes in order, whatever the chunk's
+            # size; adding the two halves last keeps E(conj z) = conj E(z)
+            out[j] = up[:, 0] + (np.cumsum(up[:, 1:], axis=1)[:, -1]
+                                 + np.cumsum(down, axis=1)[:, -1])
+    lefts = np.flatnonzero(on_left)
+    for c in range(0, lefts.size, _BATCH):
+        j = lefts[c:c + _BATCH]
+        res, inf = _residue(z[j], alpha, beta)
+        out[j] = np.where(inf, res, out[j] + res)
     return out

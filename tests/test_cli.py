@@ -13,7 +13,7 @@ from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_
 from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
 from enclosure2d.indicator import j_oracle
 from enclosure2d.mesh import build_disk_mesh
-from enclosure2d.mittag import MLParams, ml_eval
+from enclosure2d.mittag import MLParams, growth_sector, ml_eval
 from enclosure2d.probes import ProbeSpec, rot90
 from indicator_csv import read_indicator_csv
 
@@ -272,9 +272,9 @@ def test_mleval_exponential_column(tmp_path):
 
 
 def test_mleval_rows_equal_per_point_values(tmp_path):
-    # each grid row is one batch; its text must be that of per-point ml_eval
-    # on every path: the origin, the contour rule below and past |z| = 30 at
-    # the corners, and the overflow at z = 31
+    # the whole grid is one batch; its text must be that of per-point ml_eval
+    # and growth_sector on every path: the origin, the contour rule below and
+    # past |z| = 30 at the corners, and the overflow at z = 31
     out = tmp_path / "ml.csv"
     assert main(["mleval", "--alpha", "0.5", "--grid", "-31 31 -31 31 13",
                  "--out", str(out)]) == 0
@@ -283,9 +283,20 @@ def test_mleval_rows_equal_per_point_values(tmp_path):
             if not ln.startswith(("#", "alpha"))]
     assert len(rows) == 169
     for r in rows:
-        v = ml_eval(p, complex(float(r[1]), float(r[2])))
+        z = complex(float(r[1]), float(r[2]))
+        v = ml_eval(p, z)
         assert r[3:5] == [f"{v.real:.17g}", f"{v.imag:.17g}"]
+        assert r[5] == (growth_sector(0.5, z) if z != 0 else "origin")
     assert ["inf", "0"] in [r[3:5] for r in rows]
+
+
+def test_mleval_huge_grid_is_warning_free(tmp_path):
+    # tier-1 turns RuntimeWarning into an error; E_1/2 overflows at +1e300
+    out = tmp_path / "ml.csv"
+    assert main(["mleval", "--alpha", "0.5", "--grid", "-1e300 1e300 -1 1 3",
+                 "--out", str(out)]) == 0
+    assert [f"{1e300:.17g}", "0", "inf", "0", "exponential_growth"] in [
+        ln.split(",")[1:] for ln in out.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
+import enclosure2d.mittag as mittag
 from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
                                 ml_deriv, ml_deriv_many, ml_eval, ml_eval_many)
 from ml_oracle import (band08_points, erfc_oracle, erfc_points, far_points, load,
@@ -253,7 +254,6 @@ def test_alpha_08_band_matches_series():
 def test_one_warning_per_uncertified_point(monkeypatch):
     # below the smallest node count every contour point hits the cap and runs
     # at a coarser tolerance, so each is uncertified; zero is not
-    import enclosure2d.mittag as mittag
     monkeypatch.setattr(mittag, "_MAX_NODES", 10)
     p = MLParams(alpha=0.5)
     zs = _mixed_batch(0.5)
@@ -330,3 +330,108 @@ def test_deriv_uncertified_beyond_deriv_radius():
         assert sum(issubclass(w.category, MLAccuracyWarning) for w in caught) == expected
     o = erfc_oracle(near) / 0.5
     assert abs(ml_deriv(p, near) - o) <= 1e-10 * abs(o)
+
+
+def test_grid_levels_bracket_the_pole_level():
+    # the region below the pole is laid out for the level at or below phi and
+    # the region beyond it for the level at or above; on a level, and one ulp
+    # either side of it
+    k = np.arange(-60, 61)
+    level = mittag._level(k)
+    phi = np.concatenate([level, np.nextafter(level, 0), np.nextafter(level, np.inf)])
+    lo, hi = mittag._grid_indices(phi)
+    assert np.all(mittag._level(lo) <= phi) and np.all(phi <= mittag._level(hi))
+    np.testing.assert_array_equal(hi - lo, (mittag._level(lo) != phi).astype(float))
+    np.testing.assert_array_equal(lo[:k.size], k)
+    # so the contour lies at least as far from the pole as the one laid out
+    # for that level: below the pole for lo, beyond it for hi
+    lo, hi = mittag._level(lo), mittag._level(hi)
+    log_eps = math.log(1e-12)
+    mu, _, _, left = mittag._contour_params(lo, hi, np.ones(phi.size, dtype=bool), log_eps)
+    assert 0 < left.sum() < left.size
+    np.testing.assert_array_equal(mu[left], mittag._region_below(lo[left], log_eps)[0])
+    np.testing.assert_array_equal(mu[~left], mittag._region_above(hi[~left], True, log_eps)[0])
+
+
+def _level_points(alpha):
+    """Points whose pole level phi lies on a contour level, and just below
+    and just above one, found among ulp steps of z; and points on and near
+    the sector edge |arg z| = pi*alpha."""
+    steps = 1.0 + 2.0 ** -52 * np.arange(-16, 17)
+    pts = []
+    for k in range(-7, 22, 4):
+        found = set()
+        for u in (0.8, 2.0):
+            z0 = np.exp(alpha * np.log(mittag._level(k) * (1 + 1j * u) ** 2))
+            cand = (z0.real * steps[:, None] + 1j * z0.imag * steps).ravel()
+            key = mittag._contour_key(cand, alpha)
+            for c in (2 * k - 1, 2 * k, 2 * k + 1):     # below, on, above the level
+                hit = np.flatnonzero(key == c)
+                if hit.size:
+                    found.add(c)
+                    pts.append(cand[hit[0]])
+        assert found == {2 * k - 1, 2 * k, 2 * k + 1}
+    for r in (2.5, 4.0):
+        for d in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3):
+            pts += [r * np.exp(1j * (math.pi * alpha + d)), r * np.exp(-1j * (math.pi * alpha + d))]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_shared_contours_match_per_point_values(alpha):
+    # beta = 1 and beta = alpha; at alpha = 1/2 against E = wofz(-iz) and
+    # E' = 2zE + 2/sqrt(pi)
+    zs = _level_points(alpha)
+    p = MLParams(alpha=alpha)
+    for many, one in ((ml_eval_many, ml_eval), (ml_deriv_many, ml_deriv)):
+        np.testing.assert_array_equal(many(p, zs), [one(p, z) for z in zs])
+    if alpha == 0.5:
+        e = wofz(-1j * zs)
+        assert np.all(np.abs(ml_eval_many(p, zs) - e) <= 1e-10 * np.abs(e))
+        d = 2 * zs * e + 2 / math.sqrt(math.pi)
+        assert np.all(np.abs(ml_deriv_many(p, zs) - d) <= 1e-10 * np.abs(d))
+
+
+def _cone_ladder():
+    """A tau ladder shaped like the cone benchmark's: 16 taus from 0.35 to
+    2.4 times the probe argument at 594 boundary points, for the vertex
+    (3, 0) probing at 70 degrees with t = -0.7."""
+    ang = 2 * math.pi * np.arange(594) / 594
+    th = np.array([math.cos(math.radians(70)), math.sin(math.radians(70))])
+    d = np.stack([np.cos(ang), np.sin(ang)], axis=1) - [3.0, 0.0]
+    w = (d @ th + 0.7) + 1j * (d @ [-th[1], th[0]])
+    return np.multiply.outer(np.geomspace(0.35, 2.4, 16), w).ravel()
+
+
+@pytest.mark.parametrize("alpha, ladder, batch, chunk", [
+    (0.5, False, 1, 1), (0.8, False, 4, 7), (0.5, True, 1000, 1)])
+def test_values_do_not_depend_on_slices_or_chunks(monkeypatch, alpha, ladder, batch, chunk):
+    zs = _cone_ladder() if ladder else _mixed_batch(alpha)
+    p = MLParams(alpha=alpha)
+    ref = [ml_eval_many(p, zs), ml_deriv_many(p, zs)]
+    monkeypatch.setattr(mittag, "_BATCH", batch)
+    monkeypatch.setattr(mittag, "_CHUNK", chunk)
+    np.testing.assert_array_equal(ml_eval_many(p, zs), ref[0])
+    np.testing.assert_array_equal(ml_deriv_many(p, zs), ref[1])
+
+
+@pytest.mark.parametrize("z", [1e300, -1e300, 1e300j, 1e-300j])
+def test_huge_and_tiny_arguments_evaluate_without_warnings(z):
+    # E_1/2 = wofz(-iz), which overflows at z = 1e300 just as E does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = ml_eval(MLParams(alpha=0.5), z)
+    ref = wofz(-1j * z)
+    if np.isfinite(ref):
+        assert abs(val - ref) <= 1e-10 * abs(ref)
+    else:
+        assert val == complex(np.inf, 0.0)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(1.0, np.nan)])
+def test_non_finite_argument_raises(z):
+    for alpha in (0.5, 1.0):
+        with pytest.raises(MLError):
+            ml_eval(MLParams(alpha=alpha), z)
+        with pytest.raises(MLError):
+            ml_deriv_many(MLParams(alpha=alpha), np.array([1.0, z]))

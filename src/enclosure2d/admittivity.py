@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import INCLUSION, Mesh, support_function_exact
+from .mesh import INCLUSION, Mesh
 
 
 class FieldError(ValueError):
@@ -159,13 +159,11 @@ class JumpReport:
     {x in D : h_D(theta) - delta < x.theta <= h_D(theta)}."""
 
     theta: tuple[float, float]
-    delta: float
     sign: str              # "positive" | "negative" | "indefinite"
     c_theta: float
     m: float
     big_m: float
     omega_max: float
-    n_elements: int
 
 
 def jump_analysis(field: AdmittivityField, theta, delta: float) -> JumpReport:
@@ -184,15 +182,14 @@ def jump_analysis(field: AdmittivityField, theta, delta: float) -> JumpReport:
     inc = mesh.labels == INCLUSION
     cents = mesh.centroids()
     if mesh.inclusion is not None:
-        h_d = support_function_exact(mesh.inclusion, t)
+        h_d = mesh.inclusion.support(t)
     else:
         if not inc.any():
             raise FieldError("field has no inclusion elements")
         h_d = float((cents[inc] @ t).max())
     depth = cents @ t
     slab = inc & (depth > h_d - delta) & (depth <= h_d + 1e-12)
-    n = int(slab.sum())
-    if n == 0:
+    if not slab.any():
         raise FieldError("contact slab contains no inclusion elements")
 
     lo_a, hi_a = sym_eig_bounds(field.a[slab])
@@ -205,6 +202,5 @@ def jump_analysis(field: AdmittivityField, theta, delta: float) -> JumpReport:
         omega_max = math.sqrt(max(m * c, 0.0)) / big_m if big_m > 0 else math.inf
     else:
         sign, c, omega_max = "indefinite", 0.0, 0.0
-    return JumpReport(theta=(t[0], t[1]), delta=float(delta), sign=sign,
-                      c_theta=max(c, 0.0), m=m, big_m=big_m,
-                      omega_max=omega_max, n_elements=n)
+    return JumpReport(theta=(t[0], t[1]), sign=sign, c_theta=max(c, 0.0), m=m,
+                      big_m=big_m, omega_max=omega_max)

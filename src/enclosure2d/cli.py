@@ -83,23 +83,29 @@ class ExperimentConfig:
             return np.geomspace(self.tau_min, self.tau_max, self.tau_points)
         return default_tau_ladder(self.mesh_h, self.tau_points, self.tau_min)
 
-    def directions(self) -> np.ndarray:
-        ang = 2 * math.pi * np.arange(self.n_directions) / self.n_directions
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-    def ml_probe_geometry(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(vertex, direction) pairs: vertices on the ring, each probing at the
-        configured offset angle from the outward radial (alternating side)."""
-        pairs = []
+    def probes(self, radius: float) -> list[ProbeSpec]:
+        """The configured family's probes at depth t over the tau ladder, with
+        theta_perp the left normal of theta: exponential probes in equally
+        spaced directions, or cone probes with vertices on the ring, each
+        probing at the configured offset angle from the outward radial
+        (alternating side), whose cones must avoid the domain disk of the
+        given radius."""
+        taus = self.tau_ladder()
+        if self.probe_family == "cgo":
+            ang = 2 * math.pi * np.arange(self.n_directions) / self.n_directions
+            return [ProbeSpec(kind="cgo", theta=(c, s), theta_perp=(-s, c), t=self.t_value,
+                              tau=taus) for c, s in zip(np.cos(ang), np.sin(ang))]
         off = math.radians(self.direction_offset_deg)
+        probes = []
         for k in range(self.vertex_count):
             phi = 2 * math.pi * k / self.vertex_count
-            y = self.vertex_ring_radius * np.array([math.cos(phi), math.sin(phi)])
-            sgn = 1.0 if k % 2 == 0 else -1.0
-            ang = phi + sgn * off
-            th = np.array([math.cos(ang), math.sin(ang)])
-            pairs.append((y, th))
-        return pairs
+            ang = phi + (off if k % 2 == 0 else -off)
+            c, s = math.cos(ang), math.sin(ang)
+            y = (self.vertex_ring_radius * math.cos(phi), self.vertex_ring_radius * math.sin(phi))
+            probes.append(ProbeSpec(kind="mittag_leffler", theta=(c, s), theta_perp=(-s, c),
+                                    t=self.t_value, tau=taus, y=y, alpha=self.ml_alpha,
+                                    domain_radius=radius))
+        return probes
 
     def provenance(self) -> dict:
         return {"config": self.config_hash, "mesh_h": f"{self.mesh_h:.17g}",
@@ -348,32 +354,18 @@ def _load_pair(cfg: ExperimentConfig) -> tuple[DtNMatrix, DtNMatrix]:
 
 def cmd_indicate(cfg: ExperimentConfig) -> int:
     pair = _load_pair(cfg)
-    taus = cfg.tau_ladder()
     mesh = _build_mesh(cfg) if cfg.validation_mode else None
-    if cfg.probe_family == "cgo":
-        probes = [ProbeSpec(kind="cgo", theta=(th[0], th[1]), theta_perp=tuple(rot90(th)),
-                            t=cfg.t_value, tau=0.0) for th in cfg.directions()]
-    else:
-        probes = [ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]),
-                            theta_perp=tuple(rot90(th)), t=cfg.t_value, tau=0.0,
-                            y=(y[0], y[1]), alpha=cfg.ml_alpha)
-                  for y, th in cfg.ml_probe_geometry()]
     rows = []
-    for probe in probes:
-        if probe.kind == "cgo":
-            vals = indicator_cgo(pair, probe.theta, probe.theta_perp, cfg.t_value, taus)
-        else:
-            vals = indicator_ml(pair, probe.alpha, probe.y, probe.theta, cfg.t_value, taus)
-        for tau, val in zip(taus, vals.tolist()):
-            spec = probe.with_t_tau(cfg.t_value, float(tau))
-            row = {"family": spec.kind, "alpha": spec.alpha, "theta_x": spec.theta[0],
-                   "theta_y": spec.theta[1], "t": spec.t, "tau": spec.tau, "I": val,
-                   "logabsI": math.log(abs(val)) if val != 0 and math.isfinite(val) else None}
-            if spec.y is not None:
-                row["y_x"], row["y_y"] = spec.y
-            if mesh is not None:
-                row["J"] = j_oracle(mesh, spec, spec.tau, spec.t)
-            rows.append(row)
+    for probe in cfg.probes(pair[0].basis.radius):
+        vals = indicator_cgo(pair, probe) if probe.kind == "cgo" else indicator_ml(pair, probe)
+        js = j_oracle(mesh, probe).tolist() if mesh is not None else [None] * len(vals)
+        y_x, y_y = probe.y or (None, None)
+        for tau, val, j in zip(probe.tau.tolist(), vals.tolist(), js):
+            rows.append({"family": probe.kind, "alpha": probe.alpha, "theta_x": probe.theta[0],
+                         "theta_y": probe.theta[1], "y_x": y_x, "y_y": y_y, "t": probe.t,
+                         "tau": tau, "I": val, "J": j,
+                         "logabsI": math.log(abs(val)) if val != 0 and math.isfinite(val)
+                         else None})
     out = _out(cfg) / "indicators.csv"
     write_indicator_csv(out, rows, provenance=cfg.provenance())
     print(f"indicators: {len(rows)} rows -> {out}")
@@ -382,10 +374,10 @@ def cmd_indicate(cfg: ExperimentConfig) -> int:
 
 def cmd_reconstruct(cfg: ExperimentConfig) -> int:
     pair = _load_pair(cfg)
-    taus = cfg.tau_ladder()
+    probes = cfg.probes(pair[0].basis.radius)
     out = _out(cfg)
     if cfg.probe_family == "cgo":
-        est = fit_support_directions(pair, cfg.directions(), cfg.t_value, taus)
+        est = fit_support_directions(pair, probes)
         region = convex_hull_estimate(est, cfg.domain_radius)
         with open(out / "hull.csv", "w") as f:
             for key, val in cfg.provenance().items():
@@ -399,10 +391,11 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
             print(f"validation: hull contains true inclusion: {sound}")
     else:
         ests = []
-        for y, th in cfg.ml_probe_geometry():
-            est = transition_search_ml(pair, cfg.ml_alpha, y, th, cfg.t_search, taus)
+        for probe in probes:
+            est = transition_search_ml(pair, probe, cfg.t_search)
             ests.append(est)
             tag = f"{est.h_est:.4f}" if est.h_est is not None else "none"
+            y = probe.y
             print(f"vertex ({y[0]:+.3f},{y[1]:+.3f}) offset estimate: {tag} [{est.status}]")
         region = cone_carving([e for e in ests if e.status == "ok"], cfg.domain_radius)
         with open(out / "cones.csv", "w") as f:
@@ -542,10 +535,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     pair_neg = (assemble_dtn_matrix(mesh, f_neg, nodal),
                 assemble_dtn_matrix(mesh, AdmittivityField.from_scalars(mesh, 0.0, 0.0, 0.25),
                                     nodal))
-    taus = default_tau_ladder(mesh.h, 8)
     th = np.array([1.0, 0.0])
-    vals_pos = indicator_cgo(pair_pos, th, rot90(th), 0.5, taus).tolist()
-    vals_neg = indicator_cgo(pair_neg, th, rot90(th), 0.5, taus).tolist()
+    spec = ProbeSpec(kind="cgo", theta=(th[0], th[1]), theta_perp=tuple(rot90(th)), t=0.5,
+                     tau=default_tau_ladder(mesh.h, 8))
+    vals_pos = indicator_cgo(pair_pos, spec).tolist()
+    vals_neg = indicator_cgo(pair_neg, spec).tolist()
     report("positive-jump sign", all(v > -1e-12 for v in vals_pos),
            f"min {min(vals_pos):.2e}")
     report("negative-jump sign", all(v < 0 for v in vals_neg[len(vals_neg) // 2:]),

@@ -4,18 +4,22 @@ Everything here consumes only assembled boundary-operator matrices (plus probe
 parameters); mesh interiors and true inclusion shapes appear exclusively in
 the validation helpers, which keeps the reconstruction side honest.
 
+Every consumer takes a probe as one ``ProbeSpec`` whose ``tau`` is the whole
+ladder: the indicators and the energy oracle evaluate a ladder in one call,
+and the slope fit and the transition search read their taus from it.
+
 The depth-t exponential indicator obeys log|I(tau, t)| ~ 2 tau (h(theta) - t),
 so the support value in a direction is recovered as t plus the slope of a
 trailing-window linear fit.  The cone-probe indicator switches from decay to
 growth as the probing cone first reaches the inclusion; the critical offset is
-located by bisection on a decay/growth classification of the tau ladder.
+located by bisection in t on a decay/growth classification of the tau ladder.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 from .fem import BoundaryBasis, DtnPair, gap_matrix, quadratic_gap
 from .mesh import INCLUSION, Mesh, ShapeSpec
 from .probes import (ConeSpec, ProbeSpec, cgo_trace, cone_avoids_shape,
-                     cone_contains_many, probe_gradient, rot90, ml_probe_trace)
+                     cone_contains_many, probe_gradient, ml_probe_trace)
 
 _UNDERFLOW_FLOOR = 1e-280
 _DEAD_BAND = 1e-2
@@ -39,30 +43,12 @@ class IndicatorError(ValueError):
 
 
 @dataclass(frozen=True)
-class IndicatorSeries:
-    """Indicator samples I(tau, t) over an increasing tau grid, with the probe
-    metadata."""
-
-    spec: ProbeSpec
-    taus: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.taus) <= 0):
-            raise IndicatorError("tau grid must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise IndicatorError("indicator values must be finite")
-
-
-@dataclass(frozen=True)
 class SupportFit:
     """Per-direction support estimate from the log-slope of an indicator series."""
 
     theta: tuple[float, float]
     t: float
     h_est: float
-    slope: float
-    intercept: float
     rms_residual: float
     window: tuple[int, int]
     low_confidence: bool
@@ -119,16 +105,12 @@ def default_tau_ladder(mesh_h: float, n_points: int = 12, tau_min: float = 1.0,
 
 
 def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis,
-                  spec: ProbeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms Re <(L1 - L0) f, conj f> over the probe's tau ladder
-    (``spec.tau`` an array), with the expansion coefficients of the traces f,
-    one column per tau.  From the first trace that overflows on, the forms are
-    inf and have no column."""
-    pts = basis.points
-    if spec.kind == "cgo":
-        traces = cgo_trace(spec, pts)
-    else:
-        traces = ml_probe_trace(spec, pts)
+                  traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic forms Re <(L1 - L0) f, conj f> of the traces f of a probe
+    (one row per tau), with their expansion coefficients, one column per tau.
+    From the first trace that overflows on, the forms are inf and have no
+    column."""
+    traces = np.atleast_2d(traces)
     finite = np.isfinite(traces).all(axis=1)
     stop = len(finite) if finite.all() else int(finite.argmin())
     coef, res = basis.expand(traces[:stop].T)
@@ -140,64 +122,58 @@ def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis,
     return vals, coef
 
 
-def _ml_spec(basis: BoundaryBasis, alpha: float, y, th: np.ndarray, tp: np.ndarray,
-             t: float, taus: np.ndarray) -> ProbeSpec:
-    """Cone probe over a tau ladder; rejects probes whose base cone meets the domain."""
-    return ProbeSpec(kind="mittag_leffler", theta=(th[0], th[1]), theta_perp=(tp[0], tp[1]),
-                     t=t, tau=taus, y=tuple(y), alpha=alpha, domain_radius=basis.radius)
-
-
-def indicator_cgo(pair: DtnPair, theta, theta_perp, t: float, tau):
+def indicator_cgo(pair: DtnPair, spec: ProbeSpec):
     """Depth-shifted exponential-probe indicator from an operator pair: a
-    float for a scalar tau, one value per tau for an array of them."""
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    float for a scalar tau, one value per tau for a ladder."""
+    taus = np.atleast_1d(spec.tau)
     h = pair[0].mesh_h
     for x in taus[taus * h > 0.9]:
         warnings.warn(f"tau = {x:.3g} exceeds the mesh-resolution advisory "
                       f"({0.9 / h:.3g}) for h = {h}", stacklevel=2)
-    spec = ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(theta_perp),
-                     t=t, tau=taus)
-    vals = _ladder_forms(gap_matrix(pair), pair[0].basis, spec)[0]
-    return float(vals[0]) if np.ndim(tau) == 0 else vals
-
-
-def indicator_ml(pair: DtnPair, alpha: float, y, theta, t: float, tau, theta_perp=None):
-    """Cone-probe indicator: a float for a scalar tau, one value per tau for
-    an array of them, inf from the first overflowing trace on; rejects probes
-    whose base cone meets the domain."""
-    th = np.asarray(theta, dtype=float)
-    tp = rot90(th) if theta_perp is None else np.asarray(theta_perp, dtype=float)
     basis = pair[0].basis
-    spec = _ml_spec(basis, alpha, y, th, tp, t, np.atleast_1d(np.asarray(tau, dtype=float)))
-    vals = _ladder_forms(gap_matrix(pair), basis, spec)[0]
-    return float(vals[0]) if np.ndim(tau) == 0 else vals
+    vals = _ladder_forms(gap_matrix(pair), basis, cgo_trace(spec, basis.points))[0]
+    return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
 
 
-def j_oracle(mesh: Mesh, spec: ProbeSpec, tau: float, t: float) -> float:
+def indicator_ml(pair: DtnPair, spec: ProbeSpec):
+    """Cone-probe indicator: a float for a scalar tau, one value per tau for
+    a ladder, inf from the first overflowing trace on; rejects probes whose
+    base cone meets the operators' domain."""
+    basis = pair[0].basis
+    spec = replace(spec, domain_radius=basis.radius)     # checks the base cone
+    vals = _ladder_forms(gap_matrix(pair), basis, ml_probe_trace(spec, basis.points))[0]
+    return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
+
+
+def j_oracle(mesh: Mesh, spec: ProbeSpec):
     """Ground-truth probe energy: quadrature of |grad probe|^2 over the labeled
-    inclusion elements (validation mode only)."""
+    inclusion elements, a float for a scalar tau and one value per tau for a
+    ladder (validation mode only)."""
     inc = mesh.labels == INCLUSION
-    if not inc.any():
-        return 0.0
-    cents = mesh.centroids()[inc]
-    areas = mesh.triangle_areas()[inc]
-    g = probe_gradient(spec.with_t_tau(t, tau), cents)
-    return float(np.sum(areas * (np.abs(g) ** 2).sum(axis=1)))
+    g = probe_gradient(spec, mesh.centroids()[inc])
+    vals = np.sum(mesh.triangle_areas()[inc] * (np.abs(g) ** 2).sum(axis=-1), axis=-1)
+    return float(vals) if np.ndim(spec.tau) == 0 else vals
 
 
 # ---------------------------------------------------------------------------
 # Support recovery by log-slope fitting
 
 
-def support_slope_fit(series: IndicatorSeries) -> SupportFit:
+def support_slope_fit(spec: ProbeSpec, values: np.ndarray) -> SupportFit:
     """Least-squares slope of log|I| against 2 tau over the largest trailing
-    window with per-point residual below the acceptance threshold.
+    window with per-point residual below the acceptance threshold, for the
+    indicator values of a probe over its tau ladder.
 
-    Samples with |I| below the underflow floor are censored (not zeroed).
+    The ladder must increase strictly and the values must be finite.  Samples
+    with |I| below the underflow floor are censored (not zeroed).
     """
-    taus = series.taus
-    vals = np.abs(series.values)
-    usable = np.isfinite(vals) & (vals > _UNDERFLOW_FLOOR)
+    taus = np.asarray(spec.tau, dtype=float)
+    if np.any(np.diff(taus) <= 0):
+        raise IndicatorError("tau grid must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise IndicatorError("indicator values must be finite")
+    vals = np.abs(values)
+    usable = vals > _UNDERFLOW_FLOOR
     if usable.sum() < 5:
         raise IndicatorError("fewer than 5 usable samples above the underflow floor")
     x = 2.0 * taus[usable]
@@ -216,25 +192,15 @@ def support_slope_fit(series: IndicatorSeries) -> SupportFit:
             best = (slope, intercept, rms, (n - length, n))
     else:
         low_confidence = True
-    slope, intercept, rms, window = best
-    t = series.spec.t
-    return SupportFit(theta=series.spec.theta, t=t, h_est=t + float(slope),
-                      slope=float(slope), intercept=float(intercept),
+    slope, _, rms, window = best
+    return SupportFit(theta=spec.theta, t=spec.t, h_est=spec.t + float(slope),
                       rms_residual=rms, window=window, low_confidence=low_confidence)
 
 
-def fit_support_directions(pair: DtnPair, thetas: np.ndarray, t: float,
-                           taus: Sequence[float]) -> SupportEstimate:
-    """Slope fits over a direction set (theta_perp taken as the left normal)."""
-    taus = np.asarray(taus, dtype=float)
-    fits = []
-    for th in np.atleast_2d(thetas):
-        tp = rot90(th)
-        spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(tp),
-                         t=t, tau=float(taus[-1]))
-        vals = indicator_cgo(pair, th, tp, t, taus)
-        fits.append(support_slope_fit(IndicatorSeries(spec=spec, taus=taus, values=vals)))
-    return SupportEstimate(fits=tuple(fits))
+def fit_support_directions(pair: DtnPair, probes: Sequence[ProbeSpec]) -> SupportEstimate:
+    """Slope fits of exponential probes, one per probe, each over its ladder."""
+    return SupportEstimate(fits=tuple(support_slope_fit(spec, indicator_cgo(pair, spec))
+                                      for spec in probes))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +248,11 @@ def classify_series(taus: np.ndarray, values: np.ndarray,
     return "growth", True
 
 
-def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
+def transition_search_ml(pair: DtnPair, spec: ProbeSpec,
                          t_interval: tuple[float, float],
-                         taus: Sequence[float],
                          dt_tol: float = 0.02) -> TransitionEstimate:
-    """Bisect the decay/growth transition of the cone-probe indicator in t.
+    """Bisect the decay/growth transition of the cone-probe indicator in t,
+    each step over the probe's tau ladder (the probe's own t is not read).
 
     The search interval must lie in (-inf, 0); if both endpoints classify the
     same there is no transition to report.
@@ -294,18 +260,17 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
     t_lo, t_hi = float(t_interval[0]), float(t_interval[1])
     if not (t_lo < t_hi < 0):
         raise IndicatorError("search interval must satisfy t_lo < t_hi < 0")
-    taus = np.asarray(taus, dtype=float)
+    taus = np.asarray(spec.tau, dtype=float)
     basis = pair[0].basis
     gap = gap_matrix(pair)
     gap_scale = float(np.max(np.abs(gap))) * gap.shape[0] * 1e-16
-    th = np.asarray(theta, dtype=float)
-    tp = rot90(th)
     low_conf = 0
 
     def classify(t: float) -> str:
         nonlocal low_conf
         # samples from the first overflowing trace on stay infinite
-        vals, coef = _ladder_forms(gap, basis, _ml_spec(basis, alpha, y, th, tp, t, taus))
+        probe = replace(spec, t=t, domain_radius=basis.radius)   # checks the base cone
+        vals, coef = _ladder_forms(gap, basis, ml_probe_trace(probe, basis.points))
         floors = np.zeros(len(taus))
         floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * gap_scale
         label, tie = classify_series(taus, vals, floors)
@@ -316,7 +281,7 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
     lo_label = classify(t_lo)
     hi_label = classify(t_hi)
     if lo_label == hi_label:
-        return TransitionEstimate(y=tuple(y), theta=(th[0], th[1]), alpha=alpha,
+        return TransitionEstimate(y=spec.y, theta=spec.theta, alpha=spec.alpha,
                                   h_est=None, bracket=(t_lo, t_hi),
                                   status="no_transition", low_confidence_steps=low_conf)
     lo, hi = t_lo, t_hi
@@ -326,7 +291,7 @@ def transition_search_ml(pair: DtnPair, alpha: float, y, theta,
             lo = mid
         else:
             hi = mid
-    return TransitionEstimate(y=tuple(y), theta=(th[0], th[1]), alpha=alpha,
+    return TransitionEstimate(y=spec.y, theta=spec.theta, alpha=spec.alpha,
                               h_est=0.5 * (lo + hi), bracket=(lo, hi), status="ok",
                               low_confidence_steps=low_conf)
 

@@ -178,11 +178,6 @@ class ShapeSpec:
                          -st * d[:, 0] + ct * d[:, 1]], axis=1)
 
 
-def support_function_exact(shape: ShapeSpec, theta) -> float:
-    """Analytic support function of the shape in a unit direction."""
-    return shape.support(np.asarray(theta, dtype=float))
-
-
 def _polygon_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))

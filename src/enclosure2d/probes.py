@@ -9,6 +9,10 @@ Mittag-Leffler probes E_a(tau * ((x-y).theta - t + i (x-y).theta_perp)) grow
 inside the open cone of half-aperture pi*a/2 about theta with vertex y + t*theta
 and decay algebraically outside it; cone membership and shape-avoidance tests
 live here alongside the trace evaluators.
+
+A ``ProbeSpec`` is the whole description of a probe, its tau ladder included:
+traces and gradients take the ladder in one call, one row per tau, each equal
+to that tau's value alone.
 """
 
 from __future__ import annotations
@@ -63,14 +67,9 @@ class ConeSpec:
         return d @ t, d @ rot90(t)
 
 
-def cone_contains(cone: ConeSpec, x) -> bool:
-    """Closed membership: the angle from the axis is at most the half-aperture."""
-    xi, eta = cone.local_coords(np.asarray(x, dtype=float).reshape(1, 2))
-    ang = math.atan2(abs(float(eta[0])), float(xi[0]))
-    return ang <= cone.half_aperture + 1e-12
-
-
 def cone_contains_many(cone: ConeSpec, points: np.ndarray) -> np.ndarray:
+    """Closed membership per point: the angle from the axis is at most the
+    half-aperture."""
     xi, eta = cone.local_coords(points)
     return np.arctan2(np.abs(eta), xi) <= cone.half_aperture + 1e-12
 
@@ -125,9 +124,7 @@ def cone_avoids_shape(cone: ConeSpec, shape: ShapeSpec) -> bool:
             n = np.hypot(e_l[0], e_l[1])
             if _ray_hits_disk(v_l, e_l / n, np.zeros(2), 1.0):
                 return False
-        if cone_contains(cone, c):
-            return False
-        return True
+        return not cone_contains_many(cone, c[None])[0]
     # polygon: any vertex interior to the cone, or any edge crossed by a cone ray
     verts = shape.vertices
     xi, eta = cone.local_coords(verts)
@@ -206,8 +203,8 @@ class ProbeSpec:
 
     ``theta_perp`` must be a unit vector orthogonal to ``theta``; flipping its
     sign conjugates the probe values.  ``tau`` is one value or a ladder of
-    them (an array); a ladder's traces have one row per tau, each equal to
-    the trace at that tau alone (the gradients take one tau).  ML probes additionally carry the cone
+    them (an array); a ladder's traces and gradients have one row per tau,
+    each equal to that tau's alone.  ML probes additionally carry the cone
     vertex ``y`` outside the domain and the order ``alpha`` in (0, 1); the
     vertex cone of half-aperture pi*alpha/2 must avoid the domain disk, which
     is checked when ``domain_radius`` is supplied.
@@ -249,11 +246,6 @@ class ProbeSpec:
         return ConeSpec(vertex=self.y, axis=self.theta,
                         half_aperture=math.pi * self.alpha / 2)
 
-    def with_t_tau(self, t: float, tau: float) -> "ProbeSpec":
-        return ProbeSpec(kind=self.kind, theta=self.theta, theta_perp=self.theta_perp,
-                         t=t, tau=tau, y=self.y, alpha=self.alpha,
-                         domain_radius=self.domain_radius)
-
     def ml_argument(self, points: np.ndarray) -> np.ndarray:
         """w(x) = tau * ((x-y).theta - t + i (x-y).theta_perp)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
@@ -277,10 +269,11 @@ def cgo_trace(spec: ProbeSpec, points) -> np.ndarray:
 
 
 def cgo_gradient(spec: ProbeSpec, points) -> np.ndarray:
-    """Gradient tau*(theta + i theta_perp) times the trace value, per point."""
+    """Gradient tau*(theta + i theta_perp) times the trace value, per point:
+    (n_points, 2), or (n_tau, n_points, 2) for a ladder."""
     vals = cgo_trace(spec, points)
-    d = spec.tau * (np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
-    return vals[:, None] * d[None, :]
+    d = np.multiply.outer(spec.tau, np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
+    return vals[..., None] * d[..., None, :]
 
 
 def ml_probe_trace(spec: ProbeSpec, points) -> np.ndarray:
@@ -291,11 +284,12 @@ def ml_probe_trace(spec: ProbeSpec, points) -> np.ndarray:
 
 
 def ml_probe_gradient(spec: ProbeSpec, points) -> np.ndarray:
+    """Gradient tau*(theta + i theta_perp) E_alpha'(w(x)), shaped as ``cgo_gradient``'s."""
     if spec.kind != "mittag_leffler":
         raise ProbeError("ml_probe_gradient needs a mittag_leffler probe")
     dv = ml_deriv_many(MLParams(alpha=spec.alpha), spec.ml_argument(points))
-    d = spec.tau * (np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
-    return dv[:, None] * d[None, :]
+    d = np.multiply.outer(spec.tau, np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
+    return dv[..., None] * d[..., None, :]
 
 
 def probe_gradient(spec: ProbeSpec, points) -> np.ndarray:

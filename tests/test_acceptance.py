@@ -63,6 +63,11 @@ def cone_bench():
     return mesh, pair
 
 
+def _cgo(theta, perp_sign, t, tau):
+    return ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(perp_sign * rot90(theta)),
+                     t=t, tau=tau)
+
+
 def _cone_probe_geometry():
     """16 (vertex, direction) pairs on the radius-3 ring: vertices spread over
     the arc facing the probed region, each sweeping obliquely across it."""
@@ -192,9 +197,10 @@ def test_criterion_4_support_recovery(positive_jump_bench):
     ang = 2 * math.pi * np.arange(16) / 16
     thetas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     taus = np.geomspace(1.0, 0.3 / DEFAULT_H, 12)
+    probes = [_cgo(th, 1.0, 0.0, taus) for th in thetas]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = fit_support_directions(pair, thetas, 0.0, taus)
+        est = fit_support_directions(pair, probes)
     hs = np.array([f.h_est for f in est.fits])
     assert np.all(hs >= 0.45) and np.all(hs <= 0.55), hs
     region = convex_hull_estimate(est, 1.0)
@@ -221,7 +227,7 @@ def test_criterion_5_negative_jump_sign():
             warnings.simplefilter("ignore")
             for a in ang:
                 th = np.array([math.cos(a), math.sin(a)])
-                vals = [indicator_cgo(pair, th, rot90(th), 0.5, float(t)) for t in taus]
+                vals = [indicator_cgo(pair, _cgo(th, 1.0, 0.5, float(t))) for t in taus]
                 w = max(w, max(vals[len(vals) // 2:]))
         worst[omega] = w
         assert w < 0, f"omega={omega}: trailing indicator max {w:.3e} not negative"
@@ -280,8 +286,10 @@ def test_criterion_7_cone_transitions(cone_bench):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for y, th, h_true in _cone_probe_geometry():
-            est = transition_search_ml(pair, 0.5, y, th, (-6.0, -0.2), taus,
-                                       dt_tol=0.01)
+            probe = ProbeSpec(kind="mittag_leffler", theta=tuple(th),
+                              theta_perp=tuple(rot90(th)), t=-0.2, tau=taus, y=tuple(y),
+                              alpha=0.5)
+            est = transition_search_ml(pair, probe, (-6.0, -0.2), dt_tol=0.01)
             ests.append(est)
             assert est.status == "ok"
             err = abs(est.h_est - h_true)
@@ -315,7 +323,7 @@ def test_criterion_8_sandwich_band(cone_bench):
                 warnings.simplefilter("ignore")
                 tr = ml_probe_trace(spec, pts)
             ind = abs(float(np.real(np.dot(tr, gap @ np.conj(tr)))))
-            j = j_oracle(mesh, spec, float(tau), t)
+            j = j_oracle(mesh, spec)
             ratio = ind / j
             band_lo = min(band_lo, ratio)
             band_hi = max(band_hi, ratio)
@@ -336,8 +344,8 @@ def test_criterion_9_perp_flip_invariance(positive_jump_bench):
         for a in ang:
             th = np.array([math.cos(a), math.sin(a)])
             for tau in taus:
-                v1 = indicator_cgo(pair, th, rot90(th), 0.0, float(tau))
-                v2 = indicator_cgo(pair, th, -rot90(th), 0.0, float(tau))
+                v1 = indicator_cgo(pair, _cgo(th, 1.0, 0.0, float(tau)))
+                v2 = indicator_cgo(pair, _cgo(th, -1.0, 0.0, float(tau)))
                 worst = max(worst, abs(v1 - v2) / max(abs(v1), 1.0))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 9 PASS: worst flip deviation {worst:.2e}")

@@ -12,9 +12,9 @@ import enclosure2d
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
 from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
 from enclosure2d.indicator import j_oracle
-from enclosure2d.mesh import build_disk_mesh
+from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLParams, growth_sector, ml_eval
-from enclosure2d.probes import ProbeSpec, rot90
+from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
 from indicator_csv import read_indicator_csv
 
 BASE_CONFIG = """\
@@ -450,7 +450,7 @@ def test_indicate_validate_fills_j_with_the_oracle(tmp_path, template):
         spec = ProbeSpec(kind=r["family"], theta=tuple(th), theta_perp=tuple(rot90(th)),
                          t=r["t"], tau=r["tau"], alpha=r["alpha"],
                          y=None if r["y_x"] is None else (r["y_x"], r["y_y"]))
-        assert r["J"] == j_oracle(mesh, spec, r["tau"], r["t"]) > 0
+        assert r["J"] == j_oracle(mesh, spec) > 0
 
 
 def test_ml_reconstruct_pipeline(tmp_path, capsys):
@@ -515,12 +515,39 @@ def test_validate_command_passes(tmp_path, capsys):
     assert "FAIL" not in captured.out
 
 
-def test_ml_probe_geometry_respects_cone_condition(tmp_path):
-    cfg = ExperimentConfig()
-    from enclosure2d.probes import ConeSpec, cone_avoids_shape
-    from enclosure2d.mesh import ShapeSpec
-    omega_disk = ShapeSpec.disk((0.0, 0.0), cfg.domain_radius)
-    for y, th in cfg.ml_probe_geometry():
-        cone = ConeSpec(vertex=tuple(y), axis=tuple(th),
-                        half_aperture=math.pi * cfg.ml_alpha / 2)
-        assert cone_avoids_shape(cone, omega_disk)
+@pytest.mark.parametrize("family", ["cgo", "mittag_leffler"])
+def test_probes_reproduce_the_configured_geometry(family):
+    # equally spaced directions, or ring vertices each probing at the offset
+    # angle from the outward radial on alternating sides, bit for bit; every
+    # probe carries the whole tau ladder at the configured depth, and every
+    # cone avoids the domain
+    cfg = ExperimentConfig(probe_family=family, n_directions=6, vertex_count=5, t_value=-0.4)
+    if family == "cgo":
+        ang = 2 * math.pi * np.arange(6) / 6
+        expected = [(None, th) for th in np.stack([np.cos(ang), np.sin(ang)], axis=1)]
+    else:
+        expected = []
+        for k in range(5):
+            phi = 2 * math.pi * k / 5
+            ang = phi + (1.0 if k % 2 == 0 else -1.0) * math.radians(70.0)
+            expected.append((3.0 * np.array([math.cos(phi), math.sin(phi)]),
+                             np.array([math.cos(ang), math.sin(ang)])))
+    probes = cfg.probes(cfg.domain_radius)
+    assert len(probes) == len(expected)
+    domain = ShapeSpec.disk((0.0, 0.0), cfg.domain_radius)
+    for probe, (y, th) in zip(probes, expected):
+        assert probe.kind == family and probe.t == -0.4
+        assert probe.theta == tuple(th) and probe.theta_perp == tuple(rot90(th))
+        np.testing.assert_array_equal(probe.tau, cfg.tau_ladder())
+        if y is None:
+            assert probe.y is None
+        else:
+            assert probe.y == tuple(y) and probe.alpha == cfg.ml_alpha
+            assert cone_avoids_shape(probe.base_cone(), domain)
+
+
+def test_probes_reject_cones_that_meet_the_domain():
+    # at radius 2.8 the default ring's cones (3 sin 65 deg = 2.72 from the
+    # centre) reach into the domain
+    with pytest.raises(ProbeError, match="vertex cone"):
+        ExperimentConfig(probe_family="mittag_leffler").probes(2.8)

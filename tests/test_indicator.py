@@ -1,13 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from enclosure2d.admittivity import AdmittivityField
 from enclosure2d.fem import assemble_dtn_matrix, nodal_basis_for_mesh
-from enclosure2d.indicator import (IndicatorError, IndicatorSeries,
-                                   SupportEstimate, SupportFit, classify_series,
+from enclosure2d.indicator import (IndicatorError, SupportEstimate, SupportFit, classify_series,
                                    clip_polygon_halfplane, cone_carving,
                                    cones_avoid_shape, convex_hull_estimate,
                                    default_tau_ladder, fit_support_directions,
@@ -16,12 +16,26 @@ from enclosure2d.indicator import (IndicatorError, IndicatorSeries,
                                    transition_search_ml, write_indicator_csv,
                                    write_region_svg)
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
-from enclosure2d.probes import ProbeSpec, rot90
+from enclosure2d.probes import (ProbeError, ProbeSpec, cgo_gradient, ml_probe_gradient,
+                                rot90)
 from indicator_csv import read_indicator_csv
 
 
 def _background(mesh, omega=0.0):
     return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
+
+
+def _cgo(theta, t, tau, perp_sign=1.0):
+    th = np.asarray(theta, dtype=float)
+    return ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(perp_sign * rot90(th)),
+                     t=t, tau=tau)
+
+
+def _ml(y, theta, t, tau, alpha=0.5, perp_sign=1.0):
+    th = np.asarray(theta, dtype=float)
+    return ProbeSpec(kind="mittag_leffler", theta=tuple(th),
+                     theta_perp=tuple(perp_sign * rot90(th)), t=t, tau=tau, y=tuple(y),
+                     alpha=alpha)
 
 
 @pytest.fixture(scope="module")
@@ -45,26 +59,25 @@ def disk_pair():
 def test_indicator_zero_for_empty_inclusion(empty_pair):
     th = np.array([1.0, 0.0])
     for tau in (1.0, 4.0):
-        val = indicator_cgo(empty_pair, th, rot90(th), 0.3, tau)
+        val = indicator_cgo(empty_pair, _cgo(th, 0.3, tau))
         assert abs(val) < 1e-10
 
 
 def test_indicator_ml_zero_for_empty_inclusion(empty_pair):
-    val = indicator_ml(empty_pair, 0.5, (3.0, 0.0), (1.0, 0.0), -0.5, 1.5)
+    val = indicator_ml(empty_pair, _ml((3.0, 0.0), (1.0, 0.0), -0.5, 1.5))
     assert abs(val) < 1e-10
 
 
 def test_indicator_ml_rejects_bad_cone(empty_pair):
-    from enclosure2d.probes import ProbeError
     with pytest.raises(ProbeError):
-        indicator_ml(empty_pair, 0.5, (3.0, 0.0), (-1.0, 0.0), -0.5, 1.5)
+        indicator_ml(empty_pair, _ml((3.0, 0.0), (-1.0, 0.0), -0.5, 1.5))
 
 
 def test_indicator_ml_perp_flip_invariance(disk_pair):
     _, pair = disk_pair
     th = np.array([0.8, 0.6])
-    a = indicator_ml(pair, 0.5, (3.0, 1.0), th, -0.7, 2.0, theta_perp=rot90(th))
-    b = indicator_ml(pair, 0.5, (3.0, 1.0), th, -0.7, 2.0, theta_perp=-rot90(th))
+    a = indicator_ml(pair, _ml((3.0, 1.0), th, -0.7, 2.0))
+    b = indicator_ml(pair, _ml((3.0, 1.0), th, -0.7, 2.0, perp_sign=-1.0))
     assert a == pytest.approx(b, abs=1e-10 * max(abs(a), 1.0))
 
 
@@ -76,9 +89,9 @@ def test_indicator_ml_near_one_reduces_to_cgo(disk_pair):
     y = np.array([3.0, 0.0])
     th = np.array([1.0, 0.0])
     t, tau = -3.3, 2.0
-    ml = indicator_ml(pair, 1 - 1e-9, y, th, t, tau)
+    ml = indicator_ml(pair, _ml(y, th, t, tau, alpha=1 - 1e-9))
     scale = math.exp(2 * tau * (-(y @ th) - t))
-    cgo = indicator_cgo(pair, th, rot90(th), 0.0, tau)
+    cgo = indicator_cgo(pair, _cgo(th, 0.0, tau))
     assert ml == pytest.approx(scale * cgo, rel=1e-5)
 
 
@@ -86,7 +99,7 @@ def test_indicator_decays_beyond_support(disk_pair):
     _, pair = disk_pair
     th = np.array([1.0, 0.0])
     taus = default_tau_ladder(0.03, 10)
-    vals = np.array([abs(indicator_cgo(pair, th, rot90(th), 0.7, float(t))) for t in taus])
+    vals = np.array([abs(indicator_cgo(pair, _cgo(th, 0.7, float(t)))) for t in taus])
     tail = vals[taus >= 2.0]
     assert np.all(np.diff(tail) < 0)
     assert vals[-1] < 0.2 * vals[0]
@@ -97,7 +110,7 @@ def test_indicator_bounded_growth_at_support(disk_pair):
     _, pair = disk_pair
     th = np.array([1.0, 0.0])
     taus = default_tau_ladder(0.03, 10)
-    vals = np.array([indicator_cgo(pair, th, rot90(th), 0.5, float(t)) for t in taus])
+    vals = np.array([indicator_cgo(pair, _cgo(th, 0.5, float(t))) for t in taus])
     assert np.all(vals > 0)
     assert np.all(vals / taus ** 2 < 10 * (vals[0] / taus[0] ** 2))
 
@@ -109,15 +122,13 @@ def _synthetic_series(taus, slope_vs_2tau, intercept, noise=0.0, rng=None):
     logs = 2 * taus * slope_vs_2tau + intercept
     if noise:
         logs = logs + noise * rng.standard_normal(len(taus))
-    spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0),
-                     t=0.0, tau=float(taus[-1]))
-    return IndicatorSeries(spec=spec, taus=taus, values=np.exp(logs))
+    return _cgo((1.0, 0.0), 0.0, taus), np.exp(logs)
 
 
 def test_slope_fit_exact_linear_data():
     taus = np.linspace(1, 12, 10)
     series = _synthetic_series(taus, 0.5, 1.0)
-    fit = support_slope_fit(series)
+    fit = support_slope_fit(*series)
     assert fit.h_est == pytest.approx(0.5, abs=1e-12)
     assert not fit.low_confidence
 
@@ -126,16 +137,26 @@ def test_slope_fit_with_noise():
     rng = np.random.default_rng(4)
     taus = np.linspace(1, 12, 12)
     series = _synthetic_series(taus, 0.5, 1.0, noise=1e-3, rng=rng)
-    fit = support_slope_fit(series)
+    fit = support_slope_fit(*series)
     assert fit.h_est == pytest.approx(0.5, abs=1e-2)
 
 
 def test_slope_fit_needs_enough_samples():
-    taus = np.linspace(1, 5, 8)
-    spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.0, tau=5.0)
-    values = np.full(8, 1e-300)
+    spec = _cgo((1.0, 0.0), 0.0, np.linspace(1, 5, 8))
     with pytest.raises(IndicatorError):
-        support_slope_fit(IndicatorSeries(spec=spec, taus=taus, values=values))
+        support_slope_fit(spec, np.full(8, 1e-300))
+
+
+def test_slope_fit_rejects_unordered_ladder_and_nonfinite_values():
+    # a non-finite form (an overflowing exponential probe) is a numerical
+    # failure, not a censored sample
+    spec, values = _synthetic_series(np.linspace(1, 12, 10), 0.5, 1.0)
+    with pytest.raises(IndicatorError, match="strictly increasing"):
+        support_slope_fit(_cgo((1.0, 0.0), 0.0, spec.tau[::-1]), values)
+    for bad in (np.inf, np.nan):
+        values[-1] = bad
+        with pytest.raises(IndicatorError, match="finite"):
+            support_slope_fit(spec, values)
 
 
 def test_slope_fit_full_pipeline_two_layer(disk_pair):
@@ -143,7 +164,7 @@ def test_slope_fit_full_pipeline_two_layer(disk_pair):
     taus = default_tau_ladder(0.03, 12, resolution_factor=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = fit_support_directions(pair, np.array([[1.0, 0.0]]), 0.0, taus)
+        est = fit_support_directions(pair, [_cgo((1.0, 0.0), 0.0, taus)])
     assert 0.45 <= est.fits[0].h_est <= 0.55
 
 
@@ -177,8 +198,8 @@ def test_transition_search_no_transition_on_empty(empty_pair):
     taus = np.geomspace(0.5, 2.0, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = transition_search_ml(empty_pair, 0.5, (3.0, 0.0), (1.0, 0.0),
-                                   (-4.0, -0.3), taus)
+        est = transition_search_ml(empty_pair, _ml((3.0, 0.0), (1.0, 0.0), -0.3, taus),
+                                   (-4.0, -0.3))
     assert est.status == "no_transition"
     assert est.h_est is None
 
@@ -189,13 +210,13 @@ def test_tau_ladder_matches_scalar_calls(disk_pair):
     _, pair = disk_pair
     th = np.array([1.0, 0.0])
     taus = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 10.0, 12.0])
-    ladder = indicator_ml(pair, 0.5, (3.0, 0.0), th, -6.0, taus)
-    singles = np.array([indicator_ml(pair, 0.5, (3.0, 0.0), th, -6.0, float(t)) for t in taus])
+    ladder = indicator_ml(pair, _ml((3.0, 0.0), th, -6.0, taus))
+    singles = np.array([indicator_ml(pair, _ml((3.0, 0.0), th, -6.0, float(t))) for t in taus])
     assert np.isinf(ladder[-2:]).all() and np.isinf(singles[-2:]).all()
     np.testing.assert_allclose(ladder[:-2], singles[:-2], rtol=1e-12, atol=0)
     taus = np.geomspace(1.0, 10.0, 8)
-    ladder = indicator_cgo(pair, th, rot90(th), 0.3, taus)
-    singles = [indicator_cgo(pair, th, rot90(th), 0.3, float(t)) for t in taus]
+    ladder = indicator_cgo(pair, _cgo(th, 0.3, taus))
+    singles = [indicator_cgo(pair, _cgo(th, 0.3, float(t))) for t in taus]
     np.testing.assert_allclose(ladder, singles, rtol=1e-12, atol=0)
 
 
@@ -203,7 +224,6 @@ def test_cgo_ladder_keeps_per_tau_checks():
     # the advisory and the expansion residual warn once per offending tau, and
     # the overflow guard rejects the whole ladder
     from enclosure2d.fem import fourier_basis_for_mesh
-    from enclosure2d.probes import ProbeError
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
     basis = fourier_basis_for_mesh(mesh, 4)
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
@@ -213,13 +233,13 @@ def test_cgo_ladder_keeps_per_tau_checks():
     # tau = 0 is a constant trace, which 9 modes hold exactly
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        indicator_cgo(pair, th, rot90(th), 0.0, np.array([0.0, 4.0, 6.0, 10.0]))
+        indicator_cgo(pair, _cgo(th, 0.0, np.array([0.0, 4.0, 6.0, 10.0])))
     text = [str(w.message) for w in caught]
     assert sum("expansion residual" in m for m in text) == 3
     assert sum("mesh-resolution advisory" in m for m in text) == 1
     with pytest.raises(ProbeError), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        indicator_cgo(pair, th, rot90(th), 0.0, np.array([1.0, 800.0]))
+        indicator_cgo(pair, _cgo(th, 0.0, np.array([1.0, 800.0])))
 
 
 def test_transition_search_estimate_is_unchanged(disk_pair):
@@ -227,8 +247,8 @@ def test_transition_search_estimate_is_unchanged(disk_pair):
     # one call must land exactly on the estimate recorded with one call per tau
     _, pair = disk_pair
     ang = math.radians(70.0)
-    est = transition_search_ml(pair, 0.5, (3.0, 0.0), (math.cos(ang), math.sin(ang)),
-                               (-6.0, -0.2), np.geomspace(0.35, 2.4, 16))
+    probe = _ml((3.0, 0.0), (math.cos(ang), math.sin(ang)), -0.2, np.geomspace(0.35, 2.4, 16))
+    est = transition_search_ml(pair, probe, (-6.0, -0.2))
     assert est.status == "ok"
     assert est.h_est == -3.0830078125
     assert est.bracket == (-3.088671875, -3.07734375)
@@ -237,8 +257,16 @@ def test_transition_search_estimate_is_unchanged(disk_pair):
 
 def test_transition_search_interval_validation(empty_pair):
     with pytest.raises(IndicatorError):
-        transition_search_ml(empty_pair, 0.5, (3.0, 0.0), (1.0, 0.0), (-1.0, 0.5),
-                             np.geomspace(0.5, 2.0, 8))
+        transition_search_ml(empty_pair, _ml((3.0, 0.0), (1.0, 0.0), -0.5,
+                                            np.geomspace(0.5, 2.0, 8)), (-1.0, 0.5))
+
+
+def test_transition_search_checks_the_cone_against_the_operators(empty_pair):
+    # the probe's own radius is not trusted: a cone that meets the operators'
+    # domain is rejected even when the probe was built for a smaller one
+    probe = _ml((3.0, 0.0), (-1.0, 0.0), -0.5, np.geomspace(0.5, 2.0, 8))
+    with pytest.raises(ProbeError):
+        transition_search_ml(empty_pair, probe, (-4.0, -0.3))
 
 
 # -- ground-truth energy oracle -------------------------------------------------
@@ -247,10 +275,14 @@ def test_transition_search_interval_validation(empty_pair):
 def test_j_oracle_zero_cases():
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
     spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3, tau=0.0)
-    assert j_oracle(mesh, spec, 0.0, 0.3) == 0.0
+    assert j_oracle(mesh, spec) == 0.0
     empty = build_disk_mesh(1.0, 0.1, None)
     spec2 = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3, tau=2.0)
-    assert j_oracle(empty, spec2, 2.0, 0.3) == 0.0
+    assert j_oracle(empty, spec2) == 0.0
+    ladder = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3,
+                       tau=np.array([0.0, 2.0]))
+    assert j_oracle(empty, ladder).tolist() == [0.0, 0.0]
+    assert j_oracle(empty, _ml((3.0, 0.0), (1.0, 0.0), -0.5, ladder.tau)).tolist() == [0.0, 0.0]
 
 
 def test_j_oracle_matches_dense_quadrature():
@@ -259,7 +291,7 @@ def test_j_oracle_matches_dense_quadrature():
     mesh = build_disk_mesh(1.0, 0.025, ShapeSpec.disk((0.0, 0.0), 0.5))
     tau, t = 3.0, 0.6
     spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=t, tau=tau)
-    val = j_oracle(mesh, spec, tau, t)
+    val = j_oracle(mesh, spec)
     n = 1200
     xs = np.linspace(-0.5, 0.5, n, endpoint=False) + 0.5 / n
     gx, gy = np.meshgrid(xs, xs)
@@ -269,12 +301,33 @@ def test_j_oracle_matches_dense_quadrature():
     assert val == pytest.approx(ref, rel=2e-2)
 
 
+@pytest.mark.parametrize("family", ["cgo", "mittag_leffler"])
+def test_ladder_gradients_and_j_equal_single_tau(family):
+    # one call per ladder gives each tau's gradients and probe energy bit for
+    # bit, so indicate's J column is the single-tau oracle's
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.1, 0.0), 0.5))
+    taus = np.geomspace(0.35, 6.0, 7)
+    if family == "cgo":
+        probe, gradient = _cgo((0.6, 0.8), 0.2, taus), cgo_gradient
+    else:
+        probe = _ml((3.0, 0.0), (math.cos(1.2), math.sin(1.2)), -0.7, taus)
+        gradient = ml_probe_gradient
+    pts = mesh.centroids()
+    grads = gradient(probe, pts)
+    js = j_oracle(mesh, probe)
+    assert grads.shape == (len(taus), len(pts), 2) and js.shape == taus.shape
+    for k, tau in enumerate(taus.tolist()):
+        single = replace(probe, tau=tau)
+        np.testing.assert_array_equal(grads[k], gradient(single, pts))
+        assert js[k] == j_oracle(mesh, single)
+
+
 # -- region assembly -------------------------------------------------------------
 
 
 def _estimate_from_values(directions, h_values):
-    fits = tuple(SupportFit(theta=(d[0], d[1]), t=0.0, h_est=h, slope=h, intercept=0.0,
-                            rms_residual=0.0, window=(0, 5), low_confidence=False)
+    fits = tuple(SupportFit(theta=(d[0], d[1]), t=0.0, h_est=h, rms_residual=0.0,
+                            window=(0, 5), low_confidence=False)
                  for d, h in zip(directions, h_values))
     return SupportEstimate(fits=fits)
 
@@ -373,6 +426,6 @@ def test_overflowing_form_is_inf_not_nan(disk_pair):
     # at tau = 5.9 the cone probe's trace is finite but its quadratic form
     # passes double range; the form is inf, as from an overflowing trace on
     _, pair = disk_pair
-    assert indicator_ml(pair, 0.5, (3.0, 0.0), (1.0, 0.0), -6.0, 5.9) == np.inf
-    ladder = indicator_ml(pair, 0.5, (3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9]))
+    assert indicator_ml(pair, _ml((3.0, 0.0), (1.0, 0.0), -6.0, 5.9)) == np.inf
+    ladder = indicator_ml(pair, _ml((3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9])))
     assert np.isfinite(ladder[0]) and ladder[1] == np.inf

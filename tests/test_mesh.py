@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enclosure2d.mesh import (BACKGROUND, INCLUSION, MeshError, ShapeSpec,
-                              build_disk_mesh, support_function_exact, write_mesh)
+                              build_disk_mesh, write_mesh)
 
 
 def _labelled_area(mesh):
@@ -89,24 +89,24 @@ def test_refinement_keeps_conformity_and_labels_partition():
 def test_support_disk_any_direction():
     d = ShapeSpec.disk((0.0, 0.0), 0.5)
     for ang in np.linspace(0, 2 * math.pi, 7):
-        assert support_function_exact(d, (math.cos(ang), math.sin(ang))) == pytest.approx(0.5)
+        assert d.support((math.cos(ang), math.sin(ang))) == pytest.approx(0.5)
 
 
 def test_support_shifted_disk():
     d = ShapeSpec.disk((0.2, 0.0), 0.5)
-    assert support_function_exact(d, (1.0, 0.0)) == pytest.approx(0.7)
+    assert d.support((1.0, 0.0)) == pytest.approx(0.7)
 
 
 def test_support_square():
     sq = ShapeSpec.polygon([(-0.3, -0.3), (0.3, -0.3), (0.3, 0.3), (-0.3, 0.3)])
-    assert support_function_exact(sq, (1.0, 0.0)) == pytest.approx(0.3)
+    assert sq.support((1.0, 0.0)) == pytest.approx(0.3)
     s = 1 / math.sqrt(2)
-    assert support_function_exact(sq, (s, s)) == pytest.approx(0.6 / math.sqrt(2))
+    assert sq.support((s, s)) == pytest.approx(0.6 / math.sqrt(2))
 
 
 def test_support_requires_unit_direction():
     with pytest.raises(MeshError):
-        support_function_exact(ShapeSpec.disk((0, 0), 0.5), (1.0, 1.0))
+        ShapeSpec.disk((0, 0), 0.5).support((1.0, 1.0))
 
 
 def test_support_is_max_of_linear_functions():
@@ -116,7 +116,7 @@ def test_support_is_max_of_linear_functions():
     pts = shape.boundary_points(2048)
     for ang in angles:
         th = np.array([math.cos(ang), math.sin(ang)])
-        h_exact = support_function_exact(shape, th)
+        h_exact = shape.support(th)
         h_sampled = float((pts @ th).max())
         assert h_sampled <= h_exact + 1e-9
         assert h_exact - h_sampled < 5e-4
@@ -124,8 +124,8 @@ def test_support_is_max_of_linear_functions():
 
 def test_ellipse_support_matches_vertex_sampling():
     shape = ShapeSpec.ellipse((0.0, 0.0), (0.5, 0.2), 0.0)
-    assert support_function_exact(shape, (1.0, 0.0)) == pytest.approx(0.5)
-    assert support_function_exact(shape, (0.0, 1.0)) == pytest.approx(0.2)
+    assert shape.support((1.0, 0.0)) == pytest.approx(0.5)
+    assert shape.support((0.0, 1.0)) == pytest.approx(0.2)
 
 
 def test_polygon_validation():

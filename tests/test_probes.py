@@ -6,7 +6,7 @@ import pytest
 from enclosure2d.mesh import ShapeSpec
 from enclosure2d.mittag import MLParams
 from enclosure2d.probes import (ConeSpec, ProbeError, ProbeSpec, cgo_gradient,
-                                cgo_trace, cone_avoids_shape, cone_contains,
+                                cgo_trace, cone_avoids_shape, cone_contains_many,
                                 critical_cone_offset, ml_probe_gradient,
                                 ml_probe_trace, rot90)
 
@@ -167,10 +167,10 @@ def test_ml_probe_valid_cone_accepted():
 
 def test_cone_contains_axis_and_behind():
     cone = ConeSpec(vertex=(0.0, 0.0), axis=(1.0, 0.0), half_aperture=math.pi / 4)
-    assert cone_contains(cone, (2.0, 0.0))
-    assert not cone_contains(cone, (-1.0, 0.0))
-    assert cone_contains(cone, (1.0, 0.999))      # just inside the edge
-    assert not cone_contains(cone, (1.0, 1.01))
+    inside = cone_contains_many(cone, np.array([(2.0, 0.0), (-1.0, 0.0),
+                                                (1.0, 0.999),      # just inside the edge
+                                                (1.0, 1.01)]))
+    assert inside.tolist() == [True, False, True, False]
 
 
 def test_cone_avoids_tangent_disk():

@@ -2,8 +2,9 @@
 reconstruction, plus a self-check suite.
 
 Configuration is a flat sectioned key-value file (INI syntax, see
-``example_config``); every output file carries a provenance header with the
-config hash, mesh size, and solver tolerance.  Reconstruction commands consume
+``example_config``); every output file carries provenance lines with the
+config hash, mesh size, and solver tolerance: a header in the text files, and
+the ``provenance`` entry of the operator archives.  Reconstruction commands consume
 only the operator files and the probe configuration, never the mesh interior,
 unless validation mode is switched on.
 
@@ -322,8 +323,8 @@ def cmd_dtn(cfg: ExperimentConfig, basis_kind: str = "nodal",
         raise ConfigError(f"--modes: {exc}") from exc
     out = _out(cfg)
     prov = cfg.provenance()
-    for name, fld in (("dtn_perturbed.txt", field),
-                      ("dtn_background.txt", AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))):
+    for name, fld in (("dtn_perturbed.npz", field),
+                      ("dtn_background.npz", AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))):
         dtn = assemble_dtn_matrix(mesh, fld, basis)
         write_dtn(dtn, out / name, provenance=prov)
         print(f"{name}: {basis.kind} basis, size {basis.size}, "
@@ -333,15 +334,14 @@ def cmd_dtn(cfg: ExperimentConfig, basis_kind: str = "nodal",
 
 def _load_pair(cfg: ExperimentConfig) -> tuple[DtNMatrix, DtNMatrix]:
     out = _out(cfg)
-    paths = (out / "dtn_perturbed.txt", out / "dtn_background.txt")
+    paths = (out / "dtn_perturbed.npz", out / "dtn_background.npz")
+    pair = []
     for p in paths:
         if not p.exists():
             raise ConfigError(f"missing operator file {p}; run the dtn command first")
-    pair = []
-    for p in paths:
         try:
             pair.append(read_dtn(p))
-        except (SolverError, ValueError) as exc:
+        except SolverError as exc:
             raise ConfigError(f"cannot read operator file {p}: {exc}") from exc
     b1, b0 = pair
     try:

@@ -511,62 +511,81 @@ def prop21_check(field1: AdmittivityField, field2: AdmittivityField,
 # Operator-matrix exchange format
 
 
-def _format_row(values: np.ndarray) -> str:
-    """Space-separated '%.17g' fields (the same text as f"{v:.17g}"), one line."""
-    return " ".join(["%.17g"] * len(values)) % tuple(values.tolist()) + "\n"
+DTN_FORMAT = "enclosure2d dtn v2"
+
+# each archive entry's dtype kind, item size in bytes (0: any) and dimensions
+_DTN_ENTRIES = {"format": ("U", 0, 0), "kind": ("U", 0, 0), "provenance": ("U", 0, 1),
+                "n_param": ("i", 8, 0), "n_nodes": ("i", 8, 0), "omega": ("f", 8, 0),
+                "h": ("f", 8, 0), "radius": ("f", 8, 0), "thetas": ("f", 8, 1),
+                "matrix": ("c", 16, 2)}
 
 
 def write_dtn(dtn: DtNMatrix, path, provenance: Optional[dict] = None) -> None:
-    """Header (basis kind, size descriptor, omega, mesh h), node angles, then
-    row-major 're im' entries."""
-    with open(path, "w") as f:
-        f.write("# enclosure2d dtn v1\n")
-        for key, val in (provenance or {}).items():
-            f.write(f"# {key}: {val}\n")
-        n_param = dtn.basis.n_modes if dtn.basis.kind == "fourier" else dtn.basis.size
-        f.write(f"{dtn.basis.kind} {n_param} {dtn.omega:.17g} {dtn.mesh_h:.17g} "
-                f"{len(dtn.basis.thetas)} {dtn.basis.radius:.17g}\n")
-        f.write(_format_row(np.asarray(dtn.basis.thetas, dtype=float)))
-        # each complex row viewed as its interleaved (re, im) floats
-        for row in np.ascontiguousarray(dtn.matrix, dtype=complex).view(float):
-            f.write(_format_row(row))
+    """One uncompressed numpy .npz archive (see ``numpy.lib.format``): the
+    ``format`` tag DTN_FORMAT, the header (``kind``, ``n_param`` the mode
+    cutoff N or the nodal size, ``n_nodes``, ``omega``, ``h`` the mesh size,
+    ``radius``), ``provenance`` as 'key: value' lines, the float64 node angles
+    ``thetas`` and the complex128 ``matrix``.  The bytes depend only on these
+    values: zip entries carry a fixed timestamp."""
+    b = dtn.basis
+    lines = np.array([f"{key}: {val}" for key, val in (provenance or {}).items()], dtype=str)
+    # through a file object, which np.savez does not rename to end in .npz
+    with open(path, "wb") as f:
+        np.savez(f, format=DTN_FORMAT, kind=b.kind, provenance=lines,
+                 n_param=np.int64(b.n_modes if b.kind == "fourier" else b.size),
+                 n_nodes=np.int64(len(b.thetas)), omega=np.float64(dtn.omega),
+                 h=np.float64(dtn.mesh_h), radius=np.float64(b.radius), thetas=b.thetas,
+                 matrix=np.asarray(dtn.matrix, dtype=complex))
 
 
 def read_dtn(path) -> DtNMatrix:
-    """Inverse of ``write_dtn``; a malformed or truncated file raises SolverError
-    (or ValueError for a field that is not a number)."""
-    with open(path) as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    header = lines[0].split() if lines else []
-    if len(header) != 6 or len(lines) < 2:
-        raise SolverError("corrupt operator file: need a 6-field header and a node angle line")
-    kind, n_param, omega, h, n_thetas, radius = header
-    omega, h, radius = float(omega), float(h), float(radius)
-    thetas = np.array(lines[1].split(), dtype=float)
+    """Inverse of ``write_dtn``, loaded without unpickling.  A file that is not
+    such an archive, or whose entries are missing, mistyped, misshapen,
+    non-finite or inconsistent, raises SolverError("corrupt operator file: ...")."""
+    import tokenize
+    import zipfile
+
+    with open(path, "rb") as f:
+        if f.read(4) != b"PK\x03\x04":       # the zip signature that np.load dispatches on
+            raise SolverError("corrupt operator file: not an .npz archive (a file in the "
+                              "v1 text format needs a new dtn run)")
+        f.seek(0)
+        try:
+            with np.load(f, allow_pickle=False) as data:
+                z = {name: data[name] for name in _DTN_ENTRIES}
+        # np.load's errors on a damaged archive, a bad CRC-32 and an unparsable
+        # array header among them
+        except (OSError, EOFError, ValueError, KeyError, NotImplementedError,
+                zipfile.BadZipFile, tokenize.TokenError) as exc:
+            raise SolverError(f"corrupt operator file: {exc}") from exc
+    for name, (kind, size, ndim) in _DTN_ENTRIES.items():
+        a = z[name]
+        if a.dtype.kind != kind or (size and a.dtype.itemsize != size) or a.ndim != ndim:
+            raise SolverError(f"corrupt operator file: entry {name!r} is {a.ndim}-d {a.dtype}")
+    if z["format"] != DTN_FORMAT:
+        raise SolverError(f"corrupt operator file: format {z['format']}, expected {DTN_FORMAT}")
+    kind, n_param, thetas = str(z["kind"]), int(z["n_param"]), z["thetas"]
+    omega, h, radius = float(z["omega"]), float(z["h"]), float(z["radius"])
     if not (np.isfinite([omega, h, radius]).all() and np.isfinite(thetas).all()):
         raise SolverError("corrupt operator file: non-finite omega, h, radius or node angle")
-    if len(thetas) != int(n_thetas) or (kind == "nodal" and int(n_param) != len(thetas)):
+    if len(thetas) != z["n_nodes"] or (kind == "nodal" and n_param != len(thetas)):
         raise SolverError("corrupt operator file: node count mismatch")
     if not len(thetas):
         raise SolverError("corrupt operator file: no node angles")
-    if kind == "fourier" and int(n_param) > len(thetas) // 8:
+    if kind == "fourier" and n_param > len(thetas) // 8:
         # the limit fourier_basis_for_mesh enforces: above it the modes alias
         # on the nodes, and past nb / 2 the projector is rank-deficient
         raise SolverError(f"corrupt operator file: N = {n_param} exceeds the aliasing "
                           f"limit {len(thetas) // 8} for {len(thetas)} node angles")
-    basis = BoundaryBasis(kind=kind, thetas=thetas,
-                          n_modes=int(n_param) if kind == "fourier" else 0,
-                          radius=radius)
-    if len(lines) - 2 != basis.size:
-        raise SolverError(f"corrupt operator file: {len(lines) - 2} matrix rows, "
-                          f"expected {basis.size}")
-    entries = np.empty((basis.size, 2 * basis.size))
-    for i, ln in enumerate(lines[2:]):
-        vals = np.array(ln.split(), dtype=float)
-        if len(vals) != 2 * basis.size:
-            raise SolverError(f"corrupt operator file: a matrix row holds {len(vals)} "
-                              f"numbers, expected {2 * basis.size}")
-        entries[i] = vals
-    if not np.isfinite(entries).all():
+    try:
+        basis = BoundaryBasis(kind=kind, thetas=thetas,
+                              n_modes=n_param if kind == "fourier" else 0, radius=radius)
+    except ValueError as exc:
+        raise SolverError(f"corrupt operator file: {exc}") from exc
+    matrix = z["matrix"]
+    if matrix.shape != (basis.size, basis.size):
+        raise SolverError(f"corrupt operator file: a {matrix.shape} matrix, expected "
+                          f"{basis.size} x {basis.size}")
+    if not np.isfinite(matrix).all():
         raise SolverError("corrupt operator file: non-finite operator entry")
-    return DtNMatrix(basis=basis, omega=omega, matrix=entries.view(complex), mesh_h=h)
+    return DtNMatrix(basis=basis, omega=omega, matrix=matrix, mesh_h=h)

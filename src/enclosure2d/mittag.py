@@ -106,16 +106,12 @@ def ml_eval(params: MLParams, z: complex) -> complex:
     return complex(ml_eval_many(params, np.array([z]))[0])
 
 
-def ml_deriv(params: MLParams, z: complex) -> complex:
-    """E_alpha'(z) = E_{alpha,alpha}(z) / alpha."""
-    return complex(ml_deriv_many(params, np.array([z]))[0])
-
-
 def ml_eval_many(params: MLParams, z) -> np.ndarray:
     return _eval_batch(params, np.asarray(z, dtype=complex), params.alpha, 1.0)
 
 
 def ml_deriv_many(params: MLParams, z) -> np.ndarray:
+    """E_alpha'(z) = E_{alpha,alpha}(z) / alpha at each point of an array."""
     a = params.alpha
     out = _eval_batch(params, np.asarray(z, dtype=complex), a, a)
     # each part on its own: a complex division would turn an overflowed

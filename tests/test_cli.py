@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from enclosure2d.indicator import j_oracle
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLParams, growth_sector, ml_eval
 from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
+from dtn_archive import CORRUPTIONS, entries, rewrite
 from indicator_csv import read_indicator_csv
 
 BASE_CONFIG = """\
@@ -122,8 +124,8 @@ def test_dtn_indicate_reconstruct_pipeline(tmp_path, capsys):
         assert main(["dtn", "--config", cfg]) == 0
         assert main(["indicate", "--config", cfg]) == 0
         assert main(["reconstruct", "--config", cfg]) == 0
-    pert = read_dtn(out / "dtn_perturbed.txt")
-    back = read_dtn(out / "dtn_background.txt")
+    pert = read_dtn(out / "dtn_perturbed.npz")
+    back = read_dtn(out / "dtn_background.npz")
     assert pert.basis.kind == "nodal"
     assert pert.matrix.shape == back.matrix.shape
     rows = read_indicator_csv(out / "indicators.csv")
@@ -158,6 +160,31 @@ def test_indicate_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+def test_dtn_files_are_byte_identical_and_load_without_the_package(tmp_path, monkeypatch):
+    # a second run with the clock moved on writes the same bytes, and bare
+    # numpy reads the archive back with this package neither on the path nor
+    # imported
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=tmp_path / "out"))
+    names = ("dtn_perturbed.npz", "dtn_background.npz")
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["dtn", "--config", cfg, "--out", str(out)]) == 0
+        runs.append([(out / name).read_bytes() for name in names])
+        monkeypatch.setattr("time.time", lambda: 2e9)
+    assert runs[0] == runs[1]
+    path = tmp_path / "a" / names[0]
+    script = ("import hashlib, sys, numpy as np\n"
+              "z = np.load(sys.argv[1], allow_pickle=False)\n"
+              "print(z['format'], hashlib.sha256(z['matrix'].tobytes()).hexdigest(),\n"
+              "      'enclosure2d' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(read_dtn(path).matrix.tobytes()).hexdigest()
+    assert proc.stdout.split() == ["enclosure2d", "dtn", "v2", digest, "False"]
+
+
 def test_indicate_missing_upstream_fails(tmp_path):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "nowhere"))
     assert main(["indicate", "--config", cfg]) == 2
@@ -167,29 +194,38 @@ def test_indicate_truncated_operator_file_fails(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    pert = out / "dtn_perturbed.txt"
-    pert.write_text("".join(pert.read_text().splitlines(keepends=True)[:-1]))
+    pert = out / "dtn_perturbed.npz"
+    pert.write_bytes(pert.read_bytes()[:-100])
     assert main(["indicate", "--config", cfg]) == 2
-    assert "dtn_perturbed.txt" in capsys.readouterr().err
+    assert "dtn_perturbed.npz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_indicate_damaged_operator_file_fails(tmp_path, capsys, damage):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg]) == 0
+    damage(out / "dtn_background.npz")
+    assert main(["indicate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "dtn_background.npz" in err and "corrupt operator file" in err
 
 
 def test_indicate_non_numeric_operator_entry_fails(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    back = out / "dtn_background.txt"
-    lines = back.read_text().splitlines(keepends=True)
-    lines[-1] = "x " + lines[-1].split(" ", 1)[1]        # same field count
-    back.write_text("".join(lines))
+    back = out / "dtn_background.npz"
+    rewrite(back, matrix=entries(back)["matrix"].astype(str))      # same shape
     assert main(["indicate", "--config", cfg]) == 2
-    assert "dtn_background.txt" in capsys.readouterr().err
+    assert "dtn_background.npz" in capsys.readouterr().err
 
 
 def test_indicate_operator_file_above_alias_limit_fails(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "4"]) == 0
-    pert = out / "dtn_perturbed.txt"
+    pert = out / "dtn_perturbed.npz"
     thetas = read_dtn(pert).basis.thetas
     n = len(thetas) // 8 + 1                              # a consistent file, one mode too many
     basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=n)
@@ -198,7 +234,7 @@ def test_indicate_operator_file_above_alias_limit_fails(tmp_path, capsys):
               pert)
     assert main(["indicate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "dtn_perturbed.txt" in err and "aliasing limit" in err
+    assert "dtn_perturbed.npz" in err and "aliasing limit" in err
 
 
 @pytest.mark.parametrize("command", ["indicate", "reconstruct"])
@@ -206,36 +242,30 @@ def test_non_finite_operator_entry_fails(tmp_path, capsys, command):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    pert = out / "dtn_perturbed.txt"
-    lines = pert.read_text().splitlines(keepends=True)
-    lines[-1] = "nan " + lines[-1].split(" ", 1)[1]        # same field count
-    pert.write_text("".join(lines))
+    pert = out / "dtn_perturbed.npz"
+    matrix = entries(pert)["matrix"]
+    matrix[-1, 0] = np.nan
+    rewrite(pert, matrix=matrix)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "dtn_perturbed.txt" in err and "non-finite" in err
+    assert "dtn_perturbed.npz" in err and "non-finite" in err
 
 
-def _retag_background(out, index, value):
-    back = out / "dtn_background.txt"
-    lines = back.read_text().splitlines(keepends=True)
-    i = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
-    fields = lines[i].split()
-    fields[index] = value
-    lines[i] = " ".join(fields) + "\n"
-    back.write_text("".join(lines))
+def _retag_background(out, name, value):
+    rewrite(out / "dtn_background.npz", **{name: np.float64(value)})
 
 
 def _nodal_background(out):
-    op = read_dtn(out / "dtn_background.txt")
+    op = read_dtn(out / "dtn_background.npz")
     basis = BoundaryBasis(kind="nodal", thetas=op.basis.thetas, radius=op.basis.radius)
     n = len(op.basis.thetas)
     write_dtn(DtNMatrix(basis=basis, omega=op.omega, mesh_h=op.mesh_h,
-                        matrix=np.zeros((n, n), dtype=complex)), out / "dtn_background.txt")
+                        matrix=np.zeros((n, n), dtype=complex)), out / "dtn_background.npz")
 
 
 @pytest.mark.parametrize("field, tamper", [
-    ("radius", lambda out: _retag_background(out, 5, "2")),
-    ("omega", lambda out: _retag_background(out, 2, "7")),
+    ("radius", lambda out: _retag_background(out, "radius", 2.0)),
+    ("omega", lambda out: _retag_background(out, "omega", 7.0)),
     ("basis kind", _nodal_background),
 ], ids=["radius", "omega", "kind"])
 def test_indicate_rejects_a_mismatched_operator_pair(tmp_path, capsys, field, tamper):
@@ -390,7 +420,7 @@ def test_reconstruct_two_layer_hull_fourier_basis(tmp_path, capsys, b, omega):
         warnings.simplefilter("ignore")
         assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "16"]) == 0
         assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
-    pert = read_dtn(out / "dtn_perturbed.txt")
+    pert = read_dtn(out / "dtn_perturbed.npz")
     assert (pert.basis.size, pert.omega) == (33, omega)
     _assert_two_layer_hull(out, capsys.readouterr().out)
 

@@ -6,13 +6,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
-from enclosure2d.fem import (BoundaryBasis, DirichletSystem, DtNMatrix, SolverError,
-                             analytic_two_layer_dtn, assemble_dtn_matrix,
+from enclosure2d.fem import (DTN_FORMAT, BoundaryBasis, DirichletSystem, DtNMatrix,
+                             SolverError, analytic_two_layer_dtn, assemble_dtn_matrix,
                              fourier_basis_for_mesh, fourier_trace, gap_matrix,
                              nodal_basis_for_mesh, prop21_check, quadratic_gap, read_dtn,
                              write_dtn)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
+from dtn_archive import CORRUPTIONS, entries, rewrite
 
 
 @pytest.fixture(scope="module")
@@ -291,8 +292,10 @@ def test_dtn_file_roundtrip(tmp_path, two_layer):
     mesh, field = two_layer
     basis = fourier_basis_for_mesh(mesh, 3)
     dtn = assemble_dtn_matrix(mesh, field, basis)
-    path = tmp_path / "dtn.txt"
-    write_dtn(dtn, path, provenance={"config": "abc"})
+    path = tmp_path / "dtn.npz"
+    write_dtn(dtn, path, provenance={"config": "abc", "version": "1.0"})
+    assert entries(path)["format"] == DTN_FORMAT
+    assert entries(path)["provenance"].tolist() == ["config: abc", "version: 1.0"]
     back = read_dtn(path)
     assert back.basis.kind == "fourier"
     assert back.basis.n_modes == 3
@@ -305,21 +308,55 @@ def test_dtn_file_roundtrip(tmp_path, two_layer):
 def test_truncated_dtn_file_rejected(tmp_path, two_layer):
     mesh, field = two_layer
     dtn = assemble_dtn_matrix(mesh, field, fourier_basis_for_mesh(mesh, 3))
-    path = tmp_path / "dtn.txt"
+    path = tmp_path / "dtn.npz"
     write_dtn(dtn, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:-1]))                        # last row missing
+    raw = path.read_bytes()
+    for keep in (len(raw) - 1, len(raw) // 2, 10):
+        path.write_bytes(raw[:keep])
+        with pytest.raises(SolverError, match="corrupt operator file"):
+            read_dtn(path)
+
+
+@pytest.mark.parametrize("damage", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_damaged_dtn_file_rejected(tmp_path, damage):
+    # 18 nodes: a matrix entry past zipfile's 4 KB read-ahead, so that its array
+    # header is parsed before the entry's CRC-32 is checked
+    basis = BoundaryBasis(kind="nodal", thetas=np.linspace(-math.pi, math.pi, 18, endpoint=False))
+    path = tmp_path / "dtn.npz"
+    write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
+                        matrix=np.arange(324.0).reshape(18, 18) + 1j), path)
+    damage(path)
     with pytest.raises(SolverError, match="corrupt operator file"):
         read_dtn(path)
-    path.write_text("".join(lines[:-1]) + lines[-1].rsplit(" ", 1)[0] + "\n")   # short row
-    with pytest.raises(SolverError, match="corrupt operator file"):
-        read_dtn(path)
+
+
+def test_flipped_bytes_read_back_unchanged_or_are_rejected(tmp_path):
+    # a flip in a zip field that the loader does not check leaves every value
+    # as written, and any other flip is a SolverError; every ninth byte
+    basis = BoundaryBasis(kind="nodal", thetas=[0.0, 2.0])
+    dtn = DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
+                    matrix=np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex))
+    path = tmp_path / "dtn.npz"
+    write_dtn(dtn, path, provenance={"config": "abc"})
+    raw = path.read_bytes()
+    rejected = 0
+    for i in range(0, len(raw), 9):
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:])
+        try:
+            back = read_dtn(path)
+        except SolverError as exc:
+            assert str(exc).startswith("corrupt operator file")
+            rejected += 1
+            continue
+        assert np.array_equal(back.matrix, dtn.matrix) and back.omega == dtn.omega
+        assert np.array_equal(back.basis.thetas, basis.thetas)
+    assert rejected > len(raw) // 18
 
 
 def test_dtn_file_above_alias_limit_rejected(tmp_path):
     # fourier_basis_for_mesh allows N <= nb // 8; a file may not claim more
     thetas = np.linspace(-math.pi, math.pi, 40, endpoint=False)
-    path = tmp_path / "dtn.txt"
+    path = tmp_path / "dtn.npz"
     for n in (5, 6):
         basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=n)
         write_dtn(DtNMatrix(basis=basis, omega=0.0, mesh_h=0.1,
@@ -333,20 +370,22 @@ def test_dtn_file_above_alias_limit_rejected(tmp_path):
 def test_dtn_file_with_non_finite_or_inconsistent_fields_rejected(tmp_path):
     thetas = np.linspace(-math.pi, math.pi, 4, endpoint=False)
     basis = BoundaryBasis(kind="nodal", thetas=thetas)
-    path = tmp_path / "dtn.txt"
+    path = tmp_path / "dtn.npz"
     write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
                         matrix=np.eye(4, dtype=complex)), path)
-    comment, header, angles, *rows = path.read_text().splitlines(keepends=True)
+    good = entries(path)
     assert read_dtn(path).basis.size == 4
-    fields = header.split()
-    corrupt = {"entry": [header, angles, "nan" + rows[0][1:], *rows[1:]],
-               "angle": [header, "inf " + angles.split(" ", 1)[1], *rows],
-               "nodal size": [" ".join(["nodal", "7", *fields[2:]]) + "\n", angles, *rows],
-               "no nodes": ["nodal 0 1 0.1 0 1\n", "\n"]}
-    for i, name in ((2, "omega"), (3, "h"), (5, "radius")):
-        corrupt[name] = [" ".join(fields[:i] + ["nan"] + fields[i + 1:]) + "\n", angles, *rows]
-    for name, lines in corrupt.items():
-        path.write_text("".join(lines))
+    entry, angle = good["matrix"].copy(), good["thetas"].copy()
+    entry[0, 0], angle[0] = complex(0.0, np.nan), np.inf
+    corrupt = {"entry": {"matrix": entry}, "angle": {"thetas": angle},
+               "nodal size": {"n_param": np.int64(7)}, "node count": {"n_nodes": np.int64(5)},
+               "no nodes": {"n_param": np.int64(0), "n_nodes": np.int64(0),
+                            "thetas": np.zeros(0), "matrix": np.zeros((0, 0), complex)},
+               "kind": {"kind": "wavelet"}}
+    for name in ("omega", "h", "radius"):
+        corrupt[name] = {name: np.float64(np.nan)}
+    for name, changes in corrupt.items():
+        rewrite(path, **(good | changes))
         with pytest.raises(SolverError, match="corrupt operator file"):
             read_dtn(path)
 
@@ -507,9 +546,9 @@ def test_operator_matches_dense_schur_complement(b, kind):
     assert np.abs(dtn.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_write_dtn_text_and_roundtrip_are_exact(tmp_path):
-    # the per-row writer gives the text of the per-entry f-strings, and reading
-    # it back restores every bit, signed zeros and subnormals included
+def test_dtn_file_roundtrip_is_bit_exact(tmp_path):
+    # reading a written file back restores every bit, signed zeros and
+    # subnormals included
     vals = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, -1.0 / 3.0, 2.5, -7e-300,
                      123456789.123456789, -0.0, 1.0, -5e-324, 1e-5, -2.0 ** 0.5, 3.0, 0.0,
                      6.02e23, -1.602e-19, 0.5, -0.25])
@@ -519,12 +558,8 @@ def test_write_dtn_text_and_roundtrip_are_exact(tmp_path):
     matrix.real, matrix.imag = m[:16].reshape(4, 4), m[16:].reshape(4, 4)
     basis = BoundaryBasis(kind="nodal", thetas=np.array([-0.0, 1.0 / 3.0, -3.0, 5e-324]))
     dtn = DtNMatrix(basis=basis, omega=0.25, matrix=matrix, mesh_h=0.1)
-    path = tmp_path / "dtn.txt"
+    path = tmp_path / "dtn.npz"
     write_dtn(dtn, path)
-    per_entry = ([" ".join(f"{t:.17g}" for t in basis.thetas) + "\n"]
-                 + [" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) + "\n"
-                    for row in matrix])
-    assert path.read_text().splitlines(keepends=True)[-5:] == per_entry
     back = read_dtn(path)
     assert np.array_equal(back.matrix.view(np.uint64), matrix.view(np.uint64))
     assert np.array_equal(back.basis.thetas.view(np.uint64), basis.thetas.view(np.uint64))

@@ -8,7 +8,7 @@ from scipy.special import wofz
 
 import enclosure2d.mittag as mittag
 from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
-                                ml_deriv, ml_deriv_many, ml_eval, ml_eval_many)
+                                ml_deriv_many, ml_eval, ml_eval_many)
 from ml_oracle import (band08_points, erfc_oracle, erfc_points, far_points, load,
                        series9_points, series42_points)
 
@@ -46,11 +46,11 @@ def test_accuracy_against_series_oracle(alpha):
 
 
 def test_deriv_at_origin():
-    assert ml_deriv(MLParams(alpha=1.0), 0.0) == 1.0
+    assert ml_deriv_many(MLParams(alpha=1.0), np.array([0.0]))[0] == 1.0
     # first series coefficient 1 / Gamma(1 + alpha), from 1 / Gamma(alpha) / alpha
     for alpha in (0.3, 0.5, 0.8):
         ref = float(1 / mp.gamma(1 + mp.mpf(alpha)))
-        v = ml_deriv(MLParams(alpha=alpha), 0.0)
+        v = ml_deriv_many(MLParams(alpha=alpha), np.array([0.0]))[0]
         assert v.imag == 0.0 and abs(v.real - ref) <= math.ulp(ref)
 
 
@@ -59,7 +59,7 @@ def test_deriv_matches_finite_difference():
     z = 2.0 + 1.0j
     h = 1e-5
     fd = (ml_eval(p, z + h) - ml_eval(p, z - h)) / (2 * h)
-    assert ml_deriv(p, z) == pytest.approx(fd, rel=1e-6)
+    assert ml_deriv_many(p, np.array([z]))[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_deriv_against_series_oracle():
@@ -69,12 +69,11 @@ def test_deriv_against_series_oracle():
     for alpha, points in series9_points().items():
         zs, oracle = load("series9_deriv", alpha)
         np.testing.assert_array_equal(points, zs)
-        p = MLParams(alpha=alpha)
-        for z, o in zip(zs, oracle / alpha):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                v = ml_deriv(p, z)
-            assert abs(v - o) <= 1e-10 * abs(o)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            v = ml_deriv_many(MLParams(alpha=alpha), zs)
+        o = oracle / alpha
+        assert (np.abs(v - o) <= 1e-10 * np.abs(o)).all()
 
 
 def test_growth_sector_classification():
@@ -177,9 +176,9 @@ def test_batch_matches_per_point_on_every_path(alpha):
     zs = _mixed_batch(alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for many, one in ((ml_eval_many, ml_eval), (ml_deriv_many, ml_deriv)):
+        for many in (ml_eval_many, ml_deriv_many):
             batch = many(p, zs)
-            singles = np.array([one(p, z) for z in zs])
+            singles = np.array([many(p, np.array([z]))[0] for z in zs])
             np.testing.assert_array_equal(batch, singles)
             assert many(p, zs[:0]).shape == (0,)
             np.testing.assert_array_equal(many(p, zs[4:5]), singles[4:5])
@@ -202,7 +201,7 @@ def test_deriv_overflowing_in_the_division_is_inf():
     # range
     p = MLParams(alpha=0.5)
     assert np.isfinite(ml_eval(p, 26.56))
-    assert ml_deriv(p, 26.56) == complex(np.inf, 0.0)
+    assert ml_deriv_many(p, np.array([26.56]))[0] == complex(np.inf, 0.0)
 
 
 def test_kernel_band_matches_oracle():
@@ -329,7 +328,7 @@ def test_deriv_uncertified_beyond_deriv_radius():
             many(p, np.array([z]))
         assert sum(issubclass(w.category, MLAccuracyWarning) for w in caught) == expected
     o = erfc_oracle(near) / 0.5
-    assert abs(ml_deriv(p, near) - o) <= 1e-10 * abs(o)
+    assert abs(ml_deriv_many(p, np.array([near]))[0] - o) <= 1e-10 * abs(o)
 
 
 def test_grid_levels_bracket_the_pole_level():
@@ -383,8 +382,8 @@ def test_shared_contours_match_per_point_values(alpha):
     # E' = 2zE + 2/sqrt(pi)
     zs = _level_points(alpha)
     p = MLParams(alpha=alpha)
-    for many, one in ((ml_eval_many, ml_eval), (ml_deriv_many, ml_deriv)):
-        np.testing.assert_array_equal(many(p, zs), [one(p, z) for z in zs])
+    for many in (ml_eval_many, ml_deriv_many):
+        np.testing.assert_array_equal(many(p, zs), [many(p, np.array([z]))[0] for z in zs])
     if alpha == 0.5:
         e = wofz(-1j * zs)
         assert np.all(np.abs(ml_eval_many(p, zs) - e) <= 1e-10 * np.abs(e))

@@ -1,5 +1,5 @@
 """Experiment driver: mesh -> field -> operator assembly -> indicator sweeps ->
-reconstruction, plus a self-check suite.
+reconstruction.
 
 Configuration is a flat sectioned key-value file (INI syntax, see
 ``example_config``); every output file carries provenance lines with the
@@ -26,20 +26,18 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, mittag
-from .admittivity import (AdmittivityField, FieldError, ReductionInput,
-                          complex_admittivity, reduce_background)
-from .fem import (DirichletSystem, DtNMatrix, SolverError, assemble_dtn_matrix,
-                  check_pair, fourier_basis_for_mesh, nodal_basis_for_mesh, prop21_check,
-                  analytic_two_layer_dtn, fourier_trace, read_dtn, write_dtn)
+from .admittivity import AdmittivityField, FieldError, ReductionInput, reduce_background
+from .fem import (DtNMatrix, SolverError, assemble_dtn_matrix, check_pair,
+                  fourier_basis_for_mesh, nodal_basis_for_mesh, read_dtn, write_dtn)
 from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
                         cones_avoid_shape, default_tau_ladder,
                         fit_support_directions, hull_contains_shape,
                         indicator_cgo, indicator_ml, j_oracle,
                         transition_search_ml, write_indicator_csv,
                         write_region_svg)
-from .mesh import Mesh, MeshError, ShapeSpec, build_disk_mesh, write_mesh
+from .mesh import Mesh, MeshError, ShapeSpec, build_disk_mesh, provenance_header, write_mesh
 from .mittag import MLError, MLParams
-from .probes import ProbeSpec, ProbeError, rot90
+from .probes import ProbeSpec, ProbeError
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -55,7 +53,6 @@ class ExperimentConfig:
 
     domain_radius: float = 1.0
     mesh_h: float = 0.05
-    refine_levels: int = 0
     inclusion: Optional[ShapeSpec] = None
     a_value: float = 1.0
     b_value: float = 0.0
@@ -76,7 +73,6 @@ class ExperimentConfig:
     t_search: tuple[float, float] = (-5.0, -0.2)
     out_dir: str = "out"
     validation_mode: bool = False
-    seed: int = 0
     config_hash: str = ""
 
     def tau_ladder(self) -> np.ndarray:
@@ -118,7 +114,6 @@ def example_config() -> str:
 [domain]
 radius = 1.0          ; domain disk radius (length units)
 mesh_h = 0.05         ; target element size
-refine_levels = 0     ; refinement passes around the inclusion boundary
 
 [inclusion]
 kind = disk           ; disk | ellipse | polygon | none
@@ -180,7 +175,10 @@ def load_config(path) -> ExperimentConfig:
 
     cfg.domain_radius = get("domain", "radius", float, cfg.domain_radius)
     cfg.mesh_h = get("domain", "mesh_h", float, cfg.mesh_h)
-    cfg.refine_levels = get("domain", "refine_levels", int, cfg.refine_levels)
+    # the mesher has no refinement; older templates still carry refine_levels = 0
+    if get("domain", "refine_levels", int, 0) != 0:
+        raise ConfigError("[domain] refine_levels: mesh refinement is not supported; "
+                          "set it to 0 or remove it")
     if cfg.domain_radius <= 0:
         raise ConfigError("[domain] radius must be positive")
     if not (0 < cfg.mesh_h < cfg.domain_radius / 4):
@@ -276,8 +274,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _build_mesh(cfg: ExperimentConfig) -> Mesh:
-    return build_disk_mesh(cfg.domain_radius, cfg.mesh_h, cfg.inclusion,
-                           refine_levels=cfg.refine_levels)
+    return build_disk_mesh(cfg.domain_radius, cfg.mesh_h, cfg.inclusion)
 
 
 def _build_field(cfg: ExperimentConfig, mesh: Mesh) -> AdmittivityField:
@@ -380,8 +377,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
         est = fit_support_directions(pair, probes)
         region = convex_hull_estimate(est, cfg.domain_radius)
         with open(out / "hull.csv", "w") as f:
-            for key, val in cfg.provenance().items():
-                f.write(f"# {key}: {val}\n")
+            f.write(provenance_header(cfg.provenance()))
             f.write("x,y\n")
             for p in region.polygon:
                 f.write(f"{p[0]:.17g},{p[1]:.17g}\n")
@@ -399,8 +395,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
             print(f"vertex ({y[0]:+.3f},{y[1]:+.3f}) offset estimate: {tag} [{est.status}]")
         region = cone_carving([e for e in ests if e.status == "ok"], cfg.domain_radius)
         with open(out / "cones.csv", "w") as f:
-            for key, val in cfg.provenance().items():
-                f.write(f"# {key}: {val}\n")
+            f.write(provenance_header(cfg.provenance()))
             f.write("vertex_x,vertex_y,axis_x,axis_y,half_aperture\n")
             for c in region.cones:
                 f.write(f"{c.vertex[0]:.17g},{c.vertex[1]:.17g},"
@@ -453,126 +448,6 @@ def cmd_mleval(alpha: float, grid_spec: str, out_path: str) -> int:
     return 0
 
 
-def cmd_validate(cfg: ExperimentConfig) -> int:
-    """Self-check suite: reduction scaling, integral inequalities, matrix
-    identity, oracle comparison, and sign checks on a coarse benchmark."""
-    rng = np.random.default_rng(cfg.seed)
-    failures = 0
-
-    def report(name, ok, detail=""):
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}")
-
-    mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
-
-    # reduction scaling of the boundary operators
-    inc = (mesh.labels == 1).astype(float)[:, None, None]
-    eye = np.eye(2)
-    inp = ReductionInput(sigma0=1.0, epsilon0=1.0, omega=1.0,
-                         alpha=inc * 1.0 * eye, beta=inc * 0.5 * eye)
-    reduced = reduce_background(inp, mesh)
-    basis = fourier_basis_for_mesh(mesh, 4)
-    from .admittivity import original_admittivity
-    sys_orig = DirichletSystem(mesh, original_admittivity(inp, mesh))
-    b_orig = assemble_dtn_matrix(mesh, reduced, basis, system=sys_orig)
-    b_red = assemble_dtn_matrix(mesh, reduced, basis)
-    scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
-    defect = np.linalg.norm(b_orig.matrix - scale * b_red.matrix) / np.linalg.norm(b_orig.matrix)
-    report("reduction scaling", defect < 1e-8, f"defect {defect:.2e}")
-
-    # integral inequalities on random coefficient pairs
-    bad = 0
-    for _ in range(5):
-        a1 = _random_spd_perturbation(rng, mesh)
-        a2 = _random_spd_perturbation(rng, mesh)
-        b1 = _random_sym(rng, mesh, 0.4)
-        b2 = _random_sym(rng, mesh, 0.4)
-        f1 = AdmittivityField(mesh=mesh, a=a1, b=b1, omega=1.0)
-        f2 = AdmittivityField(mesh=mesh, a=a2, b=b2, omega=1.0)
-        sys1 = DirichletSystem(mesh, complex_admittivity(f1))
-        sys2 = DirichletSystem(mesh, complex_admittivity(f2))
-        for _ in range(4):
-            coeffs = rng.normal(size=9) + 1j * rng.normal(size=9)
-            tr = sum(c * fourier_trace(mesh, n) for c, n in zip(coeffs, range(-4, 5)))
-            rep = prop21_check(f1, f2, 1.0, tr, systems=(sys1, sys2))
-            if not rep.passed:
-                bad += 1
-    report("integral inequalities", bad == 0, f"{bad} failures / 20")
-
-    # inverse-difference matrix identity
-    worst = 0.0
-    for _ in range(100):
-        a = _random_invertible_sym(rng)
-        b = _random_invertible_sym(rng)
-        lhs = np.linalg.inv(a) - np.linalg.inv(b)
-        bi = np.linalg.inv(b)
-        rhs = bi @ (b - a) @ bi + bi @ (b - a) @ np.linalg.inv(a) @ (b - a) @ bi
-        worst = max(worst, np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30))
-    report("inverse-difference identity", worst < 1e-10, f"worst {worst:.2e}")
-
-    # two-layer oracle comparison
-    f_two = AdmittivityField.from_scalars(mesh, 1.0, 0.0, 0.0)
-    b_two = assemble_dtn_matrix(mesh, f_two, basis)
-    modes = basis.mode_numbers
-    errs = []
-    for n in range(1, 5):
-        j = int(np.flatnonzero(modes == n)[0])
-        k = int(np.flatnonzero(modes == -n)[0])
-        lam = b_two.matrix[j, k] / (2 * math.pi)
-        ref = analytic_two_layer_dtn(0.5, 2.0, n)
-        errs.append(abs(lam - ref) / abs(ref))
-    report("two-layer oracle", max(errs) < 0.02, f"worst rel err {max(errs):.2e}")
-
-    # sign checks
-    f_pos = AdmittivityField.from_scalars(mesh, 1.0, 0.5, 1.0)
-    f_neg = AdmittivityField.from_scalars(mesh, -0.5, 1.0, 0.25)
-    nodal = nodal_basis_for_mesh(mesh)
-    pair_pos = (assemble_dtn_matrix(mesh, f_pos, nodal),
-                assemble_dtn_matrix(mesh, AdmittivityField.from_scalars(mesh, 0.0, 0.0, 1.0),
-                                    nodal))
-    pair_neg = (assemble_dtn_matrix(mesh, f_neg, nodal),
-                assemble_dtn_matrix(mesh, AdmittivityField.from_scalars(mesh, 0.0, 0.0, 0.25),
-                                    nodal))
-    th = np.array([1.0, 0.0])
-    spec = ProbeSpec(kind="cgo", theta=(th[0], th[1]), theta_perp=tuple(rot90(th)), t=0.5,
-                     tau=default_tau_ladder(mesh.h, 8))
-    vals_pos = indicator_cgo(pair_pos, spec).tolist()
-    vals_neg = indicator_cgo(pair_neg, spec).tolist()
-    report("positive-jump sign", all(v > -1e-12 for v in vals_pos),
-           f"min {min(vals_pos):.2e}")
-    report("negative-jump sign", all(v < 0 for v in vals_neg[len(vals_neg) // 2:]),
-           f"trailing max {max(vals_neg[len(vals_neg) // 2:]):.2e}")
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing checks")
-    return 0 if failures == 0 else EXIT_NUMERIC
-
-
-def _random_spd_perturbation(rng, mesh):
-    """a with I + a symmetric positive definite (eigenvalues in [0.3, 3])."""
-    inc = (mesh.labels == 1).astype(float)[:, None, None]
-    phi = rng.uniform(0, math.pi)
-    c, s = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s], [s, c]])
-    sigma = rot @ np.diag(rng.uniform(0.3, 3.0, size=2)) @ rot.T
-    return inc * (sigma - np.eye(2))
-
-
-def _random_sym(rng, mesh, scale):
-    inc = (mesh.labels == 1).astype(float)[:, None, None]
-    q = rng.normal(size=(2, 2)) * scale
-    return inc * (q + q.T) / 2
-
-
-def _random_invertible_sym(rng):
-    while True:
-        q = rng.normal(size=(2, 2))
-        m = (q + q.T) / 2
-        if abs(np.linalg.det(m)) > 0.1:
-            return m
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 
@@ -585,11 +460,10 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("mesh", "dtn", "indicate", "reconstruct", "validate"):
+    for name in ("mesh", "dtn", "indicate", "reconstruct"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
-        if name != "validate":
-            p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", help="output directory (overrides config)")
         if name in ("indicate", "reconstruct"):
             p.add_argument("--validate", action="store_true",
                            help="enable validation mode (ground-truth checks)")
@@ -597,8 +471,6 @@ def main(argv=None) -> int:
             p.add_argument("--basis", choices=("nodal", "fourier"), default="nodal")
             p.add_argument("--modes", type=int, default=8,
                            help="fourier mode cutoff when --basis fourier")
-        if name == "validate":
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("mleval")
     p.add_argument("--alpha", type=float, required=True)
@@ -619,7 +491,6 @@ def main(argv=None) -> int:
             cfg.out_dir = args.out
         if getattr(args, "validate", False):
             cfg.validation_mode = True
-        cfg.seed = getattr(args, "seed", cfg.seed)
         if args.command == "mesh":
             return cmd_mesh(cfg)
         if args.command == "dtn":
@@ -628,8 +499,6 @@ def main(argv=None) -> int:
             return cmd_indicate(cfg)
         if args.command == "reconstruct":
             return cmd_reconstruct(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
         raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, MeshError, ProbeError, MLError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fem import BoundaryBasis, DtnPair, gap_matrix, quadratic_gap
-from .mesh import INCLUSION, Mesh, ShapeSpec
+from .mesh import INCLUSION, Mesh, ShapeSpec, polygon_area, provenance_header
 from .probes import (ConeSpec, ProbeSpec, cgo_trace, cone_avoids_shape,
                      cone_contains_many, probe_gradient, ml_probe_trace)
 
@@ -86,7 +86,7 @@ class RegionEstimate:
 
     def area(self) -> float:
         if self.kind == "hull":
-            return _polygon_area(self.polygon)
+            return abs(polygon_area(self.polygon))
         if self.mask is None:
             raise IndicatorError("cone estimate has no rasterized mask")
         cell = (2 * self.domain_radius / self.mask.shape[0]) ** 2
@@ -352,11 +352,6 @@ def cone_carving(estimates: Sequence[TransitionEstimate], domain_radius: float,
                           cones=tuple(cones), mask=mask.reshape(resolution, resolution))
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
 # ---------------------------------------------------------------------------
 # Validation helpers (ground truth required)
 
@@ -380,9 +375,7 @@ def write_indicator_csv(path, rows: Sequence[dict], provenance: Optional[dict] =
     cols = ("family", "alpha", "theta_x", "theta_y", "y_x", "y_y", "t", "tau",
             "I", "logabsI", "J")
     with open(path, "w") as f:
-        for key, val in (provenance or {}).items():
-            f.write(f"# {key}: {val}\n")
-        f.write(",".join(cols) + "\n")
+        f.write(provenance_header(provenance) + ",".join(cols) + "\n")
         for r in rows:
             out = []
             for c in cols:

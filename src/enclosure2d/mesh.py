@@ -1,9 +1,8 @@
 """Triangulations of a disk-shaped domain with a labeled embedded inclusion.
 
 The mesher is a structured polar-grid triangulation: concentric rings with 6*i
-nodes on ring i, seamed by an angular sweep, followed by red/green refinement
-bands around the inclusion boundary.  Construction is fully deterministic so
-that downstream outputs are reproducible byte for byte.
+nodes on ring i, seamed by an angular sweep.  Construction is fully
+deterministic so that downstream outputs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class ShapeSpec:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise MeshError("polygon needs at least 3 vertices of shape (n, 2)")
-        if _polygon_area(v) <= 0:
+        if polygon_area(v) <= 0:
             raise MeshError("polygon must be positively oriented")
         if not _polygon_is_simple(v):
             raise MeshError("polygon must be simple (no self-intersections)")
@@ -115,8 +114,8 @@ class ShapeSpec:
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Unsigned distance from each point to the shape boundary.
 
-        Exact for disks and polygons; for ellipses a dense boundary sampling
-        is used (sufficient for refinement banding).
+        Exact for disks and polygons; for ellipses, the distance to 512
+        boundary samples.
         """
         p = np.atleast_2d(np.asarray(points, dtype=float))
         c = np.asarray(self.center)
@@ -168,7 +167,7 @@ class ShapeSpec:
             return math.pi * self.radius ** 2
         if self.kind == "ellipse":
             return math.pi * self.semi_axes[0] * self.semi_axes[1]
-        return _polygon_area(self.vertices)
+        return polygon_area(self.vertices)
 
     def _to_local(self, p: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center)
@@ -178,7 +177,8 @@ class ShapeSpec:
                          -st * d[:, 0] + ct * d[:, 1]], axis=1)
 
 
-def _polygon_area(v: np.ndarray) -> float:
+def polygon_area(v: np.ndarray) -> float:
+    """Signed shoelace area of a closed polygon, positive when counterclockwise."""
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
@@ -271,7 +271,7 @@ class Mesh:
         return self.vertices[self.triangles].mean(axis=1)
 
     def boundary_polygon_area(self) -> float:
-        return _polygon_area(self.vertices[self.boundary_loop])
+        return polygon_area(self.vertices[self.boundary_loop])
 
     def validate(self) -> None:
         """Check the structural invariants; raises MeshError on violation."""
@@ -294,14 +294,12 @@ class Mesh:
 
 
 def build_disk_mesh(domain_radius: float, target_h: float,
-                    inclusion: Optional[ShapeSpec] = None,
-                    refine_levels: int = 0) -> Mesh:
+                    inclusion: Optional[ShapeSpec] = None) -> Mesh:
     """Triangulate the disk of the given radius with element size ~ target_h.
 
-    Triangles are labeled by centroid membership in the inclusion; the mesh
-    is refined ``refine_levels`` times in a band around the inclusion
-    boundary.  The ring count is forced odd so that concentric interfaces cut
-    generically through elements instead of aligning with a node ring.
+    Triangles are labeled by centroid membership in the inclusion.  The ring
+    count is forced odd so that concentric interfaces cut generically through
+    elements instead of aligning with a node ring.
     """
     if not (0 < target_h < domain_radius / 4):
         raise MeshError("target_h must lie in (0, domain_radius/4)")
@@ -335,13 +333,6 @@ def build_disk_mesh(domain_radius: float, target_h: float,
         tris.extend(_seam_rings(rings[i], rings[i + 1]))
     triangles = np.array(tris, dtype=np.int64)
     loop = rings[n_rings]
-
-    for _ in range(max(0, refine_levels) if inclusion is not None else 0):
-        marked = _band_mark(vertices, triangles, inclusion)
-        if not marked.any():
-            break
-        vertices, triangles, loop = _refine_red_green(
-            vertices, triangles, loop, marked, domain_radius)
 
     cents = vertices[triangles].mean(axis=1)
     if inclusion is not None:
@@ -377,98 +368,13 @@ def _seam_rings(prev: np.ndarray, nxt: np.ndarray):
     return tris
 
 
-def _band_mark(vertices, triangles, shape: ShapeSpec) -> np.ndarray:
-    """Mark triangles whose centroid is within one local diameter of the shape boundary."""
-    p = vertices[triangles]
-    cents = p.mean(axis=1)
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    size = np.hypot(e[..., 0], e[..., 1]).max(axis=0)
-    return shape.boundary_distance(cents) <= size
-
-
-def _refine_red_green(vertices, triangles, loop, marked, domain_radius):
-    """One red/green refinement pass: marked triangles split in four, hanging
-    nodes closed by bisection; new boundary nodes are projected to the circle."""
-    nt = len(triangles)
-    red = marked.copy()
-
-    def edges_of(t):
-        a, b, c = triangles[t]
-        return [tuple(sorted((a, b))), tuple(sorted((b, c))), tuple(sorted((c, a)))]
-
-    edge_owner: dict = {}
-    for t in range(nt):
-        for e in edges_of(t):
-            edge_owner.setdefault(e, []).append(t)
-
-    # closure: a triangle with 2+ split edges becomes red itself
-    while True:
-        split = set()
-        for t in range(nt):
-            if red[t]:
-                split.update(edges_of(t))
-        changed = False
-        for t in range(nt):
-            if not red[t]:
-                cnt = sum(1 for e in edges_of(t) if e in split)
-                if cnt >= 2:
-                    red[t] = True
-                    changed = True
-        if not changed:
-            break
-
-    boundary_edge_set = set()
-    for k in range(len(loop)):
-        boundary_edge_set.add(tuple(sorted((int(loop[k]), int(loop[(k + 1) % len(loop)])))))
-
-    verts = [vertices]
-    next_id = len(vertices)
-    midpoint: dict = {}
-    for e in sorted(split):
-        a, b = e
-        m = 0.5 * (vertices[a] + vertices[b])
-        if e in boundary_edge_set:
-            m = m * (domain_radius / np.hypot(m[0], m[1]))
-        verts.append(m[None, :])
-        midpoint[e] = next_id
-        next_id += 1
-    new_vertices = np.vstack(verts)
-
-    new_tris = []
-    for t in range(nt):
-        a, b, c = (int(x) for x in triangles[t])
-        if red[t]:
-            mab = midpoint[tuple(sorted((a, b)))]
-            mbc = midpoint[tuple(sorted((b, c)))]
-            mca = midpoint[tuple(sorted((c, a)))]
-            new_tris += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-        else:
-            se = [e for e in edges_of(t) if e in midpoint]
-            if not se:
-                new_tris.append((a, b, c))
-            else:
-                e = se[0]
-                m = midpoint[e]
-                # bisect from the midpoint to the opposite vertex
-                if e == tuple(sorted((a, b))):
-                    new_tris += [(a, m, c), (m, b, c)]
-                elif e == tuple(sorted((b, c))):
-                    new_tris += [(b, m, a), (m, c, a)]
-                else:
-                    new_tris += [(c, m, b), (m, a, b)]
-
-    new_loop = []
-    for k in range(len(loop)):
-        a, b = int(loop[k]), int(loop[(k + 1) % len(loop)])
-        new_loop.append(a)
-        e = tuple(sorted((a, b)))
-        if e in midpoint:
-            new_loop.append(midpoint[e])
-    return new_vertices, np.array(new_tris, dtype=np.int64), np.array(new_loop, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
-# Plain-text mesh exchange format
+# Plain-text exchange formats
+
+
+def provenance_header(provenance: Optional[dict]) -> str:
+    """The '# key: value' lines that open every text output file."""
+    return "".join(f"# {key}: {val}\n" for key, val in (provenance or {}).items())
 
 
 def write_mesh(mesh: Mesh, path, provenance: Optional[dict] = None) -> None:
@@ -476,9 +382,7 @@ def write_mesh(mesh: Mesh, path, provenance: Optional[dict] = None) -> None:
     normals = mesh.boundary_normals
     edges = mesh.boundary_edges
     with open(path, "w") as f:
-        f.write("# enclosure2d mesh v1\n")
-        for key, val in (provenance or {}).items():
-            f.write(f"# {key}: {val}\n")
+        f.write("# enclosure2d mesh v1\n" + provenance_header(provenance))
         f.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(edges)} "
                 f"{mesh.h:.17g} {mesh.domain_radius:.17g}\n")
         for x, y in mesh.vertices:

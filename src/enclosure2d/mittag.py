@@ -9,8 +9,8 @@ z^(1/a) is used throughout, so the growth region matches the sector
 classifier exactly.
 
 The rule works on whole batches, and no value depends on the rest of its
-batch.  Contours and node counts come from closed formulas, with no adaptive
-refinement and no per-point path, and each pole level is rounded onto a fixed
+batch.  Contours and node counts come from closed formulas, with nothing
+adaptive and no per-point path, and each pole level is rounded onto a fixed
 geometric grid, so a batch needs only a few contours, each shared by many
 points.  A contour's weights and node powers are computed once, and each
 node of each point then costs one subtraction and one division.  Contours

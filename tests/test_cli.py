@@ -100,6 +100,13 @@ def test_config_validation_errors(tmp_path):
         text = BASE_CONFIG.format(out=tmp_path).replace(old, new)
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, text, f"e{k + 3}.cfg"))
+    # the mesher has no refinement: a config asking for it is refused rather
+    # than given an unrefined mesh, and the 0 of older templates still loads
+    refined = BASE_CONFIG.format(out=tmp_path).replace("mesh_h = 0.08",
+                                                       "mesh_h = 0.08\nrefine_levels = {}")
+    with pytest.raises(ConfigError, match=r"\[domain\] refine_levels"):
+        load_config(_write(tmp_path, refined.format(2), "refined.cfg"))
+    assert load_config(_write(tmp_path, refined.format(0), "unrefined.cfg")).mesh_h == 0.08
 
 
 def test_cli_exit_code_on_config_error(tmp_path):
@@ -279,7 +286,8 @@ def test_indicate_rejects_a_mismatched_operator_pair(tmp_path, capsys, field, ta
     assert err.startswith("error: ") and f"differs in {field}" in err
 
 
-@pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"]])
+@pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"],
+                                  ["validate"]])
 def test_subcommand_rejects_flags_it_does_not_read(tmp_path, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
     with pytest.raises(SystemExit) as exc:
@@ -473,8 +481,7 @@ def test_indicate_validate_fills_j_with_the_oracle(tmp_path, template):
     assert all(r["J"] is None for r in plain)
     assert [{**r, "J": None} for r in rows] == plain
     conf = load_config(cfg)
-    mesh = build_disk_mesh(conf.domain_radius, conf.mesh_h, conf.inclusion,
-                           refine_levels=conf.refine_levels)
+    mesh = build_disk_mesh(conf.domain_radius, conf.mesh_h, conf.inclusion)
     for r in rows:
         th = np.array([r["theta_x"], r["theta_y"]])
         spec = ProbeSpec(kind=r["family"], theta=tuple(th), theta_perp=tuple(rot90(th)),
@@ -533,16 +540,6 @@ def test_only_the_solver_commands_load_scipy(tmp_path):
                  ["mleval", "--alpha", "0.5", "--grid", "-3 3 -3 3 5",
                   "--out", str(tmp_path / "ml.csv")]):
         assert _run_and_check_scipy(argv, tmp_path) == (0, False), argv
-
-
-def test_validate_command_passes(tmp_path, capsys):
-    cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(["validate", "--config", cfg, "--seed", "1"])
-    captured = capsys.readouterr()
-    assert code == 0, captured.out
-    assert "FAIL" not in captured.out
 
 
 @pytest.mark.parametrize("family", ["cgo", "mittag_leffler"])

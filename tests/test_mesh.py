@@ -36,7 +36,7 @@ def test_labeled_area_error_decreases_with_h():
 def test_labeled_area_within_stated_bound():
     shape = ShapeSpec.disk((0.2, 0.1), 0.4)
     for h in (0.08, 0.04):
-        mesh = build_disk_mesh(1.0, h, shape, refine_levels=1)
+        mesh = build_disk_mesh(1.0, h, shape)
         perimeter = 2 * math.pi * shape.radius
         assert abs(_labelled_area(mesh) - shape.area()) <= 2 * h * perimeter
 
@@ -49,7 +49,7 @@ def test_areas_tile_boundary_polygon():
 
 
 def test_all_triangles_positively_oriented():
-    mesh = build_disk_mesh(2.0, 0.15, ShapeSpec.disk((0.0, 0.5), 0.6), refine_levels=2)
+    mesh = build_disk_mesh(2.0, 0.15, ShapeSpec.disk((0.0, 0.5), 0.6))
     assert mesh.triangle_areas().min() > 0
 
 
@@ -72,15 +72,6 @@ def test_inclusion_too_close_to_boundary_rejected():
 def test_too_coarse_for_inclusion_rejected():
     with pytest.raises(MeshError):
         build_disk_mesh(1.0, 0.24, ShapeSpec.disk((0.0, 0.0), 0.05))
-
-
-def test_refinement_keeps_conformity_and_labels_partition():
-    mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.3, 0.0), 0.3), refine_levels=2)
-    mesh.validate()
-    assert set(np.unique(mesh.labels)) <= {BACKGROUND, INCLUSION}
-    # refinement increases resolution near the interface
-    coarse = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.3, 0.0), 0.3), refine_levels=0)
-    assert mesh.n_triangles > coarse.n_triangles
 
 
 # -- support function ---------------------------------------------------------

@@ -120,7 +120,7 @@ kind = disk           ; disk | ellipse | polygon | none
 center = 0.0 0.0
 radius = 0.5
 ; ellipse: semi_axes = 0.4 0.2 / rotation = 0.0 (radians)
-; polygon: vertices = x1 y1; x2 y2; ... (counterclockwise)
+; polygon: vertices = x1 y1; x2 y2; ... (convex, counterclockwise)
 
 [coefficients]
 a = 1.0               ; conductivity contrast (a*I on the inclusion)

@@ -17,6 +17,7 @@ BACKGROUND = 0
 INCLUSION = 1
 
 _UNIT_TOL = 1e-9
+_INSIDE_TOL = 1e-12
 
 
 class MeshError(ValueError):
@@ -30,10 +31,11 @@ def _as_point(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Inclusion geometry: a disk, an ellipse, or a simple convex polygon.
+    """Inclusion geometry: a disk, an ellipse, or a convex polygon.
 
-    All lengths are in domain units.  Polygons must be simple and positively
-    oriented; ellipse ``rotation`` is the angle of the first semi-axis in
+    All lengths are in domain units.  Polygons must be convex and
+    counterclockwise: every turn is to the left and the turns add up to one
+    full turn.  Ellipse ``rotation`` is the angle of the first semi-axis in
     radians.
     """
 
@@ -65,10 +67,13 @@ class ShapeSpec:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise MeshError("polygon needs at least 3 vertices of shape (n, 2)")
-        if polygon_area(v) <= 0:
-            raise MeshError("polygon must be positively oriented")
-        if not _polygon_is_simple(v):
-            raise MeshError("polygon must be simple (no self-intersections)")
+        e = np.roll(v, -1, axis=0) - v
+        prev = np.roll(e, 1, axis=0)
+        cross = prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0]
+        turning = np.arctan2(cross, np.sum(prev * e, axis=1)).sum()
+        if np.any(cross <= 0) or abs(turning - 2 * math.pi) > 1e-9:
+            raise MeshError("polygon must be convex and counterclockwise "
+                            "(every turn to the left, one full turn in total)")
         v = v.copy()
         v.setflags(write=False)
         c = v.mean(axis=0)
@@ -111,25 +116,47 @@ class ShapeSpec:
             return float(c @ t + math.hypot(a * tl[0], b * tl[1]))
         return float(np.max(self.vertices @ t))
 
-    def boundary_distance(self, points: np.ndarray) -> np.ndarray:
-        """Unsigned distance from each point to the shape boundary.
+    def extreme_directions(self, point):
+        """The two directions from ``point`` that bound the shape as seen from it.
 
-        Exact for disks and polygons; for ellipses, the distance to 512
-        boundary samples.
+        Every ray from the point into the shape lies in the sector that turns
+        counterclockwise from the first direction to the second, at most pi
+        wide (pi exactly at a smooth boundary point).  None when the point lies
+        strictly inside, farther than 1e-12 (relative, for disks and ellipses)
+        from the boundary.  Directions are not normalised; plain floats keep
+        the per-call cost small.
         """
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        c = np.asarray(self.center)
-        if self.kind == "disk":
-            return np.abs(np.hypot(p[:, 0] - c[0], p[:, 1] - c[1]) - self.radius)
-        if self.kind == "ellipse":
-            bp = self.boundary_points(512)
-            d2 = ((p[:, None, :] - bp[None, :, :]) ** 2).sum(axis=2)
-            return np.sqrt(d2.min(axis=1))
-        v = self.vertices
-        best = np.full(len(p), np.inf)
-        for i in range(len(v)):
-            best = np.minimum(best, _point_segment_distance(p, v[i], v[(i + 1) % len(v)]))
-        return best
+        px, py = float(point[0]), float(point[1])
+        if self.kind == "polygon":
+            verts = self.vertices.tolist()
+            if all((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)
+                   > _INSIDE_TOL * math.hypot(x1 - x0, y1 - y0)
+                   for (x0, y0), (x1, y1) in zip(verts, verts[1:] + verts[:1])):
+                return None
+            # angles about the direction g to the vertex mean, which lies inside;
+            # a vertex at the point itself bounds nothing
+            gx, gy = float(self.center[0]) - px, float(self.center[1]) - py
+            dirs = [(x - px, y - py) for x, y in verts
+                    if math.hypot(x - px, y - py) > _INSIDE_TOL]
+            angles = [math.atan2(gx * dy - gy * dx, gx * dx + gy * dy) for dx, dy in dirs]
+            return (dirs[angles.index(min(angles))], dirs[angles.index(max(angles))])
+        a, b = self.semi_axes if self.kind == "ellipse" else (self.radius, self.radius)
+        ct, st = math.cos(self.rotation), math.sin(self.rotation)
+        dx, dy = px - float(self.center[0]), py - float(self.center[1])
+        # w = T(point - center), where T maps the shape onto the unit disk
+        wx, wy = (ct * dx + st * dy) / a, (-st * dx + ct * dy) / b
+        rho = math.hypot(wx, wy)
+        if rho < 1.0 - _INSIDE_TOL:
+            return None
+        # the tangents from w to the unit disk run along -sqrt(rho^2-1) u +- u_perp
+        # (u = w/rho); at rho = 1 they are the boundary tangent itself
+        s = math.sqrt(max((rho - 1.0) * (rho + 1.0), 0.0))
+        ux, uy = wx / rho, wy / rho
+        out = []
+        for sign in (1.0, -1.0):
+            lx, ly = a * (-s * ux - sign * uy), b * (-s * uy + sign * ux)
+            out.append((ct * lx - st * ly, st * lx + ct * ly))  # T^-1 = R diag(a, b)
+        return tuple(out)
 
     def boundary_points(self, n: int = 256) -> np.ndarray:
         c = np.asarray(self.center)
@@ -181,34 +208,6 @@ def polygon_area(v: np.ndarray) -> float:
     """Signed shoelace area of a closed polygon, positive when counterclockwise."""
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _polygon_is_simple(v: np.ndarray) -> bool:
-    n = len(v)
-    segs = [(v[i], v[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_cross(*segs[i], *segs[j]):
-                return False
-    return True
-
-
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _point_segment_distance(p: np.ndarray, a, b) -> np.ndarray:
-    ab = b - a
-    t = np.clip(((p - a) @ ab) / (ab @ ab), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(p[:, 0] - proj[:, 0], p[:, 1] - proj[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .mesh import ShapeSpec
 from .mittag import MLParams, ml_deriv_many, ml_eval_many
 
 _OVERFLOW_GUARD = 700.0
+_ANGLE_TOL = 1e-12
 
 
 class ProbeError(ValueError):
@@ -74,94 +75,31 @@ def cone_contains_many(cone: ConeSpec, points: np.ndarray) -> np.ndarray:
     return np.arctan2(np.abs(eta), xi) <= cone.half_aperture + 1e-12
 
 
-def _ray_hits_disk(origin, direction, center, radius: float) -> bool:
-    """Open intersection test of the ray origin + s*direction (s >= 0) with a disk;
-    grazing tangency does not count."""
-    oc = np.asarray(center) - np.asarray(origin)
-    b = float(oc @ direction)
-    c = float(oc @ oc) - radius * radius
-    if c < -1e-12:
-        return True          # origin inside the disk
-    disc = b * b - c
-    if disc <= 1e-12:
-        return False
-    s = b - math.sqrt(disc)  # nearest crossing
-    return s > -1e-12 and (b + math.sqrt(disc)) > 1e-12
-
-
 def cone_avoids_shape(cone: ConeSpec, shape: ShapeSpec) -> bool:
     """True when the open cone and the shape do not overlap (tangency allowed).
 
-    Exact for disks and ellipses via edge-ray tests (the ellipse case maps to
-    a disk by the axis scaling); polygons use vertex and edge tests.
+    Seen from the vertex, a convex shape fills one sector of directions, at
+    most a half turn wide and bounded by ``ShapeSpec.extreme_directions``; a
+    vertex strictly inside sees it in every direction.  The cone is a sector
+    narrower than a half turn.  Two such open sectors overlap exactly when an
+    extreme direction of the shape lies strictly inside the cone, or the cone
+    axis lies strictly inside the shape's sector (which then holds the cone's
+    middle).  For disks and ellipses the extreme directions are closed-form
+    tangents that tend to the boundary tangent as the vertex reaches the
+    boundary, so a vertex on a smooth boundary is judged exactly.  "Strictly"
+    carries a 1e-12 angular margin, so exact tangency counts as avoidance.
     """
-    v = np.asarray(cone.vertex, dtype=float)
-    axis = np.asarray(cone.axis, dtype=float)
-    psi = cone.half_aperture
-    ca, sa = math.cos(psi), math.sin(psi)
-    edge1 = np.array([ca * axis[0] - sa * axis[1], sa * axis[0] + ca * axis[1]])
-    edge2 = np.array([ca * axis[0] + sa * axis[1], -sa * axis[0] + ca * axis[1]])
-
-    if shape.contains(v[None, :])[0]:
-        # vertex strictly inside fails; boundary contact counts as avoidance
-        if shape.boundary_distance(v[None, :])[0] > 1e-12:
-            return False
-
-    if shape.kind == "disk":
-        # dist(center, solid cone) < radius exactly when the open disk meets the cone
-        return _point_cone_distance(cone, np.asarray(shape.center)) >= shape.radius - 1e-12
-    if shape.kind == "ellipse":
-        # scale the ellipse frame into a unit disk and re-test each edge ray
-        rot = shape.rotation
-        ct, st = math.cos(rot), math.sin(rot)
-        rmat = np.array([[ct, st], [-st, ct]])
-        scale = np.diag([1.0 / shape.semi_axes[0], 1.0 / shape.semi_axes[1]])
-        to_local = scale @ rmat
-        c = np.asarray(shape.center)
-        v_l = to_local @ (v - c)
-        for e in (edge1, edge2):
-            e_l = to_local @ e
-            n = np.hypot(e_l[0], e_l[1])
-            if _ray_hits_disk(v_l, e_l / n, np.zeros(2), 1.0):
-                return False
-        return not cone_contains_many(cone, c[None])[0]
-    # polygon: any vertex interior to the cone, or any edge crossed by a cone ray
-    verts = shape.vertices
-    xi, eta = cone.local_coords(verts)
-    ang = np.arctan2(np.abs(eta), xi)
-    if np.any(ang < psi - 1e-12):
+    ext = shape.extreme_directions(cone.vertex)
+    if ext is None:
         return False
-    far = 4.0 * (np.max(np.hypot(*(verts - v).T)) + 1.0)
-    for e in (edge1, edge2):
-        tip = v + far * e
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            if _segments_intersect_open(v, tip, a, b):
-                return False
-    return True
-
-
-def _point_cone_distance(cone: ConeSpec, point) -> float:
-    """Distance from a point to the closed solid cone (0 inside)."""
-    xi, eta = cone.local_coords(np.asarray(point, dtype=float).reshape(1, 2))
-    xi, eta = float(xi[0]), abs(float(eta[0]))
-    phi = math.atan2(eta, xi)
-    psi = cone.half_aperture
-    if phi <= psi:
-        return 0.0
-    r = math.hypot(xi, eta)
-    if phi - psi < math.pi / 2:
-        return r * math.sin(phi - psi)
-    return r
-
-
-def _segments_intersect_open(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return (d1 * d2 < -1e-24) and (d3 * d4 < -1e-24)
+    ax, ay = float(cone.axis[0]), float(cone.axis[1])
+    limit = cone.half_aperture - _ANGLE_TOL
+    for dx, dy in ext:
+        if math.atan2(abs(ax * dy - ay * dx), ax * dx + ay * dy) < limit:
+            return False
+    (x1, y1), (x2, y2) = ext
+    return not (x1 * ay - y1 * ax > _ANGLE_TOL * math.hypot(x1, y1)
+                and ax * y2 - ay * x2 > _ANGLE_TOL * math.hypot(x2, y2))
 
 
 def critical_cone_offset(y, theta, half_aperture: float, shape: ShapeSpec,

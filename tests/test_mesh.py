@@ -124,6 +124,13 @@ def test_polygon_validation():
         ShapeSpec.polygon([(0, 0), (1, 0), (0.5, 0.5), (0.5, -0.5)])  # self-crossing
     with pytest.raises(MeshError):
         ShapeSpec.polygon([(0, 0), (0, 1), (1, 0)])  # negatively oriented
+    with pytest.raises(MeshError, match="convex"):
+        # notched pentagon: simple and counterclockwise, but (0.5, 1.0) lies
+        # inside it and outside the region its edges' half-planes bound
+        ShapeSpec.polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
+    with pytest.raises(MeshError, match="convex"):
+        # pentagram: every turn is to the left, but the turns add up to two
+        ShapeSpec.polygon([(np.cos(a), np.sin(a)) for a in 4 * np.pi / 5 * np.arange(5)])
 
 
 def test_write_mesh_blocks_match_the_mesh(tmp_path):

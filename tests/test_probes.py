@@ -172,15 +172,121 @@ def test_cone_contains_axis_and_behind():
     assert inside.tolist() == [True, False, True, False]
 
 
-def test_cone_avoids_tangent_disk():
-    # disk tangent to the upper edge: center at distance exactly r from the edge
-    cone = ConeSpec(vertex=(0.0, 0.0), axis=(1.0, 0.0), half_aperture=math.pi / 4)
-    s = 1 / math.sqrt(2)
-    center = np.array([2.0, 2.0]) + 0.3 * np.array([-s, s])
-    disk = ShapeSpec.disk(tuple(center), 0.3)
-    assert cone_avoids_shape(cone, disk)
-    closer = ShapeSpec.disk(tuple(center - 0.01 * np.array([-s, s])), 0.3)
-    assert not cone_avoids_shape(cone, closer)
+def _tangent_scene(kind: str, side: float, turn: float):
+    """A shape below the line y = 1 (above y = -1 when side = -1) that touches
+    it, seen from the vertex (0, side) on that line, the whole scene turned by
+    ``turn`` about the origin."""
+    c, s = math.cos(turn), math.sin(turn)
+
+    def place(x, y):
+        return (c * x - s * side * y, s * x + c * side * y)
+
+    if kind == "disk":
+        shape = ShapeSpec.disk(place(2.0, 0.5), 0.5)
+    elif kind == "ellipse":
+        shape = ShapeSpec.ellipse(place(2.0, 0.6), (0.8, 0.4), turn)
+    else:
+        square = [place(x, y) for x, y in [(1.5, 0.0), (2.5, 0.0), (2.5, 1.0), (1.5, 1.0)]]
+        shape = ShapeSpec.polygon(square if side > 0 else square[::-1])
+    return shape, place(0.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["disk", "ellipse", "polygon"])
+def test_cone_avoids_tangent_shape(kind):
+    # one cone edge runs along the line y = side the shape touches (along the
+    # polygon's top edge); the cone opens away from the shape
+    psi = 0.4
+    for side in (1.0, -1.0):
+        for turn in (0.0, 0.7, -2.3):
+            shape, vertex = _tangent_scene(kind, side, turn)
+
+            def cone(tilt):
+                a = turn + side * (psi - tilt)
+                return ConeSpec(vertex=vertex, axis=(math.cos(a), math.sin(a)),
+                                half_aperture=psi)
+
+            assert cone_avoids_shape(cone(0.0), shape), (side, turn)
+            assert not cone_avoids_shape(cone(1e-6), shape), (side, turn)
+
+
+def test_cone_from_an_ellipse_boundary_point():
+    # a vertex exactly on the ellipse, on a boundary sample (t = 0) or between
+    # samples: cones along the outward normal avoid it, cones turned inward
+    # past their half-aperture meet it
+    ellipse = ShapeSpec.ellipse((0.0, 0.0), (0.4, 0.2))
+    psi = 0.3
+    for t in [0.0, math.pi / 512] + list(np.linspace(0.0123, 2 * math.pi, 37)):
+        vertex = (0.4 * math.cos(t), 0.2 * math.sin(t))
+        normal = math.atan2(math.sin(t) / 0.2, math.cos(t) / 0.4)
+        for turn, avoids in [(0.0, True), (0.5, True), (-0.5, True),
+                             (math.pi / 2 - psi - 1e-3, True),
+                             (math.pi / 2 - psi + 1e-3, False),
+                             (-(math.pi / 2 - psi + 1e-3), False), (math.pi, False)]:
+            a = normal + turn
+            cone = ConeSpec(vertex=vertex, axis=(math.cos(a), math.sin(a)), half_aperture=psi)
+            assert cone_avoids_shape(cone, ellipse) == avoids, (t, turn)
+
+
+def _random_convex_shape(rng, kind):
+    center = rng.uniform(-0.5, 0.5, 2)
+    if kind == "disk":
+        return ShapeSpec.disk(center, rng.uniform(0.2, 0.8))
+    if kind == "ellipse":
+        return ShapeSpec.ellipse(center, rng.uniform(0.15, 0.8, 2), rng.uniform(-math.pi, math.pi))
+    ang = np.sort(rng.choice(np.linspace(0.0, 2 * math.pi, 24, endpoint=False),
+                             rng.integers(3, 8), replace=False))
+    r = rng.uniform(0.3, 0.8)
+    return ShapeSpec.polygon(center + r * np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+def _point_on_boundary(rng, shape):
+    if shape.kind == "polygon":
+        v = shape.vertices
+        i = rng.integers(len(v))
+        s = 0.0 if rng.random() < 0.25 else rng.uniform(0.1, 0.9)   # a corner or an edge
+        return tuple(v[i] + s * (v[(i + 1) % len(v)] - v[i]))
+    t = rng.uniform(0.0, 2 * math.pi)
+    a, b = shape.semi_axes if shape.kind == "ellipse" else (shape.radius, shape.radius)
+    c, s = math.cos(shape.rotation), math.sin(shape.rotation)
+    x, y = a * math.cos(t), b * math.sin(t)
+    return (shape.center[0] + c * x - s * y, shape.center[1] + s * x + c * y)
+
+
+@pytest.mark.parametrize("kind", ["disk", "ellipse", "polygon"])
+def test_cone_avoids_shape_matches_sampled_oracle(kind):
+    # the oracle samples the shape densely (its boundary and an interior grid):
+    # a sample strictly inside the cone narrowed by `margin` proves overlap;
+    # none inside the cone widened by `margin` proves avoidance; cases between
+    # the two lie within `margin` of tangency and are skipped
+    rng = np.random.default_rng(18)
+    margin = 0.02
+    grid = np.stack(np.meshgrid(np.linspace(-1.4, 1.4, 141), np.linspace(-1.4, 1.4, 141)),
+                    axis=-1).reshape(-1, 2)
+    counts = {}
+    for _ in range(60):
+        shape = _random_convex_shape(rng, kind)
+        samples = np.vstack([shape.boundary_points(4096), grid[shape.contains(grid)]])
+        rim = np.asarray(_point_on_boundary(rng, shape))
+        vertices = {"outside": tuple(rng.uniform(-2.0, 2.0, 2)),
+                    "boundary": _point_on_boundary(rng, shape),
+                    "inside": tuple(shape.center + rng.uniform(0.0, 0.9) * (rim - shape.center))}
+        for where, vertex in vertices.items():
+            away = samples[np.hypot(*(samples - vertex).T) > 1e-9]
+            for _ in range(4):
+                a, psi = rng.uniform(-math.pi, math.pi), rng.uniform(0.1, 1.4)
+                axis = (math.cos(a), math.sin(a))
+                narrow = ConeSpec(vertex=vertex, axis=axis, half_aperture=psi - margin)
+                wide = ConeSpec(vertex=vertex, axis=axis, half_aperture=psi + margin)
+                meets = bool(cone_contains_many(narrow, away).any())
+                if not meets and cone_contains_many(wide, away).any():
+                    continue
+                cone = ConeSpec(vertex=vertex, axis=axis, half_aperture=psi)
+                assert cone_avoids_shape(cone, shape) == (not meets), (shape, cone)
+                counts[where, meets] = counts.get((where, meets), 0) + 1
+    # every placement is decided many times, with both outcomes off the shape
+    assert counts.get(("outside", True), 0) > 20 and counts.get(("outside", False), 0) > 20
+    assert counts.get(("boundary", True), 0) > 20 and counts.get(("boundary", False), 0) > 20
+    assert counts.get(("inside", True), 0) > 20 and ("inside", False) not in counts
 
 
 def test_cone_avoids_polygon_and_ellipse():

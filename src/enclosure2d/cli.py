@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__, mittag
 from .admittivity import AdmittivityField, FieldError, ReductionInput, reduce_background
-from .fem import (DtNMatrix, SolverError, assemble_dtn_matrix, check_pair,
-                  fourier_basis_for_mesh, nodal_basis_for_mesh, read_dtn, write_dtn)
+from .fem import (DtNMatrix, SolverError, assemble_dtn_matrix, check_band_limit, gap_matrix,
+                  read_dtn, write_dtn)
 from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
                         cones_avoid_shape, default_tau_ladder,
                         fit_support_directions, hull_contains_shape,
@@ -308,28 +308,29 @@ def cmd_mesh(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_dtn(cfg: ExperimentConfig, basis_kind: str = "nodal",
-            fourier_modes: int = 8) -> int:
+def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
+    """The perturbed and background operator files, band-limited to the
+    modes |n| <= modes, or full for modes = 0."""
     mesh = _build_mesh(cfg)
-    field = _build_field(cfg, mesh)
-    omega = field.omega
     try:
-        basis = (nodal_basis_for_mesh(mesh) if basis_kind == "nodal"
-                 else fourier_basis_for_mesh(mesh, fourier_modes))
+        check_band_limit(modes, len(mesh.boundary_loop))
     except ValueError as exc:
         raise ConfigError(f"--modes: {exc}") from exc
+    field = _build_field(cfg, mesh)
+    omega = field.omega
     out = _out(cfg)
     prov = cfg.provenance()
     for name, fld in (("dtn_perturbed.npz", field),
                       ("dtn_background.npz", AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))):
-        dtn = assemble_dtn_matrix(mesh, fld, basis)
+        dtn = assemble_dtn_matrix(mesh, fld, modes)
         write_dtn(dtn, out / name, provenance=prov)
-        print(f"{name}: {basis.kind} basis, size {basis.size}, "
+        print(f"{name}: {dtn.basis.size} nodes, band limit {modes or 'none'}, "
               f"symmetry defect {dtn.symmetry_defect():.2e}")
     return 0
 
 
-def _load_pair(cfg: ExperimentConfig) -> tuple[DtNMatrix, DtNMatrix]:
+def _load_gap(cfg: ExperimentConfig) -> DtNMatrix:
+    """The operator gap of the two operator files, read and checked once."""
     out = _out(cfg)
     paths = (out / "dtn_perturbed.npz", out / "dtn_background.npz")
     pair = []
@@ -340,21 +341,19 @@ def _load_pair(cfg: ExperimentConfig) -> tuple[DtNMatrix, DtNMatrix]:
             pair.append(read_dtn(p))
         except SolverError as exc:
             raise ConfigError(f"cannot read operator file {p}: {exc}") from exc
-    b1, b0 = pair
     try:
-        check_pair((b1, b0))
+        return gap_matrix(tuple(pair))
     except SolverError as exc:
         raise ConfigError(f"{paths[0]} and {paths[1]} are not one dtn run's pair: "
                           f"{exc}") from exc
-    return b1, b0
 
 
 def cmd_indicate(cfg: ExperimentConfig) -> int:
-    pair = _load_pair(cfg)
+    gap = _load_gap(cfg)
     mesh = _build_mesh(cfg) if cfg.validation_mode else None
     rows = []
-    for probe in cfg.probes(pair[0].basis.radius):
-        vals = indicator_cgo(pair, probe) if probe.kind == "cgo" else indicator_ml(pair, probe)
+    for probe in cfg.probes(gap.basis.radius):
+        vals = indicator_cgo(gap, probe) if probe.kind == "cgo" else indicator_ml(gap, probe)
         js = j_oracle(mesh, probe).tolist() if mesh is not None else [None] * len(vals)
         y_x, y_y = probe.y or (None, None)
         for tau, val, j in zip(probe.tau.tolist(), vals.tolist(), js):
@@ -370,12 +369,12 @@ def cmd_indicate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_reconstruct(cfg: ExperimentConfig) -> int:
-    pair = _load_pair(cfg)
-    probes = cfg.probes(pair[0].basis.radius)
+    gap = _load_gap(cfg)
+    probes = cfg.probes(gap.basis.radius)
     out = _out(cfg)
     if cfg.probe_family == "cgo":
-        est = fit_support_directions(pair, probes)
-        region = convex_hull_estimate(est, cfg.domain_radius)
+        fits = fit_support_directions(gap, probes)
+        region = convex_hull_estimate(fits, cfg.domain_radius)
         with open(out / "hull.csv", "w") as f:
             f.write(provenance_header(cfg.provenance()))
             f.write("x,y\n")
@@ -383,12 +382,12 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
                 f.write(f"{p[0]:.17g},{p[1]:.17g}\n")
         print(f"hull: {len(region.polygon)} vertices, area {region.area():.6g}")
         if cfg.validation_mode and cfg.inclusion is not None:
-            sound = hull_contains_shape(est, cfg.inclusion)
+            sound = hull_contains_shape(fits, cfg.inclusion)
             print(f"validation: hull contains true inclusion: {sound}")
     else:
         ests = []
         for probe in probes:
-            est = transition_search_ml(pair, probe, cfg.t_search)
+            est = transition_search_ml(gap, probe, cfg.t_search)
             ests.append(est)
             tag = f"{est.h_est:.4f}" if est.h_est is not None else "none"
             y = probe.y
@@ -468,9 +467,10 @@ def main(argv=None) -> int:
             p.add_argument("--validate", action="store_true",
                            help="enable validation mode (ground-truth checks)")
         if name == "dtn":
-            p.add_argument("--basis", choices=("nodal", "fourier"), default="nodal")
+            p.add_argument("--basis", choices=("nodal", "fourier"), default="nodal",
+                           help="fourier: measure with trigonometric current patterns")
             p.add_argument("--modes", type=int, default=8,
-                           help="fourier mode cutoff when --basis fourier")
+                           help="band limit N >= 1 of the patterns when --basis fourier")
 
     p = sub.add_parser("mleval")
     p.add_argument("--alpha", type=float, required=True)
@@ -494,7 +494,9 @@ def main(argv=None) -> int:
         if args.command == "mesh":
             return cmd_mesh(cfg)
         if args.command == "dtn":
-            return cmd_dtn(cfg, basis_kind=args.basis, fourier_modes=args.modes)
+            if args.basis == "fourier" and args.modes < 1:
+                raise ConfigError(f"--modes: band limit N = {args.modes} must be at least 1")
+            return cmd_dtn(cfg, args.modes if args.basis == "fourier" else 0)
         if args.command == "indicate":
             return cmd_indicate(cfg)
         if args.command == "reconstruct":

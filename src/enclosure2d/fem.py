@@ -21,9 +21,11 @@ Only assembly and factorization need scipy.sparse, and they import it where
 they run: a process that reads operator files and evaluates probes never
 loads scipy.
 
-The fourier basis builds its mode matrix and its least-squares projector
-(the pseudo-inverse of that matrix) once, on first use, and keeps both
-read-only; expanding a trace is then one matrix-vector product.
+Traces are discretized in one basis, the nodal one: a trace's coefficients
+are its boundary-node values, so expanding a trace is exact.  A measurement
+with trigonometric current patterns exp(i n theta), |n| <= N, is a band
+limit on the operator, and it is written in that same basis as Q^T S^T Q
+with Q the least-squares projection onto those modes.
 
 A separated-variables oracle for the concentric two-layer disk provides the
 reference eigenvalues used to validate the assembly.
@@ -31,7 +33,7 @@ reference eigenvalues used to validate the assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -51,103 +53,39 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryBasis:
-    """Trace discretization on the boundary loop.
-
-    kind "nodal": one hat function per boundary node (coefficients are nodal
-    values).  kind "fourier": interpolated modes exp(i n theta), |n| <= N,
-    ordered n = -N..N.  ``thetas`` are the polar angles of the boundary nodes
-    (kept as a read-only float copy) and ``radius`` the circle they sit on,
-    kept here so that traces can be expanded and probes evaluated without
-    access to the mesh interior.
+    """Nodal trace discretization on the boundary loop: one hat function per
+    boundary node, so a trace's coefficients are its nodal values.
+    ``thetas`` are the polar angles of the boundary nodes (kept as a read-only
+    float copy) and ``radius`` the circle they sit on, kept here so that
+    traces can be expanded and probes evaluated without access to the mesh
+    interior.
     """
 
-    kind: str
     thetas: np.ndarray
-    n_modes: int = 0
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("nodal", "fourier"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "fourier" and self.n_modes < 1:
-            raise ValueError("fourier basis needs N >= 1")
         thetas = np.array(self.thetas, dtype=float)
         thetas.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
 
     @property
     def size(self) -> int:
-        return 2 * self.n_modes + 1 if self.kind == "fourier" else len(self.thetas)
+        return len(self.thetas)
 
     @property
     def points(self) -> np.ndarray:
         """Boundary node coordinates on the domain circle."""
         return self.radius * np.stack([np.cos(self.thetas), np.sin(self.thetas)], axis=1)
 
-    @property
-    def mode_numbers(self) -> np.ndarray:
-        if self.kind != "fourier":
-            raise ValueError("mode numbers only exist for the fourier basis")
-        return np.arange(-self.n_modes, self.n_modes + 1)
-
-    @cached_property
-    def _modes(self) -> np.ndarray:
-        p = np.exp(1j * np.outer(self.thetas, self.mode_numbers))
-        p.setflags(write=False)
-        return p
-
-    @cached_property
-    def _projector(self) -> np.ndarray:
-        # the singular-value cutoff of lstsq(rcond=None); pinv's default is 1e-15
-        p = self._modes
-        pinv = np.linalg.pinv(p, rcond=max(p.shape) * np.finfo(float).eps)
-        pinv.setflags(write=False)
-        return pinv
-
-    def nodal_matrix(self) -> np.ndarray:
-        """(n_boundary_nodes, size) matrix of basis-function nodal values: the
-        identity for the nodal basis, and for the fourier basis a matrix built
-        once and returned read-only."""
-        if self.kind == "nodal":
-            return np.eye(len(self.thetas))
-        return self._modes
-
-    def expand(self, values: np.ndarray):
-        """Least-squares coefficients of boundary-node values in this basis,
-        with the relative interpolation residual: for (nodes,) values a float,
-        for (nodes, k) values one residual per column.  The fourier basis
-        applies the pseudo-inverse of its mode matrix, built on the first call
-        and cached on the basis."""
-        v = np.asarray(values, dtype=complex)
-        if self.kind == "nodal":
-            coef, res = v.copy(), np.zeros(v.shape[1:])
-        else:
-            coef = self._projector @ v
-            res = (np.linalg.norm(self._modes @ coef - v, axis=0)
-                   / np.maximum(np.linalg.norm(v, axis=0), 1e-300))
-        return coef, (float(res) if v.ndim == 1 else res)
-
-    def conjugate_coefficients(self, coef: np.ndarray) -> np.ndarray:
-        """Coefficients of the complex-conjugate trace: nodal conjugates, or
-        conj(c_{-n}) at mode n for the fourier basis."""
-        c = np.asarray(coef, dtype=complex)
-        if self.kind == "nodal":
-            return np.conj(c)
-        return np.conj(c[::-1])
-
-
-def fourier_basis_for_mesh(mesh: Mesh, n_modes: int) -> BoundaryBasis:
-    nb = len(mesh.boundary_loop)
-    if n_modes > nb // 8:
-        raise ValueError(f"N = {n_modes} exceeds the aliasing limit {nb // 8} "
-                         f"for {nb} boundary nodes")
-    return BoundaryBasis(kind="fourier", thetas=_boundary_thetas(mesh),
-                         n_modes=n_modes, radius=mesh.domain_radius)
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of boundary-node values, (nodes,) or (nodes, k): the
+        values themselves, as a C-ordered complex array."""
+        return np.ascontiguousarray(values, dtype=complex)
 
 
 def nodal_basis_for_mesh(mesh: Mesh) -> BoundaryBasis:
-    return BoundaryBasis(kind="nodal", thetas=_boundary_thetas(mesh),
-                         radius=mesh.domain_radius)
+    return BoundaryBasis(thetas=_boundary_thetas(mesh), radius=mesh.domain_radius)
 
 
 def _boundary_thetas(mesh: Mesh) -> np.ndarray:
@@ -330,13 +268,16 @@ def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DtNMatrix:
-    """Bilinear boundary-operator matrix B[j, k] = <L phi_j, phi_k> (no
-    conjugation; complex symmetric for symmetric coefficient fields)."""
+    """Bilinear boundary-operator matrix B[j, k] = <L phi_j, phi_k> over the
+    nodal basis (no conjugation; complex symmetric for symmetric coefficient
+    fields), band-limited to the modes |n| <= ``modes``, or the full operator
+    for modes = 0."""
 
     basis: BoundaryBasis
     omega: float
     matrix: np.ndarray
     mesh_h: float
+    modes: int = 0
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -346,21 +287,40 @@ class DtNMatrix:
         return float(np.linalg.norm(b - b.T) / max(np.linalg.norm(b), 1e-300))
 
 
-def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField,
-                        basis: BoundaryBasis,
+def check_band_limit(modes: int, nodes: int) -> None:
+    """ValueError unless 0 <= modes <= nodes // 8: above that the modes alias
+    on the nodes, and past nodes / 2 their projection is rank-deficient."""
+    if not 0 <= modes <= nodes // 8:
+        raise ValueError(f"band limit N = {modes} is negative or exceeds the aliasing "
+                         f"limit {nodes // 8} for {nodes} boundary nodes")
+
+
+def band_limited(matrix: np.ndarray, thetas: np.ndarray, modes: int) -> np.ndarray:
+    """Q^T B Q for a nodal operator matrix B: the operator measured with the
+    trigonometric current patterns exp(i n theta), |n| <= modes, where
+    Q = P P+ projects node values onto them by least squares, with P the
+    (nodes, 2 modes + 1) mode matrix at the node angles ``thetas``.
+
+    Formed as P+^T (P^T B P) P+, with products of P only.  Its quadratic form
+    on a trace f is that of the modes' matrix P^T B P on the coefficients
+    c = P+ f, because conj(P+) = J P+ with J the mode reversal."""
+    check_band_limit(modes, len(thetas))
+    p = np.exp(1j * np.outer(thetas, np.arange(-modes, modes + 1)))
+    # the singular-value cutoff of lstsq(rcond=None); pinv's default is 1e-15
+    pinv = np.linalg.pinv(p, rcond=max(p.shape) * np.finfo(float).eps)
+    return pinv.T @ (p.T @ (matrix @ p)) @ pinv
+
+
+def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
                         system: Optional[DirichletSystem] = None) -> DtNMatrix:
-    """B[j, k] = <L phi_j, phi_k> = phi_k^T S phi_j over the basis, read off the
-    boundary operator S of the system: S^T for the nodal basis, and
-    P^T S^T P for the fourier basis with mode matrix P."""
-    if len(basis.thetas) != len(mesh.boundary_loop):
-        raise SolverError("basis does not match the mesh boundary loop")
+    """B[j, k] = <L phi_j, phi_k> = phi_k^T S phi_j over the nodal basis, read
+    off the boundary operator S of the system: S^T, or for modes >= 1 its
+    ``band_limited`` form."""
+    basis = nodal_basis_for_mesh(mesh)
     sys_ = system or DirichletSystem(mesh, complex_admittivity(field))
-    if basis.kind == "nodal":
-        b = np.ascontiguousarray(sys_.operator.T, dtype=complex)
-    else:
-        p = basis.nodal_matrix()
-        b = p.T @ (sys_.operator.T @ p)
-    return DtNMatrix(basis=basis, omega=field.omega, matrix=b, mesh_h=mesh.h)
+    b = (band_limited(sys_.operator.T, basis.thetas, modes) if modes
+         else np.ascontiguousarray(sys_.operator.T, dtype=complex))
+    return DtNMatrix(basis=basis, omega=field.omega, matrix=b, mesh_h=mesh.h, modes=modes)
 
 
 def analytic_two_layer_dtn(rho: float, k: complex, n: int) -> complex:
@@ -390,12 +350,11 @@ DtnPair = tuple[DtNMatrix, DtNMatrix]
 
 def check_pair(pair: DtnPair) -> None:
     """SolverError naming the first field in which the operators of a
-    (perturbed, background) pair differ: both come from one mesh and one
-    frequency, so basis kind and size, radius, omega, mesh size and node
+    (perturbed, background) pair differ: both come from one mesh, one
+    frequency and one band limit, so modes, radius, omega, mesh size and node
     angles must all agree."""
     b1, b0 = pair
-    for name, v1, v0 in (("basis kind", b1.basis.kind, b0.basis.kind),
-                         ("basis size", b1.basis.size, b0.basis.size),
+    for name, v1, v0 in (("modes", b1.modes, b0.modes),
                          ("radius", b1.basis.radius, b0.basis.radius),
                          ("omega", b1.omega, b0.omega),
                          ("mesh_h", b1.mesh_h, b0.mesh_h)):
@@ -405,29 +364,31 @@ def check_pair(pair: DtnPair) -> None:
         raise SolverError("operator pair differs in its node angles")
 
 
-def gap_matrix(pair: DtnPair) -> np.ndarray:
-    """Difference matrix of a (perturbed, background) operator pair that
-    passes ``check_pair``; a real array when both operators are real."""
+def gap_matrix(pair: DtnPair) -> DtNMatrix:
+    """The operator gap L1 - L0 of a (perturbed, background) pair that passes
+    ``check_pair``, in their basis; its matrix is real when both operators
+    are."""
     check_pair(pair)
     b1, b0 = pair
     gap = b1.matrix - b0.matrix
-    return gap if gap.imag.any() else gap.real.copy()
+    return replace(b1, matrix=gap if gap.imag.any() else gap.real.copy())
 
 
-def quadratic_gap(gap: np.ndarray, basis: BoundaryBasis, coef: np.ndarray):
-    """Re <(L1 - L0) f, conj(f)> from expansion coefficients of f: a float for
-    (size,) coefficients, one value per column for (size, k).  A form whose
-    products pass double range is inf."""
+def quadratic_gap(gap: DtNMatrix, coef: np.ndarray):
+    """Re <(L1 - L0) f, conj(f)> from the operator gap and the expansion
+    coefficients of f: a float for (size,) coefficients, one value per column
+    for (size, k).  A form whose products pass double range is inf."""
     c = np.asarray(coef, dtype=complex)
     cols = c[:, None] if c.ndim == 1 else c
-    cc = basis.conjugate_coefficients(cols)
+    cc = np.conj(cols)
+    g = gap.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.iscomplexobj(gap):
-            w = gap @ cc
+        if np.iscomplexobj(g):
+            w = g @ cc
         else:
             # one real product on the stacked parts, not a complex copy of the gap
             k = cc.shape[1]
-            w = gap @ np.hstack([cc.real, cc.imag])
+            w = g @ np.hstack([cc.real, cc.imag])
             w = w[:, :k] + 1j * w[:, k:]
         vals = np.real(np.sum(cols * w, axis=0))
     vals = np.where(np.isfinite(vals), vals, np.inf)
@@ -511,37 +472,36 @@ def prop21_check(field1: AdmittivityField, field2: AdmittivityField,
 # Operator-matrix exchange format
 
 
-DTN_FORMAT = "enclosure2d dtn v2"
+DTN_FORMAT = "enclosure2d dtn v3"
 
 # each archive entry's dtype kind, item size in bytes (0: any) and dimensions
-_DTN_ENTRIES = {"format": ("U", 0, 0), "kind": ("U", 0, 0), "provenance": ("U", 0, 1),
-                "n_param": ("i", 8, 0), "n_nodes": ("i", 8, 0), "omega": ("f", 8, 0),
-                "h": ("f", 8, 0), "radius": ("f", 8, 0), "thetas": ("f", 8, 1),
-                "matrix": ("c", 16, 2)}
+_DTN_ENTRIES = {"format": ("U", 0, 0), "provenance": ("U", 0, 1), "modes": ("i", 8, 0),
+                "n_nodes": ("i", 8, 0), "omega": ("f", 8, 0), "h": ("f", 8, 0),
+                "radius": ("f", 8, 0), "thetas": ("f", 8, 1), "matrix": ("c", 16, 2)}
 
 
 def write_dtn(dtn: DtNMatrix, path, provenance: Optional[dict] = None) -> None:
     """One uncompressed numpy .npz archive (see ``numpy.lib.format``): the
-    ``format`` tag DTN_FORMAT, the header (``kind``, ``n_param`` the mode
-    cutoff N or the nodal size, ``n_nodes``, ``omega``, ``h`` the mesh size,
+    ``format`` tag DTN_FORMAT, the header (``modes`` the band limit N, 0 for
+    the full operator, ``n_nodes``, ``omega``, ``h`` the mesh size,
     ``radius``), ``provenance`` as 'key: value' lines, the float64 node angles
-    ``thetas`` and the complex128 ``matrix``.  The bytes depend only on these
-    values: zip entries carry a fixed timestamp."""
+    ``thetas`` and the complex128 nodal ``matrix``.  The bytes depend only on
+    these values: zip entries carry a fixed timestamp."""
     b = dtn.basis
     lines = np.array([f"{key}: {val}" for key, val in (provenance or {}).items()], dtype=str)
     # through a file object, which np.savez does not rename to end in .npz
     with open(path, "wb") as f:
-        np.savez(f, format=DTN_FORMAT, kind=b.kind, provenance=lines,
-                 n_param=np.int64(b.n_modes if b.kind == "fourier" else b.size),
-                 n_nodes=np.int64(len(b.thetas)), omega=np.float64(dtn.omega),
+        np.savez(f, format=DTN_FORMAT, provenance=lines, modes=np.int64(dtn.modes),
+                 n_nodes=np.int64(b.size), omega=np.float64(dtn.omega),
                  h=np.float64(dtn.mesh_h), radius=np.float64(b.radius), thetas=b.thetas,
                  matrix=np.asarray(dtn.matrix, dtype=complex))
 
 
 def read_dtn(path) -> DtNMatrix:
     """Inverse of ``write_dtn``, loaded without unpickling.  A file that is not
-    such an archive, or whose entries are missing, mistyped, misshapen,
-    non-finite or inconsistent, raises SolverError("corrupt operator file: ...")."""
+    such an archive, is of another format version, or whose entries are
+    missing, mistyped, misshapen, non-finite or inconsistent, raises
+    SolverError("corrupt operator file: ...")."""
     import tokenize
     import zipfile
 
@@ -552,6 +512,11 @@ def read_dtn(path) -> DtNMatrix:
         f.seek(0)
         try:
             with np.load(f, allow_pickle=False) as data:
+                fmt = data.get("format")
+                if str(fmt) != DTN_FORMAT:
+                    raise SolverError(f"corrupt operator file: format {fmt}, expected "
+                                      f"{DTN_FORMAT} (a file of another format needs a new "
+                                      "dtn run)")
                 z = {name: data[name] for name in _DTN_ENTRIES}
         # np.load's errors on a damaged archive, a bad CRC-32 and an unparsable
         # array header among them
@@ -562,30 +527,23 @@ def read_dtn(path) -> DtNMatrix:
         a = z[name]
         if a.dtype.kind != kind or (size and a.dtype.itemsize != size) or a.ndim != ndim:
             raise SolverError(f"corrupt operator file: entry {name!r} is {a.ndim}-d {a.dtype}")
-    if z["format"] != DTN_FORMAT:
-        raise SolverError(f"corrupt operator file: format {z['format']}, expected {DTN_FORMAT}")
-    kind, n_param, thetas = str(z["kind"]), int(z["n_param"]), z["thetas"]
+    thetas, matrix = z["thetas"], z["matrix"]
     omega, h, radius = float(z["omega"]), float(z["h"]), float(z["radius"])
     if not (np.isfinite([omega, h, radius]).all() and np.isfinite(thetas).all()):
         raise SolverError("corrupt operator file: non-finite omega, h, radius or node angle")
-    if len(thetas) != z["n_nodes"] or (kind == "nodal" and n_param != len(thetas)):
+    nb = len(thetas)
+    if nb != z["n_nodes"]:
         raise SolverError("corrupt operator file: node count mismatch")
-    if not len(thetas):
+    if not nb:
         raise SolverError("corrupt operator file: no node angles")
-    if kind == "fourier" and n_param > len(thetas) // 8:
-        # the limit fourier_basis_for_mesh enforces: above it the modes alias
-        # on the nodes, and past nb / 2 the projector is rank-deficient
-        raise SolverError(f"corrupt operator file: N = {n_param} exceeds the aliasing "
-                          f"limit {len(thetas) // 8} for {len(thetas)} node angles")
     try:
-        basis = BoundaryBasis(kind=kind, thetas=thetas,
-                              n_modes=n_param if kind == "fourier" else 0, radius=radius)
+        check_band_limit(int(z["modes"]), nb)
     except ValueError as exc:
         raise SolverError(f"corrupt operator file: {exc}") from exc
-    matrix = z["matrix"]
-    if matrix.shape != (basis.size, basis.size):
+    if matrix.shape != (nb, nb):
         raise SolverError(f"corrupt operator file: a {matrix.shape} matrix, expected "
-                          f"{basis.size} x {basis.size}")
+                          f"{nb} x {nb}")
     if not np.isfinite(matrix).all():
         raise SolverError("corrupt operator file: non-finite operator entry")
-    return DtNMatrix(basis=basis, omega=omega, matrix=matrix, mesh_h=h)
+    return DtNMatrix(basis=BoundaryBasis(thetas=thetas, radius=radius), omega=omega,
+                     matrix=matrix, mesh_h=h, modes=int(z["modes"]))

@@ -1,8 +1,10 @@
 """Indicator functionals on boundary data and the region estimates built from them.
 
-Everything here consumes only assembled boundary-operator matrices (plus probe
-parameters); mesh interiors and true inclusion shapes appear exclusively in
-the validation helpers, which keeps the reconstruction side honest.
+Everything here consumes only the operator gap L1 - L0 of an assembled
+(perturbed, background) pair (plus probe parameters), formed once by
+``fem.gap_matrix`` and passed to every indicator, fit and search; mesh
+interiors and true inclusion shapes appear exclusively in the validation
+helpers, which keeps the reconstruction side honest.
 
 Every consumer takes a probe as one ``ProbeSpec`` whose ``tau`` is the whole
 ladder: the indicators and the energy oracle evaluate a ladder in one call,
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fem import BoundaryBasis, DtnPair, gap_matrix, quadratic_gap
+from .fem import DtNMatrix, quadratic_gap
 from .mesh import INCLUSION, Mesh, ShapeSpec, polygon_area, provenance_header
 from .probes import (ConeSpec, ProbeSpec, cgo_trace, cone_avoids_shape,
                      cone_contains_many, probe_gradient, ml_probe_trace)
@@ -35,7 +37,6 @@ _HULL_SIDES = 128
 _SUPPORT_TOL = 1e-9
 _SVG_SIZE = 600
 _FIT_RESIDUAL = 0.05
-_EXPANSION_WARN = 1e-6
 
 
 class IndicatorError(ValueError):
@@ -52,11 +53,6 @@ class SupportFit:
     rms_residual: float
     window: tuple[int, int]
     low_confidence: bool
-
-
-@dataclass(frozen=True)
-class SupportEstimate:
-    fits: tuple[SupportFit, ...]
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,7 @@ def default_tau_ladder(mesh_h: float, n_points: int = 12, tau_min: float = 1.0,
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis,
-                  traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ladder_forms(gap: DtNMatrix, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms Re <(L1 - L0) f, conj f> of the traces f of a probe
     (one row per tau), with their expansion coefficients, one column per tau.
     From the first trace that overflows on, the forms are inf and have no
@@ -113,35 +108,31 @@ def _ladder_forms(gap: np.ndarray, basis: BoundaryBasis,
     traces = np.atleast_2d(traces)
     finite = np.isfinite(traces).all(axis=1)
     stop = len(finite) if finite.all() else int(finite.argmin())
-    coef, res = basis.expand(traces[:stop].T)
-    for r in res[res > _EXPANSION_WARN]:
-        warnings.warn(f"trace expansion residual {r:.2e} exceeds {_EXPANSION_WARN:.0e}",
-                      stacklevel=3)
+    coef = gap.basis.expand(traces[:stop].T)
     vals = np.full(len(finite), np.inf)
-    vals[:stop] = quadratic_gap(gap, basis, coef)
+    vals[:stop] = quadratic_gap(gap, coef)
     return vals, coef
 
 
-def indicator_cgo(pair: DtnPair, spec: ProbeSpec):
-    """Depth-shifted exponential-probe indicator from an operator pair: a
+def indicator_cgo(gap: DtNMatrix, spec: ProbeSpec):
+    """Depth-shifted exponential-probe indicator from the operator gap: a
     float for a scalar tau, one value per tau for a ladder."""
     taus = np.atleast_1d(spec.tau)
-    h = pair[0].mesh_h
+    h = gap.mesh_h
     for x in taus[taus * h > 0.9]:
         warnings.warn(f"tau = {x:.3g} exceeds the mesh-resolution advisory "
                       f"({0.9 / h:.3g}) for h = {h}", stacklevel=2)
-    basis = pair[0].basis
-    vals = _ladder_forms(gap_matrix(pair), basis, cgo_trace(spec, basis.points))[0]
+    vals = _ladder_forms(gap, cgo_trace(spec, gap.basis.points))[0]
     return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
 
 
-def indicator_ml(pair: DtnPair, spec: ProbeSpec):
-    """Cone-probe indicator: a float for a scalar tau, one value per tau for
-    a ladder, inf from the first overflowing trace on; rejects probes whose
-    base cone meets the operators' domain."""
-    basis = pair[0].basis
+def indicator_ml(gap: DtNMatrix, spec: ProbeSpec):
+    """Cone-probe indicator from the operator gap: a float for a scalar tau,
+    one value per tau for a ladder, inf from the first overflowing trace on;
+    rejects probes whose base cone meets the operators' domain."""
+    basis = gap.basis
     spec = replace(spec, domain_radius=basis.radius)     # checks the base cone
-    vals = _ladder_forms(gap_matrix(pair), basis, ml_probe_trace(spec, basis.points))[0]
+    vals = _ladder_forms(gap, ml_probe_trace(spec, basis.points))[0]
     return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
 
 
@@ -197,10 +188,10 @@ def support_slope_fit(spec: ProbeSpec, values: np.ndarray) -> SupportFit:
                       rms_residual=rms, window=window, low_confidence=low_confidence)
 
 
-def fit_support_directions(pair: DtnPair, probes: Sequence[ProbeSpec]) -> SupportEstimate:
+def fit_support_directions(gap: DtNMatrix,
+                           probes: Sequence[ProbeSpec]) -> tuple[SupportFit, ...]:
     """Slope fits of exponential probes, one per probe, each over its ladder."""
-    return SupportEstimate(fits=tuple(support_slope_fit(spec, indicator_cgo(pair, spec))
-                                      for spec in probes))
+    return tuple(support_slope_fit(spec, indicator_cgo(gap, spec)) for spec in probes)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +239,7 @@ def classify_series(taus: np.ndarray, values: np.ndarray,
     return "growth", True
 
 
-def transition_search_ml(pair: DtnPair, spec: ProbeSpec,
+def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
                          t_interval: tuple[float, float],
                          dt_tol: float = 0.02) -> TransitionEstimate:
     """Bisect the decay/growth transition of the cone-probe indicator in t,
@@ -261,18 +252,19 @@ def transition_search_ml(pair: DtnPair, spec: ProbeSpec,
     if not (t_lo < t_hi < 0):
         raise IndicatorError("search interval must satisfy t_lo < t_hi < 0")
     taus = np.asarray(spec.tau, dtype=float)
-    basis = pair[0].basis
-    gap = gap_matrix(pair)
-    gap_scale = float(np.max(np.abs(gap))) * gap.shape[0] * 1e-16
+    basis = gap.basis
+    gap_scale = float(np.max(np.abs(gap.matrix))) * gap.matrix.shape[0] * 1e-16
     low_conf = 0
 
     def classify(t: float) -> str:
         nonlocal low_conf
         # samples from the first overflowing trace on stay infinite
         probe = replace(spec, t=t, domain_radius=basis.radius)   # checks the base cone
-        vals, coef = _ladder_forms(gap, basis, ml_probe_trace(probe, basis.points))
+        vals, coef = _ladder_forms(gap, ml_probe_trace(probe, basis.points))
         floors = np.zeros(len(taus))
-        floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * gap_scale
+        # a floor that overflows is inf, which discards its sample
+        with np.errstate(over="ignore"):
+            floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * gap_scale
         label, tie = classify_series(taus, vals, floors)
         if tie:
             low_conf += 1
@@ -319,13 +311,13 @@ def clip_polygon_halfplane(poly: np.ndarray, normal: np.ndarray, offset: float) 
     return np.array(out) if out else np.empty((0, 2))
 
 
-def convex_hull_estimate(estimate: SupportEstimate, domain_radius: float) -> RegionEstimate:
+def convex_hull_estimate(fits: Sequence[SupportFit], domain_radius: float) -> RegionEstimate:
     """Intersection of the half-planes {x . theta <= h(theta)}, clipped to the domain."""
-    if len(estimate.fits) < 3:
+    if len(fits) < 3:
         raise IndicatorError("need at least 3 directions for a hull")
     ang = np.linspace(0, 2 * math.pi, _HULL_SIDES, endpoint=False)
     poly = domain_radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    for fit in estimate.fits:
+    for fit in fits:
         poly = clip_polygon_halfplane(poly, np.asarray(fit.theta), fit.h_est)
         if len(poly) < 3:
             raise IndicatorError("half-plane intersection is empty; estimates inconsistent")
@@ -356,10 +348,9 @@ def cone_carving(estimates: Sequence[TransitionEstimate], domain_radius: float,
 # Validation helpers (ground truth required)
 
 
-def hull_contains_shape(estimate: SupportEstimate, shape: ShapeSpec) -> bool:
+def hull_contains_shape(fits: Sequence[SupportFit], shape: ShapeSpec) -> bool:
     """Soundness: the true support never exceeds the fitted one per direction."""
-    return all(shape.support(np.asarray(f.theta)) <= f.h_est + _SUPPORT_TOL
-               for f in estimate.fits)
+    return all(shape.support(np.asarray(f.theta)) <= f.h_est + _SUPPORT_TOL for f in fits)
 
 
 def cones_avoid_shape(region: RegionEstimate, shape: ShapeSpec) -> bool:

@@ -36,6 +36,12 @@ def _v1_text(path):
                     "1 0 -1 0\n-1 0 1 0\n")
 
 
+def _v2_archive(path):
+    # the layout before band limits: a basis kind and n_param, no modes entry
+    rewrite(path, drop=("modes",), format="enclosure2d dtn v2", kind="nodal",
+            n_param=entries(path)["n_nodes"])
+
+
 def _matrix(path):
     return entries(path)["matrix"]
 
@@ -50,5 +56,6 @@ CORRUPTIONS = {
     "object entry": lambda p: rewrite(p, matrix=_matrix(p).astype(object)),
     "wrong shape": lambda p: rewrite(p, matrix=_matrix(p)[:, :-1]),
     "wrong dtype": lambda p: rewrite(p, matrix=_matrix(p).real),
-    "format tag": lambda p: rewrite(p, format="enclosure2d dtn v3"),
+    "format tag": lambda p: rewrite(p, format="enclosure2d dtn v4"),
+    "v2 archive": _v2_archive,
 }

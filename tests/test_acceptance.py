@@ -15,9 +15,8 @@ from enclosure2d.admittivity import (AdmittivityField, ReductionInput,
                                      complex_admittivity, original_admittivity,
                                      reduce_background)
 from enclosure2d.fem import (DirichletSystem, analytic_two_layer_dtn,
-                             assemble_dtn_matrix, fourier_basis_for_mesh,
-                             fourier_trace, gap_matrix, nodal_basis_for_mesh,
-                             prop21_check)
+                             assemble_dtn_matrix, fourier_trace, gap_matrix,
+                             nodal_basis_for_mesh, prop21_check)
 from enclosure2d.indicator import (cone_carving, convex_hull_estimate,
                                    cones_avoid_shape, fit_support_directions,
                                    hull_contains_shape, indicator_cgo, j_oracle,
@@ -36,6 +35,20 @@ def _background(mesh, omega):
     return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
 
 
+def _gap(mesh, field):
+    """The operator gap of the field against the unit background."""
+    return gap_matrix((assemble_dtn_matrix(mesh, field),
+                       assemble_dtn_matrix(mesh, _background(mesh, field.omega))))
+
+
+def _mode_matrix(mesh, system, n_modes):
+    """The mode numbers n = -N..N and P^T S^T P, the system's boundary
+    operator in the modes exp(i n theta) of the boundary nodes."""
+    modes = np.arange(-n_modes, n_modes + 1)
+    p = np.exp(1j * np.outer(nodal_basis_for_mesh(mesh).thetas, modes))
+    return modes, p.T @ (system.operator.T @ p)
+
+
 # ---------------------------------------------------------------------------
 # shared benchmark assemblies
 
@@ -44,11 +57,7 @@ def _background(mesh, omega):
 def positive_jump_bench():
     """Centered disk rho=0.5, a=I, b=0.5I, omega=1 at the default mesh size."""
     mesh = build_disk_mesh(1.0, DEFAULT_H, ShapeSpec.disk((0.0, 0.0), 0.5))
-    basis = nodal_basis_for_mesh(mesh)
-    field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh, 1.0), basis))
-    return mesh, basis, pair
+    return mesh, _gap(mesh, AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0))
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +65,7 @@ def cone_bench():
     """Off-center disk (0.3, 0), rho=0.3, contrast a=I, with the probing data
     for the radius-3 vertex ring at order alpha=1/2."""
     mesh = build_disk_mesh(1.0, 0.0102, ShapeSpec.disk((0.3, 0.0), 0.3))
-    basis = nodal_basis_for_mesh(mesh)
-    field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh, 0.0), basis))
-    return mesh, pair
+    return mesh, _gap(mesh, AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0))
 
 
 def _cgo(theta, perp_sign, t, tau):
@@ -97,14 +102,12 @@ def test_criterion_1_two_layer_convergence():
     for h in (0.04, 0.02, 0.01):
         mesh = build_disk_mesh(1.0, h, ShapeSpec.disk((0.0, 0.0), 0.5))
         field = AdmittivityField.from_scalars(mesh, a=1.0, b=1.0, omega=1.0)
-        basis = fourier_basis_for_mesh(mesh, 8)
-        dtn = assemble_dtn_matrix(mesh, field, basis)
-        modes = basis.mode_numbers
+        modes, matrix = _mode_matrix(mesh, DirichletSystem(mesh, complex_admittivity(field)), 8)
         errs = []
         for n in range(1, 9):
             j = int(np.flatnonzero(modes == n)[0])
             k = int(np.flatnonzero(modes == -n)[0])
-            lam = dtn.matrix[j, k] / (2 * math.pi)
+            lam = matrix[j, k] / (2 * math.pi)
             errs.append(abs(lam - refs[n]) / abs(refs[n]))
         errors[h] = max(errs)
         assert errors[h] <= 0.02, f"h={h}: worst relative error {errors[h]:.4f}"
@@ -126,13 +129,10 @@ def test_criterion_2_reduction_identity():
     inp = ReductionInput(sigma0=1.0, epsilon0=1.0, omega=1.0,
                          alpha=inc * 1.0 * eye, beta=inc * 0.5 * eye)
     reduced = reduce_background(inp, mesh)
-    basis = fourier_basis_for_mesh(mesh, 6)
-    sys_orig = DirichletSystem(mesh, original_admittivity(inp, mesh))
-    b_orig = assemble_dtn_matrix(mesh, reduced, basis, system=sys_orig)
-    b_red = assemble_dtn_matrix(mesh, reduced, basis)
+    _, b_orig = _mode_matrix(mesh, DirichletSystem(mesh, original_admittivity(inp, mesh)), 6)
+    _, b_red = _mode_matrix(mesh, DirichletSystem(mesh, complex_admittivity(reduced)), 6)
     scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
-    defect = (np.linalg.norm(b_orig.matrix - scale * b_red.matrix)
-              / np.linalg.norm(b_orig.matrix))
+    defect = np.linalg.norm(b_orig - scale * b_red) / np.linalg.norm(b_orig)
     assert defect <= 1e-8
     print(f"\nACCEPTANCE 2 PASS: relative Frobenius defect {defect:.2e}")
 
@@ -193,19 +193,19 @@ def _random_invertible(rng):
 def test_criterion_4_support_recovery(positive_jump_bench):
     """Log-slope support fits at 16 angles all land in [0.45, 0.55] and the
     resulting hull contains the true disk."""
-    mesh, basis, pair = positive_jump_bench
+    mesh, gap = positive_jump_bench
     ang = 2 * math.pi * np.arange(16) / 16
     thetas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     taus = np.geomspace(1.0, 0.3 / DEFAULT_H, 12)
     probes = [_cgo(th, 1.0, 0.0, taus) for th in thetas]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = fit_support_directions(pair, probes)
-    hs = np.array([f.h_est for f in est.fits])
+        fits = fit_support_directions(gap, probes)
+    hs = np.array([f.h_est for f in fits])
     assert np.all(hs >= 0.45) and np.all(hs <= 0.55), hs
-    region = convex_hull_estimate(est, 1.0)
+    region = convex_hull_estimate(fits, 1.0)
     true_disk = ShapeSpec.disk((0.0, 0.0), 0.5)
-    assert hull_contains_shape(est, true_disk)
+    assert hull_contains_shape(fits, true_disk)
     print(f"\nACCEPTANCE 4 PASS: support estimates in [{hs.min():.4f}, {hs.max():.4f}], "
           f"hull area {region.area():.4f} contains the true disk")
 
@@ -214,20 +214,17 @@ def test_criterion_5_negative_jump_sign():
     """Negative-jump benchmark: the indicator at the support depth is negative
     over the trailing half of the ladder, at omega = 0.25 and omega = 0."""
     mesh = build_disk_mesh(1.0, DEFAULT_H, ShapeSpec.disk((0.0, 0.0), 0.5))
-    basis = nodal_basis_for_mesh(mesh)
     taus = np.geomspace(1.0, 0.3 / DEFAULT_H, 12)
     ang = 2 * math.pi * np.arange(16) / 16
     worst = {}
     for omega in (0.25, 0.0):
-        field = AdmittivityField.from_scalars(mesh, a=-0.5, b=1.0, omega=omega)
-        pair = (assemble_dtn_matrix(mesh, field, basis),
-                assemble_dtn_matrix(mesh, _background(mesh, omega), basis))
+        gap = _gap(mesh, AdmittivityField.from_scalars(mesh, a=-0.5, b=1.0, omega=omega))
         w = -math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for a in ang:
                 th = np.array([math.cos(a), math.sin(a)])
-                vals = [indicator_cgo(pair, _cgo(th, 1.0, 0.5, float(t))) for t in taus]
+                vals = [indicator_cgo(gap, _cgo(th, 1.0, 0.5, float(t))) for t in taus]
                 w = max(w, max(vals[len(vals) // 2:]))
         worst[omega] = w
         assert w < 0, f"omega={omega}: trailing indicator max {w:.3e} not negative"
@@ -277,7 +274,7 @@ def test_criterion_6_ml_accuracy_and_sectors():
 def test_criterion_7_cone_transitions(cone_bench):
     """Transition offsets within 0.05 of the exact tangency for >= 14 of the
     16 ring probes; the carved region always contains the true disk."""
-    mesh, pair = cone_bench
+    mesh, gap = cone_bench
     shape = ShapeSpec.disk((0.3, 0.0), 0.3)
     taus = np.geomspace(0.35, 2.4, 16)
     hits = 0
@@ -289,7 +286,7 @@ def test_criterion_7_cone_transitions(cone_bench):
             probe = ProbeSpec(kind="mittag_leffler", theta=tuple(th),
                               theta_perp=tuple(rot90(th)), t=-0.2, tau=taus, y=tuple(y),
                               alpha=0.5)
-            est = transition_search_ml(pair, probe, (-6.0, -0.2), dt_tol=0.01)
+            est = transition_search_ml(gap, probe, (-6.0, -0.2), dt_tol=0.01)
             ests.append(est)
             assert est.status == "ok"
             err = abs(est.h_est - h_true)
@@ -306,11 +303,8 @@ def test_criterion_7_cone_transitions(cone_bench):
 def test_criterion_8_sandwich_band(cone_bench):
     """|indicator| / (probe energy on the inclusion) stays within two decades
     over the tau ladder at t = h_alpha - 0.1."""
-    mesh, pair = cone_bench
-    shape = ShapeSpec.disk((0.3, 0.0), 0.3)
-    gap = gap_matrix(pair)
-    basis = pair[0].basis
-    pts = basis.points
+    mesh, gap = cone_bench
+    pts = gap.basis.points
     taus = np.geomspace(0.35, 1.6, 12)
     band_lo, band_hi = math.inf, 0.0
     for y, th, h_true in _cone_probe_geometry()[::5]:
@@ -322,7 +316,7 @@ def test_criterion_8_sandwich_band(cone_bench):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 tr = ml_probe_trace(spec, pts)
-            ind = abs(float(np.real(np.dot(tr, gap @ np.conj(tr)))))
+            ind = abs(float(np.real(np.dot(tr, gap.matrix @ np.conj(tr)))))
             j = j_oracle(mesh, spec)
             ratio = ind / j
             band_lo = min(band_lo, ratio)
@@ -335,7 +329,7 @@ def test_criterion_8_sandwich_band(cone_bench):
 def test_criterion_9_perp_flip_invariance(positive_jump_bench):
     """Indicator values identical under the perpendicular sign flip to 1e-10
     across the full criterion-4 sweep."""
-    mesh, basis, pair = positive_jump_bench
+    mesh, gap = positive_jump_bench
     ang = 2 * math.pi * np.arange(16) / 16
     taus = np.geomspace(1.0, 0.3 / DEFAULT_H, 12)
     worst = 0.0
@@ -344,8 +338,8 @@ def test_criterion_9_perp_flip_invariance(positive_jump_bench):
         for a in ang:
             th = np.array([math.cos(a), math.sin(a)])
             for tau in taus:
-                v1 = indicator_cgo(pair, _cgo(th, 1.0, 0.0, float(tau)))
-                v2 = indicator_cgo(pair, _cgo(th, -1.0, 0.0, float(tau)))
+                v1 = indicator_cgo(gap, _cgo(th, 1.0, 0.0, float(tau)))
+                v2 = indicator_cgo(gap, _cgo(th, -1.0, 0.0, float(tau)))
                 worst = max(worst, abs(v1 - v2) / max(abs(v1), 1.0))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 9 PASS: worst flip deviation {worst:.2e}")

@@ -11,8 +11,9 @@ import pytest
 
 import enclosure2d
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
-from enclosure2d.fem import BoundaryBasis, DtNMatrix, read_dtn, write_dtn
-from enclosure2d.indicator import j_oracle
+from enclosure2d.admittivity import AdmittivityField
+from enclosure2d.fem import assemble_dtn_matrix, gap_matrix, read_dtn
+from enclosure2d.indicator import j_oracle, transition_search_ml
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLParams, growth_sector, ml_eval
 from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
@@ -133,8 +134,8 @@ def test_dtn_indicate_reconstruct_pipeline(tmp_path, capsys):
         assert main(["reconstruct", "--config", cfg]) == 0
     pert = read_dtn(out / "dtn_perturbed.npz")
     back = read_dtn(out / "dtn_background.npz")
-    assert pert.basis.kind == "nodal"
-    assert pert.matrix.shape == back.matrix.shape
+    assert pert.modes == back.modes == 0
+    assert pert.matrix.shape == back.matrix.shape == (pert.basis.size,) * 2
     rows = read_indicator_csv(out / "indicators.csv")
     assert len(rows) == 8 * 8  # directions x tau points
     assert (out / "hull.csv").exists()
@@ -189,7 +190,7 @@ def test_dtn_files_are_byte_identical_and_load_without_the_package(tmp_path, mon
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(read_dtn(path).matrix.tobytes()).hexdigest()
-    assert proc.stdout.split() == ["enclosure2d", "dtn", "v2", digest, "False"]
+    assert proc.stdout.split() == ["enclosure2d", "dtn", "v3", digest, "False"]
 
 
 def test_indicate_missing_upstream_fails(tmp_path):
@@ -233,15 +234,22 @@ def test_indicate_operator_file_above_alias_limit_fails(tmp_path, capsys):
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "4"]) == 0
     pert = out / "dtn_perturbed.npz"
-    thetas = read_dtn(pert).basis.thetas
-    n = len(thetas) // 8 + 1                              # a consistent file, one mode too many
-    basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=n)
-    write_dtn(DtNMatrix(basis=basis, omega=0.0, matrix=np.zeros((2 * n + 1, 2 * n + 1),
-                                                                  dtype=complex), mesh_h=0.1),
-              pert)
+    n = len(read_dtn(pert).basis.thetas) // 8 + 1       # a consistent file, one mode too many
+    rewrite(pert, modes=np.int64(n))
     assert main(["indicate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "dtn_perturbed.npz" in err and "aliasing limit" in err
+
+
+def test_indicate_v2_operator_file_asks_for_a_new_dtn_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg]) == 0
+    CORRUPTIONS["v2 archive"](out / "dtn_perturbed.npz")
+    assert main(["indicate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "dtn_perturbed.npz" in err and "format enclosure2d dtn v2" in err
+    assert "needs a new dtn run" in err
 
 
 @pytest.mark.parametrize("command", ["indicate", "reconstruct"])
@@ -262,19 +270,11 @@ def _retag_background(out, name, value):
     rewrite(out / "dtn_background.npz", **{name: np.float64(value)})
 
 
-def _nodal_background(out):
-    op = read_dtn(out / "dtn_background.npz")
-    basis = BoundaryBasis(kind="nodal", thetas=op.basis.thetas, radius=op.basis.radius)
-    n = len(op.basis.thetas)
-    write_dtn(DtNMatrix(basis=basis, omega=op.omega, mesh_h=op.mesh_h,
-                        matrix=np.zeros((n, n), dtype=complex)), out / "dtn_background.npz")
-
-
 @pytest.mark.parametrize("field, tamper", [
     ("radius", lambda out: _retag_background(out, "radius", 2.0)),
     ("omega", lambda out: _retag_background(out, "omega", 7.0)),
-    ("basis kind", _nodal_background),
-], ids=["radius", "omega", "kind"])
+    ("modes", lambda out: rewrite(out / "dtn_background.npz", modes=np.int64(0))),
+], ids=["radius", "omega", "modes"])
 def test_indicate_rejects_a_mismatched_operator_pair(tmp_path, capsys, field, tamper):
     # each file reads on its own, but the two do not come from one dtn run
     out = tmp_path / "out"
@@ -344,6 +344,7 @@ def test_mleval_huge_grid_is_warning_free(tmp_path):
     ["mleval", "--alpha", "0.5", "--grid", "-1 1 -1 1 -3", "--out", "{tmp}/ml.csv"],
     ["mleval", "--alpha", "0.5", "--grid", "inf 1 0 1 3", "--out", "{tmp}/ml.csv"],
     ["mleval", "--alpha", "0.5", "--grid", "0 1 nan 1 3", "--out", "{tmp}/ml.csv"],
+    ["dtn", "--config", "{cfg}", "--basis", "fourier", "--modes", "0"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
@@ -418,8 +419,8 @@ def test_reconstruct_two_layer_hull_quality(tmp_path, capsys):
 
 @pytest.mark.parametrize("b, omega", [(0.0, 0.0), (0.5, 1.0)])
 def test_reconstruct_two_layer_hull_fourier_basis(tmp_path, capsys, b, omega):
-    # a real coefficient takes the real factor and its n >= 0 mode solves, a
-    # complex one the complex factor; both expand every probe in 33 modes
+    # a real coefficient takes the real factor, a complex one the complex
+    # factor; both measure with the 33 current patterns |n| <= 16
     out = tmp_path / "out"
     text = TWO_LAYER_CONFIG.format(out=out).replace(
         "b = 0.0\nomega = 0.0", f"b = {b}\nomega = {omega}")
@@ -429,8 +430,29 @@ def test_reconstruct_two_layer_hull_fourier_basis(tmp_path, capsys, b, omega):
         assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "16"]) == 0
         assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
     pert = read_dtn(out / "dtn_perturbed.npz")
-    assert (pert.basis.size, pert.omega) == (33, omega)
+    assert (pert.modes, pert.omega) == (16, omega)
     _assert_two_layer_hull(out, capsys.readouterr().out)
+
+
+def test_mittag_leffler_template_search_is_warning_free(tmp_path):
+    # the example-config template with cone probes: at every probe some tau's
+    # largest coefficient squares past double range, and its infinite noise
+    # floor discards the sample without a warning; the pinned estimates are
+    # those of the unguarded square, since ignoring the overflow changes no value
+    cfg = load_config(_write(tmp_path, example_config().replace(
+        "family = cgo", "family = mittag_leffler")))
+    mesh = build_disk_mesh(cfg.domain_radius, cfg.mesh_h, cfg.inclusion)
+    field = AdmittivityField.from_scalars(mesh, cfg.a_value, cfg.b_value, cfg.omega)
+    background = AdmittivityField.from_scalars(mesh, 0.0, 0.0, cfg.omega)
+    gap = gap_matrix((assemble_dtn_matrix(mesh, field), assemble_dtn_matrix(mesh, background)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ests = [transition_search_ml(gap, probe, cfg.t_search)
+                for probe in cfg.probes(gap.basis.radius)]
+    assert [e.h_est for e in ests] == 2 * [-3.115625, -2.5156250000000004, -2.590625,
+                                           -3.0031250000000003, -2.553125,
+                                           -3.0406250000000004, -3.0781250000000004,
+                                           -2.590625]
 
 
 ML_CONFIG = """\

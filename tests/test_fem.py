@@ -8,9 +8,8 @@ import scipy.sparse.linalg as spla
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
 from enclosure2d.fem import (DTN_FORMAT, BoundaryBasis, DirichletSystem, DtNMatrix,
                              SolverError, analytic_two_layer_dtn, assemble_dtn_matrix,
-                             fourier_basis_for_mesh, fourier_trace, gap_matrix,
-                             nodal_basis_for_mesh, prop21_check, quadratic_gap, read_dtn,
-                             write_dtn)
+                             band_limited, fourier_trace, gap_matrix, nodal_basis_for_mesh,
+                             prop21_check, quadratic_gap, read_dtn, write_dtn)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
 from dtn_archive import CORRUPTIONS, entries, rewrite
@@ -50,7 +49,12 @@ def energy_gap_direct(mesh, field, f):
 def energy_gap(pair, coef):
     """The same form from an assembled (perturbed, background) pair and the
     expansion coefficients of f."""
-    return quadratic_gap(gap_matrix(pair), pair[0].basis, coef)
+    return quadratic_gap(gap_matrix(pair), coef)
+
+
+def _mode_matrix(thetas, n_modes):
+    """(nodes, 2N + 1) values of exp(i n theta), n = -N..N, at the node angles."""
+    return np.exp(1j * np.outer(thetas, np.arange(-n_modes, n_modes + 1)))
 
 
 def test_p1_reproduces_linear_harmonics():
@@ -116,27 +120,32 @@ def test_analytic_two_layer_values():
 
 
 def test_assembled_fourier_matrix_structure():
+    # the band-limited operator keeps the modes' matrix P^T S^T P, which is
+    # diagonal in n + m = 0 with the eigenvalues |n| of the homogeneous disk,
+    # and takes no current from a mode past the band
     mesh, field = _homogeneous()
-    basis = fourier_basis_for_mesh(mesh, 4)
-    dtn = assemble_dtn_matrix(mesh, field, basis)
-    modes = basis.mode_numbers
+    dtn = assemble_dtn_matrix(mesh, field, 4)
+    thetas = dtn.basis.thetas
+    p = _mode_matrix(thetas, 4)
+    matrix = p.T @ dtn.matrix @ p
+    modes = np.arange(-4, 5)
     for j, n in enumerate(modes):
         for k, mm in enumerate(modes):
-            val = dtn.matrix[j, k] / (2 * math.pi)
+            val = matrix[j, k] / (2 * math.pi)
             if n + mm == 0:
                 assert val.real == pytest.approx(abs(n), abs=5e-3)
             else:
                 assert abs(val) < 5e-3
     assert dtn.symmetry_defect() < 1e-8
+    assert np.abs(dtn.matrix @ np.exp(5j * thetas)).max() < 1e-10 * np.abs(dtn.matrix).max()
 
 
 def test_empty_inclusion_gap_vanishes():
     mesh, field = _homogeneous()
-    basis = fourier_basis_for_mesh(mesh, 4)
-    b1 = assemble_dtn_matrix(mesh, field, basis)
-    b0 = assemble_dtn_matrix(mesh, _background(mesh), basis)
+    b1 = assemble_dtn_matrix(mesh, field, 4)
+    b0 = assemble_dtn_matrix(mesh, _background(mesh), 4)
     gap = gap_matrix((b1, b0))
-    assert np.abs(gap).max() < 1e-10 * np.abs(b1.matrix).max()
+    assert np.abs(gap.matrix).max() < 1e-10 * np.abs(b1.matrix).max()
 
 
 def test_extension_independence(two_layer):
@@ -185,11 +194,10 @@ def test_energy_gap_signs():
 def test_energy_gap_from_matrices_matches_fields():
     mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
-    basis = nodal_basis_for_mesh(mesh)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh, 1.0), basis))
+    pair = (assemble_dtn_matrix(mesh, field),
+            assemble_dtn_matrix(mesh, _background(mesh, 1.0)))
     f = fourier_trace(mesh, 1) + 0.3 * fourier_trace(mesh, 3)
-    coef, _ = basis.expand(f)
+    coef = pair[0].basis.expand(f)
     via_matrices = energy_gap(pair, coef)
     direct = energy_gap_direct(mesh, field, f)
     assert via_matrices == pytest.approx(direct, rel=1e-8)
@@ -198,15 +206,15 @@ def test_energy_gap_from_matrices_matches_fields():
 def test_energy_gap_perp_flip_invariance():
     mesh = build_disk_mesh(1.0, 0.06, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
-    basis = nodal_basis_for_mesh(mesh)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh, 1.0), basis))
+    pair = (assemble_dtn_matrix(mesh, field),
+            assemble_dtn_matrix(mesh, _background(mesh, 1.0)))
+    basis = pair[0].basis
     th = np.array([0.6, 0.8])
     pts = basis.points
     for sign in (1.0, -1.0):
         spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(sign * rot90(th)),
                          t=0.2, tau=4.0)
-        coef, _ = basis.expand(cgo_trace(spec, pts))
+        coef = basis.expand(cgo_trace(spec, pts))
         val = energy_gap(pair, coef)
         if sign == 1.0:
             ref = val
@@ -221,10 +229,9 @@ def test_reduction_scaling_of_operators():
     inp = ReductionInput(sigma0=1.0, epsilon0=1.0, omega=1.0,
                          alpha=inc * 1.0 * eye, beta=inc * 0.5 * eye)
     reduced = reduce_background(inp, mesh)
-    basis = fourier_basis_for_mesh(mesh, 4)
     sys_orig = DirichletSystem(mesh, original_admittivity(inp, mesh))
-    b_orig = assemble_dtn_matrix(mesh, reduced, basis, system=sys_orig)
-    b_red = assemble_dtn_matrix(mesh, reduced, basis)
+    b_orig = assemble_dtn_matrix(mesh, reduced, 4, system=sys_orig)
+    b_red = assemble_dtn_matrix(mesh, reduced, 4)
     scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
     defect = np.linalg.norm(b_orig.matrix - scale * b_red.matrix)
     assert defect <= 1e-8 * np.linalg.norm(b_orig.matrix)
@@ -283,31 +290,33 @@ def test_prop21_randomized_pairs():
 
 
 def test_fourier_alias_limit():
-    mesh = build_disk_mesh(1.0, 0.2, None)
-    with pytest.raises(ValueError):
-        fourier_basis_for_mesh(mesh, len(mesh.boundary_loop) // 2)
+    mesh, field = _homogeneous(0.2)
+    nb = len(mesh.boundary_loop)
+    for modes in (nb // 2, nb // 8 + 1, -1):
+        with pytest.raises(ValueError, match="aliasing limit"):
+            assemble_dtn_matrix(mesh, field, modes)
+    assert assemble_dtn_matrix(mesh, field, nb // 8).modes == nb // 8
 
 
 def test_dtn_file_roundtrip(tmp_path, two_layer):
     mesh, field = two_layer
-    basis = fourier_basis_for_mesh(mesh, 3)
-    dtn = assemble_dtn_matrix(mesh, field, basis)
+    dtn = assemble_dtn_matrix(mesh, field, 3)
     path = tmp_path / "dtn.npz"
     write_dtn(dtn, path, provenance={"config": "abc", "version": "1.0"})
     assert entries(path)["format"] == DTN_FORMAT
     assert entries(path)["provenance"].tolist() == ["config: abc", "version: 1.0"]
     back = read_dtn(path)
-    assert back.basis.kind == "fourier"
-    assert back.basis.n_modes == 3
+    assert back.modes == 3
+    assert back.matrix.shape == (len(mesh.boundary_loop),) * 2
     assert back.omega == dtn.omega
     assert back.basis.radius == 1.0
-    assert np.allclose(back.matrix, dtn.matrix)
-    assert np.allclose(back.basis.thetas, basis.thetas)
+    assert np.array_equal(back.matrix, dtn.matrix)
+    assert np.array_equal(back.basis.thetas, dtn.basis.thetas)
 
 
 def test_truncated_dtn_file_rejected(tmp_path, two_layer):
     mesh, field = two_layer
-    dtn = assemble_dtn_matrix(mesh, field, fourier_basis_for_mesh(mesh, 3))
+    dtn = assemble_dtn_matrix(mesh, field, 3)
     path = tmp_path / "dtn.npz"
     write_dtn(dtn, path)
     raw = path.read_bytes()
@@ -321,7 +330,7 @@ def test_truncated_dtn_file_rejected(tmp_path, two_layer):
 def test_damaged_dtn_file_rejected(tmp_path, damage):
     # 18 nodes: a matrix entry past zipfile's 4 KB read-ahead, so that its array
     # header is parsed before the entry's CRC-32 is checked
-    basis = BoundaryBasis(kind="nodal", thetas=np.linspace(-math.pi, math.pi, 18, endpoint=False))
+    basis = BoundaryBasis(thetas=np.linspace(-math.pi, math.pi, 18, endpoint=False))
     path = tmp_path / "dtn.npz"
     write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
                         matrix=np.arange(324.0).reshape(18, 18) + 1j), path)
@@ -333,7 +342,7 @@ def test_damaged_dtn_file_rejected(tmp_path, damage):
 def test_flipped_bytes_read_back_unchanged_or_are_rejected(tmp_path):
     # a flip in a zip field that the loader does not check leaves every value
     # as written, and any other flip is a SolverError; every ninth byte
-    basis = BoundaryBasis(kind="nodal", thetas=[0.0, 2.0])
+    basis = BoundaryBasis(thetas=[0.0, 2.0])
     dtn = DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
                     matrix=np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex))
     path = tmp_path / "dtn.npz"
@@ -354,34 +363,35 @@ def test_flipped_bytes_read_back_unchanged_or_are_rejected(tmp_path):
 
 
 def test_dtn_file_above_alias_limit_rejected(tmp_path):
-    # fourier_basis_for_mesh allows N <= nb // 8; a file may not claim more
-    thetas = np.linspace(-math.pi, math.pi, 40, endpoint=False)
+    # assemble_dtn_matrix allows N <= nb // 8; a file may not claim more
+    basis = BoundaryBasis(thetas=np.linspace(-math.pi, math.pi, 40, endpoint=False))
     path = tmp_path / "dtn.npz"
     for n in (5, 6):
-        basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=n)
         write_dtn(DtNMatrix(basis=basis, omega=0.0, mesh_h=0.1,
-                            matrix=np.eye(basis.size, dtype=complex)), path)
+                            matrix=np.eye(40, dtype=complex), modes=n), path)
         if n == 5:
-            assert read_dtn(path).basis.n_modes == 5
-    with pytest.raises(SolverError, match="corrupt operator file: N = 6 exceeds the aliasing"):
+            assert read_dtn(path).modes == 5
+    with pytest.raises(SolverError, match="corrupt operator file: band limit N = 6 is "
+                                          "negative or exceeds the aliasing limit 5"):
         read_dtn(path)
 
 
 def test_dtn_file_with_non_finite_or_inconsistent_fields_rejected(tmp_path):
-    thetas = np.linspace(-math.pi, math.pi, 4, endpoint=False)
-    basis = BoundaryBasis(kind="nodal", thetas=thetas)
+    thetas = np.linspace(-math.pi, math.pi, 8, endpoint=False)
+    basis = BoundaryBasis(thetas=thetas)
     path = tmp_path / "dtn.npz"
     write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
-                        matrix=np.eye(4, dtype=complex)), path)
+                        matrix=np.eye(8, dtype=complex), modes=1), path)
     good = entries(path)
-    assert read_dtn(path).basis.size == 4
+    assert read_dtn(path).basis.size == 8
     entry, angle = good["matrix"].copy(), good["thetas"].copy()
     entry[0, 0], angle[0] = complex(0.0, np.nan), np.inf
     corrupt = {"entry": {"matrix": entry}, "angle": {"thetas": angle},
-               "nodal size": {"n_param": np.int64(7)}, "node count": {"n_nodes": np.int64(5)},
-               "no nodes": {"n_param": np.int64(0), "n_nodes": np.int64(0),
+               "node count": {"n_nodes": np.int64(5)},
+               "no nodes": {"modes": np.int64(0), "n_nodes": np.int64(0),
                             "thetas": np.zeros(0), "matrix": np.zeros((0, 0), complex)},
-               "kind": {"kind": "wavelet"}}
+               "negative modes": {"modes": np.int64(-1)},
+               "float modes": {"modes": np.float64(1.0)}}
     for name in ("omega", "h", "radius"):
         corrupt[name] = {name: np.float64(np.nan)}
     for name, changes in corrupt.items():
@@ -390,72 +400,48 @@ def test_dtn_file_with_non_finite_or_inconsistent_fields_rejected(tmp_path):
             read_dtn(path)
 
 
-def _expansion_bases():
+def _band_limit_cases():
+    """(node angles, band limit) on a mesh's boundary and on non-uniform angles."""
     mesh, _ = _homogeneous(0.1)
     rng = np.random.default_rng(5)
     nb = 80
     jittered = np.sort(rng.uniform(-math.pi, math.pi, nb)
                        + rng.uniform(-0.02, 0.02, nb))       # non-uniform angles
-    return {"mesh": fourier_basis_for_mesh(mesh, 7),
-            "jittered": BoundaryBasis(kind="fourier", thetas=jittered, n_modes=nb // 8)}
+    return {"mesh": (nodal_basis_for_mesh(mesh).thetas, 7), "jittered": (jittered, nb // 8)}
 
 
 @pytest.mark.parametrize("which", ["mesh", "jittered"])
 def test_fourier_expand_matches_lstsq(which):
-    from enclosure2d.indicator import _EXPANSION_WARN
-    basis = _expansion_bases()[which]
-    p = basis.nodal_matrix()
+    # the band limit of the identity is Q^T Q = Q, the least-squares
+    # projection P lstsq(P, f) of a trace onto the modes
+    thetas, n = _band_limit_cases()[which]
+    p = _mode_matrix(thetas, n)
+    q = band_limited(np.eye(len(thetas)), thetas, n)
     rng = np.random.default_rng(11)
-    n = basis.n_modes
-    th = basis.thetas
-    outside = np.exp(1j * (n + 1) * th)                   # first mode outside the span
-    traces = [p @ (rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)),
-              np.exp(3.0 * np.cos(th - 0.4)) * np.exp(3j * np.sin(th - 0.4)),   # a CGO-like trace
-              rng.normal(size=len(th)) + 1j * rng.normal(size=len(th)),
+    size = 2 * n + 1
+    outside = np.exp(1j * (n + 1) * thetas)               # first mode outside the span
+    traces = [p @ (rng.normal(size=size) + 1j * rng.normal(size=size)),
+              np.exp(3.0 * np.cos(thetas - 0.4)) * np.exp(3j * np.sin(thetas - 0.4)),
+              rng.normal(size=len(thetas)) + 1j * rng.normal(size=len(thetas)),
               outside]
     for v in traces:
         ref, *_ = np.linalg.lstsq(p, v, rcond=None)
-        ref_res = np.linalg.norm(p @ ref - v) / np.linalg.norm(v)
-        coef, res = basis.expand(v)
-        if v is not outside:                              # its coefficients are roundoff
-            assert np.linalg.norm(coef - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert abs(res - ref_res) <= 1e-13 * max(ref_res, 1.0)
-    assert basis.expand(traces[0])[1] < 1e-13
-    assert basis.expand(outside)[1] > _EXPANSION_WARN
-
-
-def test_fourier_projector_built_once(monkeypatch):
-    calls = []
-    pinv = np.linalg.pinv
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return pinv(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", spy)
-    first, second = _expansion_bases().values()
-    v = np.exp(1j * first.thetas)
-    results = [first.expand(v)[0] for _ in range(4)]
-    assert len(calls) == 1
-    assert all(np.array_equal(r, results[0]) for r in results)
-    second.expand(np.exp(1j * second.thetas))
-    second.expand(np.exp(2j * second.thetas))
-    assert len(calls) == 2
-    assert first.nodal_matrix() is first.nodal_matrix()
-    assert not first.nodal_matrix().flags.writeable
+        assert np.linalg.norm(q @ v - p @ ref) <= 1e-13 * np.linalg.norm(v)
+    assert np.linalg.norm(q @ traces[0] - traces[0]) <= 1e-13 * np.linalg.norm(traces[0])
+    assert np.linalg.norm(q @ outside - outside) > 0.5 * np.linalg.norm(outside)
 
 
 def test_basis_keeps_a_read_only_copy_of_thetas():
     thetas = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, -3.0, -2.0, -1.0]
-    basis = BoundaryBasis(kind="fourier", thetas=thetas, n_modes=1)
+    basis = BoundaryBasis(thetas=thetas)
     assert isinstance(basis.thetas, np.ndarray) and basis.thetas.dtype == float
     assert not basis.thetas.flags.writeable
-    coef, _ = basis.expand(np.cos(np.array(thetas)))
+    coef = basis.expand(np.cos(np.array(thetas)))
     thetas[0] = 0.5                                     # the caller's list is not the basis's
     with pytest.raises(ValueError):
         basis.thetas[0] = 0.5
     assert basis.thetas[0] == 0.0
-    assert np.array_equal(basis.expand(np.cos(basis.thetas))[0], coef)
+    assert np.array_equal(basis.expand(np.cos(basis.thetas)), coef)
 
 
 class _FactorSpy:
@@ -498,7 +484,7 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
     with pytest.raises(SolverError, match="residual"):
         DirichletSystem(mesh, complex_admittivity(field)).operator
     with pytest.raises(SolverError, match="residual"):
-        assemble_dtn_matrix(mesh, field, nodal_basis_for_mesh(mesh))
+        assemble_dtn_matrix(mesh, field)
 
 
 @pytest.mark.parametrize("check", ["leaks current", "symmetry defect", "boundary current",
@@ -535,14 +521,16 @@ def test_operator_matches_dense_schur_complement(b, kind):
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
     assert (sys_._lu.L.dtype.kind == "c") != (b == 0.0)
-    basis = nodal_basis_for_mesh(mesh) if kind == "nodal" else fourier_basis_for_mesh(mesh, 4)
-    dtn = assemble_dtn_matrix(mesh, field, basis, system=sys_)
+    modes = 4 if kind == "fourier" else 0
+    dtn = assemble_dtn_matrix(mesh, field, modes, system=sys_)
     k = sys_.stiffness.toarray()
     i, bd = sys_.interior, sys_.boundary
     schur = k[np.ix_(bd, bd)] - k[np.ix_(bd, i)] @ np.linalg.solve(k[np.ix_(i, i)],
                                                                   k[np.ix_(i, bd)])
-    p = basis.nodal_matrix()
-    ref = p.T @ schur.T @ p
+    # the band limit as defined, Q^T S^T Q with Q = P P+ (the identity when full)
+    p = _mode_matrix(dtn.basis.thetas, modes)
+    q = p @ np.linalg.pinv(p) if modes else np.eye(len(bd))
+    ref = q.T @ schur.T @ q
     assert np.abs(dtn.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -556,7 +544,7 @@ def test_dtn_file_roundtrip_is_bit_exact(tmp_path):
     m = np.concatenate([vals, rng.normal(size=12) * 10.0 ** rng.integers(-20, 20, 12)])
     matrix = np.empty((4, 4), dtype=complex)
     matrix.real, matrix.imag = m[:16].reshape(4, 4), m[16:].reshape(4, 4)
-    basis = BoundaryBasis(kind="nodal", thetas=np.array([-0.0, 1.0 / 3.0, -3.0, 5e-324]))
+    basis = BoundaryBasis(thetas=np.array([-0.0, 1.0 / 3.0, -3.0, 5e-324]))
     dtn = DtNMatrix(basis=basis, omega=0.25, matrix=matrix, mesh_h=0.1)
     path = tmp_path / "dtn.npz"
     write_dtn(dtn, path)
@@ -593,48 +581,60 @@ def test_probe_discrete_harmonicity_first_order(kind):
 
 
 def test_conjugate_coefficients_fourier():
+    # the mode coefficients of conj(f) are the mode-reversed conjugates of
+    # those of f, conj(P+) = J P+, so the band-limited operator's nodal form
+    # on f equals the form of the modes' matrix on c = P+ f and J conj(c)
     mesh, _ = _homogeneous(0.15)
-    basis = fourier_basis_for_mesh(mesh, 2)
+    thetas = nodal_basis_for_mesh(mesh).thetas
+    nb = len(thetas)
+    p = _mode_matrix(thetas, 2)
+    pinv = np.linalg.pinv(p)
+    assert np.abs(np.conj(pinv) - pinv[::-1]).max() <= 1e-15
     rng = np.random.default_rng(0)
-    c = rng.normal(size=5) + 1j * rng.normal(size=5)
-    trace = basis.nodal_matrix() @ c
-    cc = basis.conjugate_coefficients(c)
-    assert np.allclose(basis.nodal_matrix() @ cc, np.conj(trace), atol=1e-12)
+    a = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+    b = a + a.T                                           # complex symmetric
+    f = rng.normal(size=nb) + 1j * rng.normal(size=nb)
+    c = pinv @ f
+    modal = c @ (p.T @ b @ p) @ np.conj(c[::-1])
+    nodal = f @ band_limited(b, thetas, 2) @ np.conj(f)
+    assert abs(nodal - modal) <= 1e-12 * abs(modal)
 
 
 @pytest.mark.parametrize("kind", ["nodal", "fourier"])
 def test_quadratic_gap_real_gap_and_coefficient_columns(two_layer, kind):
-    # a real nodal pair gives a real gap, whose stacked real product agrees
-    # with the complex one (fourier operators are complex); (size, k)
-    # coefficients give one value per column
+    # a real full pair gives a real gap, whose stacked real product agrees
+    # with the complex one (band-limited operators are complex, through the
+    # complex mode projector); (size, k) coefficients give one value per column
     mesh, field = two_layer
-    basis = nodal_basis_for_mesh(mesh) if kind == "nodal" else fourier_basis_for_mesh(mesh, 8)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh), basis))
+    modes = 8 if kind == "fourier" else 0
+    pair = (assemble_dtn_matrix(mesh, field, modes),
+            assemble_dtn_matrix(mesh, _background(mesh), modes))
     gap = gap_matrix(pair)
-    assert np.iscomplexobj(gap) == (kind == "fourier")
+    assert np.iscomplexobj(gap.matrix) == (kind == "fourier")
+    g = gap.matrix.astype(complex)
+    size = gap.basis.size
     rng = np.random.default_rng(4)
-    coef = rng.normal(size=(basis.size, 5)) + 1j * rng.normal(size=(basis.size, 5))
-    cols = quadratic_gap(gap, basis, coef)
+    coef = rng.normal(size=(size, 5)) + 1j * rng.normal(size=(size, 5))
+    cols = quadratic_gap(gap, coef)
     assert cols.shape == (5,)
     for j in range(5):
-        one = quadratic_gap(gap, basis, coef[:, j])
+        one = quadratic_gap(gap, coef[:, j])
         assert isinstance(one, float)
-        ref = float(np.real(np.dot(coef[:, j], gap.astype(complex)
-                                   @ basis.conjugate_coefficients(coef[:, j]))))
-        scale = np.abs(coef[:, j]) @ np.abs(gap) @ np.abs(coef[:, j])
+        ref = float(np.real(np.dot(coef[:, j], g @ np.conj(coef[:, j]))))
+        scale = np.abs(coef[:, j]) @ np.abs(g) @ np.abs(coef[:, j])
         assert abs(one - ref) <= 1e-13 * scale
         assert abs(cols[j] - one) <= 1e-13 * scale
 
 
 def test_expand_columns_match_single_traces():
+    # a ladder's traces arrive as the columns of a transposed (tau, nodes)
+    # array; their coefficients are the node values, complex and C-ordered
     mesh, _ = _homogeneous(0.1)
-    basis = fourier_basis_for_mesh(mesh, 4)
-    vals = np.stack([np.exp(1j * basis.thetas), np.cos(3 * basis.thetas) ** 3], axis=1)
-    coef, res = basis.expand(vals)
-    assert coef.shape == (9, 2) and res.shape == (2,)
+    basis = nodal_basis_for_mesh(mesh)
+    traces = np.stack([np.exp(1j * basis.thetas), np.cos(3 * basis.thetas) ** 3])
+    coef = basis.expand(traces.T)
+    assert coef.shape == (basis.size, 2) and coef.dtype == complex
+    assert coef.flags.c_contiguous
+    np.testing.assert_array_equal(coef, traces.T)
     for j in range(2):
-        c1, r1 = basis.expand(vals[:, j])
-        np.testing.assert_allclose(coef[:, j], c1, rtol=0, atol=1e-14)
-        assert isinstance(r1, float) and r1 == pytest.approx(res[j], rel=1e-12, abs=1e-15)
-    assert res[0] < 1e-13 and res[1] > 1e-3
+        np.testing.assert_array_equal(basis.expand(traces[j]), coef[:, j])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from enclosure2d.admittivity import AdmittivityField
-from enclosure2d.fem import assemble_dtn_matrix, nodal_basis_for_mesh
-from enclosure2d.indicator import (IndicatorError, SupportEstimate, SupportFit, classify_series,
+from enclosure2d.fem import assemble_dtn_matrix, gap_matrix
+from enclosure2d.indicator import (IndicatorError, SupportFit, classify_series,
                                    clip_polygon_halfplane, cone_carving,
                                    cones_avoid_shape, convex_hull_estimate,
                                    default_tau_ladder, fit_support_directions,
@@ -39,78 +39,75 @@ def _ml(y, theta, t, tau, alpha=0.5, perp_sign=1.0):
 
 
 @pytest.fixture(scope="module")
-def empty_pair():
+def empty_gap():
     mesh = build_disk_mesh(1.0, 0.08, None)
-    basis = nodal_basis_for_mesh(mesh)
-    b = assemble_dtn_matrix(mesh, _background(mesh), basis)
-    return b, b
+    b = assemble_dtn_matrix(mesh, _background(mesh))
+    return gap_matrix((b, b))
 
 
 @pytest.fixture(scope="module")
-def disk_pair():
+def disk_gap():
     mesh = build_disk_mesh(1.0, 0.03, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
-    basis = nodal_basis_for_mesh(mesh)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh, 1.0), basis))
-    return mesh, pair
+    return mesh, gap_matrix((assemble_dtn_matrix(mesh, field),
+                             assemble_dtn_matrix(mesh, _background(mesh, 1.0))))
 
 
-def test_indicator_zero_for_empty_inclusion(empty_pair):
+def test_indicator_zero_for_empty_inclusion(empty_gap):
     th = np.array([1.0, 0.0])
     for tau in (1.0, 4.0):
-        val = indicator_cgo(empty_pair, _cgo(th, 0.3, tau))
+        val = indicator_cgo(empty_gap, _cgo(th, 0.3, tau))
         assert abs(val) < 1e-10
 
 
-def test_indicator_ml_zero_for_empty_inclusion(empty_pair):
-    val = indicator_ml(empty_pair, _ml((3.0, 0.0), (1.0, 0.0), -0.5, 1.5))
+def test_indicator_ml_zero_for_empty_inclusion(empty_gap):
+    val = indicator_ml(empty_gap, _ml((3.0, 0.0), (1.0, 0.0), -0.5, 1.5))
     assert abs(val) < 1e-10
 
 
-def test_indicator_ml_rejects_bad_cone(empty_pair):
+def test_indicator_ml_rejects_bad_cone(empty_gap):
     with pytest.raises(ProbeError):
-        indicator_ml(empty_pair, _ml((3.0, 0.0), (-1.0, 0.0), -0.5, 1.5))
+        indicator_ml(empty_gap, _ml((3.0, 0.0), (-1.0, 0.0), -0.5, 1.5))
 
 
-def test_indicator_ml_perp_flip_invariance(disk_pair):
-    _, pair = disk_pair
+def test_indicator_ml_perp_flip_invariance(disk_gap):
+    _, gap = disk_gap
     th = np.array([0.8, 0.6])
-    a = indicator_ml(pair, _ml((3.0, 1.0), th, -0.7, 2.0))
-    b = indicator_ml(pair, _ml((3.0, 1.0), th, -0.7, 2.0, perp_sign=-1.0))
+    a = indicator_ml(gap, _ml((3.0, 1.0), th, -0.7, 2.0))
+    b = indicator_ml(gap, _ml((3.0, 1.0), th, -0.7, 2.0, perp_sign=-1.0))
     assert a == pytest.approx(b, abs=1e-10 * max(abs(a), 1.0))
 
 
-def test_indicator_ml_near_one_reduces_to_cgo(disk_pair):
+def test_indicator_ml_near_one_reduces_to_cgo(disk_gap):
     # as the order approaches 1 the cone probe is the exponential probe times
     # a fixed scalar exp(tau(-y.theta - t)) exp(-i tau y.theta_perp), so the
     # indicators agree up to that scalar's squared modulus (cgo taken at t = 0)
-    _, pair = disk_pair
+    _, gap = disk_gap
     y = np.array([3.0, 0.0])
     th = np.array([1.0, 0.0])
     t, tau = -3.3, 2.0
-    ml = indicator_ml(pair, _ml(y, th, t, tau, alpha=1 - 1e-9))
+    ml = indicator_ml(gap, _ml(y, th, t, tau, alpha=1 - 1e-9))
     scale = math.exp(2 * tau * (-(y @ th) - t))
-    cgo = indicator_cgo(pair, _cgo(th, 0.0, tau))
+    cgo = indicator_cgo(gap, _cgo(th, 0.0, tau))
     assert ml == pytest.approx(scale * cgo, rel=1e-5)
 
 
-def test_indicator_decays_beyond_support(disk_pair):
-    _, pair = disk_pair
+def test_indicator_decays_beyond_support(disk_gap):
+    _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = default_tau_ladder(0.03, 10)
-    vals = np.array([abs(indicator_cgo(pair, _cgo(th, 0.7, float(t)))) for t in taus])
+    vals = np.array([abs(indicator_cgo(gap, _cgo(th, 0.7, float(t)))) for t in taus])
     tail = vals[taus >= 2.0]
     assert np.all(np.diff(tail) < 0)
     assert vals[-1] < 0.2 * vals[0]
 
 
-def test_indicator_bounded_growth_at_support(disk_pair):
+def test_indicator_bounded_growth_at_support(disk_gap):
     # at the exact support depth the values stay within a fixed band / tau^2
-    _, pair = disk_pair
+    _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = default_tau_ladder(0.03, 10)
-    vals = np.array([indicator_cgo(pair, _cgo(th, 0.5, float(t))) for t in taus])
+    vals = np.array([indicator_cgo(gap, _cgo(th, 0.5, float(t))) for t in taus])
     assert np.all(vals > 0)
     assert np.all(vals / taus ** 2 < 10 * (vals[0] / taus[0] ** 2))
 
@@ -159,13 +156,13 @@ def test_slope_fit_rejects_unordered_ladder_and_nonfinite_values():
             support_slope_fit(spec, values)
 
 
-def test_slope_fit_full_pipeline_two_layer(disk_pair):
-    _, pair = disk_pair
+def test_slope_fit_full_pipeline_two_layer(disk_gap):
+    _, gap = disk_gap
     taus = default_tau_ladder(0.03, 12, resolution_factor=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = fit_support_directions(pair, [_cgo((1.0, 0.0), 0.0, taus)])
-    assert 0.45 <= est.fits[0].h_est <= 0.55
+        fits = fit_support_directions(gap, [_cgo((1.0, 0.0), 0.0, taus)])
+    assert 0.45 <= fits[0].h_est <= 0.55
 
 
 # -- transition classification --------------------------------------------------
@@ -194,79 +191,76 @@ def test_classifier_ties_flag_low_confidence():
     assert label == "growth" and tie
 
 
-def test_transition_search_no_transition_on_empty(empty_pair):
+def test_transition_search_no_transition_on_empty(empty_gap):
     taus = np.geomspace(0.5, 2.0, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = transition_search_ml(empty_pair, _ml((3.0, 0.0), (1.0, 0.0), -0.3, taus),
+        est = transition_search_ml(empty_gap, _ml((3.0, 0.0), (1.0, 0.0), -0.3, taus),
                                    (-4.0, -0.3))
     assert est.status == "no_transition"
     assert est.h_est is None
 
 
-def test_tau_ladder_matches_scalar_calls(disk_pair):
+def test_tau_ladder_matches_scalar_calls(disk_gap):
     # one call per ladder gives the per-tau values; the ML traces at the last
     # two taus overflow, and their samples are inf either way
-    _, pair = disk_pair
+    _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 10.0, 12.0])
-    ladder = indicator_ml(pair, _ml((3.0, 0.0), th, -6.0, taus))
-    singles = np.array([indicator_ml(pair, _ml((3.0, 0.0), th, -6.0, float(t))) for t in taus])
+    ladder = indicator_ml(gap, _ml((3.0, 0.0), th, -6.0, taus))
+    singles = np.array([indicator_ml(gap, _ml((3.0, 0.0), th, -6.0, float(t))) for t in taus])
     assert np.isinf(ladder[-2:]).all() and np.isinf(singles[-2:]).all()
     np.testing.assert_allclose(ladder[:-2], singles[:-2], rtol=1e-12, atol=0)
     taus = np.geomspace(1.0, 10.0, 8)
-    ladder = indicator_cgo(pair, _cgo(th, 0.3, taus))
-    singles = [indicator_cgo(pair, _cgo(th, 0.3, float(t))) for t in taus]
+    ladder = indicator_cgo(gap, _cgo(th, 0.3, taus))
+    singles = [indicator_cgo(gap, _cgo(th, 0.3, float(t))) for t in taus]
     np.testing.assert_allclose(ladder, singles, rtol=1e-12, atol=0)
 
 
 def test_cgo_ladder_keeps_per_tau_checks():
-    # the advisory and the expansion residual warn once per offending tau, and
-    # the overflow guard rejects the whole ladder
-    from enclosure2d.fem import fourier_basis_for_mesh
+    # the advisory warns once per offending tau, the nodal expansion is exact
+    # and warns never, and the overflow guard rejects the whole ladder; the
+    # band-limited operators take the same path
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
-    basis = fourier_basis_for_mesh(mesh, 4)
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
-    pair = (assemble_dtn_matrix(mesh, field, basis),
-            assemble_dtn_matrix(mesh, _background(mesh), basis))
+    gap = gap_matrix((assemble_dtn_matrix(mesh, field, 4),
+                      assemble_dtn_matrix(mesh, _background(mesh), 4)))
     th = np.array([1.0, 0.0])
-    # tau = 0 is a constant trace, which 9 modes hold exactly
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        indicator_cgo(pair, _cgo(th, 0.0, np.array([0.0, 4.0, 6.0, 10.0])))
+        indicator_cgo(gap, _cgo(th, 0.0, np.array([0.0, 4.0, 6.0, 10.0])))
     text = [str(w.message) for w in caught]
-    assert sum("expansion residual" in m for m in text) == 3
-    assert sum("mesh-resolution advisory" in m for m in text) == 1
+    assert len(text) == 1 and "mesh-resolution advisory" in text[0]
     with pytest.raises(ProbeError), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        indicator_cgo(pair, _cgo(th, 0.0, np.array([1.0, 800.0])))
+        indicator_cgo(gap, _cgo(th, 0.0, np.array([1.0, 800.0])))
 
 
-def test_transition_search_estimate_is_unchanged(disk_pair):
+def test_transition_search_estimate_is_unchanged(disk_gap):
     # the bisection's decisions are discrete, so evaluating each tau ladder in
     # one call must land exactly on the estimate recorded with one call per tau
-    _, pair = disk_pair
+    _, gap = disk_gap
     ang = math.radians(70.0)
     probe = _ml((3.0, 0.0), (math.cos(ang), math.sin(ang)), -0.2, np.geomspace(0.35, 2.4, 16))
-    est = transition_search_ml(pair, probe, (-6.0, -0.2))
+    est = transition_search_ml(gap, probe, (-6.0, -0.2))
     assert est.status == "ok"
     assert est.h_est == -3.0830078125
     assert est.bracket == (-3.088671875, -3.07734375)
     assert est.low_confidence_steps == 2
 
 
-def test_transition_search_interval_validation(empty_pair):
+def test_transition_search_interval_validation(empty_gap):
     with pytest.raises(IndicatorError):
-        transition_search_ml(empty_pair, _ml((3.0, 0.0), (1.0, 0.0), -0.5,
+        transition_search_ml(empty_gap, _ml((3.0, 0.0), (1.0, 0.0), -0.5,
                                             np.geomspace(0.5, 2.0, 8)), (-1.0, 0.5))
 
 
-def test_transition_search_checks_the_cone_against_the_operators(empty_pair):
+def test_transition_search_checks_the_cone_against_the_operators(empty_gap):
     # the probe's own radius is not trusted: a cone that meets the operators'
     # domain is rejected even when the probe was built for a smaller one
     probe = _ml((3.0, 0.0), (-1.0, 0.0), -0.5, np.geomspace(0.5, 2.0, 8))
     with pytest.raises(ProbeError):
-        transition_search_ml(empty_pair, probe, (-4.0, -0.3))
+        transition_search_ml(empty_gap, probe, (-4.0, -0.3))
 
 
 # -- ground-truth energy oracle -------------------------------------------------
@@ -326,10 +320,9 @@ def test_ladder_gradients_and_j_equal_single_tau(family):
 
 
 def _estimate_from_values(directions, h_values):
-    fits = tuple(SupportFit(theta=(d[0], d[1]), t=0.0, h_est=h, rms_residual=0.0,
+    return tuple(SupportFit(theta=(d[0], d[1]), t=0.0, h_est=h, rms_residual=0.0,
                             window=(0, 5), low_confidence=False)
                  for d, h in zip(directions, h_values))
-    return SupportEstimate(fits=fits)
 
 
 def test_hull_four_directions_square():
@@ -422,10 +415,10 @@ def test_region_svg_written(tmp_path):
     assert "circle" in text and "path" in text
 
 
-def test_overflowing_form_is_inf_not_nan(disk_pair):
+def test_overflowing_form_is_inf_not_nan(disk_gap):
     # at tau = 5.9 the cone probe's trace is finite but its quadratic form
     # passes double range; the form is inf, as from an overflowing trace on
-    _, pair = disk_pair
-    assert indicator_ml(pair, _ml((3.0, 0.0), (1.0, 0.0), -6.0, 5.9)) == np.inf
-    ladder = indicator_ml(pair, _ml((3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9])))
+    _, gap = disk_gap
+    assert indicator_ml(gap, _ml((3.0, 0.0), (1.0, 0.0), -6.0, 5.9)) == np.inf
+    ladder = indicator_ml(gap, _ml((3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9])))
     assert np.isfinite(ladder[0]) and ladder[1] == np.inf

@@ -271,16 +271,22 @@ class DtNMatrix:
     """Bilinear boundary-operator matrix B[j, k] = <L phi_j, phi_k> over the
     nodal basis (no conjugation; complex symmetric for symmetric coefficient
     fields), band-limited to the modes |n| <= ``modes``, or the full operator
-    for modes = 0."""
+    for modes = 0.  ``scale`` is the largest entry magnitude of the operators
+    the matrix comes from, its own unless given: their entries carry roundoff
+    of order eps * scale, which for a gap can be far above eps times its own
+    entries."""
 
     basis: BoundaryBasis
     omega: float
     matrix: np.ndarray
     mesh_h: float
     modes: int = 0
+    scale: Optional[float] = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        if self.scale is None:
+            object.__setattr__(self, "scale", float(np.abs(self.matrix).max(initial=0.0)))
 
     def symmetry_defect(self) -> float:
         b = self.matrix
@@ -366,12 +372,13 @@ def check_pair(pair: DtnPair) -> None:
 
 def gap_matrix(pair: DtnPair) -> DtNMatrix:
     """The operator gap L1 - L0 of a (perturbed, background) pair that passes
-    ``check_pair``, in their basis; its matrix is real when both operators
-    are."""
+    ``check_pair``, in their basis, with the larger of their scales; its
+    matrix is real when both operators are."""
     check_pair(pair)
     b1, b0 = pair
     gap = b1.matrix - b0.matrix
-    return replace(b1, matrix=gap if gap.imag.any() else gap.real.copy())
+    return replace(b1, matrix=gap if gap.imag.any() else gap.real.copy(),
+                   scale=max(b1.scale, b0.scale))
 
 
 def quadratic_gap(gap: DtNMatrix, coef: np.ndarray):

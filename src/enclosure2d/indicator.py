@@ -247,13 +247,22 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
 
     The search interval must lie in (-inf, 0); if both endpoints classify the
     same there is no transition to report.
+
+    Noise floor: each entry of either operator carries roundoff of about
+    u s, with u = 1e-16 the unit roundoff and s = ``gap.scale`` the largest
+    entry of the two operators (the roundoff of a Schur complement follows
+    the size of its terms, not of the small difference B1 - B0).  Taken as
+    independent across the m x m entries, these errors move a sample
+    Re c^T (B1 - B0) conj(c) by about u s |c|^2 <= u s m max|c|^2, the floor
+    of its tau; ``classify_series`` discards a sample below ten times its
+    floor, together with the rest of its ladder.
     """
     t_lo, t_hi = float(t_interval[0]), float(t_interval[1])
     if not (t_lo < t_hi < 0):
         raise IndicatorError("search interval must satisfy t_lo < t_hi < 0")
     taus = np.asarray(spec.tau, dtype=float)
     basis = gap.basis
-    gap_scale = float(np.max(np.abs(gap.matrix))) * gap.matrix.shape[0] * 1e-16
+    noise = 1e-16 * gap.scale * gap.matrix.shape[0]
     low_conf = 0
 
     def classify(t: float) -> str:
@@ -264,7 +273,7 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
         floors = np.zeros(len(taus))
         # a floor that overflows is inf, which discards its sample
         with np.errstate(over="ignore"):
-            floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * gap_scale
+            floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * noise
         label, tie = classify_series(taus, vals, floors)
         if tie:
             low_conf += 1

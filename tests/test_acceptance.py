@@ -7,13 +7,16 @@ mesher, so the printed numbers reproduce bit for bit.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from enclosure2d import indicator
 from enclosure2d.admittivity import (AdmittivityField, ReductionInput,
                                      complex_admittivity, original_admittivity,
                                      reduce_background)
+from enclosure2d.cli import ExperimentConfig
 from enclosure2d.fem import (DirichletSystem, analytic_two_layer_dtn,
                              assemble_dtn_matrix, fourier_trace, gap_matrix,
                              nodal_basis_for_mesh, prop21_check)
@@ -61,11 +64,21 @@ def positive_jump_bench():
 
 
 @pytest.fixture(scope="module")
-def cone_bench():
-    """Off-center disk (0.3, 0), rho=0.3, contrast a=I, with the probing data
-    for the radius-3 vertex ring at order alpha=1/2."""
+def cone_pair():
+    """Off-center disk (0.3, 0), rho=0.3, contrast a=I: the (perturbed,
+    background) operators of the cone benchmark."""
     mesh = build_disk_mesh(1.0, 0.0102, ShapeSpec.disk((0.3, 0.0), 0.3))
-    return mesh, _gap(mesh, AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0))
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
+    return mesh, (assemble_dtn_matrix(mesh, field),
+                  assemble_dtn_matrix(mesh, _background(mesh, 0.0)))
+
+
+@pytest.fixture(scope="module")
+def cone_bench(cone_pair):
+    """The cone benchmark's operator gap, with the probing data for the
+    radius-3 vertex ring at order alpha=1/2."""
+    mesh, pair = cone_pair
+    return mesh, gap_matrix(pair)
 
 
 def _cgo(theta, perp_sign, t, tau):
@@ -298,6 +311,52 @@ def test_criterion_7_cone_transitions(cone_bench):
     print(f"\nACCEPTANCE 7 PASS: {hits}/16 within 0.05 "
           f"(median error {np.median(errs):.3f}), containment holds, "
           f"carved away {1 - region.area() / math.pi:.0%} of the domain")
+
+
+def test_cone_estimates_are_stable_under_operator_roundoff(cone_pair, monkeypatch):
+    """The benchmark's 8 cone probes (radius-3 ring, 70 degree offset, t in
+    (-6, -0.2)) on operators perturbed by 5e-16 max|B| (E + E^T) / 2, E
+    standard normal, for three seeds: every carved cone stays sound and
+    within one bisection step of its estimate on the unperturbed operators."""
+    mesh, pair = cone_pair
+    shape = ShapeSpec.disk((0.3, 0.0), 0.3)
+    cfg = ExperimentConfig(mesh_h=0.0102, inclusion=shape, probe_family="mittag_leffler",
+                           t_value=-0.7, tau_min=0.35, tau_max=2.4, tau_points=16,
+                           vertex_count=8, t_search=(-6.0, -0.2))
+    probes = cfg.probes(1.0)
+    # a probe's traces do not depend on the operators: compute each once
+    traces, trace = {}, indicator.ml_probe_trace
+
+    def cached_trace(spec, points):
+        key = (spec.y, spec.theta, spec.t)
+        if key not in traces:
+            traces[key] = trace(spec, points)
+        return traces[key]
+
+    monkeypatch.setattr(indicator, "ml_probe_trace", cached_trace)
+
+    def carve(b1, b0):
+        gap = gap_matrix((b1, b0))
+        ests = [transition_search_ml(gap, p, cfg.t_search) for p in probes]
+        assert all(e.status == "ok" for e in ests)
+        assert cones_avoid_shape(cone_carving(ests, 1.0), shape)
+        return ests
+
+    base = carve(*pair)
+    moved = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        perturbed = []
+        for b in pair:
+            e = rng.standard_normal(b.matrix.shape)
+            perturbed.append(replace(b, matrix=b.matrix + 5e-16 * b.scale * (e + e.T) / 2,
+                                     scale=None))
+        for e0, e in zip(base, carve(*perturbed)):
+            step = e0.bracket[1] - e0.bracket[0]
+            assert abs(e.h_est - e0.h_est) <= step * (1 + 1e-9)
+            moved.append(e.h_est != e0.h_est)
+    print(f"\nroundoff stability: {sum(moved)} of {len(moved)} estimates moved, "
+          "each by at most one bisection step")
 
 
 def test_criterion_8_sandwich_band(cone_bench):

@@ -455,6 +455,27 @@ def test_mittag_leffler_template_search_is_warning_free(tmp_path):
                                            -2.590625]
 
 
+def test_zero_gap_search_is_warning_free(tmp_path):
+    # no inclusion: the operator gap is exactly zero, and the noise floor
+    # still scales with the operators, so a tau whose largest coefficient
+    # squares past double range floors to inf, not to inf * 0 = nan
+    text = example_config().replace("family = cgo", "family = mittag_leffler")
+    text = text.replace("kind = disk", "kind = none").replace("directory = out",
+                                                            f"directory = {tmp_path / 'out'}")
+    cfg = _write(tmp_path, text)
+    assert main(["dtn", "--config", cfg]) == 0
+    src = str(Path(enclosure2d.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "reconstruct",
+                           "--config", cfg], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    statuses = [ln.rpartition("[")[2] for ln in proc.stdout.splitlines()
+                if ln.startswith("vertex")]
+    assert statuses == 16 * ["no_transition]"]
+
+
 ML_CONFIG = """\
 [domain]
 radius = 1.0

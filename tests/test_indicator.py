@@ -237,15 +237,17 @@ def test_cgo_ladder_keeps_per_tau_checks():
 
 
 def test_transition_search_estimate_is_unchanged(disk_gap):
-    # the bisection's decisions are discrete, so evaluating each tau ladder in
-    # one call must land exactly on the estimate recorded with one call per tau
+    # the bisection's decisions are discrete, so any change to how a sample is
+    # formed or floored shows here as a moved estimate.  Recorded with the noise
+    # floor at the operators' own roundoff; the true tangency is -3.138, on
+    # the far side of the bracket (a sound cone)
     _, gap = disk_gap
     ang = math.radians(70.0)
     probe = _ml((3.0, 0.0), (math.cos(ang), math.sin(ang)), -0.2, np.geomspace(0.35, 2.4, 16))
     est = transition_search_ml(gap, probe, (-6.0, -0.2))
     assert est.status == "ok"
-    assert est.h_est == -3.0830078125
-    assert est.bracket == (-3.088671875, -3.07734375)
+    assert est.h_est == -3.1056640625
+    assert est.bracket == (-3.111328125, -3.1)
     assert est.low_confidence_steps == 2
 
 

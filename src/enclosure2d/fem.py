@@ -9,8 +9,12 @@ with u_f the discrete solution for trace f and v_g any discrete extension of
 g: at the Galerkin level <L f, g> = g^T S f with S = K_bb - K_bi K_ii^-1 K_ib,
 the Schur complement of the stiffness matrix onto the boundary nodes.  One
 sparse factorization of the whole stiffness matrix, interior nodes first and
-boundary nodes last, yields S from its off-diagonal blocks, with no
-back-substitution, and solves for the discrete solution of any trace.  A
+boundary nodes last, with no pivoting, yields S from the rows of its U factor
+alone, with no back-substitution, and solves for the discrete solution of any
+trace: the stiffness matrix is symmetric, so L = U^T D^-1 with D the pivots,
+and K_bi K_ii^-1 K_ib = U_R^T D_R^-1 U_R over the rows R in which the
+off-diagonal block U_12 has nonzeros.  S is that product subtracted from K_bb
+in dense blocks of rows, each a symmetric rank-k update.  A
 coefficient with no imaginary part (omega = 0, a real jump, and always the
 background sigma = 1, epsilon = 0) is assembled and factorized in real
 arithmetic; a complex trace is then solved as its real and imaginary columns
@@ -102,6 +106,12 @@ def fourier_trace(mesh: Mesh, n: int) -> np.ndarray:
 # Assembly and Dirichlet solves
 
 
+# rows of W per dense block when S is formed: with 594 boundary nodes one
+# complex block is 4.9 MB, where the whole W as one dense block (5,752 rows on
+# the benchmark meshes) raised the peak RSS of a dtn run by 23 %
+_BLOCK_ROWS = 512
+
+
 @dataclass
 class SolveResult:
     """Nodal solution with its relative interior residual."""
@@ -118,11 +128,16 @@ class DirichletSystem:
     imaginary part gives a real stiffness matrix and a real factor.
 
     The factor is that of K' = K + c I_bb (constants span the kernel of K),
-    interior nodes first in the minimum-degree order of K_ii + K_ii^T.  Its
-    off-diagonal blocks give K_bi K_ii^-1 K_ib = L_21 U_12, so ``operator``,
-    S = K_bb - L_21 U_12 (read-only, in loop order), maps a trace to the
-    boundary currents of its solution.  S is formed and checked on first
-    access; a solve needs only S f, from sparse products with the blocks.
+    interior nodes first in the minimum-degree order of K_ii + K_ii^T, with
+    diagonal pivots only.  K is symmetric (checked: a relative defect
+    |K - K^T| / |K| above 1e-8 raises SolverError), so K' = U^T D^-1 U with D
+    the pivots, and K_bi K_ii^-1 K_ib = W^T W for the sparse W = D_R^-1/2 U_R,
+    the rows R of the off-diagonal block U_12 that hold nonzeros.  Every pivot
+    has a positive real part (Re K is positive definite), so the principal
+    square root serves for a complex factor too; L is never read.
+    ``operator``, S = K_bb - W^T W (read-only, in loop order), maps a trace to
+    the boundary currents of its solution.  S is formed and checked on first
+    access; a solve needs only S f, from sparse products with W.
     """
 
     def __init__(self, mesh: Mesh, gamma: np.ndarray):
@@ -139,6 +154,11 @@ class DirichletSystem:
             gamma = gamma.real
         self.mesh = mesh
         self.stiffness = _assemble_stiffness(mesh, gamma)
+        # the premise that lets U stand in for L
+        defect = (np.linalg.norm((self.stiffness - self.stiffness.T).data)
+                  / np.linalg.norm(self.stiffness.data))
+        if not defect <= 1e-8:
+            raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
         n = mesh.n_vertices
         self.boundary = np.asarray(mesh.boundary_loop)
         mask = np.ones(n, dtype=bool)
@@ -165,26 +185,30 @@ class DirichletSystem:
                 and np.array_equal(self._lu.perm_c, np.arange(n))):
             raise SolverError("the factorization reordered the nodes")
         self._k_bb = self.stiffness[self.boundary][:, self.boundary]
-        self._l21 = self._lu.L[ni:, :ni]
-        self._u12 = self._lu.U[:ni, ni:]
+        u = self._lu.U
+        u12 = u[:ni, ni:].tocsr()
+        rows = np.flatnonzero(np.diff(u12.indptr))
+        self._w = sp.diags(1.0 / np.sqrt(u.diagonal()[rows])) @ u12[rows]
 
     @cached_property
     def operator(self) -> np.ndarray:
-        """S, formed on first access.  SolverError above 1e-8 in any of three
-        relative defects, zero in exact arithmetic: S 1 (constants carry no
-        current), S - S^T, and the boundary currents of a seeded random trace
-        solved through the factor less S f.  The largest measured is 4e-11,
-        S 1 at a contrast of 1e6."""
+        """S = K_bb - W^T W, formed on first access over dense blocks of at
+        most _BLOCK_ROWS rows of W, each subtracted as w^T w: one symmetric
+        rank-k update (BLAS syrk) per block, so S is exactly symmetric.
+        SolverError above 1e-8 in either of two relative defects, zero in
+        exact arithmetic: S 1 (constants carry no current), and the boundary
+        currents of a seeded random trace solved through the factor less S f.
+        The largest measured is 6e-11, S 1 at a contrast of 1e6 (h = 0.1)."""
         # rather than L_22 U_22 - c I, which adds the roundoff of the trailing
         # block's own elimination and of the shift
-        s = self._k_bb.toarray() - (self._l21 @ self._u12).toarray()
+        s = self._k_bb.toarray()
+        for r in range(0, self._w.shape[0], _BLOCK_ROWS):
+            w = self._w[r:r + _BLOCK_ROWS].toarray()
+            s -= w.T @ w
         s.setflags(write=False)
         leak = np.abs(s.sum(axis=1)).max() / np.abs(s).sum(axis=1).max()
         if not leak <= 1e-8:
             raise SolverError(f"boundary operator leaks current on constants: {leak:.3g}")
-        defect = np.linalg.norm(s - s.T) / np.linalg.norm(s)
-        if not defect <= 1e-8:
-            raise SolverError(f"boundary operator symmetry defect {defect:.3g}")
         f = np.random.default_rng(0).standard_normal(len(self.boundary))
         current = (self.stiffness @ self.solve(f).u)[self.boundary]
         mismatch = np.linalg.norm(current - s @ f) / np.linalg.norm(s @ f)
@@ -196,9 +220,9 @@ class DirichletSystem:
     def solve(self, trace: np.ndarray) -> SolveResult:
         """Solution with the given boundary-node values (ordered as the loop),
         through the factor as K' [u_i; f] = [0; (S + c I) f], with S f =
-        K_bb f - L_21 (U_12 f) and the right-hand side as [Re | Im] columns
-        (SuperLU solves only in its factor's type).  A relative interior
-        residual above 1e-6 raises SolverError."""
+        K_bb f - W^T (W f) from sparse products and the right-hand side as
+        [Re | Im] columns (SuperLU solves only in its factor's type).  A
+        relative interior residual above 1e-6 raises SolverError."""
         trace = np.asarray(trace, dtype=complex)
         nb = len(self.boundary)
         if trace.shape != (nb,):
@@ -207,7 +231,7 @@ class DirichletSystem:
         u[self.boundary] = trace
         scale = np.linalg.norm((self.stiffness @ u)[self.interior])     # |K_ib f|
         rhs = np.zeros_like(u)
-        rhs[-nb:] = self._k_bb @ trace - self._l21 @ (self._u12 @ trace) + self._shift * trace
+        rhs[-nb:] = self._k_bb @ trace - self._w.T @ (self._w @ trace) + self._shift * trace
         x = self._lu.solve(np.column_stack([rhs.real, rhs.imag]))
         u[self._order[:-nb]] = x[:-nb, 0] + 1j * x[:-nb, 1]
         res = np.linalg.norm((self.stiffness @ u)[self.interior]) / max(scale, 1e-300)

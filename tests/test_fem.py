@@ -445,20 +445,24 @@ def test_basis_keeps_a_read_only_copy_of_thetas():
 
 
 class _FactorSpy:
-    """Stands in for the boundary-last factor of a DirichletSystem.  Its L
-    gains ``l21_error`` F in the boundary rows of the interior columns, which
-    moves S = K_bb - L_21 U_12 by E = -F U_12; every solution gains
-    ``solve_error`` times its largest entry; ``reorder`` reverses perm_c."""
+    """Stands in for the boundary-last factor of a DirichletSystem, whose L
+    must never be read.  Its U gains ``u12_error`` F in the interior rows of
+    the boundary columns, the block U_12 that S = K_bb - U_12^T D^-1 U_12 is
+    formed from; every solution gains ``solve_error`` times its largest
+    entry; ``reorder`` reverses perm_c."""
 
-    def __init__(self, lu, l21_error=None, solve_error=0.0, reorder=False):
+    def __init__(self, lu, u12_error=None, solve_error=0.0, reorder=False):
         self.lu, self.solve_error, self.U, self.perm_r = lu, solve_error, lu.U, lu.perm_r
         self.perm_c = lu.perm_c[::-1] if reorder else lu.perm_c
-        self.L = lu.L
-        if l21_error is not None:
-            ni = l21_error.shape[1]
-            self.L = self.L.toarray()
-            self.L[ni:, :ni] += l21_error
-            self.L = sp.csc_matrix(self.L)
+        if u12_error is not None:
+            ni = u12_error.shape[0]
+            self.U = self.U.toarray()
+            self.U[:ni, ni:] += u12_error
+            self.U = sp.csc_matrix(self.U)
+
+    @property
+    def L(self):
+        raise AssertionError("the factor's L was read")
 
     def solve(self, rhs):
         x = self.lu.solve(rhs)
@@ -476,7 +480,7 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
     mesh, _ = two_layer
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    assert (sys_._lu.L.dtype.kind == "c") == (b != 0.0)
+    assert (sys_._lu.U.dtype.kind == "c") == (b != 0.0)
     sys_._lu = _FactorSpy(sys_._lu, solve_error=1e-3)
     with pytest.raises(SolverError, match="residual"):
         sys_.solve(fourier_trace(mesh, 1))
@@ -487,6 +491,19 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
         assemble_dtn_matrix(mesh, field)
 
 
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_operator_and_solves_never_read_the_l_factor(b, monkeypatch):
+    # the spy's L raises; its U and solves are the factor's own
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
+    plain = DirichletSystem(mesh, gamma)
+    _install_factor_spy(monkeypatch, _FactorSpy)
+    spied = DirichletSystem(mesh, gamma)
+    assert np.array_equal(spied.operator, plain.operator)
+    f = fourier_trace(mesh, 3)
+    assert np.array_equal(spied.solve(f).u, plain.solve(f).u)
+
+
 @pytest.mark.parametrize("check", ["leaks current", "symmetry defect", "boundary current",
                                    "reordered"])
 def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
@@ -494,18 +511,18 @@ def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
     # check can raise
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0))
+    if check == "symmetry defect":                   # an antisymmetric part, which K inherits
+        gamma = gamma + np.array([[0.0, 0.1j], [-0.1j, 0.0]])
     nb = len(mesh.boundary_loop)
     ni = mesh.n_vertices - nb
 
     def corrupt(lu):
-        v = -lu.U[:ni, ni:] @ np.ones(nb)            # -U_12 1, so that E 1 = F v
-        k0, k1 = np.argsort(np.abs(v))[-2:]
-        f = np.zeros((nb, ni), dtype=complex)
-        if check == "leaks current":                 # E = -F U_12: row 0 moves, E 1 != 0
-            f[0, k0] = 1e-4
-        elif check == "symmetry defect":             # row 0 moves with E 1 = 0
-            f[0, k0], f[0, k1] = 1e-4 * v[k1], -1e-4 * v[k0]
-        return _FactorSpy(lu, l21_error=f, reorder=check == "reordered",
+        f = np.zeros((ni, nb), dtype=complex)
+        if check == "leaks current":                 # the largest entry of U_12 grows by 1e-4
+            u12 = lu.U[:ni, ni:].toarray()
+            r, k = np.unravel_index(np.abs(u12).argmax(), u12.shape)
+            f[r, k] = 1e-4 * u12[r, k]
+        return _FactorSpy(lu, u12_error=f, reorder=check == "reordered",
                           solve_error=1e-7 if check == "boundary current" else 0.0)
 
     _install_factor_spy(monkeypatch, corrupt)
@@ -513,14 +530,19 @@ def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
         DirichletSystem(mesh, gamma).operator
 
 
-@pytest.mark.parametrize("b, kind", [(0.0, "nodal"), (0.0, "fourier"), (0.5, "nodal"),
-                                     (0.5, "fourier")])
-def test_operator_matches_dense_schur_complement(b, kind):
+@pytest.mark.parametrize("a, b, kind", [(1.0, 0.0, "nodal"), (1.0, 0.0, "fourier"),
+                                        (1.0, 0.5, "nodal"), (1.0, 0.5, "fourier"),
+                                        (1e6, 0.0, "nodal"), (1e6, 0.5, "nodal")],
+                         ids=["0.0-nodal", "0.0-fourier", "0.5-nodal", "0.5-fourier",
+                              "contrast-1e6-0.0-nodal", "contrast-1e6-0.5-nodal"])
+def test_operator_matches_dense_schur_complement(a, b, kind):
     # real coefficient: real factor; complex coefficient: complex factor
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
-    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    field = AdmittivityField.from_scalars(mesh, a=a, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    assert (sys_._lu.L.dtype.kind == "c") != (b == 0.0)
+    assert (sys_._lu.U.dtype.kind == "c") != (b == 0.0)
+    # each block of W^T W is one symmetric rank-k update, exactly symmetric
+    assert np.array_equal(sys_.operator, sys_.operator.T)
     modes = 4 if kind == "fourier" else 0
     dtn = assemble_dtn_matrix(mesh, field, modes, system=sys_)
     k = sys_.stiffness.toarray()
@@ -531,7 +553,10 @@ def test_operator_matches_dense_schur_complement(b, kind):
     p = _mode_matrix(dtn.basis.thetas, modes)
     q = p @ np.linalg.pinv(p) if modes else np.eye(len(bd))
     ref = q.T @ schur.T @ q
-    assert np.abs(dtn.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the factor and the dense solve each err by about eps times the condition
+    # of K_ii, which grows with the contrast: 2e-12 apart at 1e6
+    tol = 1e-11 if a > 1.0 else 1e-12
+    assert np.abs(dtn.matrix - ref).max() <= tol * np.abs(ref).max()
 
 
 def test_dtn_file_roundtrip_is_bit_exact(tmp_path):

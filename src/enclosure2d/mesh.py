@@ -384,9 +384,9 @@ def write_mesh(mesh: Mesh, path, provenance: Optional[dict] = None) -> None:
         f.write("# enclosure2d mesh v1\n" + provenance_header(provenance))
         f.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(edges)} "
                 f"{mesh.h:.17g} {mesh.domain_radius:.17g}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        for (i, j, k), lab in zip(mesh.triangles, mesh.labels):
-            f.write(f"{i} {j} {k} {lab}\n")
-        for (i, j), (nx, ny) in zip(edges, normals):
-            f.write(f"{i} {j} {nx:.17g} {ny:.17g}\n")
+        # Python scalars from tolist() format twice as fast as numpy's, to the same text
+        f.writelines(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist())
+        f.writelines(f"{i} {j} {k} {lab}\n" for (i, j, k), lab
+                     in zip(mesh.triangles.tolist(), mesh.labels.tolist()))
+        f.writelines(f"{i} {j} {nx:.17g} {ny:.17g}\n" for (i, j), (nx, ny)
+                     in zip(edges.tolist(), normals.tolist()))

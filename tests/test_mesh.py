@@ -156,6 +156,22 @@ def test_write_mesh_blocks_match_the_mesh(tmp_path):
     assert np.array_equal(edges[:, 2:], mesh.boundary_normals)
 
 
+def test_write_mesh_text_equals_per_element_formatting(tmp_path):
+    # the lines formatted from Python scalars are those formatted from each
+    # numpy element, as mesh.txt was first written
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.ellipse((0.1, -0.05), (0.4, 0.25), 0.3))
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path, provenance={"config": "xyz"})
+    lines = ["# enclosure2d mesh v1\n# config: xyz\n",
+             f"{mesh.n_vertices} {mesh.n_triangles} {len(mesh.boundary_edges)} "
+             f"{mesh.h:.17g} {mesh.domain_radius:.17g}\n"]
+    lines += [f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices]
+    lines += [f"{i} {j} {k} {lab}\n" for (i, j, k), lab in zip(mesh.triangles, mesh.labels)]
+    lines += [f"{i} {j} {nx:.17g} {ny:.17g}\n"
+              for (i, j), (nx, ny) in zip(mesh.boundary_edges, mesh.boundary_normals)]
+    assert path.read_text() == "".join(lines)
+
+
 def test_mesh_arrays_immutable():
     mesh = build_disk_mesh(1.0, 0.2, None)
     with pytest.raises(ValueError):

@@ -157,8 +157,7 @@ def test_write_mesh_blocks_match_the_mesh(tmp_path):
 
 
 def test_write_mesh_text_equals_per_element_formatting(tmp_path):
-    # the lines formatted from Python scalars are those formatted from each
-    # numpy element, as mesh.txt was first written
+    # the text is byte for byte that of formatting each numpy element
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.ellipse((0.1, -0.05), (0.4, 0.25), 0.3))
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path, provenance={"config": "xyz"})

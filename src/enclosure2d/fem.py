@@ -9,12 +9,9 @@ with u_f the discrete solution for trace f and v_g any discrete extension of
 g: at the Galerkin level <L f, g> = g^T S f with S = K_bb - K_bi K_ii^-1 K_ib,
 the Schur complement of the stiffness matrix onto the boundary nodes.  One
 sparse factorization of the whole stiffness matrix, interior nodes first and
-boundary nodes last, with no pivoting, yields S from the rows of its U factor
-alone, with no back-substitution, and solves for the discrete solution of any
-trace: the stiffness matrix is symmetric, so L = U^T D^-1 with D the pivots,
-and K_bi K_ii^-1 K_ib = U_R^T D_R^-1 U_R over the rows R in which the
-off-diagonal block U_12 has nonzeros.  S is that product subtracted from K_bb
-in dense blocks of rows, each a symmetric rank-k update.  A
+boundary nodes last, yields S from the rows of its U factor alone (the
+stiffness matrix is symmetric; see ``DirichletSystem``), with no
+back-substitution, and solves for the discrete solution of any trace.  A
 coefficient with no imaginary part (omega = 0, a real jump, and always the
 background sigma = 1, epsilon = 0) is assembled and factorized in real
 arithmetic; a complex trace is then solved as its real and imaginary columns
@@ -106,9 +103,10 @@ def fourier_trace(mesh: Mesh, n: int) -> np.ndarray:
 # Assembly and Dirichlet solves
 
 
-# rows of W per dense block when S is formed: with 594 boundary nodes one
-# complex block is 4.9 MB, where the whole W as one dense block (5,752 rows on
-# the benchmark meshes) raised the peak RSS of a dtn run by 23 %
+# rows of W per dense block when S is formed, a memory bound: with 594
+# boundary nodes one complex block is 4.9 MB, where the whole W as one dense
+# block (5,752 rows on the benchmark meshes) raised hull's dtn peak RSS from
+# 255 to 305 MB
 _BLOCK_ROWS = 512
 
 
@@ -187,7 +185,7 @@ class DirichletSystem:
         self._k_bb = self.stiffness[self.boundary][:, self.boundary]
         # U and W's precursors are freed as soon as they are read, and W is
         # scaled in place, not by a product with sp.diags that holds one more
-        # copy: hull's dtn peaks at 252 MB of RSS, against 255 MB with both
+        # copy: hull's dtn peaks at 252 MB of RSS, against 255 MB otherwise
         u = self._lu.U
         pivots, u12 = u.diagonal()[:ni], u[:ni, ni:].tocsr()
         del u

@@ -464,12 +464,9 @@ def test_zero_gap_search_is_warning_free(tmp_path):
                                                             f"directory = {tmp_path / 'out'}")
     cfg = _write(tmp_path, text)
     assert main(["dtn", "--config", cfg]) == 0
-    src = str(Path(enclosure2d.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "reconstruct",
-                           "--config", cfg], cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=300)
+                           "--config", cfg], cwd=tmp_path, env=_package_env(),
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stderr == ""
     statuses = [ln.rpartition("[")[2] for ln in proc.stdout.splitlines()
                 if ln.startswith("vertex")]
@@ -561,13 +558,17 @@ print(code, any(m.partition(".")[0] == "scipy" for m in sys.modules))
 """
 
 
-def _run_and_check_scipy(argv, cwd):
-    """(exit code, whether scipy was imported) of one CLI run in a fresh interpreter."""
+def _package_env():
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(enclosure2d.__file__).parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _run_and_check_scipy(argv, cwd):
+    """(exit code, whether scipy was imported) of one CLI run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=cwd,
+                          env=_package_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     code, loaded = proc.stdout.split()[-2:]
     return int(code), loaded == "True"

@@ -13,6 +13,14 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: the operator files then keep their
+# bytes whatever thread count the environment asks for, and the forked workers
+# of dtn and reconstruct do not oversubscribe the cores they share.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import argparse
 import configparser
 import hashlib
@@ -295,6 +303,45 @@ def _out(cfg: ExperimentConfig) -> Path:
     return p
 
 
+# the task of a forked worker, inherited with everything it reads, so that
+# only task indices and results cross the pipe
+_task = None
+
+
+def _set_task(task) -> None:
+    global _task
+    _task = task
+
+
+def _run_task(i: int):
+    """_task(i) in a worker, with every warning it raised, unfiltered."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _task(i)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _in_workers(task, n: int) -> list:
+    """[task(0), ..., task(n - 1)] from a pool of forked processes, at most one
+    per core.  Each task's warnings are re-emitted here, in input order and
+    through this process's filters, so stderr reads as in one process."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    results, registry = [], {}
+    # fork stated explicitly (Python 3.14 changes the default), so that the
+    # task reaches the workers unpickled; one worker at least, for a config
+    # with no probes; the with block joins every worker, on the error path too
+    with ProcessPoolExecutor(max(1, min(n, len(os.sched_getaffinity(0)))),
+                             mp_context=get_context("fork"), initializer=_set_task,
+                             initargs=(task,)) as pool:
+        for result, caught in pool.map(_run_task, range(n)):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            results.append(result)
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -317,15 +364,22 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
     except ValueError as exc:
         raise ConfigError(f"--modes: {exc}") from exc
     field = _build_field(cfg, mesh)
-    omega = field.omega
+    jobs = (("dtn_perturbed.npz", field),
+            ("dtn_background.npz", AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega)))
+
+    def operator(i: int) -> DtNMatrix:
+        name, fld = jobs[i]
+        try:
+            return assemble_dtn_matrix(mesh, fld, modes)
+        except SolverError as exc:
+            raise SolverError(f"{name}: {exc}") from exc
+
+    # the two systems share only the mesh: one worker factorizes each
     out = _out(cfg)
     prov = cfg.provenance()
-    for name, fld in (("dtn_perturbed.npz", field),
-                      ("dtn_background.npz", AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))):
-        dtn = assemble_dtn_matrix(mesh, fld, modes)
+    for (name, _), dtn in zip(jobs, _in_workers(operator, len(jobs))):
         write_dtn(dtn, out / name, provenance=prov)
-        print(f"{name}: {dtn.basis.size} nodes, band limit {modes or 'none'}, "
-              f"symmetry defect {dtn.symmetry_defect():.2e}")
+        print(f"{name}: {dtn.basis.size} nodes, band limit {modes or 'none'}")
     return 0
 
 
@@ -385,10 +439,10 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
             sound = hull_contains_shape(fits, cfg.inclusion)
             print(f"validation: hull contains true inclusion: {sound}")
     else:
-        ests = []
-        for probe in probes:
-            est = transition_search_ml(gap, probe, cfg.t_search)
-            ests.append(est)
+        # the searches are independent: the workers share them out
+        ests = _in_workers(lambda i: transition_search_ml(gap, probes[i], cfg.t_search),
+                           len(probes))
+        for probe, est in zip(probes, ests):
             tag = f"{est.h_est:.4f}" if est.h_est is not None else "none"
             y = probe.y
             print(f"vertex ({y[0]:+.3f},{y[1]:+.3f}) offset estimate: {tag} [{est.status}]")

@@ -316,10 +316,6 @@ class DtNMatrix:
         if self.scale is None:
             object.__setattr__(self, "scale", float(np.abs(self.matrix).max(initial=0.0)))
 
-    def symmetry_defect(self) -> float:
-        b = self.matrix
-        return float(np.linalg.norm(b - b.T) / max(np.linalg.norm(b), 1e-300))
-
 
 def check_band_limit(modes: int, nodes: int) -> None:
     """ValueError unless 0 <= modes <= nodes // 8: above that the modes alias

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import enclosure2d
+import enclosure2d.cli as cli
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
 from enclosure2d.admittivity import AdmittivityField
 from enclosure2d.fem import assemble_dtn_matrix, gap_matrix, read_dtn
 from enclosure2d.indicator import j_oracle, transition_search_ml
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
-from enclosure2d.mittag import MLParams, growth_sector, ml_eval
+from enclosure2d.mittag import MLAccuracyWarning, MLParams, growth_sector, ml_eval
 from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
 from dtn_archive import CORRUPTIONS, entries, rewrite
 from indicator_csv import read_indicator_csv
@@ -547,17 +548,6 @@ def test_ml_reconstruct_pipeline(tmp_path, capsys):
     assert "cones avoid true inclusion: True" in capsys.readouterr().out
 
 
-_SCIPY_PROBE = """\
-import sys
-from enclosure2d.cli import main
-try:
-    code = main(sys.argv[1:])
-except SystemExit as exc:                  # argparse's --version
-    code = exc.code
-print(code, any(m.partition(".")[0] == "scipy" for m in sys.modules))
-"""
-
-
 def _package_env():
     """The environment of a fresh interpreter that imports this package."""
     src = str(Path(enclosure2d.__file__).parents[1])
@@ -565,25 +555,152 @@ def _package_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
-def _run_and_check_scipy(argv, cwd):
-    """(exit code, whether scipy was imported) of one CLI run in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=cwd,
-                          env=_package_env(), capture_output=True, text=True, timeout=300)
+def _imported_packages(argv, cwd):
+    """The top-level packages that one successful CLI run in a fresh
+    interpreter imports, its forked workers included: they inherit -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "enclosure2d.cli", *argv],
+                          cwd=cwd, env=_package_env(), capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = proc.stdout.split()[-2:]
-    return int(code), loaded == "True"
+    return {ln.rpartition("|")[2].strip().partition(".")[0]
+            for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
 
 
 def test_only_the_solver_commands_load_scipy(tmp_path):
-    # reconstruction reads only operator files, so a process that does not
-    # factorize never imports the sparse solver; dtn is the positive control
+    # reconstruction reads only operator files, so no process of a command
+    # that does not factorize imports the sparse solver; dtn is the positive
+    # control.  Only dtn and reconstruct start workers, and the pool modules
+    # cost the other commands' interpreter start 10-36 ms
     cfg = _write(tmp_path, ML_CONFIG.format(out=tmp_path / "out"))
-    assert _run_and_check_scipy(["dtn", "--config", cfg], tmp_path) == (0, True)
+    pool = {"multiprocessing", "concurrent"}
+    assert {"scipy"} | pool <= _imported_packages(["dtn", "--config", cfg], tmp_path)
+    loaded = _imported_packages(["reconstruct", "--config", cfg], tmp_path)
+    assert "scipy" not in loaded and pool <= loaded
     for argv in (["--version"], ["mesh", "--config", cfg], ["indicate", "--config", cfg],
-                 ["indicate", "--config", cfg, "--validate"], ["reconstruct", "--config", cfg],
+                 ["indicate", "--config", cfg, "--validate"],
                  ["mleval", "--alpha", "0.5", "--grid", "-3 3 -3 3 5",
                   "--out", str(tmp_path / "ml.csv")]):
-        assert _run_and_check_scipy(argv, tmp_path) == (0, False), argv
+        assert not _imported_packages(argv, tmp_path) & ({"scipy"} | pool), argv
+
+
+def test_dtn_workers_give_the_in_process_operators(tmp_path):
+    # bit for bit, for a complex and a real system
+    path = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    assert main(["dtn", "--config", path]) == 0
+    cfg = load_config(path)
+    mesh = cli._build_mesh(cfg)
+    field = cli._build_field(cfg, mesh)
+    background = AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega)
+    for name, fld in (("dtn_perturbed.npz", field), ("dtn_background.npz", background)):
+        written = read_dtn(tmp_path / "out" / name).matrix
+        assert written.tobytes() == assemble_dtn_matrix(mesh, fld).matrix.tobytes(), name
+
+
+def test_reconstruct_workers_give_the_serial_searches(tmp_path, capsys, monkeypatch):
+    # five searches on two workers: stdout, cones.csv and overlay.svg keep the
+    # bytes of the same searches run one after another in this process
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, ML_CONFIG.format(out=out).replace("vertex_count = 2",
+                                                             "vertex_count = 5"))
+    assert main(["dtn", "--config", cfg]) == 0
+    runs = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
+        runs.append((capsys.readouterr().out, (out / "cones.csv").read_bytes(),
+                     (out / "overlay.svg").read_bytes()))
+        monkeypatch.setattr(cli, "_in_workers", lambda task, n: [task(i) for i in range(n)])
+    assert runs[0] == runs[1]
+    assert runs[0][0].count("offset estimate") == 5
+
+
+def test_worker_warnings_reach_the_parent_in_input_order(tmp_path, monkeypatch):
+    # each search warns once in its worker; the parent re-emits every warning,
+    # in probe order and from the line that raised it
+    cfg = _write(tmp_path, ML_CONFIG.format(out=tmp_path / "out").replace("vertex_count = 2",
+                                                                          "vertex_count = 4"))
+    assert main(["dtn", "--config", cfg]) == 0
+    search = cli.transition_search_ml
+
+    def warning_search(gap, probe, t_interval):
+        warnings.warn(f"search from {probe.y}", MLAccuracyWarning)
+        return search(gap, probe, t_interval)
+
+    monkeypatch.setattr(cli, "transition_search_ml", warning_search)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["reconstruct", "--config", cfg]) == 0
+    probes = load_config(cfg).probes(1.0)
+    assert [(w.category, str(w.message)) for w in caught] == \
+        [(MLAccuracyWarning, f"search from {p.y}") for p in probes]
+    assert {(w.filename, w.lineno) for w in caught} == \
+        {(__file__, warning_search.__code__.co_firstlineno + 1)}
+
+
+_FAULTY_DTN = """\
+import os, signal, sys
+import enclosure2d.cli as cli
+from enclosure2d.fem import SolverError
+
+assemble = cli.assemble_dtn_matrix
+
+def faulty(mesh, field, modes):
+    # the perturbed operator is built; the background one fails in its worker
+    if field.a.any():
+        return assemble(mesh, field, modes)
+    if sys.argv[1] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise SolverError("injected singular system")
+
+cli.assemble_dtn_matrix = faulty
+try:
+    sys.exit(cli.main(sys.argv[2:]))
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child process remains")
+    except ChildProcessError:
+        print("no child process remains")
+"""
+
+
+@pytest.mark.parametrize("fault", ["raise", "kill"])
+def test_a_failed_dtn_worker_ends_the_command(tmp_path, fault):
+    # a SolverError in a worker exits 3 naming the operator file, a killed
+    # worker exits nonzero; neither hangs, writes an operator file or leaves
+    # a child behind
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, BASE_CONFIG.format(out=out))
+    proc = subprocess.run([sys.executable, "-c", _FAULTY_DTN, fault, "dtn", "--config", cfg],
+                          cwd=tmp_path, env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    if fault == "raise":
+        assert proc.returncode == 3
+        assert proc.stderr == ("numerical failure: dtn_background.npz: "
+                               "injected singular system\n")
+    else:
+        assert proc.returncode != 0 and "BrokenProcessPool" in proc.stderr
+    assert proc.stdout.splitlines() == ["no child process remains"]
+    assert not list(out.glob("*.npz"))
+
+
+def test_dtn_bytes_do_not_follow_the_blas_threads(tmp_path):
+    # the CLI pins one BLAS thread before numpy loads, so fresh interpreters
+    # asked for one thread or two write the same archives; unpinned, this
+    # mesh's operators differ at roundoff between the two
+    cfg = _write(tmp_path, ML_CONFIG.format(out=tmp_path / "out"))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(_package_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"t{threads}"
+        proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "dtn", "--config", cfg,
+                               "--out", str(out)], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append([(out / name).read_bytes()
+                     for name in ("dtn_perturbed.npz", "dtn_background.npz")])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("family", ["cgo", "mittag_leffler"])

@@ -17,7 +17,7 @@ from enclosure2d.indicator import (IndicatorError, SupportFit, classify_series,
                                    write_region_svg)
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.probes import (ProbeError, ProbeSpec, cgo_gradient, ml_probe_gradient,
-                                rot90)
+                                ml_probe_trace, rot90)
 from indicator_csv import read_indicator_csv
 
 
@@ -210,7 +210,14 @@ def test_tau_ladder_matches_scalar_calls(disk_gap):
     ladder = indicator_ml(gap, _ml((3.0, 0.0), th, -6.0, taus))
     singles = np.array([indicator_ml(gap, _ml((3.0, 0.0), th, -6.0, float(t))) for t in taus])
     assert np.isinf(ladder[-2:]).all() and np.isinf(singles[-2:]).all()
-    np.testing.assert_allclose(ladder[:-2], singles[:-2], rtol=1e-12, atol=0)
+    # a ladder's forms come from one matrix-matrix product, a single tau's from
+    # a matrix-vector one, whose sums run in other orders: they agree within
+    # the noise floor u s m max|c|^2 of transition_search_ml's error model, the
+    # level below which the search cannot tell samples apart (at tau = 1.5 the
+    # form cancels by 1.2e5, so 1e-12 relative is past its own roundoff)
+    coef = ml_probe_trace(_ml((3.0, 0.0), th, -6.0, taus[:-2]), gap.basis.points)
+    floor = 1e-16 * gap.scale * gap.matrix.shape[0] * np.abs(coef).max(axis=1) ** 2
+    assert (np.abs(ladder[:-2] - singles[:-2]) <= floor).all()
     taus = np.geomspace(1.0, 10.0, 8)
     ladder = indicator_cgo(gap, _cgo(th, 0.3, taus))
     singles = [indicator_cgo(gap, _cgo(th, 0.3, float(t))) for t in taus]

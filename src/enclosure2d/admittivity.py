@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -107,11 +106,9 @@ class AdmittivityField:
     def epsilon(self) -> np.ndarray:
         return self.b
 
-    def uniform_bounds(self, mask: Optional[np.ndarray] = None) -> tuple[float, float]:
+    def uniform_bounds(self, mask: np.ndarray) -> tuple[float, float]:
         """(m, M): lowest sigma eigenvalue and largest |b| operator norm over the
-        selected triangles (default: the whole inclusion)."""
-        if mask is None:
-            mask = self.mesh.labels == INCLUSION
+        selected triangles."""
         lo, _ = sym_eig_bounds(self.sigma()[mask])
         blo, bhi = sym_eig_bounds(self.b[mask])
         return float(lo.min()), float(np.maximum(np.abs(blo), np.abs(bhi)).max())

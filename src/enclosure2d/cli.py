@@ -38,11 +38,9 @@ from .admittivity import AdmittivityField, FieldError, ReductionInput, reduce_ba
 from .fem import (DtNMatrix, SolverError, assemble_dtn_matrix, check_band_limit, gap_matrix,
                   read_dtn, write_dtn)
 from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
-                        cones_avoid_shape, default_tau_ladder,
-                        fit_support_directions, hull_contains_shape,
-                        indicator_cgo, indicator_ml, j_oracle,
-                        transition_search_ml, write_indicator_csv,
-                        write_region_svg)
+                        cones_avoid_shape, fit_support_directions,
+                        hull_contains_shape, indicator_cgo, indicator_ml, j_oracle,
+                        transition_search_ml, write_indicator_csv, write_region_svg)
 from .mesh import Mesh, MeshError, ShapeSpec, build_disk_mesh, provenance_header, write_mesh
 from .mittag import MLError, MLParams
 from .probes import ProbeSpec, ProbeError
@@ -84,9 +82,12 @@ class ExperimentConfig:
     config_hash: str = ""
 
     def tau_ladder(self) -> np.ndarray:
-        if self.tau_max is not None:
-            return np.geomspace(self.tau_min, self.tau_max, self.tau_points)
-        return default_tau_ladder(self.mesh_h, self.tau_points, self.tau_min)
+        """Geometric tau grid from tau_min to tau_max, by default to the
+        mesh-resolution cap 0.3 / mesh_h (at least 2 tau_min)."""
+        top = self.tau_max
+        if top is None:
+            top = max(0.3 / self.mesh_h, 2.0 * self.tau_min)
+        return np.geomspace(self.tau_min, top, self.tau_points)
 
     def probes(self, radius: float) -> list[ProbeSpec]:
         """The configured family's probes at depth t over the tau ladder, with
@@ -257,6 +258,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("[probes] tau_max must exceed tau_min")
     if cfg.n_directions < 3:
         raise ConfigError("[probes] need at least 3 directions")
+    if cfg.vertex_count < 1:
+        raise ConfigError("[probes] need at least 1 cone vertex")
     if not (cfg.t_search[0] < cfg.t_search[1] < 0):
         raise ConfigError("[probes] t_search must satisfy t_lo < t_hi < 0")
 
@@ -264,8 +267,10 @@ def load_config(path) -> ExperimentConfig:
     cfg.validation_mode = get("output", "validation_mode",
                               lambda s: s.strip().lower() in ("1", "true", "yes"),
                               cfg.validation_mode)
-    if cfg.tau_max is not None and cfg.tau_max * cfg.mesh_h > 0.9:
-        warnings.warn(f"tau_max = {cfg.tau_max:g} exceeds the mesh-resolution "
+    # the command's one advisory, on the top of the ladder every probe takes
+    top = cfg.tau_ladder()[-1]
+    if top * cfg.mesh_h > 0.9:
+        warnings.warn(f"tau_max = {top:g} exceeds the mesh-resolution "
                       f"advisory {0.9 / cfg.mesh_h:g} for mesh_h = {cfg.mesh_h:g}")
     return cfg
 
@@ -330,9 +335,9 @@ def _in_workers(task, n: int) -> list:
 
     results, registry = [], {}
     # fork stated explicitly (Python 3.14 changes the default), so that the
-    # task reaches the workers unpickled; one worker at least, for a config
-    # with no probes; the with block joins every worker, on the error path too
-    with ProcessPoolExecutor(max(1, min(n, len(os.sched_getaffinity(0)))),
+    # task reaches the workers unpickled; the with block joins every worker,
+    # on the error path too
+    with ProcessPoolExecutor(min(n, len(os.sched_getaffinity(0))),
                              mp_context=get_context("fork"), initializer=_set_task,
                              initargs=(task,)) as pool:
         for result, caught in pool.map(_run_task, range(n)):
@@ -446,7 +451,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
             tag = f"{est.h_est:.4f}" if est.h_est is not None else "none"
             y = probe.y
             print(f"vertex ({y[0]:+.3f},{y[1]:+.3f}) offset estimate: {tag} [{est.status}]")
-        region = cone_carving([e for e in ests if e.status == "ok"], cfg.domain_radius)
+        region = cone_carving(ests, cfg.domain_radius)
         with open(out / "cones.csv", "w") as f:
             f.write(provenance_header(cfg.provenance()))
             f.write("vertex_x,vertex_y,axis_x,axis_y,half_aperture\n")
@@ -481,7 +486,7 @@ def cmd_mleval(alpha: float, grid_spec: str, out_path: str) -> int:
     reals, imags = np.linspace(re0, re1, n), np.linspace(im0, im1, n)
     zs = np.empty((n, n), dtype=complex)
     zs.real, zs.imag = reals, imags[:, None]
-    regimes = mittag._sectors(alpha, zs)
+    regimes = mittag.sectors(alpha, zs)
     # the whole grid in one evaluation, whose values equal per-point ones;
     # called on the module so that perfbench/tracing.py's wrapper sees it
     vals = mittag.ml_eval_many(MLParams(alpha=alpha), zs)

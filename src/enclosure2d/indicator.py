@@ -20,7 +20,6 @@ located by bisection in t on a decay/growth classification of the tau ladder.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -37,6 +36,7 @@ _HULL_SIDES = 128
 _SUPPORT_TOL = 1e-9
 _SVG_SIZE = 600
 _FIT_RESIDUAL = 0.05
+_CARVE_RESOLUTION = 512      # side of the cone estimate's raster mask, in cells
 
 
 class IndicatorError(ValueError):
@@ -93,13 +93,6 @@ class RegionEstimate:
 # Quadratic-form indicators
 
 
-def default_tau_ladder(mesh_h: float, n_points: int = 12, tau_min: float = 1.0,
-                       resolution_factor: float = 0.3) -> np.ndarray:
-    """Geometric tau grid up to the mesh-resolution cap resolution_factor / h."""
-    tau_max = max(resolution_factor / mesh_h, 2.0 * tau_min)
-    return np.geomspace(tau_min, tau_max, n_points)
-
-
 def _ladder_forms(gap: DtNMatrix, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms Re <(L1 - L0) f, conj f> of the traces f of a probe
     (one row per tau), with their expansion coefficients, one column per tau.
@@ -117,11 +110,6 @@ def _ladder_forms(gap: DtNMatrix, traces: np.ndarray) -> tuple[np.ndarray, np.nd
 def indicator_cgo(gap: DtNMatrix, spec: ProbeSpec):
     """Depth-shifted exponential-probe indicator from the operator gap: a
     float for a scalar tau, one value per tau for a ladder."""
-    taus = np.atleast_1d(spec.tau)
-    h = gap.mesh_h
-    for x in taus[taus * h > 0.9]:
-        warnings.warn(f"tau = {x:.3g} exceeds the mesh-resolution advisory "
-                      f"({0.9 / h:.3g}) for h = {h}", stacklevel=2)
     vals = _ladder_forms(gap, cgo_trace(spec, gap.basis.points))[0]
     return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
 
@@ -199,7 +187,7 @@ def fit_support_directions(gap: DtNMatrix,
 
 
 def classify_series(taus: np.ndarray, values: np.ndarray,
-                    noise_floors: Optional[np.ndarray] = None) -> tuple[str, bool]:
+                    noise_floors: np.ndarray) -> tuple[str, bool]:
     """Label a series "growth" or "decay" by the monotonicity of log|I| over
     the trailing half; ties are labelled growth with a low-confidence flag
     (growth errs toward a shallower, containment-safe estimate).
@@ -214,10 +202,8 @@ def classify_series(taus: np.ndarray, values: np.ndarray,
     n = len(vals)
     cut = n
     for i in range(n):
-        bad = not np.isfinite(vals[i]) or vals[i] <= _UNDERFLOW_FLOOR
-        if noise_floors is not None and not bad:
-            bad = vals[i] < 10.0 * noise_floors[i]
-        if bad:
+        if (not np.isfinite(vals[i]) or vals[i] <= _UNDERFLOW_FLOOR
+                or vals[i] < 10.0 * noise_floors[i]):
             cut = i
             break
     if cut < 4:
@@ -333,9 +319,9 @@ def convex_hull_estimate(fits: Sequence[SupportFit], domain_radius: float) -> Re
     return RegionEstimate(kind="hull", domain_radius=domain_radius, polygon=poly)
 
 
-def cone_carving(estimates: Sequence[TransitionEstimate], domain_radius: float,
-                 resolution: int = 512) -> RegionEstimate:
-    """Domain minus the union of critical cones, with a rasterized mask."""
+def cone_carving(estimates: Sequence[TransitionEstimate], domain_radius: float) -> RegionEstimate:
+    """Domain minus the union of the critical cones of the "ok" estimates,
+    with a rasterized mask."""
     cones = []
     for est in estimates:
         if est.status != "ok" or est.h_est is None:
@@ -343,14 +329,14 @@ def cone_carving(estimates: Sequence[TransitionEstimate], domain_radius: float,
         v = np.asarray(est.y) + est.h_est * np.asarray(est.theta)
         cones.append(ConeSpec(vertex=(v[0], v[1]), axis=est.theta,
                               half_aperture=math.pi * est.alpha / 2))
-    xs = np.linspace(-domain_radius, domain_radius, resolution)
+    xs = np.linspace(-domain_radius, domain_radius, _CARVE_RESOLUTION)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     mask = (np.hypot(pts[:, 0], pts[:, 1]) <= domain_radius)
     for cone in cones:
         mask &= ~cone_contains_many(cone, pts)
     return RegionEstimate(kind="cones", domain_radius=domain_radius,
-                          cones=tuple(cones), mask=mask.reshape(resolution, resolution))
+                          cones=tuple(cones), mask=mask.reshape(xs.size, xs.size))
 
 
 # ---------------------------------------------------------------------------

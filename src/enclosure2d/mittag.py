@@ -43,7 +43,7 @@ _SECTOR_NAMES = np.array(["algebraic_decay", "exponential_growth", "boundary", "
 
 _SECTOR_BAND = 1e-9          # radians; classification dead band
 _LOG_EPS = math.log(np.finfo(float).eps)   # round-off floor of the contour rule
-_FINEST = 1e-15              # finest contour tolerance (Garrappa's default)
+_ACCURACY = 1e-10            # target relative accuracy of every value
 _MAX_NODES = 200             # a contour needing more runs at a coarser tolerance
 _DERIV_R_MAX = 1e3           # largest |z| certified for beta != 1
 _EXP_MAX = math.log(np.finfo(float).max)   # largest real part exp() keeps finite
@@ -60,17 +60,17 @@ class MLError(ValueError):
 
 
 class MLAccuracyWarning(UserWarning):
-    """Requested accuracy could not be certified; best value returned."""
+    """The accuracy target could not be certified; best value returned."""
 
 
 @dataclass(frozen=True)
 class MLParams:
-    """Evaluation parameters: order alpha in (0, 1] and the target relative
-    accuracy.  The contour rule runs at tolerance accuracy / 100 for E_alpha
-    and accuracy / 1e4 for E_{alpha,alpha}, the derivative's function."""
+    """Evaluation parameters: the order alpha in (0, 1].  Every value targets
+    the relative accuracy _ACCURACY; the contour rule runs at tolerance
+    _ACCURACY / 100 for E_alpha and _ACCURACY / 1e4 for E_{alpha,alpha}, the
+    derivative's function."""
 
     alpha: float
-    accuracy: float = 1e-10
     # evaluation uses neither radius: only the benchmark's regime counters
     # (perfbench/tracing.py) read them, to count the points with |z| <= 5
     # and with |z| >= 30
@@ -80,21 +80,12 @@ class MLParams:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise MLError("alpha must lie in (0, 1]")
-        if not (1e-15 < self.accuracy < 1e-2):
-            raise MLError("accuracy must lie in (1e-15, 1e-2)")
 
 
-def growth_sector(alpha: float, z: complex) -> str:
-    """Classify z against the growth sector |arg z| <= pi*alpha/2."""
-    if not (0 < alpha <= 1):
-        raise MLError("alpha must lie in (0, 1]")
-    if z == 0:
-        raise MLError("sector of z = 0 is undefined")
-    return _sectors(alpha, np.array([complex(z)]))[0]
-
-
-def _sectors(alpha: float, z: np.ndarray) -> np.ndarray:
-    """growth_sector of each point of an array, and "origin" where z = 0."""
+def sectors(alpha: float, z: np.ndarray) -> np.ndarray:
+    """Each point of an array against the growth sector |arg z| <= pi*alpha/2:
+    "exponential_growth" inside, "algebraic_decay" outside, "boundary" within
+    a dead band of its edge, and "origin" where z = 0."""
     arg = np.abs(np.angle(z))
     edge = math.pi * alpha / 2
     return _SECTOR_NAMES[np.select([z == 0, np.abs(arg - edge) <= _SECTOR_BAND, arg < edge],
@@ -102,18 +93,18 @@ def _sectors(alpha: float, z: np.ndarray) -> np.ndarray:
 
 
 def ml_eval(params: MLParams, z: complex) -> complex:
-    """E_alpha(z) to the target relative accuracy."""
+    """E_alpha(z) to the relative accuracy _ACCURACY."""
     return complex(ml_eval_many(params, np.array([z]))[0])
 
 
 def ml_eval_many(params: MLParams, z) -> np.ndarray:
-    return _eval_batch(params, np.asarray(z, dtype=complex), params.alpha, 1.0)
+    return _eval_batch(np.asarray(z, dtype=complex), params.alpha, 1.0)
 
 
 def ml_deriv_many(params: MLParams, z) -> np.ndarray:
     """E_alpha'(z) = E_{alpha,alpha}(z) / alpha at each point of an array."""
     a = params.alpha
-    out = _eval_batch(params, np.asarray(z, dtype=complex), a, a)
+    out = _eval_batch(np.asarray(z, dtype=complex), a, a)
     # each part on its own: a complex division would turn an overflowed
     # inf+0j into inf+nanj; a value that overflows in the division is inf too
     with np.errstate(over="ignore"):
@@ -126,14 +117,14 @@ def ml_deriv_many(params: MLParams, z) -> np.ndarray:
 # dispatcher
 
 
-def _eval_batch(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _eval_batch(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     shape = z.shape
     zf = z.ravel()
     if not np.isfinite(zf).all():
         raise MLError("z must be finite")
     if alpha == 1.0 and beta == 1.0:
         return np.exp(zf).reshape(shape)
-    return _contour(params, zf, alpha, beta).reshape(shape)
+    return _contour(zf, alpha, beta).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +146,8 @@ def _eval_batch(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> n
 def _region_below(phi: np.ndarray, log_eps: float):
     """(mu, h, N) of Garrappa's OptimalParam_RB for the region between the
     branch point (strength 0) and a simple pole at level phi.  The region is
-    admissible for every tolerance at or above _FINEST."""
+    admissible for every tolerance at or above 1e-15, Garrappa's finest; the
+    rule's tolerances are 1e-12 and 1e-14, or coarser."""
     f_max = math.exp(log_eps - _LOG_EPS)
     f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
     sq_bar = (2.0 / (2.0 + 1.0 / f_bar)) * np.minimum(np.sqrt(phi), 2.0 * math.sqrt(log_eps - _LOG_EPS))
@@ -274,7 +266,7 @@ def _contour_key(z: np.ndarray, alpha: float) -> np.ndarray:
     return key
 
 
-def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _contour(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """E_{alpha,beta}(z) for a batch by the trapezoid rule on a parabolic
     contour shared by many points, plus the residue where the contour passes
     left of the pole.
@@ -295,17 +287,16 @@ def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.n
     nodes, depend on the contour alone.  Points with no pole share one
     contour.
 
-    The rule's tolerance is params.accuracy / 100 for beta = 1 and
-    params.accuracy / 1e4 otherwise, which met the accuracy target on every
-    point measured (for beta != 1, up to |z| = _DERIV_R_MAX), but no finer
-    than _FINEST.  A contour needing more than _MAX_NODES nodes runs at a
-    tolerance ten times coarser, as often as needed.  Each point whose contour
-    ran coarser than its tolerance, and each beta != 1 point beyond
-    _DERIV_R_MAX, raises one MLAccuracyWarning.  The points of one contour are
-    summed in chunks of at most _CHUNK (point, node) entries, each over the
-    nodes in a fixed order, so a value does not depend on the rest of its
-    batch."""
-    target = math.log(params.accuracy / (100 if beta == 1.0 else 1e4))
+    The rule's tolerance is _ACCURACY / 100 for beta = 1 and _ACCURACY / 1e4
+    otherwise, which met the accuracy target on every point measured (for
+    beta != 1, up to |z| = _DERIV_R_MAX).  A contour needing more than
+    _MAX_NODES nodes runs at a tolerance ten times coarser, as often as
+    needed.  Each point whose contour ran coarser than its tolerance, and
+    each beta != 1 point beyond _DERIV_R_MAX, raises one MLAccuracyWarning.
+    The points of one contour are summed in chunks of at most _CHUNK (point,
+    node) entries, each over the nodes in a fixed order, so a value does not
+    depend on the rest of its batch."""
+    log_eps = math.log(_ACCURACY / (100 if beta == 1.0 else 1e4))
     key = np.empty(z.shape, dtype=np.int64)
     for c in range(0, z.size, _BATCH):
         key[c:c + _BATCH] = _contour_key(z[c:c + _BATCH], alpha)
@@ -313,10 +304,9 @@ def _contour(params: MLParams, z: np.ndarray, alpha: float, beta: float) -> np.n
     has_pole = keys > _ZERO
     k = np.where(has_pole, keys, 0)
     lo, hi = _level(k // 2), _level(k - k // 2)
-    log_eps = max(target, math.log(_FINEST))
     mu, h, n, left = _contour_params(lo, hi, has_pole, log_eps)
     over = np.flatnonzero(n > _MAX_NODES)
-    uncertified = ((n > _MAX_NODES) | (log_eps > target)) & (keys != _ZERO)
+    uncertified = (n > _MAX_NODES) & (keys != _ZERO)
     while over.size:
         log_eps += math.log(10.0)
         mu[over], h[over], n[over], left[over] = _contour_params(

@@ -28,6 +28,7 @@ from .mittag import MLParams, ml_deriv_many, ml_eval_many
 
 _OVERFLOW_GUARD = 700.0
 _ANGLE_TOL = 1e-12
+_OFFSET_TOL = 1e-10          # bracket width at which critical_cone_offset stops
 
 
 class ProbeError(ValueError):
@@ -103,9 +104,9 @@ def cone_avoids_shape(cone: ConeSpec, shape: ShapeSpec) -> bool:
 
 
 def critical_cone_offset(y, theta, half_aperture: float, shape: ShapeSpec,
-                         t_lo: float, t_hi: float, tol: float = 1e-10) -> float:
+                         t_lo: float, t_hi: float) -> float:
     """Largest axis offset t at which the cone with vertex y + t*theta first
-    touches the shape (bisection on the exact avoidance test).
+    touches the shape (bisection on the exact avoidance test, to _OFFSET_TOL).
 
     Requires the cone to avoid the shape at t_hi and hit it at t_lo.
     """
@@ -122,7 +123,7 @@ def critical_cone_offset(y, theta, half_aperture: float, shape: ShapeSpec,
     if avoids(t_lo):
         raise ProbeError("cone misses the shape over the whole offset interval")
     lo, hi = t_lo, t_hi
-    while hi - lo > tol:
+    while hi - lo > _OFFSET_TOL:
         mid = 0.5 * (lo + hi)
         if avoids(mid):
             hi = mid

@@ -28,20 +28,17 @@ from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLParams, ml_eval
 from enclosure2d.probes import (ProbeSpec, critical_cone_offset,
                                 ml_probe_trace, rot90)
+from builders import background, cgo_spec, random_invertible
 from ml_oracle import criterion6_points, load
 
 
 DEFAULT_H = 0.02
 
 
-def _background(mesh, omega):
-    return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
-
-
 def _gap(mesh, field):
     """The operator gap of the field against the unit background."""
     return gap_matrix((assemble_dtn_matrix(mesh, field),
-                       assemble_dtn_matrix(mesh, _background(mesh, field.omega))))
+                       assemble_dtn_matrix(mesh, background(mesh, field.omega))))
 
 
 def _mode_matrix(mesh, system, n_modes):
@@ -70,7 +67,7 @@ def cone_pair():
     mesh = build_disk_mesh(1.0, 0.0102, ShapeSpec.disk((0.3, 0.0), 0.3))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
     return mesh, (assemble_dtn_matrix(mesh, field),
-                  assemble_dtn_matrix(mesh, _background(mesh, 0.0)))
+                  assemble_dtn_matrix(mesh, background(mesh, 0.0)))
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +76,6 @@ def cone_bench(cone_pair):
     radius-3 vertex ring at order alpha=1/2."""
     mesh, pair = cone_pair
     return mesh, gap_matrix(pair)
-
-
-def _cgo(theta, perp_sign, t, tau):
-    return ProbeSpec(kind="cgo", theta=tuple(theta), theta_perp=tuple(perp_sign * rot90(theta)),
-                     t=t, tau=tau)
 
 
 def _cone_probe_geometry():
@@ -184,8 +176,8 @@ def test_criterion_3_integral_inequalities_suite():
 
     worst = 0.0
     for _ in range(100):
-        a = _random_invertible(rng)
-        b = _random_invertible(rng)
+        a = random_invertible(rng)
+        b = random_invertible(rng)
         lhs = np.linalg.inv(a) - np.linalg.inv(b)
         bi = np.linalg.inv(b)
         rhs = bi @ (b - a) @ bi + bi @ (b - a) @ np.linalg.inv(a) @ (b - a) @ bi
@@ -195,14 +187,6 @@ def test_criterion_3_integral_inequalities_suite():
           f"(worst margin {margin:.2e}), identity defect {worst:.2e}")
 
 
-def _random_invertible(rng):
-    while True:
-        q = rng.normal(size=(2, 2))
-        m = (q + q.T) / 2
-        if abs(np.linalg.det(m)) > 0.1:
-            return m
-
-
 def test_criterion_4_support_recovery(positive_jump_bench):
     """Log-slope support fits at 16 angles all land in [0.45, 0.55] and the
     resulting hull contains the true disk."""
@@ -210,7 +194,7 @@ def test_criterion_4_support_recovery(positive_jump_bench):
     ang = 2 * math.pi * np.arange(16) / 16
     thetas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     taus = np.geomspace(1.0, 0.3 / DEFAULT_H, 12)
-    probes = [_cgo(th, 1.0, 0.0, taus) for th in thetas]
+    probes = [cgo_spec(th, 0.0, taus) for th in thetas]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fits = fit_support_directions(gap, probes)
@@ -237,7 +221,7 @@ def test_criterion_5_negative_jump_sign():
             warnings.simplefilter("ignore")
             for a in ang:
                 th = np.array([math.cos(a), math.sin(a)])
-                vals = [indicator_cgo(gap, _cgo(th, 1.0, 0.5, float(t))) for t in taus]
+                vals = [indicator_cgo(gap, cgo_spec(th, 0.5, float(t))) for t in taus]
                 w = max(w, max(vals[len(vals) // 2:]))
         worst[omega] = w
         assert w < 0, f"omega={omega}: trailing indicator max {w:.3e} not negative"
@@ -397,8 +381,8 @@ def test_criterion_9_perp_flip_invariance(positive_jump_bench):
         for a in ang:
             th = np.array([math.cos(a), math.sin(a)])
             for tau in taus:
-                v1 = indicator_cgo(gap, _cgo(th, 1.0, 0.0, float(tau)))
-                v2 = indicator_cgo(gap, _cgo(th, -1.0, 0.0, float(tau)))
+                v1 = indicator_cgo(gap, cgo_spec(th, 0.0, float(tau)))
+                v2 = indicator_cgo(gap, cgo_spec(th, 0.0, float(tau), perp_sign=-1.0))
                 worst = max(worst, abs(v1 - v2) / max(abs(v1), 1.0))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 9 PASS: worst flip deviation {worst:.2e}")

@@ -8,6 +8,7 @@ from enclosure2d.admittivity import (AdmittivityField, FieldError, ReductionInpu
                                      original_admittivity, reduce_background,
                                      sym_eig_bounds)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
+from builders import random_invertible
 
 
 @pytest.fixture(scope="module")
@@ -144,22 +145,14 @@ def test_inverse_difference_matrix_identity():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
-        a = _random_invertible(rng)
-        b = _random_invertible(rng)
+        a = random_invertible(rng)
+        b = random_invertible(rng)
         lhs = np.linalg.inv(a) - np.linalg.inv(b)
         bi = np.linalg.inv(b)
         rhs = bi @ (b - a) @ bi + bi @ (b - a) @ np.linalg.inv(a) @ (b - a) @ bi
         denom = max(np.linalg.norm(lhs), 1e-30)
         worst = max(worst, np.linalg.norm(lhs - rhs) / denom)
     assert worst < 1e-10
-
-
-def _random_invertible(rng):
-    while True:
-        q = rng.normal(size=(2, 2))
-        m = (q + q.T) / 2
-        if abs(np.linalg.det(m)) > 0.1:
-            return m
 
 
 def test_sym_eig_bounds_closed_form():

@@ -16,7 +16,7 @@ from enclosure2d.admittivity import AdmittivityField
 from enclosure2d.fem import assemble_dtn_matrix, gap_matrix, read_dtn
 from enclosure2d.indicator import j_oracle, transition_search_ml
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
-from enclosure2d.mittag import MLAccuracyWarning, MLParams, growth_sector, ml_eval
+from enclosure2d.mittag import MLAccuracyWarning, MLParams, ml_eval, sectors
 from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
 from dtn_archive import CORRUPTIONS, entries, rewrite
 from indicator_csv import read_indicator_csv
@@ -111,12 +111,53 @@ def test_config_validation_errors(tmp_path):
     assert load_config(_write(tmp_path, refined.format(0), "unrefined.cfg")).mesh_h == 0.08
 
 
-def test_cli_exit_code_on_config_error(tmp_path):
+def test_cli_exit_code_on_config_error(tmp_path, capsys):
     bad = _write(tmp_path, "[domain]\nmesh_h = not_a_number\n")
     assert main(["mesh", "--config", bad]) == 2
     # formerly an uncaught geomspace ValueError (exit 1)
     bad = _write(tmp_path, "[probes]\ntau_min = 0\n", "tau.cfg")
     assert main(["mesh", "--config", bad]) == 2
+    # formerly reconstruct carved no cone, kept the whole domain and exited 0
+    bad = _write(tmp_path, "[probes]\nfamily = mittag_leffler\nvertex_count = 0\n", "cone.cfg")
+    assert main(["reconstruct", "--config", bad]) == 2
+    assert "[probes] need at least 1 cone vertex" in capsys.readouterr().err
+
+
+def _advisories(caught) -> list[str]:
+    return [str(w.message) for w in caught if "mesh-resolution advisory" in str(w.message)]
+
+
+def test_tau_ladder_default_and_advisory(tmp_path):
+    # the default ladder runs to 0.3 / mesh_h, or to 2 tau_min if that is
+    # higher; the advisory judges the ladder's top, explicit or default,
+    # against 0.9 / mesh_h and warns once on load
+    assert np.array_equal(ExperimentConfig(mesh_h=0.03, tau_points=10).tau_ladder(),
+                          np.geomspace(1.0, 0.3 / 0.03, 10))
+    cases = [("tau_min = 1.0", []),
+             ("tau_min = 1.0\ntau_max = 20.0", ["tau_max = 20 exceeds the mesh-resolution "
+                                                "advisory 18 for mesh_h = 0.05"]),
+             ("tau_min = 10.0", ["tau_max = 20 exceeds the mesh-resolution "
+                                 "advisory 18 for mesh_h = 0.05"])]
+    for k, (probes, expected) in enumerate(cases):
+        text = BASE_CONFIG.format(out=tmp_path).replace("mesh_h = 0.08", "mesh_h = 0.05")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_config(_write(tmp_path, text.replace("tau_min = 1.0", probes), f"{k}.cfg"))
+        assert _advisories(caught) == expected
+
+
+def test_advisory_warns_once_per_command(tmp_path):
+    # a ladder past 0.9 / mesh_h = 11.25: each command warns once, on load,
+    # and neither the indicators of 8 directions nor their support fits
+    # repeat it per tau
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, BASE_CONFIG.format(out=out).replace("tau_min = 1.0",
+                                                               "tau_min = 1.0\ntau_max = 12.0"))
+    for command in ("dtn", "indicate", "reconstruct"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg]) == 0
+        assert len(_advisories(caught)) == 1, command
 
 
 def test_mesh_command(tmp_path, capsys):
@@ -312,7 +353,7 @@ def test_mleval_exponential_column(tmp_path):
 
 def test_mleval_rows_equal_per_point_values(tmp_path):
     # the whole grid is one batch; its text must be that of per-point ml_eval
-    # and growth_sector on every path: the origin, the contour rule below and
+    # and sectors on every path: the origin, the contour rule below and
     # past |z| = 30 at the corners, and the overflow at z = 31
     out = tmp_path / "ml.csv"
     assert main(["mleval", "--alpha", "0.5", "--grid", "-31 31 -31 31 13",
@@ -325,7 +366,7 @@ def test_mleval_rows_equal_per_point_values(tmp_path):
         z = complex(float(r[1]), float(r[2]))
         v = ml_eval(p, z)
         assert r[3:5] == [f"{v.real:.17g}", f"{v.imag:.17g}"]
-        assert r[5] == (growth_sector(0.5, z) if z != 0 else "origin")
+        assert r[5] == sectors(0.5, np.array([z]))[0]
     assert ["inf", "0"] in [r[3:5] for r in rows]
 
 

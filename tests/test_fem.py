@@ -12,6 +12,7 @@ from enclosure2d.fem import (DTN_FORMAT, BoundaryBasis, DirichletSystem, DtNMatr
                              prop21_check, quadratic_gap, read_dtn, write_dtn)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
+from builders import background
 from dtn_archive import CORRUPTIONS, entries, rewrite
 
 
@@ -22,13 +23,9 @@ def two_layer():
     return mesh, field
 
 
-def _background(mesh, omega=0.0):
-    return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
-
-
 def _homogeneous(h=0.05):
     mesh = build_disk_mesh(1.0, h, None)
-    return mesh, _background(mesh)
+    return mesh, background(mesh)
 
 
 def dtn_pairing(mesh, field, f_trace, g_trace):
@@ -42,7 +39,7 @@ def energy_gap_direct(mesh, field, f):
     with both operators applied by direct solves."""
     f = np.asarray(f, dtype=complex)
     v1 = dtn_pairing(mesh, field, f, np.conj(f))
-    v0 = dtn_pairing(mesh, _background(mesh, field.omega), f, np.conj(f))
+    v0 = dtn_pairing(mesh, background(mesh, field.omega), f, np.conj(f))
     return float(np.real(v1 - v0))
 
 
@@ -143,7 +140,7 @@ def test_assembled_fourier_matrix_structure():
 def test_empty_inclusion_gap_vanishes():
     mesh, field = _homogeneous()
     b1 = assemble_dtn_matrix(mesh, field, 4)
-    b0 = assemble_dtn_matrix(mesh, _background(mesh), 4)
+    b0 = assemble_dtn_matrix(mesh, background(mesh), 4)
     gap = gap_matrix((b1, b0))
     assert np.abs(gap.matrix).max() < 1e-10 * np.abs(b1.matrix).max()
 
@@ -195,7 +192,7 @@ def test_energy_gap_from_matrices_matches_fields():
     mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
     pair = (assemble_dtn_matrix(mesh, field),
-            assemble_dtn_matrix(mesh, _background(mesh, 1.0)))
+            assemble_dtn_matrix(mesh, background(mesh, 1.0)))
     f = fourier_trace(mesh, 1) + 0.3 * fourier_trace(mesh, 3)
     coef = pair[0].basis.expand(f)
     via_matrices = energy_gap(pair, coef)
@@ -207,7 +204,7 @@ def test_energy_gap_perp_flip_invariance():
     mesh = build_disk_mesh(1.0, 0.06, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
     pair = (assemble_dtn_matrix(mesh, field),
-            assemble_dtn_matrix(mesh, _background(mesh, 1.0)))
+            assemble_dtn_matrix(mesh, background(mesh, 1.0)))
     basis = pair[0].basis
     th = np.array([0.6, 0.8])
     pts = basis.points
@@ -256,7 +253,7 @@ def test_prop21_identical_fields_all_zero():
 
 def test_prop21_zero_frequency_scalar_case():
     mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
-    f1 = _background(mesh)
+    f1 = background(mesh)
     f2 = AdmittivityField.from_scalars(mesh, a=1.5, b=0.0, omega=0.0)
     rep = prop21_check(f1, f2, 0.0, fourier_trace(mesh, 1))
     assert rep.passed
@@ -633,7 +630,7 @@ def test_quadratic_gap_real_gap_and_coefficient_columns(two_layer, kind):
     mesh, field = two_layer
     modes = 8 if kind == "fourier" else 0
     pair = (assemble_dtn_matrix(mesh, field, modes),
-            assemble_dtn_matrix(mesh, _background(mesh), modes))
+            assemble_dtn_matrix(mesh, background(mesh), modes))
     gap = gap_matrix(pair)
     assert np.iscomplexobj(gap.matrix) == (kind == "fourier")
     g = gap.matrix.astype(complex)

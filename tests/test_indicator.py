@@ -10,38 +10,22 @@ from enclosure2d.fem import assemble_dtn_matrix, gap_matrix
 from enclosure2d.indicator import (IndicatorError, SupportFit, classify_series,
                                    clip_polygon_halfplane, cone_carving,
                                    cones_avoid_shape, convex_hull_estimate,
-                                   default_tau_ladder, fit_support_directions,
-                                   hull_contains_shape, indicator_cgo, indicator_ml,
+                                   fit_support_directions, hull_contains_shape,
+                                   indicator_cgo, indicator_ml,
                                    j_oracle, support_slope_fit,
                                    transition_search_ml, write_indicator_csv,
                                    write_region_svg)
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.probes import (ProbeError, ProbeSpec, cgo_gradient, ml_probe_gradient,
-                                ml_probe_trace, rot90)
+                                ml_probe_trace)
+from builders import background, cgo_spec, ml_spec
 from indicator_csv import read_indicator_csv
-
-
-def _background(mesh, omega=0.0):
-    return AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega)
-
-
-def _cgo(theta, t, tau, perp_sign=1.0):
-    th = np.asarray(theta, dtype=float)
-    return ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(perp_sign * rot90(th)),
-                     t=t, tau=tau)
-
-
-def _ml(y, theta, t, tau, alpha=0.5, perp_sign=1.0):
-    th = np.asarray(theta, dtype=float)
-    return ProbeSpec(kind="mittag_leffler", theta=tuple(th),
-                     theta_perp=tuple(perp_sign * rot90(th)), t=t, tau=tau, y=tuple(y),
-                     alpha=alpha)
 
 
 @pytest.fixture(scope="module")
 def empty_gap():
     mesh = build_disk_mesh(1.0, 0.08, None)
-    b = assemble_dtn_matrix(mesh, _background(mesh))
+    b = assemble_dtn_matrix(mesh, background(mesh))
     return gap_matrix((b, b))
 
 
@@ -50,31 +34,31 @@ def disk_gap():
     mesh = build_disk_mesh(1.0, 0.03, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
     return mesh, gap_matrix((assemble_dtn_matrix(mesh, field),
-                             assemble_dtn_matrix(mesh, _background(mesh, 1.0))))
+                             assemble_dtn_matrix(mesh, background(mesh, 1.0))))
 
 
 def test_indicator_zero_for_empty_inclusion(empty_gap):
     th = np.array([1.0, 0.0])
     for tau in (1.0, 4.0):
-        val = indicator_cgo(empty_gap, _cgo(th, 0.3, tau))
+        val = indicator_cgo(empty_gap, cgo_spec(th, 0.3, tau))
         assert abs(val) < 1e-10
 
 
 def test_indicator_ml_zero_for_empty_inclusion(empty_gap):
-    val = indicator_ml(empty_gap, _ml((3.0, 0.0), (1.0, 0.0), -0.5, 1.5))
+    val = indicator_ml(empty_gap, ml_spec((3.0, 0.0), (1.0, 0.0), -0.5, 1.5))
     assert abs(val) < 1e-10
 
 
 def test_indicator_ml_rejects_bad_cone(empty_gap):
     with pytest.raises(ProbeError):
-        indicator_ml(empty_gap, _ml((3.0, 0.0), (-1.0, 0.0), -0.5, 1.5))
+        indicator_ml(empty_gap, ml_spec((3.0, 0.0), (-1.0, 0.0), -0.5, 1.5))
 
 
 def test_indicator_ml_perp_flip_invariance(disk_gap):
     _, gap = disk_gap
     th = np.array([0.8, 0.6])
-    a = indicator_ml(gap, _ml((3.0, 1.0), th, -0.7, 2.0))
-    b = indicator_ml(gap, _ml((3.0, 1.0), th, -0.7, 2.0, perp_sign=-1.0))
+    a = indicator_ml(gap, ml_spec((3.0, 1.0), th, -0.7, 2.0))
+    b = indicator_ml(gap, ml_spec((3.0, 1.0), th, -0.7, 2.0, perp_sign=-1.0))
     assert a == pytest.approx(b, abs=1e-10 * max(abs(a), 1.0))
 
 
@@ -86,17 +70,17 @@ def test_indicator_ml_near_one_reduces_to_cgo(disk_gap):
     y = np.array([3.0, 0.0])
     th = np.array([1.0, 0.0])
     t, tau = -3.3, 2.0
-    ml = indicator_ml(gap, _ml(y, th, t, tau, alpha=1 - 1e-9))
+    ml = indicator_ml(gap, ml_spec(y, th, t, tau, alpha=1 - 1e-9))
     scale = math.exp(2 * tau * (-(y @ th) - t))
-    cgo = indicator_cgo(gap, _cgo(th, 0.0, tau))
+    cgo = indicator_cgo(gap, cgo_spec(th, 0.0, tau))
     assert ml == pytest.approx(scale * cgo, rel=1e-5)
 
 
 def test_indicator_decays_beyond_support(disk_gap):
     _, gap = disk_gap
     th = np.array([1.0, 0.0])
-    taus = default_tau_ladder(0.03, 10)
-    vals = np.array([abs(indicator_cgo(gap, _cgo(th, 0.7, float(t)))) for t in taus])
+    taus = np.geomspace(1.0, 0.3 / 0.03, 10)
+    vals = np.array([abs(indicator_cgo(gap, cgo_spec(th, 0.7, float(t)))) for t in taus])
     tail = vals[taus >= 2.0]
     assert np.all(np.diff(tail) < 0)
     assert vals[-1] < 0.2 * vals[0]
@@ -106,8 +90,8 @@ def test_indicator_bounded_growth_at_support(disk_gap):
     # at the exact support depth the values stay within a fixed band / tau^2
     _, gap = disk_gap
     th = np.array([1.0, 0.0])
-    taus = default_tau_ladder(0.03, 10)
-    vals = np.array([indicator_cgo(gap, _cgo(th, 0.5, float(t))) for t in taus])
+    taus = np.geomspace(1.0, 0.3 / 0.03, 10)
+    vals = np.array([indicator_cgo(gap, cgo_spec(th, 0.5, float(t))) for t in taus])
     assert np.all(vals > 0)
     assert np.all(vals / taus ** 2 < 10 * (vals[0] / taus[0] ** 2))
 
@@ -119,7 +103,7 @@ def _synthetic_series(taus, slope_vs_2tau, intercept, noise=0.0, rng=None):
     logs = 2 * taus * slope_vs_2tau + intercept
     if noise:
         logs = logs + noise * rng.standard_normal(len(taus))
-    return _cgo((1.0, 0.0), 0.0, taus), np.exp(logs)
+    return cgo_spec((1.0, 0.0), 0.0, taus), np.exp(logs)
 
 
 def test_slope_fit_exact_linear_data():
@@ -139,7 +123,7 @@ def test_slope_fit_with_noise():
 
 
 def test_slope_fit_needs_enough_samples():
-    spec = _cgo((1.0, 0.0), 0.0, np.linspace(1, 5, 8))
+    spec = cgo_spec((1.0, 0.0), 0.0, np.linspace(1, 5, 8))
     with pytest.raises(IndicatorError):
         support_slope_fit(spec, np.full(8, 1e-300))
 
@@ -149,7 +133,7 @@ def test_slope_fit_rejects_unordered_ladder_and_nonfinite_values():
     # failure, not a censored sample
     spec, values = _synthetic_series(np.linspace(1, 12, 10), 0.5, 1.0)
     with pytest.raises(IndicatorError, match="strictly increasing"):
-        support_slope_fit(_cgo((1.0, 0.0), 0.0, spec.tau[::-1]), values)
+        support_slope_fit(cgo_spec((1.0, 0.0), 0.0, spec.tau[::-1]), values)
     for bad in (np.inf, np.nan):
         values[-1] = bad
         with pytest.raises(IndicatorError, match="finite"):
@@ -158,10 +142,10 @@ def test_slope_fit_rejects_unordered_ladder_and_nonfinite_values():
 
 def test_slope_fit_full_pipeline_two_layer(disk_gap):
     _, gap = disk_gap
-    taus = default_tau_ladder(0.03, 12, resolution_factor=0.5)
+    taus = np.geomspace(1.0, 0.5 / 0.03, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fits = fit_support_directions(gap, [_cgo((1.0, 0.0), 0.0, taus)])
+        fits = fit_support_directions(gap, [cgo_spec((1.0, 0.0), 0.0, taus)])
     assert 0.45 <= fits[0].h_est <= 0.55
 
 
@@ -173,21 +157,21 @@ def test_classifier_on_synthetic_exponentials():
     for gamma in (0.1, 0.5, 2.0):
         grow = np.exp(gamma * taus)
         decay = np.exp(-gamma * taus)
-        assert classify_series(taus, grow)[0] == "growth"
-        assert classify_series(taus, decay)[0] == "decay"
+        assert classify_series(taus, grow, np.zeros(10))[0] == "growth"
+        assert classify_series(taus, decay, np.zeros(10))[0] == "decay"
 
 
 def test_classifier_censors_explosive_tail():
     taus = np.geomspace(0.5, 4.0, 10)
     vals = np.exp(-0.5 * taus)
     vals[-2:] *= np.array([1e4, 1e12])   # leakage signature
-    label, _ = classify_series(taus, vals)
+    label, _ = classify_series(taus, vals, np.zeros(10))
     assert label == "decay"
 
 
 def test_classifier_ties_flag_low_confidence():
     taus = np.geomspace(0.5, 4.0, 10)
-    label, tie = classify_series(taus, np.ones(10))
+    label, tie = classify_series(taus, np.ones(10), np.zeros(10))
     assert label == "growth" and tie
 
 
@@ -195,7 +179,7 @@ def test_transition_search_no_transition_on_empty(empty_gap):
     taus = np.geomspace(0.5, 2.0, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = transition_search_ml(empty_gap, _ml((3.0, 0.0), (1.0, 0.0), -0.3, taus),
+        est = transition_search_ml(empty_gap, ml_spec((3.0, 0.0), (1.0, 0.0), -0.3, taus),
                                    (-4.0, -0.3))
     assert est.status == "no_transition"
     assert est.h_est is None
@@ -207,40 +191,39 @@ def test_tau_ladder_matches_scalar_calls(disk_gap):
     _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 10.0, 12.0])
-    ladder = indicator_ml(gap, _ml((3.0, 0.0), th, -6.0, taus))
-    singles = np.array([indicator_ml(gap, _ml((3.0, 0.0), th, -6.0, float(t))) for t in taus])
+    ladder = indicator_ml(gap, ml_spec((3.0, 0.0), th, -6.0, taus))
+    singles = np.array([indicator_ml(gap, ml_spec((3.0, 0.0), th, -6.0, float(t))) for t in taus])
     assert np.isinf(ladder[-2:]).all() and np.isinf(singles[-2:]).all()
     # a ladder's forms come from one matrix-matrix product, a single tau's from
     # a matrix-vector one, whose sums run in other orders: they agree within
     # the noise floor u s m max|c|^2 of transition_search_ml's error model, the
     # level below which the search cannot tell samples apart (at tau = 1.5 the
     # form cancels by 1.2e5, so 1e-12 relative is past its own roundoff)
-    coef = ml_probe_trace(_ml((3.0, 0.0), th, -6.0, taus[:-2]), gap.basis.points)
+    coef = ml_probe_trace(ml_spec((3.0, 0.0), th, -6.0, taus[:-2]), gap.basis.points)
     floor = 1e-16 * gap.scale * gap.matrix.shape[0] * np.abs(coef).max(axis=1) ** 2
     assert (np.abs(ladder[:-2] - singles[:-2]) <= floor).all()
     taus = np.geomspace(1.0, 10.0, 8)
-    ladder = indicator_cgo(gap, _cgo(th, 0.3, taus))
-    singles = [indicator_cgo(gap, _cgo(th, 0.3, float(t))) for t in taus]
+    ladder = indicator_cgo(gap, cgo_spec(th, 0.3, taus))
+    singles = [indicator_cgo(gap, cgo_spec(th, 0.3, float(t))) for t in taus]
     np.testing.assert_allclose(ladder, singles, rtol=1e-12, atol=0)
 
 
 def test_cgo_ladder_keeps_per_tau_checks():
-    # the advisory warns once per offending tau, the nodal expansion is exact
-    # and warns never, and the overflow guard rejects the whole ladder; the
-    # band-limited operators take the same path
+    # a ladder past the mesh-resolution advisory evaluates without a warning
+    # (the config warns, once per command), and the overflow guard rejects
+    # the whole ladder; the band-limited operators take the same path
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.0, omega=0.0)
     gap = gap_matrix((assemble_dtn_matrix(mesh, field, 4),
-                      assemble_dtn_matrix(mesh, _background(mesh), 4)))
+                      assemble_dtn_matrix(mesh, background(mesh), 4)))
     th = np.array([1.0, 0.0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        indicator_cgo(gap, _cgo(th, 0.0, np.array([0.0, 4.0, 6.0, 10.0])))
-    text = [str(w.message) for w in caught]
-    assert len(text) == 1 and "mesh-resolution advisory" in text[0]
+        indicator_cgo(gap, cgo_spec(th, 0.0, np.array([0.0, 4.0, 6.0, 10.0])))
+    assert caught == []
     with pytest.raises(ProbeError), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        indicator_cgo(gap, _cgo(th, 0.0, np.array([1.0, 800.0])))
+        indicator_cgo(gap, cgo_spec(th, 0.0, np.array([1.0, 800.0])))
 
 
 def test_transition_search_estimate_is_unchanged(disk_gap):
@@ -250,7 +233,7 @@ def test_transition_search_estimate_is_unchanged(disk_gap):
     # the far side of the bracket (a sound cone)
     _, gap = disk_gap
     ang = math.radians(70.0)
-    probe = _ml((3.0, 0.0), (math.cos(ang), math.sin(ang)), -0.2, np.geomspace(0.35, 2.4, 16))
+    probe = ml_spec((3.0, 0.0), (math.cos(ang), math.sin(ang)), -0.2, np.geomspace(0.35, 2.4, 16))
     est = transition_search_ml(gap, probe, (-6.0, -0.2))
     assert est.status == "ok"
     assert est.h_est == -3.1056640625
@@ -260,14 +243,14 @@ def test_transition_search_estimate_is_unchanged(disk_gap):
 
 def test_transition_search_interval_validation(empty_gap):
     with pytest.raises(IndicatorError):
-        transition_search_ml(empty_gap, _ml((3.0, 0.0), (1.0, 0.0), -0.5,
+        transition_search_ml(empty_gap, ml_spec((3.0, 0.0), (1.0, 0.0), -0.5,
                                             np.geomspace(0.5, 2.0, 8)), (-1.0, 0.5))
 
 
 def test_transition_search_checks_the_cone_against_the_operators(empty_gap):
     # the probe's own radius is not trusted: a cone that meets the operators'
     # domain is rejected even when the probe was built for a smaller one
-    probe = _ml((3.0, 0.0), (-1.0, 0.0), -0.5, np.geomspace(0.5, 2.0, 8))
+    probe = ml_spec((3.0, 0.0), (-1.0, 0.0), -0.5, np.geomspace(0.5, 2.0, 8))
     with pytest.raises(ProbeError):
         transition_search_ml(empty_gap, probe, (-4.0, -0.3))
 
@@ -285,7 +268,7 @@ def test_j_oracle_zero_cases():
     ladder = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3,
                        tau=np.array([0.0, 2.0]))
     assert j_oracle(empty, ladder).tolist() == [0.0, 0.0]
-    assert j_oracle(empty, _ml((3.0, 0.0), (1.0, 0.0), -0.5, ladder.tau)).tolist() == [0.0, 0.0]
+    assert j_oracle(empty, ml_spec((3.0, 0.0), (1.0, 0.0), -0.5, ladder.tau)).tolist() == [0.0, 0.0]
 
 
 def test_j_oracle_matches_dense_quadrature():
@@ -311,9 +294,9 @@ def test_ladder_gradients_and_j_equal_single_tau(family):
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.1, 0.0), 0.5))
     taus = np.geomspace(0.35, 6.0, 7)
     if family == "cgo":
-        probe, gradient = _cgo((0.6, 0.8), 0.2, taus), cgo_gradient
+        probe, gradient = cgo_spec((0.6, 0.8), 0.2, taus), cgo_gradient
     else:
-        probe = _ml((3.0, 0.0), (math.cos(1.2), math.sin(1.2)), -0.7, taus)
+        probe = ml_spec((3.0, 0.0), (math.cos(1.2), math.sin(1.2)), -0.7, taus)
         gradient = ml_probe_gradient
     pts = mesh.centroids()
     grads = gradient(probe, pts)
@@ -368,7 +351,7 @@ def test_clip_halfplane_keeps_interior():
 
 
 def test_cone_carving_no_estimates_keeps_domain():
-    region = cone_carving([], 1.0, resolution=128)
+    region = cone_carving([], 1.0)
     assert region.cones == ()
     assert region.area() == pytest.approx(math.pi, rel=2e-2)
 
@@ -377,7 +360,7 @@ def test_cone_carving_single_far_cone_keeps_shape():
     from enclosure2d.indicator import TransitionEstimate
     est = TransitionEstimate(y=(3.0, 0.0), theta=(1.0, 0.0), alpha=0.5,
                              h_est=-0.5, bracket=(-0.52, -0.48), status="ok")
-    region = cone_carving([est], 1.0, resolution=256)
+    region = cone_carving([est], 1.0)
     d = ShapeSpec.disk((0.0, 0.0), 0.4)
     assert cones_avoid_shape(region, d)
     assert region.area() < math.pi  # something was carved
@@ -428,6 +411,6 @@ def test_overflowing_form_is_inf_not_nan(disk_gap):
     # at tau = 5.9 the cone probe's trace is finite but its quadratic form
     # passes double range; the form is inf, as from an overflowing trace on
     _, gap = disk_gap
-    assert indicator_ml(gap, _ml((3.0, 0.0), (1.0, 0.0), -6.0, 5.9)) == np.inf
-    ladder = indicator_ml(gap, _ml((3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9])))
+    assert indicator_ml(gap, ml_spec((3.0, 0.0), (1.0, 0.0), -6.0, 5.9)) == np.inf
+    ladder = indicator_ml(gap, ml_spec((3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9])))
     assert np.isfinite(ladder[0]) and ladder[1] == np.inf

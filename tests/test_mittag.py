@@ -7,8 +7,8 @@ import pytest
 from scipy.special import wofz
 
 import enclosure2d.mittag as mittag
-from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, growth_sector,
-                                ml_deriv_many, ml_eval, ml_eval_many)
+from enclosure2d.mittag import (MLAccuracyWarning, MLError, MLParams, ml_deriv_many,
+                                ml_eval, ml_eval_many, sectors)
 from ml_oracle import (band08_points, erfc_oracle, erfc_points, far_points, load,
                        series9_points, series42_points)
 
@@ -77,11 +77,9 @@ def test_deriv_against_series_oracle():
 
 
 def test_growth_sector_classification():
-    assert growth_sector(0.5, 1.0) == "exponential_growth"
-    assert growth_sector(0.5, -1.0) == "algebraic_decay"
-    assert growth_sector(1.0, 1j) == "boundary"
-    with pytest.raises(MLError):
-        growth_sector(0.5, 0.0)
+    assert sectors(0.5, np.array([1.0, -1.0, 0.0])).tolist() == [
+        "exponential_growth", "algebraic_decay", "origin"]
+    assert sectors(1.0, np.array([1j]))[0] == "boundary"
 
 
 def test_growth_ray_asymptotic_ratio_decreases():
@@ -128,11 +126,10 @@ def test_parameter_validation():
         MLParams(alpha=0.0)
     with pytest.raises(MLError):
         MLParams(alpha=1.2)
-    with pytest.raises(MLError):
-        MLParams(alpha=0.5, accuracy=0.5)
-    # the order and the accuracy are the only settable values
-    with pytest.raises(TypeError):
-        MLParams(alpha=0.5, r_large=40.0)
+    # the order is the only settable value
+    for extra in ({"accuracy": 1e-12}, {"r_large": 40.0}):
+        with pytest.raises(TypeError):
+            MLParams(alpha=0.5, **extra)
     assert (MLParams(alpha=0.5).r_small, MLParams(alpha=0.5).r_large) == (5.0, 30.0)
 
 
@@ -266,22 +263,6 @@ def test_one_warning_per_uncertified_point(monkeypatch):
             ml_eval(p, z)
     singles = [w for w in caught if issubclass(w.category, MLAccuracyWarning)]
     assert len(batch) == len(singles) == 14    # the 14 contour points
-
-
-def test_high_accuracy_batch_matches_per_point_and_oracle():
-    # accuracy 1e-14 asks for a contour tolerance below double precision:
-    # each point runs at the finest one without raising and is flagged once,
-    # alone and in the batch; near the sector edge it still meets wofz
-    k = np.arange(48)
-    z = (5.3 + 1.5 * k / 48) * np.exp(1j * (-1) ** k * (math.pi / 2 - 1.05e-3 - 6e-5 * (k % 7)))
-    p = MLParams(alpha=0.5, accuracy=1e-14)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        batch = ml_eval_many(p, z)
-        singles = np.array([ml_eval(p, x) for x in z])
-    assert sum(issubclass(w.category, MLAccuracyWarning) for w in caught) == 2 * z.size
-    np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(batch, wofz(-1j * z), rtol=1e-12, atol=0)
 
 
 def _assert_certified(many, alpha, zs, oracle):

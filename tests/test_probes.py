@@ -9,45 +9,40 @@ from enclosure2d.probes import (ConeSpec, ProbeError, ProbeSpec, cgo_gradient,
                                 cgo_trace, cone_avoids_shape, cone_contains_many,
                                 critical_cone_offset, ml_probe_gradient,
                                 ml_probe_trace, rot90)
-
-
-def _cgo(theta=(1.0, 0.0), t=0.0, tau=1.0):
-    th = np.asarray(theta, dtype=float)
-    tp = rot90(th)
-    return ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(tp), t=t, tau=tau)
+from builders import cgo_spec, ml_spec
 
 
 def test_cgo_trace_at_zero_tau_is_one():
     pts = np.array([[0.3, -0.2], [0.9, 0.1]])
-    assert np.allclose(cgo_trace(_cgo(tau=0.0), pts), 1.0)
+    assert np.allclose(cgo_trace(cgo_spec(tau=0.0), pts), 1.0)
 
 
 def test_cgo_trace_unit_modulus_on_level_line():
-    spec = _cgo(t=0.4, tau=3.0)
+    spec = cgo_spec(t=0.4, tau=3.0)
     pts = np.array([[0.4, y] for y in (-0.5, 0.0, 0.7)])
     assert np.allclose(np.abs(cgo_trace(spec, pts)), 1.0)
 
 
 def test_cgo_trace_depth_decay():
-    spec = _cgo(t=0.5, tau=2.0)
+    spec = cgo_spec(t=0.5, tau=2.0)
     val = cgo_trace(spec, np.array([[0.0, 0.0]]))[0]
     assert abs(val) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_cgo_overflow_guard():
     with pytest.raises(ProbeError):
-        cgo_trace(_cgo(t=-1.0, tau=500.0), np.array([[1.0, 0.0]]))
+        cgo_trace(cgo_spec(t=-1.0, tau=500.0), np.array([[1.0, 0.0]]))
 
 
 def test_cgo_gradient_structure():
-    spec = _cgo(tau=1.0)
+    spec = cgo_spec(tau=1.0)
     pts = np.array([[0.0, 0.0]])
     g = cgo_gradient(spec, pts)[0]
     assert np.allclose(g, np.array([1.0, 0.0]) + 1j * np.array([0.0, 1.0]))
 
 
 def test_cgo_gradient_modulus_sqrt2_tau():
-    spec = _cgo(t=0.1, tau=2.5)
+    spec = cgo_spec(t=0.1, tau=2.5)
     pts = np.array([[0.2, 0.4], [-0.3, 0.1]])
     vals = cgo_trace(spec, pts)
     grads = cgo_gradient(spec, pts)
@@ -56,7 +51,7 @@ def test_cgo_gradient_modulus_sqrt2_tau():
 
 
 def test_cgo_gradient_finite_difference():
-    spec = _cgo(theta=(0.6, 0.8), t=0.2, tau=1.7)
+    spec = cgo_spec(theta=(0.6, 0.8), t=0.2, tau=1.7)
     p = np.array([0.31, -0.12])
     h = 1e-6
     g = cgo_gradient(spec, p[None, :])[0]
@@ -72,8 +67,8 @@ def test_cgo_scaling_identity():
     th = np.array([1.0, 0.0])
     pts = np.array([[0.2, 0.5], [-0.4, 0.1], [0.9, -0.3]])
     tau, t = 1.3, 0.45
-    shifted = cgo_trace(_cgo(t=t, tau=tau), pts)
-    plain = cgo_trace(_cgo(t=0.0, tau=tau), pts)
+    shifted = cgo_trace(cgo_spec(t=t, tau=tau), pts)
+    plain = cgo_trace(cgo_spec(t=0.0, tau=tau), pts)
     q_shifted = np.sum(shifted * np.conj(shifted))
     q_plain = np.sum(plain * np.conj(plain))
     assert abs(q_shifted - math.exp(-2 * tau * t) * q_plain) <= 1e-12 * abs(q_shifted)
@@ -91,21 +86,15 @@ def test_perp_flip_conjugates_values():
 # -- Mittag-Leffler probes ----------------------------------------------------
 
 
-def _ml(y=(3.0, 0.0), theta=(-1.0, 0.0), t=-0.5, tau=1.0, alpha=0.5, radius=None):
-    th = np.asarray(theta, dtype=float)
-    return ProbeSpec(kind="mittag_leffler", theta=tuple(th), theta_perp=tuple(rot90(th)),
-                     t=t, tau=tau, y=tuple(y), alpha=alpha, domain_radius=radius)
-
-
 def test_ml_probe_at_zero_tau():
     pts = np.array([[0.1, 0.1], [-0.5, 0.4]])
-    assert np.allclose(ml_probe_trace(_ml(tau=0.0), pts), 1.0)
+    assert np.allclose(ml_probe_trace(ml_spec(tau=0.0), pts), 1.0)
 
 
 def test_ml_probe_alpha_one_limit_is_exponential():
     # alpha -> 1 reduces to exp of the shifted coordinate exactly at alpha = 1;
     # ProbeSpec restricts to alpha < 1, so compare against exp directly
-    spec = _ml(alpha=0.999999)
+    spec = ml_spec(alpha=0.999999)
     pts = np.array([[0.2, 0.3], [0.5, -0.1]])
     w = spec.ml_argument(pts)
     vals = ml_probe_trace(spec, pts)
@@ -114,7 +103,7 @@ def test_ml_probe_alpha_one_limit_is_exponential():
 
 def test_ml_probe_decay_sector_small_at_large_tau():
     # point well inside the decay cone complement
-    spec = _ml(y=(3.0, 0.0), theta=(1.0, 0.0), t=-0.5, tau=100.0)
+    spec = ml_spec(y=(3.0, 0.0), theta=(1.0, 0.0), t=-0.5, tau=100.0)
     pts = np.array([[0.0, 0.0]])  # behind the vertex, decay region
     val = ml_probe_trace(spec, pts)[0]
     assert abs(val) < 0.05
@@ -122,12 +111,12 @@ def test_ml_probe_decay_sector_small_at_large_tau():
 
 def test_ml_gradient_zero_at_zero_tau():
     pts = np.array([[0.3, 0.2]])
-    g = ml_probe_gradient(_ml(tau=0.0), pts)
+    g = ml_probe_gradient(ml_spec(tau=0.0), pts)
     assert np.allclose(g, 0.0)
 
 
 def test_ml_gradient_modulus_relation():
-    spec = _ml(tau=2.0, t=-1.0)
+    spec = ml_spec(tau=2.0, t=-1.0)
     pts = np.array([[0.4, 0.3]])
     w = spec.ml_argument(pts)
     g = ml_probe_gradient(spec, pts)[0]
@@ -137,7 +126,7 @@ def test_ml_gradient_modulus_relation():
 
 
 def test_ml_gradient_finite_difference():
-    spec = _ml(t=-0.8, tau=1.5)
+    spec = ml_spec(t=-0.8, tau=1.5)
     p = np.array([0.25, -0.15])
     h = 2e-6
     g = ml_probe_gradient(spec, p[None, :])[0]
@@ -151,13 +140,13 @@ def test_ml_gradient_finite_difference():
 
 def test_ml_probe_requires_exterior_vertex_and_clear_cone():
     with pytest.raises(ProbeError):
-        _ml(y=(0.5, 0.0), radius=1.0)          # vertex inside the domain
+        ml_spec(y=(0.5, 0.0), radius=1.0)          # vertex inside the domain
     with pytest.raises(ProbeError):
-        _ml(y=(3.0, 0.0), theta=(-1.0, 0.0), radius=1.0)  # cone swallows the domain
+        ml_spec(y=(3.0, 0.0), theta=(-1.0, 0.0), radius=1.0)  # cone swallows the domain
 
 
 def test_ml_probe_valid_cone_accepted():
-    spec = _ml(y=(3.0, 0.0), theta=(1.0, 0.0), radius=1.0)
+    spec = ml_spec(y=(3.0, 0.0), theta=(1.0, 0.0), radius=1.0)
     assert spec.base_cone().vertex == (3.0, 0.0)
 
 

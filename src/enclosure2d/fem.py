@@ -8,10 +8,11 @@ The voltage-to-current boundary operator is realized as the bilinear pairing
 with u_f the discrete solution for trace f and v_g any discrete extension of
 g: at the Galerkin level <L f, g> = g^T S f with S = K_bb - K_bi K_ii^-1 K_ib,
 the Schur complement of the stiffness matrix onto the boundary nodes.  One
-sparse factorization of the whole stiffness matrix, interior nodes first and
-boundary nodes last, yields S from the rows of its U factor alone (the
-stiffness matrix is symmetric; see ``DirichletSystem``), with no
-back-substitution, and solves for the discrete solution of any trace.  A
+sparse factorization of the interior rows of the stiffness matrix, interior
+nodes first and boundary nodes last with identity rows in place of the
+boundary rows, yields S from the rows of its U factor alone (the stiffness
+matrix is symmetric; see ``DirichletSystem``), with no back-substitution, and
+solves for the discrete solution of any trace.  A
 coefficient with no imaginary part (omega = 0, a real jump, and always the
 background sigma = 1, epsilon = 0) is assembled and factorized in real
 arithmetic; a complex trace is then solved as its real and imaginary columns
@@ -125,17 +126,18 @@ class DirichletSystem:
     part must be uniformly positive definite.  A coefficient with no
     imaginary part gives a real stiffness matrix and a real factor.
 
-    The factor is that of K' = K + c I_bb (constants span the kernel of K),
-    interior nodes first in the minimum-degree order of K_ii + K_ii^T, with
-    diagonal pivots only.  K is symmetric (checked: a relative defect
-    |K - K^T| / |K| above 1e-8 raises SolverError), so K' = U^T D^-1 U with D
-    the pivots, and K_bi K_ii^-1 K_ib = W^T W for the sparse W = D_R^-1/2 U_R,
-    the rows R of the off-diagonal block U_12 that hold nonzeros.  Every pivot
-    has a positive real part (Re K is positive definite), so the principal
-    square root serves for a complex factor too; L is never read.
-    ``operator``, S = K_bb - W^T W (read-only, in loop order), maps a trace to
-    the boundary currents of its solution.  S is formed and checked on first
-    access; a solve needs only S f, from sparse products with W.
+    The factor is that of M = [[K_ii, K_ib], [0, I]], interior nodes first in
+    the minimum-degree order of K_ii + K_ii^T, with diagonal pivots only: its
+    identity rows leave L_21 = 0 and U_22 = I, so the elimination stops at
+    U_11 and U_12 = L_11^-1 K_ib.  K is symmetric (checked: a relative defect
+    |K - K^T| / |K| above 1e-8 raises SolverError), so K_ii = U_11^T D^-1 U_11
+    with D the pivots, and K_bi K_ii^-1 K_ib = W^T W for the sparse
+    W = D_R^-1/2 U_R, the rows R of U_12 that hold nonzeros.  Every pivot has
+    a positive real part (Re K is positive definite), so the principal square
+    root serves for a complex factor too; L is never read.  ``operator``,
+    S = K_bb - W^T W (read-only, in loop order), maps a trace to the boundary
+    currents of its solution.  S is formed and checked on first access; a
+    solve needs only the factor.
     """
 
     def __init__(self, mesh: Mesh, gamma: np.ndarray):
@@ -159,12 +161,8 @@ class DirichletSystem:
             raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
         n = mesh.n_vertices
         self.boundary = np.asarray(mesh.boundary_loop)
-        mask = np.ones(n, dtype=bool)
-        mask[self.boundary] = False
-        self.interior = np.flatnonzero(mask)
+        self.interior = np.setdiff1d(np.arange(n), self.boundary)
         ni = len(self.interior)
-        # any c > 0 makes K' regular; the largest boundary diagonal keeps it at K's scale
-        self._shift = float(np.abs(self.stiffness.diagonal()[self.boundary]).max())
         try:
             # the minimum-degree order of K_ii + K_ii^T (40 % fewer nonzeros in
             # L + U than the default COLAMD), from an incomplete factor that
@@ -173,10 +171,12 @@ class DirichletSystem:
                               permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
                               fill_factor=1).perm_c
             self._order = np.concatenate([self.interior[np.argsort(perm)], self.boundary])
-            shifted = self.stiffness + sp.diags(np.where(mask, 0.0, self._shift))
-            self._lu = spla.splu(shifted[self._order][:, self._order].tocsc(),
-                                 permc_spec="NATURAL", diag_pivot_thresh=0,
+            # the interior rows, then identity rows: the factor stops at U_12
+            m = sp.vstack([self.stiffness[self._order[:ni]][:, self._order],
+                           sp.eye(n - ni, n, k=ni)], format="csc")
+            self._lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0,
                                  options={"SymmetricMode": True})
+            del m
         except RuntimeError as exc:
             raise SolverError(f"stiffness factorization failed: {exc}") from exc
         if not (np.array_equal(self._lu.perm_r, np.arange(n))
@@ -185,7 +185,8 @@ class DirichletSystem:
         self._k_bb = self.stiffness[self.boundary][:, self.boundary]
         # U and W's precursors are freed as soon as they are read, and W is
         # scaled in place, not by a product with sp.diags that holds one more
-        # copy: hull's dtn peaks at 252 MB of RSS, against 255 MB otherwise
+        # copy: building and forming hull's complex system peaks at 214 MB of
+        # RSS, against 216 MB otherwise
         u = self._lu.U
         pivots, u12 = u.diagonal()[:ni], u[:ni, ni:].tocsr()
         del u
@@ -203,8 +204,6 @@ class DirichletSystem:
         exact arithmetic: S 1 (constants carry no current), and the boundary
         currents of a seeded random trace solved through the factor less S f.
         The largest measured is 6e-11, S 1 at a contrast of 1e6 (h = 0.1)."""
-        # rather than L_22 U_22 - c I, which adds the roundoff of the trailing
-        # block's own elimination and of the shift
         s = self._k_bb.toarray()
         for r in range(0, self._w.shape[0], _BLOCK_ROWS):
             w = self._w[r:r + _BLOCK_ROWS].toarray()
@@ -223,10 +222,10 @@ class DirichletSystem:
 
     def solve(self, trace: np.ndarray) -> SolveResult:
         """Solution with the given boundary-node values (ordered as the loop),
-        through the factor as K' [u_i; f] = [0; (S + c I) f], with S f =
-        K_bb f - W^T (W f) from sparse products and the right-hand side as
-        [Re | Im] columns (SuperLU solves only in its factor's type).  A
-        relative interior residual above 1e-6 raises SolverError."""
+        through the factor as M [u_i; u_b] = [0; f], so that u_b = f and
+        u_i = -K_ii^-1 K_ib f, with the right-hand side as [Re | Im] columns
+        (SuperLU solves only in its factor's type).  A relative interior
+        residual above 1e-6 raises SolverError."""
         trace = np.asarray(trace, dtype=complex)
         nb = len(self.boundary)
         if trace.shape != (nb,):
@@ -234,9 +233,9 @@ class DirichletSystem:
         u = np.zeros(self.mesh.n_vertices, dtype=complex)
         u[self.boundary] = trace
         scale = np.linalg.norm((self.stiffness @ u)[self.interior])     # |K_ib f|
-        rhs = np.zeros_like(u)
-        rhs[-nb:] = self._k_bb @ trace - self._w.T @ (self._w @ trace) + self._shift * trace
-        x = self._lu.solve(np.column_stack([rhs.real, rhs.imag]))
+        rhs = np.zeros((self.mesh.n_vertices, 2))
+        rhs[-nb:] = np.column_stack([trace.real, trace.imag])
+        x = self._lu.solve(rhs)
         u[self._order[:-nb]] = x[:-nb, 0] + 1j * x[:-nb, 1]
         res = np.linalg.norm((self.stiffness @ u)[self.interior]) / max(scale, 1e-300)
         if not res <= 1e-6:

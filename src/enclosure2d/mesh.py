@@ -324,13 +324,9 @@ def build_disk_mesh(domain_radius: float, target_h: float,
         offset += m
     vertices = np.vstack(verts)
 
-    tris = []
-    first = rings[1]
-    for k in range(6):
-        tris.append((0, first[k], first[(k + 1) % 6]))
-    for i in range(1, n_rings):
-        tris.extend(_seam_rings(rings[i], rings[i + 1]))
-    triangles = np.array(tris, dtype=np.int64)
+    fan = np.stack([np.zeros(6, dtype=np.int64), rings[1], np.roll(rings[1], -1)], axis=1)
+    triangles = np.concatenate([fan] + [_seam_rings(rings[i], rings[i + 1])
+                                        for i in range(1, n_rings)])
     loop = rings[n_rings]
 
     cents = vertices[triangles].mean(axis=1)
@@ -350,21 +346,21 @@ def build_disk_mesh(domain_radius: float, target_h: float,
     return mesh
 
 
-def _seam_rings(prev: np.ndarray, nxt: np.ndarray):
-    """Triangulate the annulus between two rings by an angular two-pointer sweep."""
+def _seam_rings(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Triangulate the annulus between two rings by an angular sweep: a stable
+    merge of the steps to each ring's next node, ordered by the fraction of the
+    turn they reach, a step on the outer ring first on ties.  A step on the
+    inner ring at its node i, with j outer steps before it, gives the triangle
+    (prev[i], nxt[j], prev[i + 1]), one on the outer ring (prev[i], nxt[j],
+    nxt[j + 1]), indices modulo the ring sizes."""
     np_, nn = len(prev), len(nxt)
-    tris = []
-    i = j = 0
-    while i < np_ or j < nn:
-        ai = (i + 1) / np_
-        aj = (j + 1) / nn
-        if j < nn and (i == np_ or aj <= ai):
-            tris.append((prev[i % np_], nxt[j % nn], nxt[(j + 1) % nn]))
-            j += 1
-        else:
-            tris.append((prev[i % np_], nxt[j % nn], prev[(i + 1) % np_]))
-            i += 1
-    return tris
+    frac = np.concatenate([np.arange(1, nn + 1) / nn, np.arange(1, np_ + 1) / np_])
+    kind = np.repeat([0, 1], [nn, np_])
+    inner = kind[np.lexsort((kind, frac))]
+    i = np.cumsum(inner) - inner
+    j = np.cumsum(1 - inner) - (1 - inner)
+    third = np.where(inner == 1, prev[(i + 1) % np_], nxt[(j + 1) % nn])
+    return np.stack([prev[i % np_], nxt[j % nn], third], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +380,12 @@ def write_mesh(mesh: Mesh, path, provenance: Optional[dict] = None) -> None:
         f.write("# enclosure2d mesh v1\n" + provenance_header(provenance))
         f.write(f"{mesh.n_vertices} {mesh.n_triangles} {len(edges)} "
                 f"{mesh.h:.17g} {mesh.domain_radius:.17g}\n")
-        # Python scalars from tolist() format twice as fast as numpy's, to the same text
-        f.writelines(f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist())
-        f.writelines(f"{i} {j} {k} {lab}\n" for (i, j, k), lab
-                     in zip(mesh.triangles.tolist(), mesh.labels.tolist()))
-        f.writelines(f"{i} {j} {nx:.17g} {ny:.17g}\n" for (i, j), (nx, ny)
-                     in zip(edges.tolist(), normals.tolist()))
+        # one % per block on the Python scalars of a flat tolist(), which
+        # format as numpy's own to the same text, two to three times faster
+        # than one f-string per line
+        f.write("%.17g %.17g\n" * mesh.n_vertices % tuple(mesh.vertices.ravel().tolist()))
+        f.write("%d %d %d %d\n" * mesh.n_triangles
+                % tuple(np.column_stack([mesh.triangles, mesh.labels]).ravel().tolist()))
+        # the node indices, stacked as floats with the normals, are exact
+        f.write("%d %d %.17g %.17g\n" * len(edges)
+                % tuple(np.column_stack([edges, normals]).ravel().tolist()))

@@ -527,6 +527,19 @@ def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
         DirichletSystem(mesh, gamma).operator
 
 
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_factor_stops_at_the_interior_rows(b):
+    # the boundary rows of the factored matrix are identity rows, so no
+    # elimination reaches them: L_21 = 0 and U_22 = I
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
+    sys_ = DirichletSystem(mesh, gamma)
+    lu, ni, nb = sys_._lu, len(sys_.interior), len(sys_.boundary)
+    assert (lu.U.dtype.kind == "c") == (b != 0.0)
+    assert lu.L[ni:, :ni].nnz == 0
+    assert np.array_equal(lu.U[ni:, ni:].toarray(), np.eye(nb))
+
+
 @pytest.mark.parametrize("a, b, kind", [(1.0, 0.0, "nodal"), (1.0, 0.0, "fourier"),
                                         (1.0, 0.5, "nodal"), (1.0, 0.5, "fourier"),
                                         (1e6, 0.0, "nodal"), (1e6, 0.5, "nodal")],

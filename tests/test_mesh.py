@@ -64,6 +64,37 @@ def test_boundary_polyline_deviation_at_least_halves():
     assert devs[1] <= 0.55 * devs[0]
 
 
+def _reference_triangles(n_rings):
+    """The polar mesher's triangles by the plain angular sweep: a fan about
+    the centre, then each annulus by a two-pointer walk over its two rings,
+    which steps on the outer ring while that reaches no further round."""
+    sizes = [1] + [6 * i for i in range(1, n_rings + 1)]
+    starts = np.cumsum([0] + sizes)
+    tris = [(0, 1 + k, 1 + (k + 1) % 6) for k in range(6)]
+    for r in range(1, n_rings):
+        np_, nn, p0, n0 = sizes[r], sizes[r + 1], starts[r], starts[r + 1]
+        i = j = 0
+        while i < np_ or j < nn:
+            if j < nn and (i == np_ or (j + 1) / nn <= (i + 1) / np_):
+                tris.append((p0 + i % np_, n0 + j % nn, n0 + (j + 1) % nn))
+                j += 1
+            else:
+                tris.append((p0 + i % np_, n0 + j % nn, p0 + (i + 1) % np_))
+                i += 1
+    return np.array(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.0102])
+@pytest.mark.parametrize("inclusion", [None, ShapeSpec.disk((0.3, 0.0), 0.3)],
+                         ids=["empty", "disk"])
+def test_triangles_match_the_reference_sweep(h, inclusion):
+    mesh = build_disk_mesh(1.0, h, inclusion)
+    n_rings = max(4, int(round(1.0 / h))) | 1
+    assert mesh.n_vertices == 1 + 3 * n_rings * (n_rings + 1)
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.triangles, _reference_triangles(n_rings))
+
+
 def test_inclusion_too_close_to_boundary_rejected():
     with pytest.raises(MeshError):
         build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.9))

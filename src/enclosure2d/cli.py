@@ -159,7 +159,6 @@ t_search = -5.0 -0.2  ; offset interval for the transition search
 
 [output]
 directory = out
-validation_mode = false
 """
 
 
@@ -264,9 +263,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("[probes] t_search must satisfy t_lo < t_hi < 0")
 
     cfg.out_dir = get("output", "directory", str, cfg.out_dir)
-    cfg.validation_mode = get("output", "validation_mode",
-                              lambda s: s.strip().lower() in ("1", "true", "yes"),
-                              cfg.validation_mode)
+    # --validate is the one switch; older templates still carry validation_mode = false
+    if get("output", "validation_mode", lambda s: s.strip().lower() in ("1", "true", "yes"),
+           False):
+        raise ConfigError("[output] validation_mode: use the --validate flag of indicate "
+                          "and reconstruct; set it to false or remove it")
     # the command's one advisory, on the top of the ladder every probe takes
     top = cfg.tau_ladder()[-1]
     if top * cfg.mesh_h > 0.9:

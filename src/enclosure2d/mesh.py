@@ -31,17 +31,19 @@ def _as_point(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Inclusion geometry: a disk, an ellipse, or a convex polygon.
+    """Inclusion geometry: an ellipse or a convex polygon.
 
-    All lengths are in domain units.  Polygons must be convex and
+    An ellipse is the image c + R diag(a, b) u of the unit disk, where c is
+    ``center``, (a, b) are ``semi_axes`` and R turns by ``rotation`` (the
+    angle of the first semi-axis, in radians).  A disk is the ellipse with
+    a = b = r and no rotation; its ``kind`` stays "disk" so that ``max_norm``
+    can use the closed form |c| + r.  Polygons must be convex and
     counterclockwise: every turn is to the left and the turns add up to one
-    full turn.  Ellipse ``rotation`` is the angle of the first semi-axis in
-    radians.
+    full turn.  All lengths are in domain units.
     """
 
     kind: str
     center: tuple[float, float] = (0.0, 0.0)
-    radius: float = 0.0
     semi_axes: tuple[float, float] = (0.0, 0.0)
     rotation: float = 0.0
     vertices: Optional[np.ndarray] = None
@@ -51,7 +53,7 @@ class ShapeSpec:
         if radius <= 0:
             raise MeshError("disk radius must be positive")
         c = _as_point(center)
-        return ShapeSpec(kind="disk", center=(c[0], c[1]), radius=radius)
+        return ShapeSpec(kind="disk", center=(c[0], c[1]), semi_axes=(radius, radius))
 
     @staticmethod
     def ellipse(center, semi_axes, rotation: float = 0.0) -> "ShapeSpec":
@@ -84,37 +86,32 @@ class ShapeSpec:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean membership for an (n, 2) array of points."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        c = np.asarray(self.center)
-        if self.kind == "disk":
-            return np.hypot(p[:, 0] - c[0], p[:, 1] - c[1]) <= self.radius
-        if self.kind == "ellipse":
-            q = self._to_local(p)
-            a, b = self.semi_axes
-            return (q[:, 0] / a) ** 2 + (q[:, 1] / b) ** 2 <= 1.0
-        v = self.vertices
-        inside = np.ones(len(p), dtype=bool)
-        for i in range(len(v)):
-            e = v[(i + 1) % len(v)] - v[i]
-            w = p - v[i]
-            inside &= e[0] * w[:, 1] - e[1] * w[:, 0] >= 0.0
-        return inside
+        if self.kind == "polygon":
+            v = self.vertices
+            inside = np.ones(len(p), dtype=bool)
+            for i in range(len(v)):
+                e = v[(i + 1) % len(v)] - v[i]
+                w = p - v[i]
+                inside &= e[0] * w[:, 1] - e[1] * w[:, 0] >= 0.0
+            return inside
+        ct, st = math.cos(self.rotation), math.sin(self.rotation)
+        dx, dy = p[:, 0] - self.center[0], p[:, 1] - self.center[1]
+        a, b = self.semi_axes
+        # R^T (p - c), scaled onto the unit disk
+        return ((ct * dx + st * dy) / a) ** 2 + ((-st * dx + ct * dy) / b) ** 2 <= 1.0
 
     def support(self, theta: np.ndarray) -> float:
         """Support value sup_{x in shape} x . theta for a unit direction."""
         t = _as_point(theta)
         if abs(np.hypot(t[0], t[1]) - 1.0) > _UNIT_TOL:
             raise MeshError("direction must be a unit vector")
-        c = np.asarray(self.center)
-        if self.kind == "disk":
-            return float(c @ t + self.radius)
-        if self.kind == "ellipse":
-            rot = self.rotation
-            ct, st = math.cos(rot), math.sin(rot)
-            # coordinates of theta in the ellipse frame
-            tl = np.array([ct * t[0] + st * t[1], -st * t[0] + ct * t[1]])
-            a, b = self.semi_axes
-            return float(c @ t + math.hypot(a * tl[0], b * tl[1]))
-        return float(np.max(self.vertices @ t))
+        if self.kind == "polygon":
+            return float(np.max(self.vertices @ t))
+        ct, st = math.cos(self.rotation), math.sin(self.rotation)
+        a, b = self.semi_axes
+        # c . theta + |diag(a, b) R^T theta|
+        return float(np.asarray(self.center) @ t
+                     + math.hypot(a * (ct * t[0] + st * t[1]), b * (-st * t[0] + ct * t[1])))
 
     def extreme_directions(self, point):
         """The two directions from ``point`` that bound the shape as seen from it.
@@ -122,9 +119,9 @@ class ShapeSpec:
         Every ray from the point into the shape lies in the sector that turns
         counterclockwise from the first direction to the second, at most pi
         wide (pi exactly at a smooth boundary point).  None when the point lies
-        strictly inside, farther than 1e-12 (relative, for disks and ellipses)
-        from the boundary.  Directions are not normalised; plain floats keep
-        the per-call cost small.
+        strictly inside, farther than 1e-12 (relative, for ellipses) from the
+        boundary.  Directions are not normalised; plain floats keep the
+        per-call cost small.
         """
         px, py = float(point[0]), float(point[1])
         if self.kind == "polygon":
@@ -140,7 +137,7 @@ class ShapeSpec:
                     if math.hypot(x - px, y - py) > _INSIDE_TOL]
             angles = [math.atan2(gx * dy - gy * dx, gx * dx + gy * dy) for dx, dy in dirs]
             return (dirs[angles.index(min(angles))], dirs[angles.index(max(angles))])
-        a, b = self.semi_axes if self.kind == "ellipse" else (self.radius, self.radius)
+        a, b = self.semi_axes
         ct, st = math.cos(self.rotation), math.sin(self.rotation)
         dx, dy = px - float(self.center[0]), py - float(self.center[1])
         # w = T(point - center), where T maps the shape onto the unit disk
@@ -159,49 +156,35 @@ class ShapeSpec:
         return tuple(out)
 
     def boundary_points(self, n: int = 256) -> np.ndarray:
-        c = np.asarray(self.center)
-        if self.kind == "disk":
-            ang = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-            return c + self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        if self.kind == "ellipse":
-            ang = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-            a, b = self.semi_axes
-            q = np.stack([a * np.cos(ang), b * np.sin(ang)], axis=1)
-            ct, st = math.cos(self.rotation), math.sin(self.rotation)
-            rot = np.array([[ct, -st], [st, ct]])
-            return c + q @ rot.T
-        v = self.vertices
-        per_edge = max(2, n // len(v))
-        pts = []
-        for i in range(len(v)):
-            s = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
-            pts.append(v[i] + s * (v[(i + 1) % len(v)] - v[i]))
-        return np.vstack(pts)
+        if self.kind == "polygon":
+            v = self.vertices
+            per_edge = max(2, n // len(v))
+            pts = []
+            for i in range(len(v)):
+                s = np.linspace(0.0, 1.0, per_edge, endpoint=False)[:, None]
+                pts.append(v[i] + s * (v[(i + 1) % len(v)] - v[i]))
+            return np.vstack(pts)
+        ang = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        a, b = self.semi_axes
+        q = np.stack([a * np.cos(ang), b * np.sin(ang)], axis=1)
+        ct, st = math.cos(self.rotation), math.sin(self.rotation)
+        return np.asarray(self.center) + q @ np.array([[ct, st], [-st, ct]])
 
     def max_norm(self) -> float:
         """max |x| over the shape (distance of the farthest point from origin)."""
-        c = np.asarray(self.center)
-        if self.kind == "disk":
-            return float(np.hypot(c[0], c[1]) + self.radius)
         if self.kind == "polygon":
             return float(np.max(np.hypot(self.vertices[:, 0], self.vertices[:, 1])))
+        if self.kind == "disk":
+            # closed form: the sample below falls short by up to 2.4e-6 |c| off centre
+            return float(np.hypot(*self.center) + self.semi_axes[0])
         # max |x| = max over directions of the support value
         ang = np.linspace(0.0, 2 * math.pi, 1440, endpoint=False)
         return max(self.support(np.array([math.cos(a), math.sin(a)])) for a in ang)
 
     def area(self) -> float:
-        if self.kind == "disk":
-            return math.pi * self.radius ** 2
-        if self.kind == "ellipse":
-            return math.pi * self.semi_axes[0] * self.semi_axes[1]
-        return polygon_area(self.vertices)
-
-    def _to_local(self, p: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        ct, st = math.cos(self.rotation), math.sin(self.rotation)
-        d = p - c
-        return np.stack([ct * d[:, 0] + st * d[:, 1],
-                         -st * d[:, 0] + ct * d[:, 1]], axis=1)
+        if self.kind == "polygon":
+            return polygon_area(self.vertices)
+        return math.pi * self.semi_axes[0] * self.semi_axes[1]
 
 
 def polygon_area(v: np.ndarray) -> float:

@@ -111,6 +111,15 @@ def test_config_validation_errors(tmp_path):
     assert load_config(_write(tmp_path, refined.format(0), "unrefined.cfg")).mesh_h == 0.08
 
 
+def test_validation_mode_key_names_the_flag(tmp_path, capsys):
+    # --validate is the one switch: a config that turns the old key on is
+    # refused, and the false of older templates still loads
+    text = BASE_CONFIG.format(out=tmp_path) + "validation_mode = "
+    assert main(["reconstruct", "--config", _write(tmp_path, text + "true\n")]) == 2
+    assert "--validate" in capsys.readouterr().err
+    assert load_config(_write(tmp_path, text + "false\n", "off.cfg")).out_dir == str(tmp_path)
+
+
 def test_cli_exit_code_on_config_error(tmp_path, capsys):
     bad = _write(tmp_path, "[domain]\nmesh_h = not_a_number\n")
     assert main(["mesh", "--config", bad]) == 2

@@ -37,7 +37,7 @@ def test_labeled_area_within_stated_bound():
     shape = ShapeSpec.disk((0.2, 0.1), 0.4)
     for h in (0.08, 0.04):
         mesh = build_disk_mesh(1.0, h, shape)
-        perimeter = 2 * math.pi * shape.radius
+        perimeter = 2 * math.pi * 0.4
         assert abs(_labelled_area(mesh) - shape.area()) <= 2 * h * perimeter
 
 
@@ -148,6 +148,41 @@ def test_ellipse_support_matches_vertex_sampling():
     shape = ShapeSpec.ellipse((0.0, 0.0), (0.5, 0.2), 0.0)
     assert shape.support((1.0, 0.0)) == pytest.approx(0.5)
     assert shape.support((0.0, 1.0)) == pytest.approx(0.2)
+
+
+def test_disk_is_the_ellipse_with_equal_semi_axes():
+    # one formula serves both kinds: every query but max_norm, whose closed
+    # form only the disk has, gives the disk and the circular ellipse the same bits
+    rng = np.random.default_rng(25)
+    angles = np.linspace(0.0, 2 * math.pi, 37)
+    for _ in range(200):
+        c, r = rng.uniform(-0.5, 0.5, 2), rng.uniform(0.05, 0.8)
+        disk, ellipse = ShapeSpec.disk(c, r), ShapeSpec.ellipse(c, (r, r))
+        rim = disk.boundary_points(64)
+        assert np.array_equal(rim, ellipse.boundary_points(64))
+        pts = np.vstack([c + r * rng.uniform(-1.5, 1.5, (64, 2)), rim,
+                         c + (rim - c) * (1 + 1e-15), c + (rim - c) * (1 - 1e-15)])
+        assert np.array_equal(disk.contains(pts), ellipse.contains(pts))
+        for p in pts[::4]:
+            assert disk.extreme_directions(p) == ellipse.extreme_directions(p)
+        for ang in angles:
+            t = (math.cos(ang), math.sin(ang))
+            assert disk.support(t) == ellipse.support(t)
+        assert disk.area() == ellipse.area()
+
+
+@pytest.mark.parametrize("center, radius, h", [((0.0, 0.0), 0.5, 0.0102),
+                                               ((0.3, 0.0), 0.3, 0.0102),
+                                               ((0.0, 0.0), 0.5, 0.05)],
+                         ids=["hull", "cone", "template"])
+def test_disk_labels_match_the_distance_to_the_centre(center, radius, h):
+    # the benchmark's two disks and the example template's: labelled by the
+    # ellipse's scaled form, every centroid keeps the side its distance to the
+    # centre gives it, so mesh.txt keeps its bytes
+    mesh = build_disk_mesh(1.0, h, ShapeSpec.disk(center, radius))
+    cents = mesh.centroids()
+    inside = np.hypot(cents[:, 0] - center[0], cents[:, 1] - center[1]) <= radius
+    assert np.array_equal(mesh.labels == INCLUSION, inside)
 
 
 def test_polygon_validation():

@@ -235,7 +235,7 @@ def _point_on_boundary(rng, shape):
         s = 0.0 if rng.random() < 0.25 else rng.uniform(0.1, 0.9)   # a corner or an edge
         return tuple(v[i] + s * (v[(i + 1) % len(v)] - v[i]))
     t = rng.uniform(0.0, 2 * math.pi)
-    a, b = shape.semi_axes if shape.kind == "ellipse" else (shape.radius, shape.radius)
+    a, b = shape.semi_axes
     c, s = math.cos(shape.rotation), math.sin(shape.rotation)
     x, y = a * math.cos(t), b * math.sin(t)
     return (shape.center[0] + c * x - s * y, shape.center[1] + s * x + c * y)

@@ -380,7 +380,10 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
         except SolverError as exc:
             raise SolverError(f"{name}: {exc}") from exc
 
-    # the two systems share only the mesh: one worker factorizes each
+    # the two systems share only the mesh: one worker factorizes each, with
+    # the scipy this process loads once before forking them
+    import scipy.sparse.linalg  # noqa: F401
+
     out = _out(cfg)
     prov = cfg.provenance()
     for (name, _), dtn in zip(jobs, _in_workers(operator, len(jobs))):

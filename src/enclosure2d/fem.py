@@ -104,10 +104,11 @@ def fourier_trace(mesh: Mesh, n: int) -> np.ndarray:
 # Assembly and Dirichlet solves
 
 
-# rows of W per dense block when S is formed, a memory bound: with 594
-# boundary nodes one complex block is 4.9 MB, where the whole W as one dense
-# block (5,752 rows on the benchmark meshes) raised hull's dtn peak RSS from
-# 255 to 305 MB
+# rows of W per dense block when S is formed: the blocks fix the order of
+# S's sums, and so its bytes.  One complex block is 4.9 MB with 594 boundary
+# nodes; the whole W as one block (5,752 rows on the benchmark meshes) is
+# 55 MB, which does not raise hull's dtn peak RSS (170.2 against 170.1 MB),
+# since S is formed after the factor is freed
 _BLOCK_ROWS = 512
 
 
@@ -120,7 +121,7 @@ class SolveResult:
 
 
 class DirichletSystem:
-    """Assembled P1 stiffness K, factorized once with the boundary nodes last.
+    """Assembled P1 stiffness K, factorized with the boundary nodes last.
 
     The coefficient is a per-triangle complex symmetric 2x2 matrix; the real
     part must be uniformly positive definite.  A coefficient with no
@@ -134,14 +135,17 @@ class DirichletSystem:
     with D the pivots, and K_bi K_ii^-1 K_ib = W^T W for the sparse
     W = D_R^-1/2 U_R, the rows R of U_12 that hold nonzeros.  Every pivot has
     a positive real part (Re K is positive definite), so the principal square
-    root serves for a complex factor too; L is never read.  ``operator``,
+    root serves for a complex factor too.  ``operator``,
     S = K_bb - W^T W (read-only, in loop order), maps a trace to the boundary
-    currents of its solution.  S is formed and checked on first access; a
-    solve needs only the factor.
+    currents of its solution.
+
+    The factor is built on first use.  Forming S consumes it: the first read
+    of SuperLU's U builds CSC copies of both L and U and caches them on the
+    factor, so S frees the factor once it holds what it needs of U, and a
+    later solve factors again.  A system that only solves never reads U.
     """
 
     def __init__(self, mesh: Mesh, gamma: np.ndarray):
-        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         gamma = np.asarray(gamma, dtype=complex)
@@ -159,10 +163,8 @@ class DirichletSystem:
                   / np.linalg.norm(self.stiffness.data))
         if not defect <= 1e-8:
             raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
-        n = mesh.n_vertices
         self.boundary = np.asarray(mesh.boundary_loop)
-        self.interior = np.setdiff1d(np.arange(n), self.boundary)
-        ni = len(self.interior)
+        self.interior = np.setdiff1d(np.arange(mesh.n_vertices), self.boundary)
         try:
             # the minimum-degree order of K_ii + K_ii^T (40 % fewer nonzeros in
             # L + U than the default COLAMD), from an incomplete factor that
@@ -170,30 +172,29 @@ class DirichletSystem:
             perm = spla.spilu(self.stiffness[self.interior][:, self.interior].tocsc(),
                               permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
                               fill_factor=1).perm_c
-            self._order = np.concatenate([self.interior[np.argsort(perm)], self.boundary])
-            # the interior rows, then identity rows: the factor stops at U_12
-            m = sp.vstack([self.stiffness[self._order[:ni]][:, self._order],
-                           sp.eye(n - ni, n, k=ni)], format="csc")
-            self._lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0,
-                                 options={"SymmetricMode": True})
-            del m
         except RuntimeError as exc:
             raise SolverError(f"stiffness factorization failed: {exc}") from exc
-        if not (np.array_equal(self._lu.perm_r, np.arange(n))
-                and np.array_equal(self._lu.perm_c, np.arange(n))):
+        self._order = np.concatenate([self.interior[np.argsort(perm)], self.boundary])
+
+    @cached_property
+    def _lu(self):
+        """The complete factor of M, in the node order ``_order``."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        n, ni = self.mesh.n_vertices, len(self.interior)
+        # the interior rows, then identity rows: the factor stops at U_12
+        m = sp.vstack([self.stiffness[self._order[:ni]][:, self._order],
+                       sp.eye(n - ni, n, k=ni)], format="csc")
+        try:
+            lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolverError(f"stiffness factorization failed: {exc}") from exc
+        if not (np.array_equal(lu.perm_r, np.arange(n))
+                and np.array_equal(lu.perm_c, np.arange(n))):
             raise SolverError("the factorization reordered the nodes")
-        self._k_bb = self.stiffness[self.boundary][:, self.boundary]
-        # U and W's precursors are freed as soon as they are read, and W is
-        # scaled in place, not by a product with sp.diags that holds one more
-        # copy: building and forming hull's complex system peaks at 214 MB of
-        # RSS, against 216 MB otherwise
-        u = self._lu.U
-        pivots, u12 = u.diagonal()[:ni], u[:ni, ni:].tocsr()
-        del u
-        rows = np.flatnonzero(np.diff(u12.indptr))
-        self._w = u12[rows]
-        del u12
-        self._w.data *= np.repeat(1.0 / np.sqrt(pivots[rows]), np.diff(self._w.indptr))
+        return lu
 
     @cached_property
     def operator(self) -> np.ndarray:
@@ -204,16 +205,30 @@ class DirichletSystem:
         exact arithmetic: S 1 (constants carry no current), and the boundary
         currents of a seeded random trace solved through the factor less S f.
         The largest measured is 6e-11, S 1 at a contrast of 1e6 (h = 0.1)."""
-        s = self._k_bb.toarray()
-        for r in range(0, self._w.shape[0], _BLOCK_ROWS):
-            w = self._w[r:r + _BLOCK_ROWS].toarray()
-            s -= w.T @ w
+        f = np.random.default_rng(0).standard_normal(len(self.boundary))
+        current = (self.stiffness @ self.solve(f).u)[self.boundary]
+        ni = len(self.interior)
+        # the check trace is solved while the factor lives; the first read of
+        # U builds CSC copies of L and U, cached on the factor, so the factor
+        # goes at once, with SuperLU's storage and the CSC L, and U as soon as
+        # W's precursors are read off it
+        u = self._lu.U
+        del self._lu
+        pivots, u12 = u.diagonal()[:ni], u[:ni, ni:].tocsr()
+        del u
+        rows = np.flatnonzero(np.diff(u12.indptr))
+        w = u12[rows]
+        del u12
+        # scaled in place, not by a product with sp.diags that holds one more copy
+        w.data *= np.repeat(1.0 / np.sqrt(pivots[rows]), np.diff(w.indptr))
+        s = self.stiffness[self.boundary][:, self.boundary].toarray()
+        for r in range(0, w.shape[0], _BLOCK_ROWS):
+            b = w[r:r + _BLOCK_ROWS].toarray()
+            s -= b.T @ b
         s.setflags(write=False)
         leak = np.abs(s.sum(axis=1)).max() / np.abs(s).sum(axis=1).max()
         if not leak <= 1e-8:
             raise SolverError(f"boundary operator leaks current on constants: {leak:.3g}")
-        f = np.random.default_rng(0).standard_normal(len(self.boundary))
-        current = (self.stiffness @ self.solve(f).u)[self.boundary]
         mismatch = np.linalg.norm(current - s @ f) / np.linalg.norm(s @ f)
         if not mismatch <= 1e-8:
             raise SolverError(f"boundary current of a solved trace differs from the "

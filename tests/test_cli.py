@@ -618,9 +618,10 @@ def _imported_packages(argv, cwd):
 
 def test_only_the_solver_commands_load_scipy(tmp_path):
     # reconstruction reads only operator files, so no process of a command
-    # that does not factorize imports the sparse solver; dtn is the positive
-    # control.  Only dtn and reconstruct start workers, and the pool modules
-    # cost the other commands' interpreter start 10-36 ms
+    # that does not factorize imports the sparse solver; dtn, whose own
+    # process imports it before forking the workers that factorize, is the
+    # positive control.  Only dtn and reconstruct start workers, and the pool
+    # modules cost the other commands' interpreter start 10-36 ms
     cfg = _write(tmp_path, ML_CONFIG.format(out=tmp_path / "out"))
     pool = {"multiprocessing", "concurrent"}
     assert {"scipy"} | pool <= _imported_packages(["dtn", "--config", cfg], tmp_path)

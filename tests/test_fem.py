@@ -443,10 +443,12 @@ def test_basis_keeps_a_read_only_copy_of_thetas():
 
 class _FactorSpy:
     """Stands in for the boundary-last factor of a DirichletSystem, whose L
-    must never be read.  Its U gains ``u12_error`` F in the interior rows of
-    the boundary columns, the block U_12 that S = K_bb - U_12^T D^-1 U_12 is
-    formed from; every solution gains ``solve_error`` times its largest
-    entry; ``reorder`` reverses perm_c."""
+    must never be read.  Building the spy reads the factor's U, which has
+    scipy build CSC copies of both L and U and cache them on the factor; the
+    spy's ``L`` raises all the same.  Its U gains ``u12_error`` F in the
+    interior rows of the boundary columns, the block U_12 that
+    S = K_bb - U_12^T D^-1 U_12 is formed from; every solution gains
+    ``solve_error`` times its largest entry; ``reorder`` reverses perm_c."""
 
     def __init__(self, lu, u12_error=None, solve_error=0.0, reorder=False):
         self.lu, self.solve_error, self.U, self.perm_r = lu, solve_error, lu.U, lu.perm_r
@@ -470,6 +472,50 @@ def _install_factor_spy(monkeypatch, make):
     """Route every complete factorization through ``make(lu)``."""
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda a, **kwargs: make(splu(a, **kwargs)))
+
+
+class _SolveOnlyFactor:
+    """Stands in for the factor of a system that must only solve: its solves
+    are the factor's own, and reading its L or U raises."""
+
+    def __init__(self, lu):
+        self.lu, self.perm_r, self.perm_c = lu, lu.perm_r, lu.perm_c
+
+    @property
+    def L(self):
+        raise AssertionError("the factor's L was read")
+
+    @property
+    def U(self):
+        raise AssertionError("the factor's U was read")
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_operator_consumes_the_factor_and_a_later_solve_factors_again(b):
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
+    sys_ = DirichletSystem(mesh, gamma)
+    s = sys_.operator
+    assert "_lu" not in vars(sys_)
+    f = fourier_trace(mesh, 3)
+    assert sys_.solve(f).u.tobytes() == DirichletSystem(mesh, gamma).solve(f).u.tobytes()
+    assert sys_.operator is s and not s.flags.writeable
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_a_system_that_only_solves_never_reads_u(b, monkeypatch):
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    _install_factor_spy(monkeypatch, _SolveOnlyFactor)
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    f = fourier_trace(mesh, 2)
+    assert sys_.solve(f).residual <= 1e-6
+    assert prop21_check(field, background(mesh, 1.0), 1.0, f).passed
+    with pytest.raises(AssertionError, match="U was read"):       # the spy is in place
+        sys_.operator
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])

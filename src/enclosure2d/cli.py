@@ -4,9 +4,9 @@ reconstruction.
 Configuration is a flat sectioned key-value file (INI syntax, see
 ``example_config``); every output file carries provenance lines with the
 config hash, mesh size, and solver tolerance: a header in the text files, and
-the ``provenance`` entry of the operator archives.  Reconstruction commands consume
-only the operator files and the probe configuration, never the mesh interior,
-unless validation mode is switched on.
+the ``provenance`` entry of the operator archive.  Reconstruction commands
+consume only that archive and the probe configuration, never the mesh
+interior, unless validation mode is switched on.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, set before numpy loads: the operator files then keep their
+# One BLAS thread, set before numpy loads: the operator archive then keeps its
 # bytes whatever thread count the environment asks for, and the forked workers
 # of dtn and reconstruct do not oversubscribe the cores they share.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -47,6 +47,9 @@ from .probes import ProbeSpec, ProbeError
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# the operator archive of a dtn run, in the output directory
+DTN_FILE = "dtn.npz"
 
 
 class ConfigError(ValueError):
@@ -173,13 +176,16 @@ def load_config(path) -> ExperimentConfig:
     cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def get(section, key, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
-        return default
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key)
+        try:
+            value = cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+        if cast is float and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+        return value
 
     cfg.domain_radius = get("domain", "radius", float, cfg.domain_radius)
     cfg.mesh_h = get("domain", "mesh_h", float, cfg.mesh_h)
@@ -243,8 +249,7 @@ def load_config(path) -> ExperimentConfig:
     cfg.vertex_count = get("probes", "vertex_count", int, cfg.vertex_count)
     cfg.direction_offset_deg = get("probes", "direction_offset_deg", float,
                                    cfg.direction_offset_deg)
-    if parser.has_option("probes", "t_search"):
-        cfg.t_search = _parse_pair(parser.get("probes", "t_search"))
+    cfg.t_search = get("probes", "t_search", _parse_pair, cfg.t_search)
     if not (0 < cfg.ml_alpha < 1):
         raise ConfigError("[probes] ml_alpha must lie in (0, 1)")
     if cfg.vertex_ring_radius <= cfg.domain_radius:
@@ -277,10 +282,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise ConfigError(f"expected two numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        x, y = map(float, text.replace(",", " ").split())
+    except ValueError:                  # not two parts, or one that is no number
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"expected two finite numbers, got {text!r}")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -362,53 +370,44 @@ def cmd_mesh(cfg: ExperimentConfig) -> int:
 
 
 def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
-    """The perturbed and background operator files, band-limited to the
-    modes |n| <= modes, or full for modes = 0."""
+    """The operator archive DTN_FILE of the perturbed and the background
+    operator, band-limited to the modes |n| <= modes, or full for modes = 0."""
     mesh = _build_mesh(cfg)
     try:
         check_band_limit(modes, len(mesh.boundary_loop))
     except ValueError as exc:
         raise ConfigError(f"--modes: {exc}") from exc
     field = _build_field(cfg, mesh)
-    jobs = (("dtn_perturbed.npz", field),
-            ("dtn_background.npz", AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega)))
+    jobs = (("perturbed", field),
+            ("background", AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega)))
 
     def operator(i: int) -> DtNMatrix:
         name, fld = jobs[i]
         try:
             return assemble_dtn_matrix(mesh, fld, modes)
         except SolverError as exc:
-            raise SolverError(f"{name}: {exc}") from exc
+            raise SolverError(f"{name} operator: {exc}") from exc
 
     # the two systems share only the mesh: one worker factorizes each, with
     # the scipy this process loads once before forking them
     import scipy.sparse.linalg  # noqa: F401
 
-    out = _out(cfg)
-    prov = cfg.provenance()
-    for (name, _), dtn in zip(jobs, _in_workers(operator, len(jobs))):
-        write_dtn(dtn, out / name, provenance=prov)
-        print(f"{name}: {dtn.basis.size} nodes, band limit {modes or 'none'}")
+    pair = tuple(_in_workers(operator, len(jobs)))
+    out = _out(cfg) / DTN_FILE
+    write_dtn(pair, out, provenance=cfg.provenance())
+    print(f"operators: {pair[0].basis.size} nodes, band limit {modes or 'none'} -> {out}")
     return 0
 
 
 def _load_gap(cfg: ExperimentConfig) -> DtNMatrix:
-    """The operator gap of the two operator files, read and checked once."""
-    out = _out(cfg)
-    paths = (out / "dtn_perturbed.npz", out / "dtn_background.npz")
-    pair = []
-    for p in paths:
-        if not p.exists():
-            raise ConfigError(f"missing operator file {p}; run the dtn command first")
-        try:
-            pair.append(read_dtn(p))
-        except SolverError as exc:
-            raise ConfigError(f"cannot read operator file {p}: {exc}") from exc
+    """The operator gap of the dtn run's archive."""
+    path = _out(cfg) / DTN_FILE
+    if not path.exists():
+        raise ConfigError(f"missing operator file {path}; run the dtn command first")
     try:
-        return gap_matrix(tuple(pair))
+        return gap_matrix(read_dtn(path))
     except SolverError as exc:
-        raise ConfigError(f"{paths[0]} and {paths[1]} are not one dtn run's pair: "
-                          f"{exc}") from exc
+        raise ConfigError(f"cannot read operator file {path}: {exc}") from exc
 
 
 def cmd_indicate(cfg: ExperimentConfig) -> int:

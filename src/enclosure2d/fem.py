@@ -20,8 +20,8 @@ through the same real factor.  A system forms and checks S only when S is
 first asked for, and each solve checks its interior residual.
 
 Only assembly and factorization need scipy.sparse, and they import it where
-they run: a process that reads operator files and evaluates probes never
-loads scipy.
+they run: a process that reads the operator archive and evaluates probes
+never loads scipy.
 
 Traces are discretized in one basis, the nodal one: a trace's coefficients
 are its boundary-node values, so expanding a trace is exact.  A measurement
@@ -311,9 +311,10 @@ def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DtNMatrix:
     """Bilinear boundary-operator matrix B[j, k] = <L phi_j, phi_k> over the
-    nodal basis (no conjugation; complex symmetric for symmetric coefficient
-    fields), band-limited to the modes |n| <= ``modes``, or the full operator
-    for modes = 0.  ``scale`` is the largest entry magnitude of the operators
+    nodal basis (no conjugation; symmetric for symmetric coefficient fields),
+    band-limited to the modes |n| <= ``modes``, or the full operator for
+    modes = 0: assembled, float64 for the full operator of a real coefficient,
+    else complex128.  ``scale`` is the largest entry magnitude of the operators
     the matrix comes from, its own unless given: their entries carry roundoff
     of order eps * scale, which for a gap can be far above eps times its own
     entries."""
@@ -358,12 +359,12 @@ def band_limited(matrix: np.ndarray, thetas: np.ndarray, modes: int) -> np.ndarr
 def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
                         system: Optional[DirichletSystem] = None) -> DtNMatrix:
     """B[j, k] = <L phi_j, phi_k> = phi_k^T S phi_j over the nodal basis, read
-    off the boundary operator S of the system: S^T, or for modes >= 1 its
-    ``band_limited`` form."""
+    off the boundary operator S of the system: S^T, in S's own arithmetic, or
+    for modes >= 1 its complex ``band_limited`` form."""
     basis = nodal_basis_for_mesh(mesh)
     sys_ = system or DirichletSystem(mesh, complex_admittivity(field))
     b = (band_limited(sys_.operator.T, basis.thetas, modes) if modes
-         else np.ascontiguousarray(sys_.operator.T, dtype=complex))
+         else np.ascontiguousarray(sys_.operator.T))
     return DtNMatrix(basis=basis, omega=field.omega, matrix=b, mesh_h=mesh.h, modes=modes)
 
 
@@ -392,30 +393,14 @@ def analytic_two_layer_dtn(rho: float, k: complex, n: int) -> complex:
 DtnPair = tuple[DtNMatrix, DtNMatrix]
 
 
-def check_pair(pair: DtnPair) -> None:
-    """SolverError naming the first field in which the operators of a
-    (perturbed, background) pair differ: both come from one mesh, one
-    frequency and one band limit, so modes, radius, omega, mesh size and node
-    angles must all agree."""
-    b1, b0 = pair
-    for name, v1, v0 in (("modes", b1.modes, b0.modes),
-                         ("radius", b1.basis.radius, b0.basis.radius),
-                         ("omega", b1.omega, b0.omega),
-                         ("mesh_h", b1.mesh_h, b0.mesh_h)):
-        if v1 != v0:
-            raise SolverError(f"operator pair differs in {name}: {v1} against {v0}")
-    if not np.array_equal(b1.basis.thetas, b0.basis.thetas):
-        raise SolverError("operator pair differs in its node angles")
-
-
 def gap_matrix(pair: DtnPair) -> DtNMatrix:
-    """The operator gap L1 - L0 of a (perturbed, background) pair that passes
-    ``check_pair``, in their basis, with the larger of their scales; its
-    matrix is real when both operators are."""
-    check_pair(pair)
+    """The operator gap L1 - L0 of a (perturbed, background) pair from one
+    mesh, frequency and band limit, as ``read_dtn`` gives it, in their basis
+    and with the larger of their scales; its matrix is real when its
+    imaginary part is zero, as when both operators are real."""
     b1, b0 = pair
     gap = b1.matrix - b0.matrix
-    return replace(b1, matrix=gap if gap.imag.any() else gap.real.copy(),
+    return replace(b1, matrix=gap if gap.imag.any() else np.ascontiguousarray(gap.real),
                    scale=max(b1.scale, b0.scale))
 
 
@@ -517,35 +502,42 @@ def prop21_check(field1: AdmittivityField, field2: AdmittivityField,
 # Operator-matrix exchange format
 
 
-DTN_FORMAT = "enclosure2d dtn v3"
+DTN_FORMAT = "enclosure2d dtn v4"
 
-# each archive entry's dtype kind, item size in bytes (0: any) and dimensions
-_DTN_ENTRIES = {"format": ("U", 0, 0), "provenance": ("U", 0, 1), "modes": ("i", 8, 0),
-                "n_nodes": ("i", 8, 0), "omega": ("f", 8, 0), "h": ("f", 8, 0),
-                "radius": ("f", 8, 0), "thetas": ("f", 8, 1), "matrix": ("c", 16, 2)}
+# the archive's two operator matrices, in the order of a DtnPair
+_DTN_MATRICES = ("perturbed", "background")
+# each archive entry's dtypes ("U": a str of any length) and dimensions
+_DTN_ENTRIES = {"format": ("U", 0), "provenance": ("U", 1), "modes": ("i8", 0),
+                "n_nodes": ("i8", 0), "omega": ("f8", 0), "h": ("f8", 0), "radius": ("f8", 0),
+                "thetas": ("f8", 1), "perturbed": ("f8 c16", 2), "background": ("f8 c16", 2)}
 
 
-def write_dtn(dtn: DtNMatrix, path, provenance: Optional[dict] = None) -> None:
-    """One uncompressed numpy .npz archive (see ``numpy.lib.format``): the
-    ``format`` tag DTN_FORMAT, the header (``modes`` the band limit N, 0 for
-    the full operator, ``n_nodes``, ``omega``, ``h`` the mesh size,
-    ``radius``), ``provenance`` as 'key: value' lines, the float64 node angles
-    ``thetas`` and the complex128 nodal ``matrix``.  The bytes depend only on
-    these values: zip entries carry a fixed timestamp."""
-    b = dtn.basis
+def write_dtn(pair: DtnPair, path, provenance: Optional[dict] = None) -> None:
+    """A (perturbed, background) pair from one mesh, frequency and band limit
+    as one uncompressed numpy .npz archive (see ``numpy.lib.format``): the
+    ``format`` tag DTN_FORMAT, the header once, from the perturbed operator
+    (``modes`` the band limit N, 0 for the full operator, ``n_nodes``,
+    ``omega``, ``h`` the mesh size, ``radius``), ``provenance`` as
+    'key: value' lines, the float64 node angles ``thetas``, and the
+    ``perturbed`` and ``background`` nodal matrices, each float64 or
+    complex128 as assembled.  The bytes depend only on these values: zip
+    entries carry a fixed timestamp."""
+    b1, b0 = pair
+    basis = b1.basis
     lines = np.array([f"{key}: {val}" for key, val in (provenance or {}).items()], dtype=str)
     # through a file object, which np.savez does not rename to end in .npz
     with open(path, "wb") as f:
-        np.savez(f, format=DTN_FORMAT, provenance=lines, modes=np.int64(dtn.modes),
-                 n_nodes=np.int64(b.size), omega=np.float64(dtn.omega),
-                 h=np.float64(dtn.mesh_h), radius=np.float64(b.radius), thetas=b.thetas,
-                 matrix=np.asarray(dtn.matrix, dtype=complex))
+        np.savez(f, format=DTN_FORMAT, provenance=lines, modes=np.int64(b1.modes),
+                 n_nodes=np.int64(basis.size), omega=np.float64(b1.omega),
+                 h=np.float64(b1.mesh_h), radius=np.float64(basis.radius),
+                 thetas=basis.thetas, perturbed=b1.matrix, background=b0.matrix)
 
 
-def read_dtn(path) -> DtNMatrix:
+def read_dtn(path) -> DtnPair:
     """Inverse of ``write_dtn``, loaded without unpickling.  A file that is not
     such an archive, is of another format version, or whose entries are
-    missing, mistyped, misshapen, non-finite or inconsistent, raises
+    missing, mistyped (a matrix neither float64 nor complex128 among them),
+    misshapen, non-finite or inconsistent, raises
     SolverError("corrupt operator file: ...")."""
     import tokenize
     import zipfile
@@ -568,11 +560,12 @@ def read_dtn(path) -> DtNMatrix:
         except (OSError, EOFError, ValueError, KeyError, NotImplementedError,
                 zipfile.BadZipFile, tokenize.TokenError) as exc:
             raise SolverError(f"corrupt operator file: {exc}") from exc
-    for name, (kind, size, ndim) in _DTN_ENTRIES.items():
+    for name, (dtypes, ndim) in _DTN_ENTRIES.items():
         a = z[name]
-        if a.dtype.kind != kind or (size and a.dtype.itemsize != size) or a.ndim != ndim:
+        dtype = "U" if a.dtype.kind == "U" else a.dtype.str[1:]      # '<c16': 'c16'
+        if dtype not in dtypes.split() or a.ndim != ndim:
             raise SolverError(f"corrupt operator file: entry {name!r} is {a.ndim}-d {a.dtype}")
-    thetas, matrix = z["thetas"], z["matrix"]
+    thetas = z["thetas"]
     omega, h, radius = float(z["omega"]), float(z["h"]), float(z["radius"])
     if not (np.isfinite([omega, h, radius]).all() and np.isfinite(thetas).all()):
         raise SolverError("corrupt operator file: non-finite omega, h, radius or node angle")
@@ -585,10 +578,12 @@ def read_dtn(path) -> DtNMatrix:
         check_band_limit(int(z["modes"]), nb)
     except ValueError as exc:
         raise SolverError(f"corrupt operator file: {exc}") from exc
-    if matrix.shape != (nb, nb):
-        raise SolverError(f"corrupt operator file: a {matrix.shape} matrix, expected "
-                          f"{nb} x {nb}")
-    if not np.isfinite(matrix).all():
-        raise SolverError("corrupt operator file: non-finite operator entry")
-    return DtNMatrix(basis=BoundaryBasis(thetas=thetas, radius=radius), omega=omega,
-                     matrix=matrix, mesh_h=h, modes=int(z["modes"]))
+    for name in _DTN_MATRICES:
+        if z[name].shape != (nb, nb):
+            raise SolverError(f"corrupt operator file: a {z[name].shape} {name} matrix, "
+                              f"expected {nb} x {nb}")
+        if not np.isfinite(z[name]).all():
+            raise SolverError(f"corrupt operator file: non-finite {name} operator entry")
+    basis = BoundaryBasis(thetas=thetas, radius=radius)
+    return tuple(DtNMatrix(basis=basis, omega=omega, matrix=z[name], mesh_h=h,
+                           modes=int(z["modes"])) for name in _DTN_MATRICES)

@@ -1,7 +1,10 @@
-"""Operator archives rewritten for tests: a written file's entries changed,
+"""Operator archives rewritten for tests: a written archive's entries changed,
 dropped or damaged, and saved again."""
 
 import numpy as np
+
+# the archive's two matrix entries, as a DtnPair orders them
+MATRICES = ("perturbed", "background")
 
 
 def entries(path) -> dict:
@@ -17,45 +20,64 @@ def rewrite(path, drop=(), **changes) -> None:
         np.savez(f, **e)
 
 
-def _flip_matrix_byte(path):
+def _entry_start(raw, name):
+    # an entry's local file header, which holds its name ahead of its data
+    return raw.index(f"{name}.npy".encode())
+
+
+def _flip_matrix_byte(path, name):
     raw = bytearray(path.read_bytes())
-    m = entries(path)["matrix"].tobytes()
-    raw[raw.index(m) + len(m) // 2] ^= 0xFF
+    m = entries(path)[name].tobytes()
+    raw[raw.index(m, _entry_start(raw, name)) + len(m) // 2] ^= 0xFF
     path.write_bytes(bytes(raw))
 
 
-def _flip_matrix_header(path):
+def _flip_matrix_header(path, name):
     # the opening brace of the matrix's .npy header dictionary
     raw = bytearray(path.read_bytes())
-    raw[raw.index(b"{'descr'", raw.index(b"matrix.npy"))] ^= 0xFF
+    raw[raw.index(b"{'descr'", _entry_start(raw, name))] ^= 0xFF
     path.write_bytes(bytes(raw))
 
 
-def _v1_text(path):
+def _v1_text(path, _):
     path.write_text("# enclosure2d dtn v1\nnodal 2 0 0.1 2 1\n0 3.14\n"
                     "1 0 -1 0\n-1 0 1 0\n")
 
 
-def _v2_archive(path):
-    # the layout before band limits: a basis kind and n_param, no modes entry
+def _v3_archive(path, name):
+    # one archive per operator: the header and its complex128 ``matrix``
+    rewrite(path, drop=MATRICES, format="enclosure2d dtn v3",
+            matrix=entries(path)[name].astype(complex))
+
+
+def _v2_archive(path, name):
+    # the v3 layout before band limits: a basis kind and n_param, no modes entry
+    _v3_archive(path, name)
     rewrite(path, drop=("modes",), format="enclosure2d dtn v2", kind="nodal",
             n_param=entries(path)["n_nodes"])
 
 
-def _matrix(path):
-    return entries(path)["matrix"]
+def _matrix(path, name):
+    return entries(path)[name]
 
 
-# name -> a damage done to a written operator file that read_dtn must reject
+def _single(a):
+    # the same kind in single precision
+    return a.astype(np.complex64 if np.iscomplexobj(a) else np.float32)
+
+
+# name -> a damage done to a written archive, to its named matrix or to the
+# whole file, that read_dtn must reject
 CORRUPTIONS = {
-    "empty": lambda p: p.write_bytes(b""),
+    "empty": lambda p, _: p.write_bytes(b""),
     "flipped byte": _flip_matrix_byte,
     "array header": _flip_matrix_header,
     "v1 text": _v1_text,
-    "missing entry": lambda p: rewrite(p, drop=("matrix",)),
-    "object entry": lambda p: rewrite(p, matrix=_matrix(p).astype(object)),
-    "wrong shape": lambda p: rewrite(p, matrix=_matrix(p)[:, :-1]),
-    "wrong dtype": lambda p: rewrite(p, matrix=_matrix(p).real),
-    "format tag": lambda p: rewrite(p, format="enclosure2d dtn v4"),
+    "missing entry": lambda p, m: rewrite(p, drop=(m,)),
+    "object entry": lambda p, m: rewrite(p, **{m: _matrix(p, m).astype(object)}),
+    "wrong shape": lambda p, m: rewrite(p, **{m: _matrix(p, m)[:, :-1]}),
+    "wrong dtype": lambda p, m: rewrite(p, **{m: _single(_matrix(p, m))}),
+    "format tag": lambda p, _: rewrite(p, format="enclosure2d dtn v5"),
     "v2 archive": _v2_archive,
+    "v3 archive": _v3_archive,
 }

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from enclosure2d.indicator import j_oracle, transition_search_ml
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLAccuracyWarning, MLParams, ml_eval, sectors
 from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
-from dtn_archive import CORRUPTIONS, entries, rewrite
+from dtn_archive import CORRUPTIONS, MATRICES, entries, rewrite
 from indicator_csv import read_indicator_csv
 
 BASE_CONFIG = """\
@@ -130,6 +131,15 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     bad = _write(tmp_path, "[probes]\nfamily = mittag_leffler\nvertex_count = 0\n", "cone.cfg")
     assert main(["reconstruct", "--config", bad]) == 2
     assert "[probes] need at least 1 cone vertex" in capsys.readouterr().err
+    # formerly an uncaught ValueError (exit 1), mesh's exit 0 and dtn's exit 3
+    # on a nan stiffness matrix, and mesh's exit 0 after a numpy warning
+    for k, (text, message) in enumerate([
+            ("[probes]\nt_search = a b\n", "[probes] t_search: cannot parse 'a b'"),
+            ("[coefficients]\nomega = nan\n", "[coefficients] omega: 'nan' is not a finite"),
+            ("[probes]\ntau_min = inf\n", "[probes] tau_min: 'inf' is not a finite")]):
+        bad = _write(tmp_path, text, f"number{k}.cfg")
+        assert main(["mesh", "--config", bad]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def _advisories(caught) -> list[str]:
@@ -183,8 +193,7 @@ def test_dtn_indicate_reconstruct_pipeline(tmp_path, capsys):
         assert main(["dtn", "--config", cfg]) == 0
         assert main(["indicate", "--config", cfg]) == 0
         assert main(["reconstruct", "--config", cfg]) == 0
-    pert = read_dtn(out / "dtn_perturbed.npz")
-    back = read_dtn(out / "dtn_background.npz")
+    pert, back = read_dtn(out / "dtn.npz")
     assert pert.modes == back.modes == 0
     assert pert.matrix.shape == back.matrix.shape == (pert.basis.size,) * 2
     rows = read_indicator_csv(out / "indicators.csv")
@@ -221,27 +230,28 @@ def test_indicate_rerun_is_byte_identical(tmp_path):
 
 def test_dtn_files_are_byte_identical_and_load_without_the_package(tmp_path, monkeypatch):
     # a second run with the clock moved on writes the same bytes, and bare
-    # numpy reads the archive back with this package neither on the path nor
-    # imported
+    # numpy reads both matrices back with this package neither on the path
+    # nor imported
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=tmp_path / "out"))
-    names = ("dtn_perturbed.npz", "dtn_background.npz")
     runs = []
     for out in (tmp_path / "a", tmp_path / "b"):
         assert main(["dtn", "--config", cfg, "--out", str(out)]) == 0
-        runs.append([(out / name).read_bytes() for name in names])
+        runs.append((out / "dtn.npz").read_bytes())
         monkeypatch.setattr("time.time", lambda: 2e9)
     assert runs[0] == runs[1]
-    path = tmp_path / "a" / names[0]
+    path = tmp_path / "a" / "dtn.npz"
     script = ("import hashlib, sys, numpy as np\n"
               "z = np.load(sys.argv[1], allow_pickle=False)\n"
-              "print(z['format'], hashlib.sha256(z['matrix'].tobytes()).hexdigest(),\n"
+              "print(z['format'], *(f'{z[m].dtype}:{hashlib.sha256(z[m].tobytes()).hexdigest()}'\n"
+              "                     for m in ('perturbed', 'background')),\n"
               "      'enclosure2d' in sys.modules)\n")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "-c", script, str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256(read_dtn(path).matrix.tobytes()).hexdigest()
-    assert proc.stdout.split() == ["enclosure2d", "dtn", "v3", digest, "False"]
+    digests = [f"float64:{hashlib.sha256(b.matrix.tobytes()).hexdigest()}"
+               for b in read_dtn(path)]
+    assert proc.stdout.split() == ["enclosure2d", "dtn", "v4", *digests, "False"]
 
 
 def test_indicate_missing_upstream_fails(tmp_path):
@@ -253,10 +263,10 @@ def test_indicate_truncated_operator_file_fails(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    pert = out / "dtn_perturbed.npz"
-    pert.write_bytes(pert.read_bytes()[:-100])
+    path = out / "dtn.npz"
+    path.write_bytes(path.read_bytes()[:-100])
     assert main(["indicate", "--config", cfg]) == 2
-    assert "dtn_perturbed.npz" in capsys.readouterr().err
+    assert "dtn.npz" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
@@ -264,43 +274,71 @@ def test_indicate_damaged_operator_file_fails(tmp_path, capsys, damage):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    damage(out / "dtn_background.npz")
-    assert main(["indicate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "dtn_background.npz" in err and "corrupt operator file" in err
+    path = out / "dtn.npz"
+    written = path.read_bytes()
+    for name in MATRICES:
+        path.write_bytes(written)
+        damage(path, name)
+        capsys.readouterr()
+        assert main(["indicate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "dtn.npz" in err and "corrupt operator file" in err
 
 
 def test_indicate_non_numeric_operator_entry_fails(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    back = out / "dtn_background.npz"
-    rewrite(back, matrix=entries(back)["matrix"].astype(str))      # same shape
+    path = out / "dtn.npz"
+    rewrite(path, background=entries(path)["background"].astype(str))      # same shape
     assert main(["indicate", "--config", cfg]) == 2
-    assert "dtn_background.npz" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dtn.npz" in err and "entry 'background'" in err
 
 
 def test_indicate_operator_file_above_alias_limit_fails(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "4"]) == 0
-    pert = out / "dtn_perturbed.npz"
-    n = len(read_dtn(pert).basis.thetas) // 8 + 1       # a consistent file, one mode too many
-    rewrite(pert, modes=np.int64(n))
+    path = out / "dtn.npz"
+    n = len(read_dtn(path)[0].basis.thetas) // 8 + 1    # a consistent file, one mode too many
+    rewrite(path, modes=np.int64(n))
     assert main(["indicate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "dtn_perturbed.npz" in err and "aliasing limit" in err
+    assert "dtn.npz" in err and "aliasing limit" in err
 
 
 def test_indicate_v2_operator_file_asks_for_a_new_dtn_run(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    CORRUPTIONS["v2 archive"](out / "dtn_perturbed.npz")
+    CORRUPTIONS["v2 archive"](out / "dtn.npz", "perturbed")
     assert main(["indicate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "dtn_perturbed.npz" in err and "format enclosure2d dtn v2" in err
+    assert "dtn.npz" in err and "format enclosure2d dtn v2" in err
     assert "needs a new dtn run" in err
+
+
+def test_indicate_v3_operator_files_ask_for_a_new_dtn_run(tmp_path, capsys):
+    # v3 wrote one archive per operator: named dtn.npz, such an archive is of
+    # another format, and the two files of the old layout are not read at all
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
+    assert main(["dtn", "--config", cfg]) == 0
+    path = out / "dtn.npz"
+    for name in MATRICES:
+        shutil.copy(path, out / f"dtn_{name}.npz")
+        CORRUPTIONS["v3 archive"](out / f"dtn_{name}.npz", name)
+    shutil.copy(out / "dtn_perturbed.npz", path)
+    capsys.readouterr()
+    assert main(["indicate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "dtn.npz" in err and "format enclosure2d dtn v3" in err
+    assert "needs a new dtn run" in err
+    path.unlink()
+    assert main(["indicate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"error: missing operator file {path}; "
+                                       "run the dtn command first\n")
 
 
 @pytest.mark.parametrize("command", ["indicate", "reconstruct"])
@@ -308,33 +346,16 @@ def test_non_finite_operator_entry_fails(tmp_path, capsys, command):
     out = tmp_path / "out"
     cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
     assert main(["dtn", "--config", cfg]) == 0
-    pert = out / "dtn_perturbed.npz"
-    matrix = entries(pert)["matrix"]
-    matrix[-1, 0] = np.nan
-    rewrite(pert, matrix=matrix)
-    assert main([command, "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "dtn_perturbed.npz" in err and "non-finite" in err
-
-
-def _retag_background(out, name, value):
-    rewrite(out / "dtn_background.npz", **{name: np.float64(value)})
-
-
-@pytest.mark.parametrize("field, tamper", [
-    ("radius", lambda out: _retag_background(out, "radius", 2.0)),
-    ("omega", lambda out: _retag_background(out, "omega", 7.0)),
-    ("modes", lambda out: rewrite(out / "dtn_background.npz", modes=np.int64(0))),
-], ids=["radius", "omega", "modes"])
-def test_indicate_rejects_a_mismatched_operator_pair(tmp_path, capsys, field, tamper):
-    # each file reads on its own, but the two do not come from one dtn run
-    out = tmp_path / "out"
-    cfg = _write(tmp_path, EMPTY_CONFIG.format(out=out))
-    assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "4"]) == 0
-    tamper(out)
-    assert main(["indicate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"differs in {field}" in err
+    path = out / "dtn.npz"
+    written = entries(path)
+    for name in MATRICES:
+        matrix = written[name].copy()
+        matrix[-1, 0] = np.nan
+        rewrite(path, **(written | {name: matrix}))
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "dtn.npz" in err and f"non-finite {name} operator entry" in err
 
 
 @pytest.mark.parametrize("argv", [["indicate", "--threads", "2"], ["mesh", "--seed", "1"],
@@ -480,7 +501,7 @@ def test_reconstruct_two_layer_hull_fourier_basis(tmp_path, capsys, b, omega):
         warnings.simplefilter("ignore")
         assert main(["dtn", "--config", cfg, "--basis", "fourier", "--modes", "16"]) == 0
         assert main(["reconstruct", "--config", cfg, "--validate"]) == 0
-    pert = read_dtn(out / "dtn_perturbed.npz")
+    pert, _ = read_dtn(out / "dtn.npz")
     assert (pert.modes, pert.omega) == (16, omega)
     _assert_two_layer_hull(out, capsys.readouterr().out)
 
@@ -635,16 +656,18 @@ def test_only_the_solver_commands_load_scipy(tmp_path):
 
 
 def test_dtn_workers_give_the_in_process_operators(tmp_path):
-    # bit for bit, for a complex and a real system
+    # bit for bit and in their own arithmetic, for a complex and a real system
     path = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
     assert main(["dtn", "--config", path]) == 0
     cfg = load_config(path)
     mesh = cli._build_mesh(cfg)
     field = cli._build_field(cfg, mesh)
     background = AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega)
-    for name, fld in (("dtn_perturbed.npz", field), ("dtn_background.npz", background)):
-        written = read_dtn(tmp_path / "out" / name).matrix
-        assert written.tobytes() == assemble_dtn_matrix(mesh, fld).matrix.tobytes(), name
+    written = read_dtn(tmp_path / "out" / "dtn.npz")
+    for name, b, fld in zip(MATRICES, written, (field, background), strict=True):
+        ref = assemble_dtn_matrix(mesh, fld).matrix
+        assert b.matrix.dtype == ref.dtype and b.matrix.tobytes() == ref.tobytes(), name
+    assert [b.matrix.dtype for b in written] == [complex, float]
 
 
 def test_reconstruct_workers_give_the_serial_searches(tmp_path, capsys, monkeypatch):
@@ -717,7 +740,7 @@ finally:
 
 @pytest.mark.parametrize("fault", ["raise", "kill"])
 def test_a_failed_dtn_worker_ends_the_command(tmp_path, fault):
-    # a SolverError in a worker exits 3 naming the operator file, a killed
+    # a SolverError in a worker exits 3 naming the operator, a killed
     # worker exits nonzero; neither hangs, writes an operator file or leaves
     # a child behind
     out = tmp_path / "out"
@@ -727,7 +750,7 @@ def test_a_failed_dtn_worker_ends_the_command(tmp_path, fault):
                           timeout=120)
     if fault == "raise":
         assert proc.returncode == 3
-        assert proc.stderr == ("numerical failure: dtn_background.npz: "
+        assert proc.stderr == ("numerical failure: background operator: "
                                "injected singular system\n")
     else:
         assert proc.returncode != 0 and "BrokenProcessPool" in proc.stderr
@@ -749,8 +772,7 @@ def test_dtn_bytes_do_not_follow_the_blas_threads(tmp_path):
                                "--out", str(out)], cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        runs.append([(out / name).read_bytes()
-                     for name in ("dtn_perturbed.npz", "dtn_background.npz")])
+        runs.append((out / "dtn.npz").read_bytes())
     assert runs[0] == runs[1]
 
 

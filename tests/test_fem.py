@@ -13,7 +13,7 @@ from enclosure2d.fem import (DTN_FORMAT, BoundaryBasis, DirichletSystem, DtNMatr
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
 from builders import background
-from dtn_archive import CORRUPTIONS, entries, rewrite
+from dtn_archive import CORRUPTIONS, MATRICES, entries, rewrite
 
 
 @pytest.fixture(scope="module")
@@ -297,25 +297,40 @@ def test_fourier_alias_limit():
 
 def test_dtn_file_roundtrip(tmp_path, two_layer):
     mesh, field = two_layer
-    dtn = assemble_dtn_matrix(mesh, field, 3)
+    pair = (assemble_dtn_matrix(mesh, field, 3), assemble_dtn_matrix(mesh, background(mesh), 3))
     path = tmp_path / "dtn.npz"
-    write_dtn(dtn, path, provenance={"config": "abc", "version": "1.0"})
+    write_dtn(pair, path, provenance={"config": "abc", "version": "1.0"})
     assert entries(path)["format"] == DTN_FORMAT
     assert entries(path)["provenance"].tolist() == ["config: abc", "version: 1.0"]
-    back = read_dtn(path)
-    assert back.modes == 3
-    assert back.matrix.shape == (len(mesh.boundary_loop),) * 2
-    assert back.omega == dtn.omega
-    assert back.basis.radius == 1.0
-    assert np.array_equal(back.matrix, dtn.matrix)
-    assert np.array_equal(back.basis.thetas, dtn.basis.thetas)
+    for back, dtn in zip(read_dtn(path), pair, strict=True):
+        assert back.modes == 3
+        assert back.matrix.shape == (len(mesh.boundary_loop),) * 2
+        assert back.omega == dtn.omega
+        assert back.basis.radius == 1.0
+        assert np.array_equal(back.matrix, dtn.matrix)
+        assert np.array_equal(back.basis.thetas, dtn.basis.thetas)
+
+
+def test_dtn_file_keeps_each_operators_arithmetic(tmp_path):
+    # the full operators of a real coefficient are float64; a complex
+    # coefficient's is complex128, and so is every band-limited operator
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    path = tmp_path / "dtn.npz"
+    for b, modes, dtypes in ((0.0, 0, ("float64", "float64")),
+                             (0.5, 0, ("complex128", "float64")),
+                             (0.0, 2, ("complex128", "complex128"))):
+        field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+        write_dtn((assemble_dtn_matrix(mesh, field, modes),
+                   assemble_dtn_matrix(mesh, background(mesh, 1.0), modes)), path)
+        assert tuple(str(entries(path)[name].dtype) for name in MATRICES) == dtypes
+        assert tuple(str(back.matrix.dtype) for back in read_dtn(path)) == dtypes
 
 
 def test_truncated_dtn_file_rejected(tmp_path, two_layer):
     mesh, field = two_layer
     dtn = assemble_dtn_matrix(mesh, field, 3)
     path = tmp_path / "dtn.npz"
-    write_dtn(dtn, path)
+    write_dtn((dtn, dtn), path)
     raw = path.read_bytes()
     for keep in (len(raw) - 1, len(raw) // 2, 10):
         path.write_bytes(raw[:keep])
@@ -325,25 +340,30 @@ def test_truncated_dtn_file_rejected(tmp_path, two_layer):
 
 @pytest.mark.parametrize("damage", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
 def test_damaged_dtn_file_rejected(tmp_path, damage):
-    # 18 nodes: a matrix entry past zipfile's 4 KB read-ahead, so that its array
-    # header is parsed before the entry's CRC-32 is checked
-    basis = BoundaryBasis(thetas=np.linspace(-math.pi, math.pi, 18, endpoint=False))
+    # a complex perturbed and a real background matrix, each damaged in turn;
+    # 24 nodes: each matrix entry past zipfile's 4 KB read-ahead, so that its
+    # array header is parsed before the entry's CRC-32 is checked
+    basis = BoundaryBasis(thetas=np.linspace(-math.pi, math.pi, 24, endpoint=False))
+    matrix = np.arange(576.0).reshape(24, 24)
+    pair = tuple(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1, matrix=m)
+                 for m in (matrix + 1j, matrix))
     path = tmp_path / "dtn.npz"
-    write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
-                        matrix=np.arange(324.0).reshape(18, 18) + 1j), path)
-    damage(path)
-    with pytest.raises(SolverError, match="corrupt operator file"):
-        read_dtn(path)
+    for name in MATRICES:
+        write_dtn(pair, path)
+        damage(path, name)
+        with pytest.raises(SolverError, match="corrupt operator file"):
+            read_dtn(path)
 
 
 def test_flipped_bytes_read_back_unchanged_or_are_rejected(tmp_path):
     # a flip in a zip field that the loader does not check leaves every value
     # as written, and any other flip is a SolverError; every ninth byte
     basis = BoundaryBasis(thetas=[0.0, 2.0])
-    dtn = DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
-                    matrix=np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex))
+    matrix = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    pair = tuple(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1, matrix=m)
+                 for m in (matrix * (1 + 2j), matrix))
     path = tmp_path / "dtn.npz"
-    write_dtn(dtn, path, provenance={"config": "abc"})
+    write_dtn(pair, path, provenance={"config": "abc"})
     raw = path.read_bytes()
     rejected = 0
     for i in range(0, len(raw), 9):
@@ -354,8 +374,9 @@ def test_flipped_bytes_read_back_unchanged_or_are_rejected(tmp_path):
             assert str(exc).startswith("corrupt operator file")
             rejected += 1
             continue
-        assert np.array_equal(back.matrix, dtn.matrix) and back.omega == dtn.omega
-        assert np.array_equal(back.basis.thetas, basis.thetas)
+        for b, dtn in zip(back, pair, strict=True):
+            assert np.array_equal(b.matrix, dtn.matrix) and b.matrix.dtype == dtn.matrix.dtype
+            assert b.omega == dtn.omega and np.array_equal(b.basis.thetas, basis.thetas)
     assert rejected > len(raw) // 18
 
 
@@ -364,10 +385,11 @@ def test_dtn_file_above_alias_limit_rejected(tmp_path):
     basis = BoundaryBasis(thetas=np.linspace(-math.pi, math.pi, 40, endpoint=False))
     path = tmp_path / "dtn.npz"
     for n in (5, 6):
-        write_dtn(DtNMatrix(basis=basis, omega=0.0, mesh_h=0.1,
-                            matrix=np.eye(40, dtype=complex), modes=n), path)
+        dtn = DtNMatrix(basis=basis, omega=0.0, mesh_h=0.1, matrix=np.eye(40, dtype=complex),
+                        modes=n)
+        write_dtn((dtn, dtn), path)
         if n == 5:
-            assert read_dtn(path).modes == 5
+            assert [b.modes for b in read_dtn(path)] == [5, 5]
     with pytest.raises(SolverError, match="corrupt operator file: band limit N = 6 is "
                                           "negative or exceeds the aliasing limit 5"):
         read_dtn(path)
@@ -377,18 +399,24 @@ def test_dtn_file_with_non_finite_or_inconsistent_fields_rejected(tmp_path):
     thetas = np.linspace(-math.pi, math.pi, 8, endpoint=False)
     basis = BoundaryBasis(thetas=thetas)
     path = tmp_path / "dtn.npz"
-    write_dtn(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1,
-                        matrix=np.eye(8, dtype=complex), modes=1), path)
+    pair = tuple(DtNMatrix(basis=basis, omega=0.5, mesh_h=0.1, matrix=m, modes=1)
+                 for m in (np.eye(8, dtype=complex), np.eye(8)))
+    write_dtn(pair, path)
     good = entries(path)
-    assert read_dtn(path).basis.size == 8
-    entry, angle = good["matrix"].copy(), good["thetas"].copy()
-    entry[0, 0], angle[0] = complex(0.0, np.nan), np.inf
-    corrupt = {"entry": {"matrix": entry}, "angle": {"thetas": angle},
+    assert [b.basis.size for b in read_dtn(path)] == [8, 8]
+    angle = good["thetas"].copy()
+    angle[0] = np.inf
+    corrupt = {"angle": {"thetas": angle},
                "node count": {"n_nodes": np.int64(5)},
                "no nodes": {"modes": np.int64(0), "n_nodes": np.int64(0),
-                            "thetas": np.zeros(0), "matrix": np.zeros((0, 0), complex)},
+                            "thetas": np.zeros(0), "perturbed": np.zeros((0, 0), complex),
+                            "background": np.zeros((0, 0))},
                "negative modes": {"modes": np.int64(-1)},
                "float modes": {"modes": np.float64(1.0)}}
+    for name, bad in zip(MATRICES, (complex(0.0, np.nan), np.inf)):
+        entry = good[name].copy()
+        entry[0, 0] = bad
+        corrupt[f"{name} entry"] = {name: entry}
     for name in ("omega", "h", "radius"):
         corrupt[name] = {name: np.float64(np.nan)}
     for name, changes in corrupt.items():
@@ -626,12 +654,14 @@ def test_dtn_file_roundtrip_is_bit_exact(tmp_path):
     matrix = np.empty((4, 4), dtype=complex)
     matrix.real, matrix.imag = m[:16].reshape(4, 4), m[16:].reshape(4, 4)
     basis = BoundaryBasis(thetas=np.array([-0.0, 1.0 / 3.0, -3.0, 5e-324]))
-    dtn = DtNMatrix(basis=basis, omega=0.25, matrix=matrix, mesh_h=0.1)
+    real = m[:16].reshape(4, 4)
+    pair = tuple(DtNMatrix(basis=basis, omega=0.25, matrix=a, mesh_h=0.1)
+                 for a in (matrix, real))
     path = tmp_path / "dtn.npz"
-    write_dtn(dtn, path)
-    back = read_dtn(path)
-    assert np.array_equal(back.matrix.view(np.uint64), matrix.view(np.uint64))
-    assert np.array_equal(back.basis.thetas.view(np.uint64), basis.thetas.view(np.uint64))
+    write_dtn(pair, path)
+    for back, a in zip(read_dtn(path), (matrix, real), strict=True):
+        assert np.array_equal(back.matrix.view(np.uint64), a.view(np.uint64))
+        assert np.array_equal(back.basis.thetas.view(np.uint64), basis.thetas.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", ["cgo", "mittag_leffler"])

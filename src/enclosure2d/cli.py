@@ -175,10 +175,10 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
+    def get(section, key, cast, default=None, required=False):
+        if not (required or parser.has_option(section, key)):
             return default
-        raw = parser.get(section, key)
+        raw = parser.get(section, key)      # NoOptionError if a required key is missing
         try:
             value = cast(raw)
         except ValueError as exc:
@@ -203,21 +203,22 @@ def load_config(path) -> ExperimentConfig:
         if kind == "none":
             cfg.inclusion = None
         else:
-            center = _parse_pair(parser.get("inclusion", "center", fallback="0 0"))
+            center = get("inclusion", "center", _parse_pair, (0.0, 0.0))
             try:
                 if kind == "disk":
-                    cfg.inclusion = ShapeSpec.disk(center, float(parser.get("inclusion", "radius")))
+                    cfg.inclusion = ShapeSpec.disk(center, get("inclusion", "radius", float,
+                                                               required=True))
                 elif kind == "ellipse":
-                    axes = _parse_pair(parser.get("inclusion", "semi_axes"))
-                    rot = float(parser.get("inclusion", "rotation", fallback="0"))
-                    cfg.inclusion = ShapeSpec.ellipse(center, axes, rot)
+                    cfg.inclusion = ShapeSpec.ellipse(
+                        center, get("inclusion", "semi_axes", _parse_pair, required=True),
+                        get("inclusion", "rotation", float, 0.0))
                 elif kind == "polygon":
-                    verts = [_parse_pair(p) for p in
-                             parser.get("inclusion", "vertices").split(";") if p.strip()]
+                    verts = get("inclusion", "vertices", lambda text: [
+                        _parse_pair(p) for p in text.split(";") if p.strip()], required=True)
                     cfg.inclusion = ShapeSpec.polygon(np.array(verts))
                 else:
                     raise ConfigError(f"[inclusion] unknown kind {kind!r}")
-            except (MeshError, ValueError, configparser.NoOptionError) as exc:
+            except (MeshError, configparser.NoOptionError) as exc:
                 raise ConfigError(f"[inclusion] {exc}") from exc
 
     cfg.a_value = get("coefficients", "a", float, cfg.a_value)
@@ -388,9 +389,9 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
         except SolverError as exc:
             raise SolverError(f"{name} operator: {exc}") from exc
 
-    # the two systems share only the mesh: one worker factorizes each, with
-    # the scipy this process loads once before forking them
-    import scipy.sparse.linalg  # noqa: F401
+    # the two systems share the mesh and its dissection, formed here once
+    # before the two workers fork, so that each condenses one system with it
+    mesh.dissection
 
     pair = tuple(_in_workers(operator, len(jobs)))
     out = _out(cfg) / DTN_FILE

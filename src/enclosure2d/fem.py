@@ -8,20 +8,16 @@ The voltage-to-current boundary operator is realized as the bilinear pairing
 with u_f the discrete solution for trace f and v_g any discrete extension of
 g: at the Galerkin level <L f, g> = g^T S f with S = K_bb - K_bi K_ii^-1 K_ib,
 the Schur complement of the stiffness matrix onto the boundary nodes.  One
-sparse factorization of the interior rows of the stiffness matrix, interior
-nodes first and boundary nodes last with identity rows in place of the
-boundary rows, yields S from the rows of its U factor alone (the stiffness
-matrix is symmetric; see ``DirichletSystem``), with no back-substitution, and
-solves for the discrete solution of any trace.  A
-coefficient with no imaginary part (omega = 0, a real jump, and always the
-background sigma = 1, epsilon = 0) is assembled and factorized in real
-arithmetic; a complex trace is then solved as its real and imaginary columns
-through the same real factor.  A system forms and checks S only when S is
-first asked for, and each solve checks its interior residual.
-
-Only assembly and factorization need scipy.sparse, and they import it where
-they run: a process that reads the operator archive and evaluates probes
-never loads scipy.
+pass over the mesh's nested dissection condenses the element matrices onto
+the boundary in dense fronts, eliminating the interior nodes and keeping the
+boundary nodes, and yields S as the root's update matrix; the kept
+elimination blocks solve for the discrete solution of any trace (see
+``DirichletSystem``).  A coefficient with no imaginary part (omega = 0, a
+real jump, and always the background sigma = 1, epsilon = 0) is condensed in
+real arithmetic; a complex trace is then solved as its real and imaginary
+columns through the same real blocks.  A system forms and checks S only
+when S is first asked for, and each solve checks its interior residual.
+The solver runs on numpy alone.
 
 Traces are discretized in one basis, the nodal one: a trace's coefficients
 are its boundary-node values, so expanding a trace is exact.  A measurement
@@ -104,14 +100,6 @@ def fourier_trace(mesh: Mesh, n: int) -> np.ndarray:
 # Assembly and Dirichlet solves
 
 
-# rows of W per dense block when S is formed: the blocks fix the order of
-# S's sums, and so its bytes.  One complex block is 4.9 MB with 594 boundary
-# nodes; the whole W as one block (5,752 rows on the benchmark meshes) is
-# 55 MB, which does not raise hull's dtn peak RSS (170.2 against 170.1 MB),
-# since S is formed after the factor is freed
-_BLOCK_ROWS = 512
-
-
 @dataclass
 class SolveResult:
     """Nodal solution with its relative interior residual."""
@@ -121,33 +109,35 @@ class SolveResult:
 
 
 class DirichletSystem:
-    """Assembled P1 stiffness K, factorized with the boundary nodes last.
+    """P1 stiffness K as per-triangle element matrices, condensed onto the
+    boundary nodes by the mesh's nested dissection (``Mesh.dissection``).
 
     The coefficient is a per-triangle complex symmetric 2x2 matrix; the real
     part must be uniformly positive definite.  A coefficient with no
-    imaginary part gives a real stiffness matrix and a real factor.
+    imaginary part gives real element matrices and real fronts.  K is kept
+    as its (nt, 3, 3) element matrices, ``elements``, and K u is summed from
+    them (``apply``).  K is symmetric (checked on the element matrices: a
+    relative defect |K_e - K_e^T| / |K_e| above 1e-8 raises SolverError).
 
-    The factor is that of M = [[K_ii, K_ib], [0, I]], interior nodes first in
-    the minimum-degree order of K_ii + K_ii^T, with diagonal pivots only: its
-    identity rows leave L_21 = 0 and U_22 = I, so the elimination stops at
-    U_11 and U_12 = L_11^-1 K_ib.  K is symmetric (checked: a relative defect
-    |K - K^T| / |K| above 1e-8 raises SolverError), so K_ii = U_11^T D^-1 U_11
-    with D the pivots, and K_bi K_ii^-1 K_ib = W^T W for the sparse
-    W = D_R^-1/2 U_R, the rows R of U_12 that hold nonzeros.  Every pivot has
-    a positive real part (Re K is positive definite), so the principal square
-    root serves for a complex factor too.  ``operator``,
-    S = K_bb - W^T W (read-only, in loop order), maps a trace to the boundary
-    currents of its solution.
+    One post-order pass over the dissection tree (multifrontal, Duff & Reid,
+    ACM TOMS 9, 1983) assembles each leaf's dense front from its element
+    matrices and extend-adds the children's update matrices into an inner
+    node's front.  Each front [[F_ee, F_ek], [F_ke, F_kk]], its eliminated
+    vertices e first and its kept vertices k last, gives
+    X = F_ee^-1 F_ek (LAPACK, partial pivoting; a singular front raises
+    SolverError) and the update matrix F_kk - F_ke X, symmetrized.  The
+    root keeps exactly the boundary nodes, in loop order, so its update
+    matrix is the Schur complement S = K_bb - K_bi K_ii^-1 K_ib:
+    ``operator``, read-only and exactly symmetric, maps a trace to the
+    boundary currents of its solution.  The X of every front are kept for
+    ``solve``.  The dissection must eliminate every interior vertex exactly
+    once and no boundary vertex (checked when the system is built).
 
-    The factor is built on first use.  Forming S consumes it: the first read
-    of SuperLU's U builds CSC copies of both L and U and caches them on the
-    factor, so S frees the factor once it holds what it needs of U, and a
-    later solve factors again.  A system that only solves never reads U.
+    The condensation runs on first use.  Forming S consumes it: S frees the
+    kept X once its check trace is solved, and a later solve condenses again.
     """
 
     def __init__(self, mesh: Mesh, gamma: np.ndarray):
-        import scipy.sparse.linalg as spla
-
         gamma = np.asarray(gamma, dtype=complex)
         if gamma.shape != (mesh.n_triangles, 2, 2):
             raise SolverError("gamma must have shape (n_triangles, 2, 2)")
@@ -157,74 +147,42 @@ class DirichletSystem:
         if not gamma.imag.any():
             gamma = gamma.real
         self.mesh = mesh
-        self.stiffness = _assemble_stiffness(mesh, gamma)
-        # the premise that lets U stand in for L
-        defect = (np.linalg.norm((self.stiffness - self.stiffness.T).data)
-                  / np.linalg.norm(self.stiffness.data))
+        self.elements = _element_matrices(mesh, gamma)
+        defect = (np.linalg.norm(self.elements - self.elements.transpose(0, 2, 1))
+                  / np.linalg.norm(self.elements))
         if not defect <= 1e-8:
             raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
         self.boundary = np.asarray(mesh.boundary_loop)
         self.interior = np.setdiff1d(np.arange(mesh.n_vertices), self.boundary)
-        try:
-            # the minimum-degree order of K_ii + K_ii^T (40 % fewer nonzeros in
-            # L + U than the default COLAMD), from an incomplete factor that
-            # drops every entry it may: the same order as a complete factor's
-            perm = spla.spilu(self.stiffness[self.interior][:, self.interior].tocsc(),
-                              permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
-                              fill_factor=1).perm_c
-        except RuntimeError as exc:
-            raise SolverError(f"stiffness factorization failed: {exc}") from exc
-        self._order = np.concatenate([self.interior[np.argsort(perm)], self.boundary])
+        fronts = mesh.dissection
+        eliminated = np.sort(np.concatenate([f.eliminated for f in fronts]))
+        if not (np.array_equal(eliminated, self.interior)
+                and np.array_equal(fronts[-1].kept, self.boundary)):
+            raise SolverError("the dissection does not eliminate each interior vertex "
+                              "exactly once and keep the boundary loop")
 
     @cached_property
-    def _lu(self):
-        """The complete factor of M, in the node order ``_order``."""
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
+    def _condensed(self) -> tuple[list, np.ndarray]:
+        """The X of every front, in the dissection's order, and S."""
+        return _condense(self.elements, self.mesh.dissection)
 
-        n, ni = self.mesh.n_vertices, len(self.interior)
-        # the interior rows, then identity rows: the factor stops at U_12
-        m = sp.vstack([self.stiffness[self._order[:ni]][:, self._order],
-                       sp.eye(n - ni, n, k=ni)], format="csc")
-        try:
-            lu = spla.splu(m, permc_spec="NATURAL", diag_pivot_thresh=0,
-                           options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolverError(f"stiffness factorization failed: {exc}") from exc
-        if not (np.array_equal(lu.perm_r, np.arange(n))
-                and np.array_equal(lu.perm_c, np.arange(n))):
-            raise SolverError("the factorization reordered the nodes")
-        return lu
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """K u for the nodal values u, summed from the element matrices."""
+        tri = self.mesh.triangles
+        ku = np.einsum("tij,tj->ti", self.elements, np.asarray(u)[tri])
+        return _bincount(tri.ravel(), ku.ravel(), self.mesh.n_vertices)
 
     @cached_property
     def operator(self) -> np.ndarray:
-        """S = K_bb - W^T W, formed on first access over dense blocks of at
-        most _BLOCK_ROWS rows of W, each subtracted as w^T w: one symmetric
-        rank-k update (BLAS syrk) per block, so S is exactly symmetric.
-        SolverError above 1e-8 in either of two relative defects, zero in
-        exact arithmetic: S 1 (constants carry no current), and the boundary
-        currents of a seeded random trace solved through the factor less S f.
-        The largest measured is 6e-11, S 1 at a contrast of 1e6 (h = 0.1)."""
+        """S, formed on first access.  SolverError above 1e-8 in either of
+        two relative defects, zero in exact arithmetic: S 1 (constants carry
+        no current), and the boundary currents of a seeded random trace,
+        solved through the kept X, less S f.  The largest measured is 6e-11,
+        S 1 at a contrast of 1e6 (h = 0.1)."""
         f = np.random.default_rng(0).standard_normal(len(self.boundary))
-        current = (self.stiffness @ self.solve(f).u)[self.boundary]
-        ni = len(self.interior)
-        # the check trace is solved while the factor lives; the first read of
-        # U builds CSC copies of L and U, cached on the factor, so the factor
-        # goes at once, with SuperLU's storage and the CSC L, and U as soon as
-        # W's precursors are read off it
-        u = self._lu.U
-        del self._lu
-        pivots, u12 = u.diagonal()[:ni], u[:ni, ni:].tocsr()
-        del u
-        rows = np.flatnonzero(np.diff(u12.indptr))
-        w = u12[rows]
-        del u12
-        # scaled in place, not by a product with sp.diags that holds one more copy
-        w.data *= np.repeat(1.0 / np.sqrt(pivots[rows]), np.diff(w.indptr))
-        s = self.stiffness[self.boundary][:, self.boundary].toarray()
-        for r in range(0, w.shape[0], _BLOCK_ROWS):
-            b = w[r:r + _BLOCK_ROWS].toarray()
-            s -= b.T @ b
+        current = self.apply(self.solve(f).u)[self.boundary]
+        s = self._condensed[1]
+        del self._condensed
         s.setflags(write=False)
         leak = np.abs(s.sum(axis=1)).max() / np.abs(s).sum(axis=1).max()
         if not leak <= 1e-8:
@@ -236,23 +194,23 @@ class DirichletSystem:
         return s
 
     def solve(self, trace: np.ndarray) -> SolveResult:
-        """Solution with the given boundary-node values (ordered as the loop),
-        through the factor as M [u_i; u_b] = [0; f], so that u_b = f and
-        u_i = -K_ii^-1 K_ib f, with the right-hand side as [Re | Im] columns
-        (SuperLU solves only in its factor's type).  A relative interior
-        residual above 1e-6 raises SolverError."""
+        """Solution with the given boundary-node values (ordered as the loop):
+        from the root down, each front's eliminated values are -X times its
+        kept ones, with a complex trace as [Re | Im] columns when X is real.
+        A relative interior residual above 1e-6 raises SolverError."""
         trace = np.asarray(trace, dtype=complex)
-        nb = len(self.boundary)
-        if trace.shape != (nb,):
+        if trace.shape != (len(self.boundary),):
             raise SolverError("trace length must match the boundary loop")
         u = np.zeros(self.mesh.n_vertices, dtype=complex)
         u[self.boundary] = trace
-        scale = np.linalg.norm((self.stiffness @ u)[self.interior])     # |K_ib f|
-        rhs = np.zeros((self.mesh.n_vertices, 2))
-        rhs[-nb:] = np.column_stack([trace.real, trace.imag])
-        x = self._lu.solve(rhs)
-        u[self._order[:-nb]] = x[:-nb, 0] + 1j * x[:-nb, 1]
-        res = np.linalg.norm((self.stiffness @ u)[self.interior]) / max(scale, 1e-300)
+        scale = np.linalg.norm(self.apply(u)[self.interior])     # |K_ib f|
+        xs = self._condensed[0]
+        v = u if self.elements.dtype.kind == "c" else np.column_stack([u.real, u.imag])
+        for front, x in zip(reversed(self.mesh.dissection), reversed(xs)):
+            v[front.eliminated] = -(x @ v[front.kept])
+        if v is not u:
+            u = v[:, 0] + 1j * v[:, 1]
+        res = np.linalg.norm(self.apply(u)[self.interior]) / max(scale, 1e-300)
         if not res <= 1e-6:
             raise SolverError(f"direct solve residual {res:.3g}; system may be singular")
         return SolveResult(u=u, residual=float(res))
@@ -260,7 +218,7 @@ class DirichletSystem:
     def pairing(self, u_full: np.ndarray, g_trace: np.ndarray) -> complex:
         """Bilinear boundary pairing <L f, g> evaluated with the zero extension
         of g (extension-independent up to the solve residual)."""
-        r = (self.stiffness @ u_full)[self.boundary]
+        r = self.apply(u_full)[self.boundary]
         return complex(np.dot(np.asarray(g_trace, dtype=complex), r))
 
     def energy(self, u_full: np.ndarray) -> float:
@@ -268,6 +226,49 @@ class DirichletSystem:
         g = element_gradients(self.mesh, u_full)
         areas = self.mesh.triangle_areas()
         return float(np.sum(areas * (np.abs(g) ** 2).sum(axis=1)))
+
+
+def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount for real or complex weights."""
+    if weights.dtype.kind != "c":
+        return np.bincount(idx, weights, size)
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(idx, weights.real, size)
+    out.imag = np.bincount(idx, weights.imag, size)
+    return out
+
+
+def _condense(elements: np.ndarray, fronts) -> tuple[list, np.ndarray]:
+    """One post-order pass over the fronts of a dissection: the X of every
+    front, in their order, and the root's update matrix (see
+    ``DirichletSystem``)."""
+    updates, xs = [None] * len(fronts), []
+    for k, front in enumerate(fronts):
+        ne = len(front.eliminated)
+        m = ne + len(front.kept)
+        if front.children:
+            f = np.zeros((m, m), dtype=elements.dtype)
+            for c, pos in front.children:
+                f[np.ix_(pos, pos)] += updates[c]
+                updates[c] = None
+        else:
+            loc = front.local
+            f = _bincount((loc[:, :, None] * m + loc[:, None, :]).ravel(),
+                          elements[front.triangles].ravel(), m * m).reshape(m, m)
+        try:
+            x = np.linalg.solve(f[:ne, :ne], f[:ne, ne:])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular front of {ne} vertices: {exc}") from exc
+        # F_kk - F_ke X into the product's memory, so that the front goes
+        # before the symmetrization's copy of u.T is made
+        u = f[ne:, :ne] @ x
+        np.subtract(f[ne:, ne:], u, out=u)
+        del f
+        u += u.T
+        u *= 0.5
+        updates[k] = u
+        xs.append(x)
+    return xs, updates[-1]
 
 
 def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,19 +281,12 @@ def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bvec, cvec, area
 
 
-def _assemble_stiffness(mesh: Mesh, gamma: np.ndarray):
-    """The P1 stiffness matrix, as a scipy.sparse CSR matrix."""
-    import scipy.sparse as sp
-
+def _element_matrices(mesh: Mesh, gamma: np.ndarray) -> np.ndarray:
+    """The (nt, 3, 3) P1 element stiffness matrices."""
     bvec, cvec, area = _p1_geometry(mesh)
     # grad(lambda_i) = (b_i, c_i) / (2A); constant per triangle
     grads = np.stack([bvec, cvec], axis=2) / (2.0 * area)[:, None, None]
-    ke = np.einsum("tik,tkl,tjl->tij", grads, gamma, grads) * area[:, None, None]
-    idx = mesh.triangles
-    rows = np.repeat(idx, 3, axis=1).ravel()
-    cols = np.tile(idx, (1, 3)).ravel()
-    n = mesh.n_vertices
-    return sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return np.einsum("tik,tkl,tjl->tij", grads, gamma, grads) * area[:, None, None]
 
 
 def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:

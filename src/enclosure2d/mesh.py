@@ -2,13 +2,16 @@
 
 The mesher is a structured polar-grid triangulation: concentric rings with 6*i
 nodes on ring i, seamed by an angular sweep.  Construction is fully
-deterministic so that downstream outputs are reproducible byte for byte.
+deterministic so that downstream outputs are reproducible byte for byte.  A
+mesh also gives its nested dissection, the elimination tree over which the
+solver condenses a system onto the boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -255,6 +258,12 @@ class Mesh:
     def boundary_polygon_area(self) -> float:
         return polygon_area(self.vertices[self.boundary_loop])
 
+    @cached_property
+    def dissection(self) -> tuple[Front, ...]:
+        """The nested dissection of the mesh, formed on first use and kept
+        (see ``nested_dissection``)."""
+        return nested_dissection(self)
+
     def validate(self) -> None:
         """Check the structural invariants; raises MeshError on violation."""
         areas = self.triangle_areas()
@@ -269,6 +278,98 @@ class Mesh:
             raise MeshError("boundary loop visits a node twice")
         if np.any((self.labels != BACKGROUND) & (self.labels != INCLUSION)):
             raise MeshError("labels must be BACKGROUND or INCLUSION")
+
+
+# ---------------------------------------------------------------------------
+# Nested dissection
+
+
+# the most triangles a leaf of the dissection tree holds
+_LEAF_TRIANGLES = 128
+
+
+@dataclass(frozen=True)
+class Front:
+    """One node of a nested dissection: the vertices it eliminates, then the
+    vertices it keeps, its front in that order.  A leaf lists its triangles
+    and, row by row, the front positions of their vertices; an inner node
+    lists its two children, each as its index in the dissection and the
+    front positions of the child's kept vertices."""
+
+    eliminated: np.ndarray                   # ascending
+    kept: np.ndarray                         # ascending; the boundary loop at the root
+    triangles: np.ndarray                    # (k,) triangle indices, empty at an inner node
+    local: np.ndarray                        # (k, 3) front positions of their vertices
+    children: tuple[tuple[int, np.ndarray], ...]
+
+    def __post_init__(self):
+        for arr in (self.eliminated, self.kept, self.triangles, self.local,
+                    *(pos for _, pos in self.children)):
+            arr.setflags(write=False)
+
+
+def nested_dissection(mesh: Mesh) -> tuple[Front, ...]:
+    """The fronts of a nested dissection of the mesh (George, SIAM J. Numer.
+    Anal. 10, 1973), children before parents, the root last.
+
+    The triangle centroids are split at the median along the wider extent of
+    each node, into a complete binary tree of depth ceil(log2(nt / 128)), so
+    that a leaf holds at most 128 triangles.  Each interior vertex is
+    eliminated at the lowest node that holds all its triangles: with lo and
+    hi the smallest and largest leaf index among them, the node
+    bit_length(lo ^ hi) levels above the leaves, at index lo >> level.
+    Boundary vertices are never eliminated, so the root keeps exactly the
+    boundary loop.  Depends on the mesh alone."""
+    tri, n = mesh.triangles, mesh.n_vertices
+    depth = max(0, math.ceil(math.log2(len(tri) / _LEAF_TRIANGLES)))
+    # each node's triangles stay contiguous in `order`, between consecutive cuts
+    cents = mesh.centroids()
+    order, cuts = np.arange(len(tri)), [0, len(tri)]
+    for _ in range(depth):
+        halves = [0]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            c = cents[order[a:b]]
+            axis = int(np.ptp(c[:, 1]) > np.ptp(c[:, 0]))
+            order[a:b] = order[a:b][np.argsort(c[:, axis], kind="stable")]
+            halves += [(a + b) // 2, b]
+        cuts = halves
+    leaf = np.empty(len(tri), dtype=np.int64)
+    leaf[order] = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+
+    # the node that eliminates each vertex, as level * 2^depth + index
+    lo, hi = np.full(n, len(cuts) - 1), np.zeros(n, dtype=np.int64)
+    np.minimum.at(lo, tri, leaf[:, None])
+    np.maximum.at(hi, tri, leaf[:, None])
+    up = np.frexp(lo ^ hi)[1]                # levels above the leaves: bit_length(lo ^ hi)
+    owner = (up << depth) + (lo >> up)
+    owner[mesh.boundary_loop] = -1
+
+    where = np.empty(n, dtype=np.int64)      # positions in the front being built
+    fronts: list[Front] = []
+
+    def subtree(level: int, i: int) -> int:
+        """Append the fronts of the subtree at (level, i), children first;
+        the index of its root front."""
+        if level:
+            children = (subtree(level - 1, 2 * i), subtree(level - 1, 2 * i + 1))
+            verts = np.union1d(*(fronts[c].kept for c in children))
+            tris = np.zeros(0, dtype=np.int64)
+        else:
+            children, tris = (), order[cuts[i]:cuts[i + 1]]
+            verts = np.unique(tri[tris])
+        mine = owner[verts] == (level << depth) + i
+        eliminated, kept = verts[mine], verts[~mine]
+        if level == depth and np.array_equal(kept, np.sort(mesh.boundary_loop)):
+            kept = mesh.boundary_loop
+        front = np.concatenate([eliminated, kept])
+        where[front] = np.arange(len(front))
+        fronts.append(Front(eliminated=eliminated, kept=kept, triangles=tris,
+                            local=where[tri[tris]],
+                            children=tuple((c, where[fronts[c].kept]) for c in children)))
+        return len(fronts) - 1
+
+    subtree(depth, 0)
+    return tuple(fronts)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,13 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     for k, (text, message) in enumerate([
             ("[probes]\nt_search = a b\n", "[probes] t_search: cannot parse 'a b'"),
             ("[coefficients]\nomega = nan\n", "[coefficients] omega: 'nan' is not a finite"),
-            ("[probes]\ntau_min = inf\n", "[probes] tau_min: 'inf' is not a finite")]):
+            ("[probes]\ntau_min = inf\n", "[probes] tau_min: 'inf' is not a finite"),
+            # formerly mesh's exit 1 on a math domain error, and an exit 2
+            # that only the mesher's coarseness check gave
+            ("[inclusion]\nkind = ellipse\nsemi_axes = 0.4 0.2\nrotation = inf\n",
+             "[inclusion] rotation: 'inf' is not a finite"),
+            ("[inclusion]\nkind = disk\nradius = nan\n",
+             "[inclusion] radius: 'nan' is not a finite")]):
         bad = _write(tmp_path, text, f"number{k}.cfg")
         assert main(["mesh", "--config", bad]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -637,17 +643,16 @@ def _imported_packages(argv, cwd):
             for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
 
 
-def test_only_the_solver_commands_load_scipy(tmp_path):
-    # reconstruction reads only operator files, so no process of a command
-    # that does not factorize imports the sparse solver; dtn, whose own
-    # process imports it before forking the workers that factorize, is the
-    # positive control.  Only dtn and reconstruct start workers, and the pool
-    # modules cost the other commands' interpreter start 10-36 ms
+def test_no_command_loads_scipy(tmp_path):
+    # the package runs on numpy alone: no process of any command, the
+    # workers that dtn and reconstruct fork included, imports scipy.  Only
+    # those two start workers, and the pool modules cost the other commands'
+    # interpreter start 10-36 ms
     cfg = _write(tmp_path, ML_CONFIG.format(out=tmp_path / "out"))
     pool = {"multiprocessing", "concurrent"}
-    assert {"scipy"} | pool <= _imported_packages(["dtn", "--config", cfg], tmp_path)
-    loaded = _imported_packages(["reconstruct", "--config", cfg], tmp_path)
-    assert "scipy" not in loaded and pool <= loaded
+    for command in ("dtn", "reconstruct"):
+        loaded = _imported_packages([command, "--config", cfg], tmp_path)
+        assert "scipy" not in loaded and pool <= loaded, command
     for argv in (["--version"], ["mesh", "--config", cfg], ["indicate", "--config", cfg],
                  ["indicate", "--config", cfg, "--validate"],
                  ["mleval", "--alpha", "0.5", "--grid", "-3 3 -3 3 5",

@@ -1,16 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from enclosure2d import fem
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
 from enclosure2d.fem import (DTN_FORMAT, BoundaryBasis, DirichletSystem, DtNMatrix,
                              SolverError, analytic_two_layer_dtn, assemble_dtn_matrix,
                              band_limited, fourier_trace, gap_matrix, nodal_basis_for_mesh,
                              prop21_check, quadratic_gap, read_dtn, write_dtn)
-from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
+from enclosure2d.mesh import BACKGROUND, INCLUSION, Mesh, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
 from builders import background
 from dtn_archive import CORRUPTIONS, MATRICES, entries, rewrite
@@ -154,13 +156,14 @@ def test_extension_independence(two_layer):
     zero_ext = sys_.pairing(u, g)
     # harmonic-extension lift of g instead of the zero extension
     v = sys_.solve(g).u
-    r = sys_.stiffness @ u
+    r = sys_.apply(u)
     harm_ext = complex(np.dot(v, r))
     assert abs(zero_ext - harm_ext) <= 1e-8 * abs(zero_ext)
 
 
 def test_operator_is_formed_on_first_access_only(two_layer):
-    # solves need only S f, so a system built to solve traces skips the product
+    # S and its self-checks wait for the first read of the operator: a system
+    # built to solve traces never runs them
     mesh, field = two_layer
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
     sys_.solve(fourier_trace(mesh, 1))
@@ -469,56 +472,39 @@ def test_basis_keeps_a_read_only_copy_of_thetas():
     assert np.array_equal(basis.expand(np.cos(basis.thetas)), coef)
 
 
-class _FactorSpy:
-    """Stands in for the boundary-last factor of a DirichletSystem, whose L
-    must never be read.  Building the spy reads the factor's U, which has
-    scipy build CSC copies of both L and U and cache them on the factor; the
-    spy's ``L`` raises all the same.  Its U gains ``u12_error`` F in the
-    interior rows of the boundary columns, the block U_12 that
-    S = K_bb - U_12^T D^-1 U_12 is formed from; every solution gains
-    ``solve_error`` times its largest entry; ``reorder`` reverses perm_c."""
-
-    def __init__(self, lu, u12_error=None, solve_error=0.0, reorder=False):
-        self.lu, self.solve_error, self.U, self.perm_r = lu, solve_error, lu.U, lu.perm_r
-        self.perm_c = lu.perm_c[::-1] if reorder else lu.perm_c
-        if u12_error is not None:
-            ni = u12_error.shape[0]
-            self.U = self.U.toarray()
-            self.U[:ni, ni:] += u12_error
-            self.U = sp.csc_matrix(self.U)
-
-    @property
-    def L(self):
-        raise AssertionError("the factor's L was read")
-
-    def solve(self, rhs):
-        x = self.lu.solve(rhs)
-        return x + self.solve_error * np.abs(x).max()
+def _stiffness(sys_):
+    """The system's stiffness matrix, assembled by scipy from its element matrices."""
+    tri, n = sys_.mesh.triangles, sys_.mesh.n_vertices
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    return sp.coo_matrix((sys_.elements.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _install_factor_spy(monkeypatch, make):
-    """Route every complete factorization through ``make(lu)``."""
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda a, **kwargs: make(splu(a, **kwargs)))
+def _small_mesh():
+    """The three inner rings of a coarse mesh, 54 triangles: a dissection of
+    depth 0, one front that eliminates every interior vertex."""
+    mesh = build_disk_mesh(1.0, 0.2, None)
+    keep = np.all(mesh.triangles < 37, axis=1)
+    inside = np.hypot(*mesh.centroids()[keep].T) < 0.3
+    return Mesh(vertices=mesh.vertices[:37], triangles=mesh.triangles[keep],
+                labels=np.where(inside, INCLUSION, BACKGROUND), boundary_loop=np.arange(19, 37),
+                h=0.2, domain_radius=0.6)
 
 
-class _SolveOnlyFactor:
-    """Stands in for the factor of a system that must only solve: its solves
-    are the factor's own, and reading its L or U raises."""
+def _corrupt_condensation(monkeypatch, x_error=0.0, update_error=0.0):
+    """Route every condensation through a corruption: each kept X scaled by
+    1 + ``x_error``, and the largest entry of S, with its mirror, by
+    1 + ``update_error``."""
+    condense = fem._condense
 
-    def __init__(self, lu):
-        self.lu, self.perm_r, self.perm_c = lu, lu.perm_r, lu.perm_c
+    def corrupt(*args):
+        xs, s = condense(*args)
+        for x in xs:
+            x *= 1.0 + x_error
+        r, k = np.unravel_index(np.abs(s).argmax(), s.shape)
+        s[r, k] = s[k, r] = s[r, k] * (1.0 + update_error)
+        return xs, s
 
-    @property
-    def L(self):
-        raise AssertionError("the factor's L was read")
-
-    @property
-    def U(self):
-        raise AssertionError("the factor's U was read")
-
-    def solve(self, rhs):
-        return self.lu.solve(rhs)
+    monkeypatch.setattr(fem, "_condense", corrupt)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
@@ -527,23 +513,10 @@ def test_operator_consumes_the_factor_and_a_later_solve_factors_again(b):
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
     sys_ = DirichletSystem(mesh, gamma)
     s = sys_.operator
-    assert "_lu" not in vars(sys_)
+    assert "_condensed" not in vars(sys_)
     f = fourier_trace(mesh, 3)
     assert sys_.solve(f).u.tobytes() == DirichletSystem(mesh, gamma).solve(f).u.tobytes()
     assert sys_.operator is s and not s.flags.writeable
-
-
-@pytest.mark.parametrize("b", [0.0, 0.5])
-def test_a_system_that_only_solves_never_reads_u(b, monkeypatch):
-    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
-    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
-    _install_factor_spy(monkeypatch, _SolveOnlyFactor)
-    sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    f = fourier_trace(mesh, 2)
-    assert sys_.solve(f).residual <= 1e-6
-    assert prop21_check(field, background(mesh, 1.0), 1.0, f).passed
-    with pytest.raises(AssertionError, match="U was read"):       # the spy is in place
-        sys_.operator
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
@@ -551,11 +524,13 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
     mesh, _ = two_layer
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    assert (sys_._lu.U.dtype.kind == "c") == (b != 0.0)
-    sys_._lu = _FactorSpy(sys_._lu, solve_error=1e-3)
+    xs, s = sys_._condensed
+    assert {x.dtype.kind for x in xs} == {s.dtype.kind} == {"c" if b else "f"}
+    for x in xs:
+        x *= 1.0 + 1e-3
     with pytest.raises(SolverError, match="residual"):
         sys_.solve(fourier_trace(mesh, 1))
-    _install_factor_spy(monkeypatch, lambda lu: _FactorSpy(lu, solve_error=1e-3))
+    _corrupt_condensation(monkeypatch, x_error=1e-3)
     with pytest.raises(SolverError, match="residual"):
         DirichletSystem(mesh, complex_admittivity(field)).operator
     with pytest.raises(SolverError, match="residual"):
@@ -563,20 +538,36 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
-def test_operator_and_solves_never_read_the_l_factor(b, monkeypatch):
-    # the spy's L raises; its U and solves are the factor's own
+def test_a_singular_front_raises(b):
+    # zero element matrices leave every leaf's front singular
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
-    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
-    plain = DirichletSystem(mesh, gamma)
-    _install_factor_spy(monkeypatch, _FactorSpy)
-    spied = DirichletSystem(mesh, gamma)
-    assert np.array_equal(spied.operator, plain.operator)
-    f = fourier_trace(mesh, 3)
-    assert np.array_equal(spied.solve(f).u, plain.solve(f).u)
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    sys_.elements[:] = 0.0
+    with pytest.raises(SolverError, match="singular front"):
+        sys_.solve(fourier_trace(mesh, 1))
+    with pytest.raises(SolverError, match="singular front"):
+        sys_.operator
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_solve_matches_dense_solve(b):
+    # u_b = f exactly, and u_i = -K_ii^-1 K_ib f as a dense solve gives it
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    sys_ = DirichletSystem(mesh, complex_admittivity(field))
+    k = _stiffness(sys_).toarray()
+    i, bd = sys_.interior, sys_.boundary
+    rng = np.random.default_rng(8)
+    f = rng.normal(size=len(bd)) + 1j * rng.normal(size=len(bd))
+    u = sys_.solve(f).u
+    assert np.array_equal(u[bd], f)
+    ref = -np.linalg.solve(k[np.ix_(i, i)], k[np.ix_(i, bd)] @ f)
+    assert np.abs(u[i] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("check", ["leaks current", "symmetry defect", "boundary current",
-                                   "reordered"])
+                                   "exactly once"])
 def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
     # each corruption keeps what the earlier checks test, so only the named
     # check can raise
@@ -584,52 +575,64 @@ def test_operator_self_checks_reject_a_corrupted_factor(check, monkeypatch):
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0))
     if check == "symmetry defect":                   # an antisymmetric part, which K inherits
         gamma = gamma + np.array([[0.0, 0.1j], [-0.1j, 0.0]])
-    nb = len(mesh.boundary_loop)
-    ni = mesh.n_vertices - nb
-
-    def corrupt(lu):
-        f = np.zeros((ni, nb), dtype=complex)
-        if check == "leaks current":                 # the largest entry of U_12 grows by 1e-4
-            u12 = lu.U[:ni, ni:].toarray()
-            r, k = np.unravel_index(np.abs(u12).argmax(), u12.shape)
-            f[r, k] = 1e-4 * u12[r, k]
-        return _FactorSpy(lu, u12_error=f, reorder=check == "reordered",
-                          solve_error=1e-7 if check == "boundary current" else 0.0)
-
-    _install_factor_spy(monkeypatch, corrupt)
+    if check == "exactly once":
+        # an interior vertex never eliminated, a boundary vertex eliminated,
+        # and an interior vertex eliminated twice
+        fronts = mesh.dissection
+        leaf, root = fronts[0], fronts[-1]
+        for eliminated in (leaf.eliminated[:-1],
+                           np.append(leaf.eliminated, root.kept[0]),
+                           np.append(leaf.eliminated, root.eliminated[0])):
+            vars(mesh)["dissection"] = (replace(leaf, eliminated=eliminated),) + fronts[1:]
+            with pytest.raises(SolverError, match=check):
+                DirichletSystem(mesh, gamma)
+        return
+    _corrupt_condensation(monkeypatch, x_error=2e-7 if check == "boundary current" else 0.0,
+                          update_error=1e-4 if check == "leaks current" else 0.0)
     with pytest.raises(SolverError, match=check):
         DirichletSystem(mesh, gamma).operator
 
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_factor_stops_at_the_interior_rows(b):
-    # the boundary rows of the factored matrix are identity rows, so no
-    # elimination reaches them: L_21 = 0 and U_22 = I
+    # the condensation eliminates every interior vertex once and no boundary
+    # vertex: the root keeps the boundary loop, and each front's X is
+    # (eliminated x kept), in the coefficient's arithmetic
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
     sys_ = DirichletSystem(mesh, gamma)
-    lu, ni, nb = sys_._lu, len(sys_.interior), len(sys_.boundary)
-    assert (lu.U.dtype.kind == "c") == (b != 0.0)
-    assert lu.L[ni:, :ni].nnz == 0
-    assert np.array_equal(lu.U[ni:, ni:].toarray(), np.eye(nb))
+    fronts = mesh.dissection
+    eliminated = np.concatenate([f.eliminated for f in fronts])
+    assert np.array_equal(np.sort(eliminated), sys_.interior)
+    assert not np.isin(eliminated, sys_.boundary).any()
+    assert np.array_equal(fronts[-1].kept, sys_.boundary)
+    xs, s = sys_._condensed
+    assert [x.shape for x in xs] == [(len(f.eliminated), len(f.kept)) for f in fronts]
+    assert {x.dtype.kind for x in xs} == {s.dtype.kind} == {"c" if b else "f"}
 
 
-@pytest.mark.parametrize("a, b, kind", [(1.0, 0.0, "nodal"), (1.0, 0.0, "fourier"),
-                                        (1.0, 0.5, "nodal"), (1.0, 0.5, "fourier"),
-                                        (1e6, 0.0, "nodal"), (1e6, 0.5, "nodal")],
-                         ids=["0.0-nodal", "0.0-fourier", "0.5-nodal", "0.5-fourier",
-                              "contrast-1e6-0.0-nodal", "contrast-1e6-0.5-nodal"])
-def test_operator_matches_dense_schur_complement(a, b, kind):
-    # real coefficient: real factor; complex coefficient: complex factor
-    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+_SCHUR_CASES = {"0.0-nodal": ("disk", 1.0, 0.0, 0), "0.0-fourier": ("disk", 1.0, 0.0, 4),
+                "0.5-nodal": ("disk", 1.0, 0.5, 0), "0.5-fourier": ("disk", 1.0, 0.5, 4),
+                "contrast-1e6-0.0-nodal": ("disk", 1e6, 0.0, 0),
+                "contrast-1e6-0.5-nodal": ("disk", 1e6, 0.5, 0),
+                "no-inclusion-nodal": ("none", 1.0, 0.5, 0),
+                "depth-0-0.0-nodal": ("depth 0", 1.0, 0.0, 0),
+                "depth-0-0.5-nodal": ("depth 0", 1.0, 0.5, 0)}
+
+
+@pytest.mark.parametrize("shape, a, b, modes", _SCHUR_CASES.values(), ids=_SCHUR_CASES.keys())
+def test_operator_matches_dense_schur_complement(shape, a, b, modes):
+    # real coefficient: real fronts; complex coefficient: complex fronts
+    mesh = {"disk": lambda: build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4)),
+            "none": lambda: build_disk_mesh(1.0, 0.1, None), "depth 0": _small_mesh}[shape]()
+    assert (len(mesh.dissection) == 1) == (shape == "depth 0")
     field = AdmittivityField.from_scalars(mesh, a=a, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    assert (sys_._lu.U.dtype.kind == "c") != (b == 0.0)
-    # each block of W^T W is one symmetric rank-k update, exactly symmetric
+    assert (sys_.operator.dtype.kind == "c") == (b != 0.0 and shape != "none")
+    # each update matrix is symmetrized, the root's too: S is exactly symmetric
     assert np.array_equal(sys_.operator, sys_.operator.T)
-    modes = 4 if kind == "fourier" else 0
     dtn = assemble_dtn_matrix(mesh, field, modes, system=sys_)
-    k = sys_.stiffness.toarray()
+    k = _stiffness(sys_).toarray()
     i, bd = sys_.interior, sys_.boundary
     schur = k[np.ix_(bd, bd)] - k[np.ix_(bd, i)] @ np.linalg.solve(k[np.ix_(i, i)],
                                                                   k[np.ix_(i, bd)])
@@ -637,8 +640,8 @@ def test_operator_matches_dense_schur_complement(a, b, kind):
     p = _mode_matrix(dtn.basis.thetas, modes)
     q = p @ np.linalg.pinv(p) if modes else np.eye(len(bd))
     ref = q.T @ schur.T @ q
-    # the factor and the dense solve each err by about eps times the condition
-    # of K_ii, which grows with the contrast: 2e-12 apart at 1e6
+    # the condensation and the dense solve each err by about eps times the
+    # condition of K_ii, which grows with the contrast
     tol = 1e-11 if a > 1.0 else 1e-12
     assert np.abs(dtn.matrix - ref).max() <= tol * np.abs(ref).max()
 
@@ -682,11 +685,11 @@ def test_probe_discrete_harmonicity_first_order(kind):
         sys_ = DirichletSystem(mesh, np.broadcast_to(
             np.eye(2, dtype=complex), (mesh.n_triangles, 2, 2)).copy())
         v = (cgo_trace if kind == "cgo" else ml_probe_trace)(spec, mesh.vertices)
-        r = sys_.stiffness @ v
+        r = sys_.apply(v)
         r_i = r[sys_.interior]
-        k_ii = sys_.stiffness[sys_.interior][:, sys_.interior].tocsc()
+        k_ii = _stiffness(sys_)[sys_.interior][:, sys_.interior].tocsc()
         dual = math.sqrt(abs(np.vdot(r_i, spla.spsolve(k_ii, r_i)).real))
-        energy = math.sqrt(abs(np.vdot(v, sys_.stiffness @ v).real))
+        energy = math.sqrt(abs(np.vdot(v, r).real))
         rels.append(dual / energy)
     assert rels[0] / rels[1] > 1.7
 

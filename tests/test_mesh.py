@@ -241,3 +241,43 @@ def test_mesh_arrays_immutable():
     mesh = build_disk_mesh(1.0, 0.2, None)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
+
+
+def test_dissection_eliminates_each_vertex_where_its_triangles_meet():
+    # a complete binary tree of depth ceil(log2(nt / 128)), children before
+    # parents; every triangle in one leaf of at most 128; each interior vertex
+    # eliminated at the lowest front that holds all its triangles, and a
+    # front keeps the other vertices of its triangles, the root exactly the
+    # boundary loop; the leaves' and children's positions index the front
+    mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.2, 0.0), 0.4))
+    fronts = mesh.dissection
+    assert mesh.dissection is fronts
+    tri, n = mesh.triangles, mesh.n_vertices
+    depth = math.ceil(math.log2(mesh.n_triangles / 128))
+    assert depth == 5 and len(fronts) == 2 ** (depth + 1) - 1
+    degree = np.bincount(tri.ravel(), minlength=n)
+    boundary = np.isin(np.arange(n), mesh.boundary_loop)
+    below, held = [], []                     # per front: its triangles, the vertices it holds
+    for f in fronts:
+        if f.children:
+            assert len(f.triangles) == 0
+            below.append(np.concatenate([below[c] for c, _ in f.children]))
+        else:
+            assert 0 < len(f.triangles) <= 128
+            below.append(f.triangles)
+        held.append(np.bincount(tri[below[-1]].ravel(), minlength=n) == degree)
+        lowest = held[-1] & ~boundary
+        for c, _ in f.children:
+            lowest &= ~held[c]
+        assert np.array_equal(f.eliminated, np.flatnonzero(lowest))
+        touched = np.zeros(n, dtype=bool)
+        touched[tri[below[-1]]] = True
+        assert np.array_equal(np.sort(f.kept), np.flatnonzero(touched & (~held[-1] | boundary)))
+        front = np.concatenate([f.eliminated, f.kept])
+        assert np.array_equal(front[f.local], tri[f.triangles])
+        for c, pos in f.children:
+            assert np.array_equal(front[pos], fronts[c].kept)
+    assert np.array_equal(np.sort(below[-1]), np.arange(mesh.n_triangles))
+    assert np.array_equal(fronts[-1].kept, mesh.boundary_loop)
+    with pytest.raises(ValueError):
+        fronts[0].eliminated[0] = 0

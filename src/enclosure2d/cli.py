@@ -487,6 +487,9 @@ def cmd_mleval(alpha: float, grid_spec: str, out_path: str) -> int:
         raise ConfigError("grid spec: n must be nonnegative")
     if not all(math.isfinite(x) for x in (re0, re1, im0, im1)):
         raise ConfigError("grid spec: the bounds must be finite")
+    if not (math.isfinite(re1 - re0) and math.isfinite(im1 - im0)):
+        raise ConfigError("grid spec: the spans re_max - re_min and im_max - im_min "
+                          "must be finite")
     reals, imags = np.linspace(re0, re1, n), np.linspace(im0, im1, n)
     zs = np.empty((n, n), dtype=complex)
     zs.real, zs.imag = reals, imags[:, None]

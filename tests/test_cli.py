@@ -423,6 +423,7 @@ def test_mleval_huge_grid_is_warning_free(tmp_path):
     ["mleval", "--alpha", "0.5", "--grid", "inf 1 0 1 3", "--out", "{tmp}/ml.csv"],
     ["mleval", "--alpha", "0.5", "--grid", "0 1 nan 1 3", "--out", "{tmp}/ml.csv"],
     ["dtn", "--config", "{cfg}", "--basis", "fourier", "--modes", "0"],
+    ["mleval", "--alpha", "0.5", "--grid", "1e308 -1e308 0 1 3", "--out", "{tmp}/ml.csv"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))

@@ -243,9 +243,27 @@ def test_mesh_arrays_immutable():
         mesh.vertices[0, 0] = 99.0
 
 
+def _median_split_leaves(mesh, depth):
+    """Each leaf's triangles as a node-by-node median split of the centroids
+    along the node's wider extent gives them: the loop the dissection's
+    level-by-level sort must agree with."""
+    cents = mesh.centroids()
+    order, cuts = np.arange(mesh.n_triangles), [0, mesh.n_triangles]
+    for _ in range(depth):
+        halves = [0]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            c = cents[order[a:b]]
+            axis = int(np.ptp(c[:, 1]) > np.ptp(c[:, 0]))
+            order[a:b] = order[a:b][np.argsort(c[:, axis], kind="stable")]
+            halves += [(a + b) // 2, b]
+        cuts = halves
+    return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def test_dissection_eliminates_each_vertex_where_its_triangles_meet():
     # a complete binary tree of depth ceil(log2(nt / 128)), children before
-    # parents; every triangle in one leaf of at most 128; each interior vertex
+    # parents; the leaves hold the triangles of a node-by-node median split,
+    # in its order, every triangle in one leaf of at most 128; each interior vertex
     # eliminated at the lowest front that holds all its triangles, and a
     # front keeps the other vertices of its triangles, the root exactly the
     # boundary loop; the leaves' and children's positions index the front
@@ -278,6 +296,8 @@ def test_dissection_eliminates_each_vertex_where_its_triangles_meet():
         for c, pos in f.children:
             assert np.array_equal(front[pos], fronts[c].kept)
     assert np.array_equal(np.sort(below[-1]), np.arange(mesh.n_triangles))
+    leaves = [f.triangles for f in fronts if not f.children]
+    assert all(map(np.array_equal, leaves, _median_split_leaves(mesh, depth)))
     assert np.array_equal(fronts[-1].kept, mesh.boundary_loop)
     with pytest.raises(ValueError):
         fronts[0].eliminated[0] = 0

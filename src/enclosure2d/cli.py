@@ -378,22 +378,25 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
         check_band_limit(modes, len(mesh.boundary_loop))
     except ValueError as exc:
         raise ConfigError(f"--modes: {exc}") from exc
-    field = _build_field(cfg, mesh)
-    jobs = (("perturbed", field),
-            ("background", AdmittivityField.from_scalars(mesh, 0.0, 0.0, field.omega)))
+    omega = cfg.background[2] if cfg.background is not None else cfg.omega
+    names = ("perturbed", "background")
 
     def operator(i: int) -> DtNMatrix:
-        name, fld = jobs[i]
+        # each worker builds only its own field; an invalid perturbed field
+        # fails in its worker, and _in_workers re-raises that error once
+        field = (_build_field(cfg, mesh) if i == 0
+                 else AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))
         try:
-            return assemble_dtn_matrix(mesh, fld, modes)
+            return assemble_dtn_matrix(mesh, field, modes)
         except SolverError as exc:
-            raise SolverError(f"{name} operator: {exc}") from exc
+            raise SolverError(f"{names[i]} operator: {exc}") from exc
 
     # the two systems share the mesh and its dissection, formed here once
     # before the two workers fork, so that each condenses one system with it
+    # and inherits no field
     mesh.dissection
 
-    pair = tuple(_in_workers(operator, len(jobs)))
+    pair = tuple(_in_workers(operator, len(names)))
     out = _out(cfg) / DTN_FILE
     write_dtn(pair, out, provenance=cfg.provenance())
     print(f"operators: {pair[0].basis.size} nodes, band limit {modes or 'none'} -> {out}")

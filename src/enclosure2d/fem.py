@@ -117,21 +117,23 @@ class DirichletSystem:
     imaginary part gives real element matrices and real fronts.  K is kept
     as its (nt, 3, 3) element matrices, ``elements``, and K u is summed from
     them (``apply``).  K is symmetric (checked on the element matrices: a
-    relative defect |K_e - K_e^T| / |K_e| above 1e-8 raises SolverError).
+    relative defect |K_e - K_e^T| / |K_e| above 1e-8 raises SolverError;
+    |K_e - K_e^T| is summed from the three pairs above the diagonal, so the
+    check makes no second (nt, 3, 3) array).
 
     One post-order pass over the dissection tree (multifrontal, Duff & Reid,
     ACM TOMS 9, 1983) assembles each leaf's dense front from its element
     matrices and extend-adds the children's update matrices into an inner
-    node's front.  Each front [[F_ee, F_ek], [F_ke, F_kk]], its eliminated
-    vertices e first and its kept vertices k last, gives
-    X = F_ee^-1 F_ek (LAPACK, partial pivoting; a singular front raises
-    SolverError) and the update matrix F_kk - F_ke X, symmetrized.  The
-    root keeps exactly the boundary nodes, in loop order, so its update
-    matrix is the Schur complement S = K_bb - K_bi K_ii^-1 K_ib:
-    ``operator``, read-only and exactly symmetric, maps a trace to the
-    boundary currents of its solution.  The dissection must eliminate every
-    interior vertex exactly once and no boundary vertex (checked when the
-    system is built).
+    node's front, in row blocks, so that no gather copies a whole update.
+    Each front [[F_ee, F_ek], [F_ke, F_kk]], its eliminated vertices e first
+    and its kept vertices k last, gives X = F_ee^-1 F_ek (LAPACK, partial
+    pivoting; a singular front raises SolverError) and the update matrix
+    F_kk - F_ke X, symmetrized.  The root keeps exactly the boundary nodes,
+    in loop order, so its update matrix is the Schur complement
+    S = K_bb - K_bi K_ii^-1 K_ib: ``operator``, read-only and exactly
+    symmetric, maps a trace to the boundary currents of its solution.  The
+    dissection must eliminate every interior vertex exactly once and no
+    boundary vertex (checked when the system is built).
 
     Each condensation runs on first use.  ``operator`` carries a checksum
     load through its pass and drops each X as soon as its front has used
@@ -149,8 +151,12 @@ class DirichletSystem:
             gamma = gamma.real
         self.mesh = mesh
         self.elements = _element_matrices(mesh, gamma)
-        defect = (np.linalg.norm(self.elements - self.elements.transpose(0, 2, 1))
-                  / np.linalg.norm(self.elements))
+        # |K_e - K_e^T|^2 holds each pair above the diagonal twice: summed
+        # pair by pair, the check makes no second (nt, 3, 3) array
+        k = self.elements
+        skew = sum(np.vdot(d, d).real
+                   for d in (k[:, i, j] - k[:, j, i] for i, j in ((0, 1), (0, 2), (1, 2))))
+        defect = np.sqrt(2.0 * skew / np.vdot(k, k).real)
         if not defect <= 1e-8:
             raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
         self.boundary = np.asarray(mesh.boundary_loop)
@@ -243,6 +249,11 @@ def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+# the most bytes that one gather of an extend-add copies out of a front: on
+# the finest benchmark mesh a root child's update is 495^2 complex, 3.9 MB
+_EXTEND_ADD_BYTES = 1 << 18
+
+
 def _condense(elements: np.ndarray, fronts, load: Optional[np.ndarray] = None
               ) -> tuple[list | np.ndarray, np.ndarray]:
     """One post-order pass over the fronts of a dissection (see
@@ -252,7 +263,9 @@ def _condense(elements: np.ndarray, fronts, load: Optional[np.ndarray] = None
     once its front has used it: y[v] enters at the front that eliminates v,
     and at the root's kept part for a boundary vertex; each child's
     condensed load is extend-added at its update's positions, and a front
-    passes on l_k - X^T l_e."""
+    passes on l_k - X^T l_e.  A child's update is added in row blocks, each
+    gather of the front at most ``_EXTEND_ADD_BYTES``: the same adds as one
+    np.ix_ gather, so S keeps its bits."""
     updates, loads, xs = [None] * len(fronts), [None] * len(fronts), []
     for k, front in enumerate(fronts):
         ne = len(front.eliminated)
@@ -265,7 +278,10 @@ def _condense(elements: np.ndarray, fronts, load: Optional[np.ndarray] = None
         if front.children:
             f = np.zeros((m, m), dtype=elements.dtype)
             for c, pos in front.children:
-                f[np.ix_(pos, pos)] += updates[c]
+                # in row blocks, so that each gather of f stays small
+                rows = max(1, _EXTEND_ADD_BYTES // (f.itemsize * len(pos)))
+                for r in range(0, len(pos), rows):
+                    f[np.ix_(pos[r:r + rows], pos)] += updates[c][r:r + rows]
                 updates[c] = None
                 if load is not None:
                     l[pos] += loads[c]
@@ -290,7 +306,9 @@ def _condense(elements: np.ndarray, fronts, load: Optional[np.ndarray] = None
             xs.append(x)
         else:
             loads[k] = l[ne:] - x.T @ l[:ne]
-        del x
+        # updates[k] holds u now: the name goes too, so that the update is
+        # freed once its parent has added it, not after the next product
+        del x, u
     return (xs if load is None else loads[-1]), updates[-1]
 
 
@@ -305,11 +323,14 @@ def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _element_matrices(mesh: Mesh, gamma: np.ndarray) -> np.ndarray:
-    """The (nt, 3, 3) P1 element stiffness matrices."""
+    """The (nt, 3, 3) P1 element stiffness matrices, scaled by the areas in
+    place: one (nt, 3, 3) array is made."""
     bvec, cvec, area = _p1_geometry(mesh)
     # grad(lambda_i) = (b_i, c_i) / (2A); constant per triangle
     grads = np.stack([bvec, cvec], axis=2) / (2.0 * area)[:, None, None]
-    return np.einsum("tik,tkl,tjl->tij", grads, gamma, grads) * area[:, None, None]
+    k = np.einsum("tik,tkl,tjl->tij", grads, gamma, grads)
+    k *= area[:, None, None]
+    return k
 
 
 def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:

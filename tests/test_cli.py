@@ -676,6 +676,43 @@ def test_dtn_workers_give_the_in_process_operators(tmp_path):
     assert [b.matrix.dtype for b in written] == [complex, float]
 
 
+def test_dtn_builds_no_field_in_its_own_process(tmp_path, monkeypatch):
+    # the workers fork holding the mesh and its dissection, and each builds
+    # its own field: the perturbed one is built once, in a worker
+    pids = tmp_path / "pids"
+    build = cli._build_field
+
+    def recording_build(cfg, mesh):
+        with open(pids, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return build(cfg, mesh)
+
+    monkeypatch.setattr(cli, "_build_field", recording_build)
+    path = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    assert main(["dtn", "--config", path]) == 0
+    recorded = pids.read_text().split()
+    assert len(recorded) == 1 and recorded != [str(os.getpid())]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\na = 1.0\n", "\na = -1.0\n", "sigma = I + a must be uniformly positive definite"),
+    ("[probes]", "[background]\nsigma0 = 0\nomega = 0\n\n[probes]",
+     "sigma0^2 + omega^2 epsilon0^2 must be nonzero")])
+def test_an_invalid_field_fails_dtn_once(tmp_path, old, new, message):
+    # the field is built in a worker; its error is reported once, as a
+    # numerical failure, and no operator file is written
+    out = tmp_path / "out"
+    text = BASE_CONFIG.format(out=out)
+    assert old in text
+    cfg = _write(tmp_path, text.replace(old, new))
+    proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "dtn", "--config", cfg],
+                          cwd=tmp_path, env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == f"numerical failure: {message}\n"
+    assert not list(out.glob("*.npz"))
+
+
 def test_reconstruct_workers_give_the_serial_searches(tmp_path, capsys, monkeypatch):
     # five searches on two workers: stdout, cones.csv and overlay.svg keep the
     # bytes of the same searches run one after another in this process

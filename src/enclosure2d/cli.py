@@ -25,6 +25,7 @@ import argparse
 import configparser
 import hashlib
 import math
+import mmap
 import sys
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__, mittag
 from .admittivity import AdmittivityField, FieldError, ReductionInput, reduce_background
 from .fem import (DtNMatrix, SolverError, assemble_dtn_matrix, check_band_limit, gap_matrix,
-                  read_dtn, write_dtn)
+                  nodal_basis_for_mesh, read_dtn, write_dtn)
 from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
                         cones_avoid_shape, fit_support_directions,
                         hull_contains_shape, indicator_cgo, indicator_ml, j_oracle,
@@ -380,26 +381,40 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
         raise ConfigError(f"--modes: {exc}") from exc
     omega = cfg.background[2] if cfg.background is not None else cfg.omega
     names = ("perturbed", "background")
+    n = len(mesh.boundary_loop)
+    # one anonymous map shared with the workers, a half for each operator: a
+    # worker condenses its root into its half and writes its operator there,
+    # complex128 or float64 in the half's first bytes, so that only the
+    # operator's dtype and scale cross the pipe
+    shared = mmap.mmap(-1, 2 * n * n * 16)
 
-    def operator(i: int) -> DtNMatrix:
-        # each worker builds only its own field; an invalid perturbed field
-        # fails in its worker, and _in_workers re-raises that error once
-        field = (_build_field(cfg, mesh) if i == 0
-                 else AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega))
+    def operator(i: int) -> tuple[np.dtype, float]:
+        # each worker builds only its own field, and holds it no longer than
+        # it takes to form its coefficient; an invalid perturbed field fails
+        # in its worker, and _in_workers re-raises that error once
+        half = memoryview(shared)[i * n * n * 16:(i + 1) * n * n * 16]
         try:
-            return assemble_dtn_matrix(mesh, field, modes)
+            dtn = assemble_dtn_matrix(mesh, _build_field(cfg, mesh) if i == 0
+                                      else AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega),
+                                      modes, out=half)
         except SolverError as exc:
             raise SolverError(f"{names[i]} operator: {exc}") from exc
+        return dtn.matrix.dtype, dtn.scale
 
     # the two systems share the mesh and its dissection, formed here once
     # before the two workers fork, so that each condenses one system with it
     # and inherits no field
     mesh.dissection
 
-    pair = tuple(_in_workers(operator, len(names)))
+    basis = nodal_basis_for_mesh(mesh)
+    pair = tuple(DtNMatrix(basis=basis, omega=omega, mesh_h=mesh.h, modes=modes, scale=scale,
+                           matrix=np.frombuffer(shared, dtype, n * n, i * n * n * 16).reshape(n, n))
+                 for i, (dtype, scale) in enumerate(_in_workers(operator, len(names))))
     out = _out(cfg) / DTN_FILE
     write_dtn(pair, out, provenance=cfg.provenance())
-    print(f"operators: {pair[0].basis.size} nodes, band limit {modes or 'none'} -> {out}")
+    del pair            # the views of the map, which it cannot close while they stand
+    shared.close()
+    print(f"operators: {n} nodes, band limit {modes or 'none'} -> {out}")
     return 0
 
 

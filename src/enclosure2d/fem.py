@@ -114,17 +114,19 @@ class DirichletSystem:
 
     The coefficient is a per-triangle complex symmetric 2x2 matrix; the real
     part must be uniformly positive definite.  A coefficient with no
-    imaginary part gives real element matrices and real fronts.  K is kept
-    as its (nt, 3, 3) element matrices, ``elements``, and K u is summed from
-    them (``apply``).  K is symmetric (checked on the element matrices: a
-    relative defect |K_e - K_e^T| / |K_e| above 1e-8 raises SolverError;
-    |K_e - K_e^T| is summed from the three pairs above the diagonal, so the
-    check makes no second (nt, 3, 3) array).
+    imaginary part gives real element matrices and real fronts.  The system
+    keeps the coefficient, ``gamma``: a condensation forms each leaf's
+    element matrices as it assembles the leaf, a few leaves at a time
+    (``_leaf_elements``), and only ``apply``, which sums K u, forms and
+    keeps them all.  K is symmetric (checked in each condensation, leaf by leaf: a
+    relative defect |K_e - K_e^T| / |K_e| above 1e-8 raises SolverError).
 
     One post-order pass over the dissection tree (multifrontal, Duff & Reid,
     ACM TOMS 9, 1983) assembles each leaf's dense front from its element
     matrices and extend-adds the children's update matrices into an inner
-    node's front, in row blocks, so that no gather copies a whole update.
+    node's front, in row blocks, so that no gather copies a whole update;
+    an inner front, exactly symmetric, is held as three of its four blocks
+    (``_condense``).
     Each front [[F_ee, F_ek], [F_ke, F_kk]], its eliminated vertices e first
     and its kept vertices k last, gives X = F_ee^-1 F_ek (LAPACK, partial
     pivoting; a singular front raises SolverError) and the update matrix
@@ -150,15 +152,7 @@ class DirichletSystem:
         if not gamma.imag.any():
             gamma = gamma.real
         self.mesh = mesh
-        self.elements = _element_matrices(mesh, gamma)
-        # |K_e - K_e^T|^2 holds each pair above the diagonal twice: summed
-        # pair by pair, the check makes no second (nt, 3, 3) array
-        k = self.elements
-        skew = sum(np.vdot(d, d).real
-                   for d in (k[:, i, j] - k[:, j, i] for i, j in ((0, 1), (0, 2), (1, 2))))
-        defect = np.sqrt(2.0 * skew / np.vdot(k, k).real)
-        if not defect <= 1e-8:
-            raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
+        self.gamma = gamma
         self.boundary = np.asarray(mesh.boundary_loop)
         self.interior = np.setdiff1d(np.arange(mesh.n_vertices), self.boundary)
         fronts = mesh.dissection
@@ -171,38 +165,24 @@ class DirichletSystem:
     @cached_property
     def _condensed(self) -> tuple[list, np.ndarray]:
         """The X of every front, in the dissection's order, and S."""
-        return _condense(self.elements, self.mesh.dissection)
+        return _condense(_leaf_elements(self.mesh, self.gamma), self.mesh.dissection)
+
+    @cached_property
+    def _elements(self) -> np.ndarray:
+        """All (nt, 3, 3) element matrices, formed for ``apply`` alone."""
+        return _element_matrices(self.mesh, self.gamma)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """K u for the nodal values u, summed from the element matrices."""
         tri = self.mesh.triangles
-        ku = np.einsum("tij,tj->ti", self.elements, np.asarray(u)[tri])
+        ku = np.einsum("tij,tj->ti", self._elements, np.asarray(u)[tri])
         return _bincount(tri.ravel(), ku.ravel(), self.mesh.n_vertices)
 
     @cached_property
     def operator(self) -> np.ndarray:
-        """S, formed on first access by a pass that keeps no X.
-        SolverError above 1e-8 in either of two relative defects, zero in
-        exact arithmetic: S 1 (constants carry no current), and a checksum,
-        the load K x of a seeded random x on every vertex condensed in the
-        same pass, less S x_b (Huang & Abraham, IEEE Trans. Comput. C-33,
-        1984; Freivalds 1977).  The checksum sees each front's backward error,
-        and extend-add positions that keep S 1 = 0.  At a contrast of 1e6
-        (h = 0.1) the checksum measured 2.3e-11 (real) and 4.0e-11
-        (complex), S 1 up to 2.9e-11; at unit contrast both stay below
-        5e-16."""
-        x = np.random.default_rng(0).standard_normal(self.mesh.n_vertices)
-        load, s = _condense(self.elements, self.mesh.dissection, self.apply(x))
-        s.setflags(write=False)
-        leak = np.abs(s.sum(axis=1)).max() / np.abs(s).sum(axis=1).max()
-        if not leak <= 1e-8:
-            raise SolverError(f"boundary operator leaks current on constants: {leak:.3g}")
-        sx = s @ x[self.boundary]
-        mismatch = np.linalg.norm(load - sx) / np.linalg.norm(sx)
-        if not mismatch <= 1e-8:
-            raise SolverError(f"condensed checksum differs from the boundary operator "
-                              f"by {mismatch:.3g}")
-        return s
+        """S, formed on first access by ``_operator``: checked, read-only,
+        and from a pass that keeps no X."""
+        return _operator(self.mesh, _leaf_elements(self.mesh, self.gamma))
 
     def solve(self, trace: np.ndarray) -> SolveResult:
         """Solution with the given boundary-node values (ordered as the loop):
@@ -216,7 +196,7 @@ class DirichletSystem:
         u[self.boundary] = trace
         scale = np.linalg.norm(self.apply(u)[self.interior])     # |K_ib f|
         xs = self._condensed[0]
-        v = u if self.elements.dtype.kind == "c" else np.column_stack([u.real, u.imag])
+        v = u if self.gamma.dtype.kind == "c" else np.column_stack([u.real, u.imag])
         for front, x in zip(reversed(self.mesh.dissection), reversed(xs)):
             v[front.eliminated] = -(x @ v[front.kept])
         if v is not u:
@@ -249,72 +229,130 @@ def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _operator(mesh: Mesh, leaves, out=None) -> np.ndarray:
+    """S, read-only, from one ``_condense`` pass over the mesh's dissection
+    with the element matrices ``leaves`` gives, which keeps no X, formed in
+    ``out`` if given.
+    SolverError above 1e-8 in either of two relative defects, zero in exact
+    arithmetic: S 1 (constants carry no current), and a checksum, the load
+    K x of a seeded random x on every vertex condensed in the same pass,
+    less S x_b (Huang & Abraham, IEEE Trans. Comput. C-33, 1984; Freivalds
+    1977).  The checksum sees each front's backward error, and extend-add
+    positions that keep S 1 = 0.  At a contrast of 1e6 (h = 0.1) the
+    checksum measured 1.7e-11 (real) and 8.2e-11 (complex), S 1 up to
+    2.9e-11; at unit contrast both stay below 5e-16."""
+    x = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    load, s = _condense(leaves, mesh.dissection, x, out)
+    s.setflags(write=False)
+    leak = np.abs(s.sum(axis=1)).max() / np.abs(s).sum(axis=1).max()
+    if not leak <= 1e-8:
+        raise SolverError(f"boundary operator leaks current on constants: {leak:.3g}")
+    sx = s @ x[mesh.boundary_loop]
+    mismatch = np.linalg.norm(load - sx) / np.linalg.norm(sx)
+    if not mismatch <= 1e-8:
+        raise SolverError(f"condensed checksum differs from the boundary operator "
+                          f"by {mismatch:.3g}")
+    return s
+
+
 # the most bytes that one gather of an extend-add copies out of a front: on
 # the finest benchmark mesh a root child's update is 495^2 complex, 3.9 MB
 _EXTEND_ADD_BYTES = 1 << 18
 
 
-def _condense(elements: np.ndarray, fronts, load: Optional[np.ndarray] = None
+def _condense(leaves, fronts, x: Optional[np.ndarray] = None, out=None
               ) -> tuple[list | np.ndarray, np.ndarray]:
     """One post-order pass over the fronts of a dissection (see
     ``DirichletSystem``): the X of every front, in their order, and the
-    root's update matrix.  Given a load y on every vertex, the pass carries
-    it too, and gives its condensed load in place of the X, each X dropped
-    once its front has used it: y[v] enters at the front that eliminates v,
-    and at the root's kept part for a boundary vertex; each child's
-    condensed load is extend-added at its update's positions, and a front
-    passes on l_k - X^T l_e.  A child's update is added in row blocks, each
-    gather of the front at most ``_EXTEND_ADD_BYTES``: the same adds as one
-    np.ix_ gather, so S keeps its bits."""
+    root's update matrix.  ``leaves`` gives the element matrices of each
+    leaf, in the fronts' order, taken as the leaf is assembled, so that the
+    pass holds no more of them than ``leaves`` forms at once; their relative
+    symmetry defect |K_e - K_e^T| / |K_e| is summed leaf by leaf and raises
+    SolverError above 1e-8 once the pass is done.  Given x on every vertex,
+    the pass carries the load K x too, and gives its condensed load in place
+    of the X, each X dropped once its front has used it: a leaf's load is
+    its front times x at its vertices, each child's condensed load is
+    extend-added at its update's positions, and a front passes on
+    l_k - X^T l_e.
+
+    An inner front is the sum of its children's updates, each exactly
+    symmetric, so it is exactly symmetric too: it is assembled as F_ee,
+    F_ke and F_kk, with F_ke^T for F_ek, and its update is formed in F_kk,
+    which ``out`` holds at the root when it is given (a writable buffer of
+    at least (kept vertices)^2 complex128).  A child's update is added in
+    row blocks, each gather of a block at most ``_EXTEND_ADD_BYTES``: the
+    same adds as one np.ix_ gather of the whole front, so S keeps its
+    bits."""
     updates, loads, xs = [None] * len(fronts), [None] * len(fronts), []
+    skew = norm = 0.0
     for k, front in enumerate(fronts):
-        ne = len(front.eliminated)
-        m = ne + len(front.kept)
-        if load is not None:
-            l = np.zeros(m, dtype=elements.dtype)
-            l[:ne] = load[front.eliminated]
-            if k == len(fronts) - 1:
-                l[ne:] = load[front.kept]
+        ne, nk = len(front.eliminated), len(front.kept)
         if front.children:
-            f = np.zeros((m, m), dtype=elements.dtype)
+            dtype = updates[front.children[0][0]].dtype
+            if out is not None and k == len(fronts) - 1:
+                fkk = np.frombuffer(out, dtype, nk * nk).reshape(nk, nk)
+                fkk[...] = 0
+            else:
+                fkk = np.zeros((nk, nk), dtype)
+            fee, fke = np.zeros((ne, ne), dtype), np.zeros((nk, ne), dtype)
+            fek = fke.T
+            l = np.zeros(ne + nk, dtype)
             for c, pos in front.children:
-                # in row blocks, so that each gather of f stays small
-                rows = max(1, _EXTEND_ADD_BYTES // (f.itemsize * len(pos)))
-                for r in range(0, len(pos), rows):
-                    f[np.ix_(pos[r:r + rows], pos)] += updates[c][r:r + rows]
+                u, e = updates[c], pos < ne         # e: the positions this front eliminates
+                ie, ik = np.flatnonzero(e), np.flatnonzero(~e)
+                pe, pk = pos[ie], pos[ik] - ne
+                for f, rows, cols, urows, ucols in ((fee, pe, pe, ie, ie), (fke, pk, pe, ik, ie),
+                                                    (fkk, pk, pk, ik, ik)):
+                    # in row blocks, so that each gather stays small
+                    n = max(1, _EXTEND_ADD_BYTES // (f.itemsize * max(1, len(cols))))
+                    for r in range(0, len(rows), n):
+                        f[rows[r:r + n, None], cols] += u[urows[r:r + n, None], ucols]
+                del u
                 updates[c] = None
-                if load is not None:
+                if x is not None:
                     l[pos] += loads[c]
                     loads[c] = None
         else:
-            loc = front.local
-            f = _bincount((loc[:, :, None] * m + loc[:, None, :]).ravel(),
-                          elements[front.triangles].ravel(), m * m).reshape(m, m)
+            ke = next(leaves)
+            d = ke - ke.transpose(0, 2, 1)
+            skew, norm = skew + np.vdot(d, d).real, norm + np.vdot(ke, ke).real
+            m, loc = ne + nk, front.local
+            f = _bincount((loc[:, :, None] * m + loc[:, None, :]).ravel(), ke.ravel(),
+                          m * m).reshape(m, m)
+            if x is not None:
+                l = f @ x[np.concatenate([front.eliminated, front.kept])]
+            fee, fek, fke, fkk = f[:ne, :ne], f[:ne, ne:], f[ne:, :ne], f[ne:, ne:]
+            del f
         try:
-            x = np.linalg.solve(f[:ne, :ne], f[:ne, ne:])
+            xf = np.linalg.solve(fee, fek)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular front of {ne} vertices: {exc}") from exc
-        # F_kk - F_ke X into the product's memory, so that the front goes
-        # before the symmetrization's copy of u.T is made
-        u = f[ne:, :ne] @ x
-        np.subtract(f[ne:, ne:], u, out=u)
-        del f
+        # F_kk - F_ke X in F_kk's memory; the rest of the front goes before
+        # the symmetrization's copy of u.T is made
+        u = fkk
+        u -= fke @ xf
+        del fee, fek, fke, fkk
         u += u.T
         u *= 0.5
         updates[k] = u
-        if load is None:
-            xs.append(x)
+        if x is None:
+            xs.append(xf)
         else:
-            loads[k] = l[ne:] - x.T @ l[:ne]
+            loads[k] = l[ne:] - xf.T @ l[:ne]
         # updates[k] holds u now: the name goes too, so that the update is
         # freed once its parent has added it, not after the next product
-        del x, u
-    return (xs if load is None else loads[-1]), updates[-1]
+        del xf, u
+    defect = np.sqrt(skew / norm)
+    if not defect <= 1e-8:
+        raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
+    return (xs if x is None else loads[-1]), updates[-1]
 
 
-def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-triangle P1 coefficients (b, c), each (nt, 3), and signed areas."""
-    p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
+def _p1_geometry(mesh: Mesh, triangles=slice(None)
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle P1 coefficients (b, c), each (nt, 3), and signed areas,
+    of the given triangles, of all by default."""
+    p = mesh.vertices[mesh.triangles[triangles]]          # (nt, 3, 2)
     x, y = p[..., 0], p[..., 1]
     bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
@@ -322,15 +360,37 @@ def _p1_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bvec, cvec, area
 
 
-def _element_matrices(mesh: Mesh, gamma: np.ndarray) -> np.ndarray:
-    """The (nt, 3, 3) P1 element stiffness matrices, scaled by the areas in
-    place: one (nt, 3, 3) array is made."""
-    bvec, cvec, area = _p1_geometry(mesh)
+def _element_matrices(mesh: Mesh, gamma: np.ndarray, triangles=slice(None)) -> np.ndarray:
+    """The (nt, 3, 3) P1 element stiffness matrices of the given triangles,
+    of all by default, scaled by the areas in place: one (nt, 3, 3) array is
+    made.  Each triangle's matrix has the same bits whichever triangles are
+    asked for with it."""
+    bvec, cvec, area = _p1_geometry(mesh, triangles)
     # grad(lambda_i) = (b_i, c_i) / (2A); constant per triangle
     grads = np.stack([bvec, cvec], axis=2) / (2.0 * area)[:, None, None]
-    k = np.einsum("tik,tkl,tjl->tij", grads, gamma, grads)
+    k = np.einsum("tik,tkl,tjl->tij", grads, gamma[triangles], grads)
     k *= area[:, None, None]
     return k
+
+
+# the leaves whose element matrices are formed at once: 8 leaves of at most
+# 128 triangles each, at most 147 KB of complex element matrices
+_LEAVES_AT_ONCE = 8
+
+
+def _leaf_elements(mesh: Mesh, gamma: np.ndarray):
+    """The element matrices of each leaf of the mesh's dissection, in its
+    order, formed ``_LEAVES_AT_ONCE`` leaves at a time as they are asked
+    for.  It lets go of gamma once it has formed the last, so that a gamma
+    that nothing else holds goes before the root is condensed."""
+    leaves = [f.triangles for f in mesh.dissection if not f.children]
+    for start in range(0, len(leaves), _LEAVES_AT_ONCE):
+        batch = leaves[start:start + _LEAVES_AT_ONCE]
+        k = _element_matrices(mesh, gamma, np.concatenate(batch))
+        if start + _LEAVES_AT_ONCE >= len(leaves):
+            del gamma
+        yield from np.split(k, np.cumsum([len(t) for t in batch[:-1]]))
+        del k
 
 
 def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
@@ -378,32 +438,65 @@ def check_band_limit(modes: int, nodes: int) -> None:
                          f"limit {nodes // 8} for {nodes} boundary nodes")
 
 
+def _mode_form(matrix: np.ndarray, thetas: np.ndarray, modes: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """P+^T (P^T B P) and P+ of ``band_limited``: all of Q^T B Q but its last
+    product."""
+    check_band_limit(modes, len(thetas))
+    p = np.exp(1j * np.outer(thetas, np.arange(-modes, modes + 1)))
+    # the singular-value cutoff of lstsq(rcond=None); pinv's default is 1e-15
+    pinv = np.linalg.pinv(p, rcond=max(p.shape) * np.finfo(float).eps)
+    return pinv.T @ (p.T @ (matrix @ p)), pinv
+
+
 def band_limited(matrix: np.ndarray, thetas: np.ndarray, modes: int) -> np.ndarray:
     """Q^T B Q for a nodal operator matrix B: the operator measured with the
     trigonometric current patterns exp(i n theta), |n| <= modes, where
     Q = P P+ projects node values onto them by least squares, with P the
     (nodes, 2 modes + 1) mode matrix at the node angles ``thetas``.
 
-    Formed as P+^T (P^T B P) P+, with products of P only.  Its quadratic form
-    on a trace f is that of the modes' matrix P^T B P on the coefficients
-    c = P+ f, because conj(P+) = J P+ with J the mode reversal."""
-    check_band_limit(modes, len(thetas))
-    p = np.exp(1j * np.outer(thetas, np.arange(-modes, modes + 1)))
-    # the singular-value cutoff of lstsq(rcond=None); pinv's default is 1e-15
-    pinv = np.linalg.pinv(p, rcond=max(p.shape) * np.finfo(float).eps)
-    return pinv.T @ (p.T @ (matrix @ p)) @ pinv
+    Formed as P+^T (P^T B P) P+, with products of P only (``_mode_form``,
+    then its last product).  Its quadratic form on a trace f is that of the
+    modes' matrix P^T B P on the coefficients c = P+ f, because
+    conj(P+) = J P+ with J the mode reversal."""
+    a, pinv = _mode_form(matrix, thetas, modes)
+    return a @ pinv
 
 
 def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
-                        system: Optional[DirichletSystem] = None) -> DtNMatrix:
+                        system: Optional[DirichletSystem] = None,
+                        out=None) -> DtNMatrix:
     """B[j, k] = <L phi_j, phi_k> = phi_k^T S phi_j over the nodal basis, read
-    off the boundary operator S of the system: S^T, in S's own arithmetic, or
-    for modes >= 1 its complex ``band_limited`` form."""
-    basis = nodal_basis_for_mesh(mesh)
-    sys_ = system or DirichletSystem(mesh, complex_admittivity(field))
-    b = (band_limited(sys_.operator.T, basis.thetas, modes) if modes
-         else np.ascontiguousarray(sys_.operator.T))
-    return DtNMatrix(basis=basis, omega=field.omega, matrix=b, mesh_h=mesh.h, modes=modes)
+    off the boundary operator S: S^T, in S's own arithmetic, or for
+    modes >= 1 its complex ``band_limited`` form.  Given ``out``, a writable
+    buffer of at least n^2 complex128 for n boundary nodes, B is written
+    into its first bytes and is a view of them.
+
+    S is the given system's, or else formed by ``_operator`` from the
+    field's coefficient: the field goes once the coefficient is formed, and
+    the coefficient, checked as a system checks it, once the last leaf's
+    element matrices are formed.  S goes before the band limit's last
+    product, which writes B."""
+    basis, omega, n = nodal_basis_for_mesh(mesh), field.omega, len(mesh.boundary_loop)
+    if system is None:
+        leaves = _leaf_elements(mesh, DirichletSystem(mesh, complex_admittivity(field)).gamma)
+    del field
+    s = system.operator if system else _operator(mesh, leaves, out)
+
+    def matrix(dtype):          # B's memory: the first bytes of out, or new
+        if out is None:
+            return np.empty((n, n), dtype)
+        return np.frombuffer(out, dtype, n * n).reshape(n, n)
+
+    if modes:
+        a, pinv = _mode_form(s.T, basis.thetas, modes)
+        del s
+        b = np.matmul(a, pinv, out=matrix(complex))
+    else:
+        b = matrix(s.dtype)
+        if not np.shares_memory(b, s):      # S formed in out is B: it is exactly symmetric
+            b[...] = s.T
+    return DtNMatrix(basis=basis, omega=omega, matrix=b, mesh_h=mesh.h, modes=modes)
 
 
 def analytic_two_layer_dtn(rho: float, k: complex, n: int) -> complex:
@@ -558,17 +651,27 @@ def write_dtn(pair: DtnPair, path, provenance: Optional[dict] = None) -> None:
     ``omega``, ``h`` the mesh size, ``radius``), ``provenance`` as
     'key: value' lines, the float64 node angles ``thetas``, and the
     ``perturbed`` and ``background`` nodal matrices, each float64 or
-    complex128 as assembled.  The bytes depend only on these values: zip
-    entries carry a fixed timestamp."""
+    complex128 as assembled.  The bytes are those of ``np.savez``, and
+    depend only on these values: zip entries carry a fixed timestamp.  Each
+    entry is written from its array's own memory, where ``np.savez`` writes
+    a copy of a whole matrix."""
+    import zipfile
+
     b1, b0 = pair
     basis = b1.basis
     lines = np.array([f"{key}: {val}" for key, val in (provenance or {}).items()], dtype=str)
-    # through a file object, which np.savez does not rename to end in .npz
-    with open(path, "wb") as f:
-        np.savez(f, format=DTN_FORMAT, provenance=lines, modes=np.int64(b1.modes),
-                 n_nodes=np.int64(basis.size), omega=np.float64(b1.omega),
-                 h=np.float64(b1.mesh_h), radius=np.float64(basis.radius),
-                 thetas=basis.thetas, perturbed=b1.matrix, background=b0.matrix)
+    entries = {"format": DTN_FORMAT, "provenance": lines, "modes": np.int64(b1.modes),
+               "n_nodes": np.int64(basis.size), "omega": np.float64(b1.omega),
+               "h": np.float64(b1.mesh_h), "radius": np.float64(basis.radius),
+               "thetas": basis.thetas, "perturbed": b1.matrix, "background": b0.matrix}
+    # as np.savez writes them: zip64 entries, stored, each a .npy file
+    with open(path, "wb") as f, zipfile.ZipFile(f, "w", allowZip64=True) as z:
+        for name, val in entries.items():
+            val = np.require(val, requirements="C")
+            with z.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(
+                    entry, np.lib.format.header_data_from_array_1_0(val))
+                entry.write(memoryview(val).cast("B"))
 
 
 def read_dtn(path) -> DtnPair:

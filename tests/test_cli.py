@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -676,6 +677,25 @@ def test_dtn_workers_give_the_in_process_operators(tmp_path):
     assert [b.matrix.dtype for b in written] == [complex, float]
 
 
+def test_dtn_operators_reach_the_command_through_shared_memory(tmp_path, monkeypatch):
+    # each worker writes its operator into its half of a map shared with the
+    # command's process: only its dtype and scale cross the pipe
+    sizes = []
+    in_workers = cli._in_workers
+
+    def measured(task, n):
+        results = in_workers(task, n)
+        sizes.extend(len(pickle.dumps(r)) for r in results)
+        return results
+
+    monkeypatch.setattr(cli, "_in_workers", measured)
+    path = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
+    assert main(["dtn", "--config", path]) == 0
+    assert len(sizes) == 2 and max(sizes) < 4096
+    nodes = len(read_dtn(tmp_path / "out" / "dtn.npz")[0].basis.thetas)
+    assert nodes ** 2 * 8 > 4096
+
+
 def test_dtn_builds_no_field_in_its_own_process(tmp_path, monkeypatch):
     # the workers fork holding the mesh and its dissection, and each builds
     # its own field: the perturbed one is built once, in a worker
@@ -761,10 +781,10 @@ from enclosure2d.fem import SolverError
 
 assemble = cli.assemble_dtn_matrix
 
-def faulty(mesh, field, modes):
+def faulty(mesh, field, modes, **kwargs):
     # the perturbed operator is built; the background one fails in its worker
     if field.a.any():
-        return assemble(mesh, field, modes)
+        return assemble(mesh, field, modes, **kwargs)
     if sys.argv[1] == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
     raise SolverError("injected singular system")

@@ -1,5 +1,7 @@
+import io
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -477,7 +479,8 @@ def _stiffness(sys_):
     """The system's stiffness matrix, assembled by scipy from its element matrices."""
     tri, n = sys_.mesh.triangles, sys_.mesh.n_vertices
     rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
-    return sp.coo_matrix((sys_.elements.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    k = fem._element_matrices(sys_.mesh, sys_.gamma)
+    return sp.coo_matrix((k.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _small_mesh():
@@ -531,11 +534,12 @@ def test_bad_solution_raises_from_solve_and_assembly(two_layer, b, monkeypatch):
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_a_singular_front_raises(b):
-    # zero element matrices leave every leaf's front singular
+    # a coefficient zeroed after the system has checked it gives zero
+    # element matrices, which leave every leaf's front singular
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
     field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
     sys_ = DirichletSystem(mesh, complex_admittivity(field))
-    sys_.elements[:] = 0.0
+    sys_.gamma[:] = 0.0
     with pytest.raises(SolverError, match="singular front"):
         sys_.solve(fourier_trace(mesh, 1))
     with pytest.raises(SolverError, match="singular front"):
@@ -621,20 +625,22 @@ def test_operator_keeps_no_x(b, monkeypatch):
 
 @pytest.mark.parametrize("b, bound", [(0.0, 3.5), (0.5, 2.6)])
 def test_system_construction_makes_no_second_element_array(b, bound):
-    # the element matrices are scaled in place and the symmetry defect is
-    # read from the pairs above the diagonal: no second (nt, 3, 3) array.
-    # Measured 3.02 (real) and 2.18 (complex) times the elements' bytes,
-    # against 4.02 and 3.18 with a second array
+    # the system keeps the coefficient and forms no element matrices: its
+    # construction makes no (nt, 3, 3) array at all.  Measured 0.45 (real)
+    # and 0.22 (complex) times the elements' bytes; 3.02 and 2.18 when it
+    # formed them, and 4.02 and 3.18 with a second array
     mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.2, 0.0), 0.4))
     mesh.dissection
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
+    elements = fem._element_matrices(mesh, gamma if b else gamma.real)
     tracemalloc.start()
     try:
-        sys_ = DirichletSystem(mesh, gamma)
+        DirichletSystem(mesh, gamma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * sys_.elements.nbytes
+    assert peak <= bound * elements.nbytes
+    assert peak < elements.nbytes
 
 
 def test_symmetry_defect_is_the_relative_antisymmetric_norm():
@@ -645,69 +651,149 @@ def test_symmetry_defect_is_the_relative_antisymmetric_norm():
     k = fem._element_matrices(mesh, gamma)
     defect = np.linalg.norm(k - k.transpose(0, 2, 1)) / np.linalg.norm(k)
     with pytest.raises(SolverError, match=f"symmetry defect {defect:.3g}$"):
-        DirichletSystem(mesh, gamma)
+        DirichletSystem(mesh, gamma).operator
 
 
-def _one_shot_condense(elements, fronts, load=None):
-    """``fem._condense`` with each child's update extend-added through one
-    np.ix_ gather of the front, and each update also held as ``u`` until the
-    next front's product is made: the reference for the blocked pass."""
+def _one_shot_condense(leaves, fronts, x=None, out=None):
+    """``fem._condense`` with each front assembled whole, each child's update
+    extend-added through one np.ix_ gather of it, and each update also held
+    as ``u`` until the next front's product is made: the reference for the
+    blocked pass.  It forms nothing in ``out``."""
+    assert out is None
     updates, loads, xs = [None] * len(fronts), [None] * len(fronts), []
     for k, front in enumerate(fronts):
         ne = len(front.eliminated)
         m = ne + len(front.kept)
-        l = np.zeros(m, dtype=elements.dtype)
-        if load is not None:
-            l[:ne] = load[front.eliminated]
-            if k == len(fronts) - 1:
-                l[ne:] = load[front.kept]
         if front.children:
-            f = np.zeros((m, m), dtype=elements.dtype)
+            f = np.zeros((m, m), dtype=updates[front.children[0][0]].dtype)
+            l = np.zeros(m, dtype=f.dtype)
             for c, pos in front.children:
                 f[np.ix_(pos, pos)] += updates[c]
                 updates[c] = None
-                if load is not None:
+                if x is not None:
                     l[pos] += loads[c]
                     loads[c] = None
         else:
             loc = front.local
             f = fem._bincount((loc[:, :, None] * m + loc[:, None, :]).ravel(),
-                              elements[front.triangles].ravel(), m * m).reshape(m, m)
-        x = np.linalg.solve(f[:ne, :ne], f[:ne, ne:])
-        u = f[ne:, :ne] @ x
+                              next(leaves).ravel(), m * m).reshape(m, m)
+            if x is not None:
+                l = f @ x[np.concatenate([front.eliminated, front.kept])]
+        xf = np.linalg.solve(f[:ne, :ne], f[:ne, ne:])
+        u = f[ne:, :ne] @ xf
         np.subtract(f[ne:, ne:], u, out=u)
         del f
         u += u.T
         u *= 0.5
         updates[k] = u
-        if load is None:
-            xs.append(x)
+        if x is None:
+            xs.append(xf)
         else:
-            loads[k] = l[ne:] - x.T @ l[:ne]
-        del x
-    return (xs if load is None else loads[-1]), updates[-1]
+            loads[k] = l[ne:] - xf.T @ l[:ne]
+        del xf
+    return (xs if x is None else loads[-1]), updates[-1]
+
+
+def _whole_array_leaves(mesh, gamma):
+    """The leaves' element matrices as rows of one (nt, 3, 3) array."""
+    k = fem._element_matrices(mesh, gamma)
+    return (k[f.triangles] for f in mesh.dissection if not f.children)
 
 
 @pytest.mark.parametrize("budget", [None, 4096, 1])
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_blocked_extend_add_adds_what_one_gather_adds(b, budget, monkeypatch):
     # row blocks of any byte budget, down to one row each, add the same
-    # numbers as one gather of each child's update: every X, S and the
-    # condensed load keep their bits
+    # numbers into an inner front's three blocks as one gather of each
+    # child's update adds into the whole front, and F_ke^T X is F_ek X:
+    # every X, S and the condensed load keep their bits
     if budget is not None:
         monkeypatch.setattr(fem, "_EXTEND_ADD_BYTES", budget)
     mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.2, 0.0), 0.4))
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
     sys_ = DirichletSystem(mesh, gamma)
     fronts = mesh.dissection
-    load = sys_.apply(np.random.default_rng(3).standard_normal(mesh.n_vertices))
-    xs, s = fem._condense(sys_.elements, fronts)
-    ref_xs, ref_s = _one_shot_condense(sys_.elements, fronts)
+    x = np.random.default_rng(3).standard_normal(mesh.n_vertices)
+    xs, s = fem._condense(fem._leaf_elements(mesh, sys_.gamma), fronts)
+    ref_xs, ref_s = _one_shot_condense(fem._leaf_elements(mesh, sys_.gamma), fronts)
     assert s.dtype.kind == ("c" if b else "f") and s.tobytes() == ref_s.tobytes()
     assert [x.tobytes() for x in xs] == [x.tobytes() for x in ref_xs]
-    condensed, s = fem._condense(sys_.elements, fronts, load)
-    ref_condensed, ref_s = _one_shot_condense(sys_.elements, fronts, load)
+    condensed, s = fem._condense(fem._leaf_elements(mesh, sys_.gamma), fronts, x)
+    ref_condensed, ref_s = _one_shot_condense(fem._leaf_elements(mesh, sys_.gamma), fronts, x)
     assert s.tobytes() == ref_s.tobytes() and condensed.tobytes() == ref_condensed.tobytes()
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_leaf_element_matrices_keep_the_bits_of_one_element_array(b):
+    # each leaf's element matrices, formed as the pass assembles the leaf,
+    # are the rows of the whole (nt, 3, 3) array bit for bit, so S, from
+    # either pass, is the one-shot reference's over the whole array
+    mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.2, 0.0), 0.4))
+    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0))
+    sys_ = DirichletSystem(mesh, gamma)
+    pairs = list(zip(fem._leaf_elements(mesh, sys_.gamma), _whole_array_leaves(mesh, sys_.gamma),
+                     strict=True))
+    assert len(pairs) == sum(not f.children for f in mesh.dissection)
+    assert all(k.tobytes() == ref.tobytes() for k, ref in pairs)
+    ref_xs, ref_s = _one_shot_condense(_whole_array_leaves(mesh, sys_.gamma), mesh.dissection)
+    assert sys_.operator.tobytes() == ref_s.tobytes()
+    xs, s = sys_._condensed
+    assert s.tobytes() == ref_s.tobytes()
+    assert [x.tobytes() for x in xs] == [x.tobytes() for x in ref_xs]
+
+
+@pytest.mark.parametrize("at_once", [1, 3])
+def test_leaves_let_go_of_the_coefficient_once_the_last_is_formed(at_once, monkeypatch):
+    # the leaves' element matrices, formed a few leaves at a time, hold the
+    # coefficient until the last are formed, and no longer
+    monkeypatch.setattr(fem, "_LEAVES_AT_ONCE", at_once)
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0))
+    held = weakref.ref(gamma)
+    leaves = fem._leaf_elements(mesh, gamma)
+    del gamma
+    n = sum(not f.children for f in mesh.dissection)
+    last = (n - 1) // at_once * at_once             # the first leaf of the last batch
+    assert 0 < last < n - 1 or at_once == 1
+    for i in range(n):
+        next(leaves)
+        assert (held() is None) == (i >= last)
+    assert next(leaves, None) is None
+
+
+def test_dtn_matrix_holds_no_element_array():
+    # the operator path forms each leaf's element matrices as it assembles
+    # the leaf: its traced peak stays below 3.4 times the bytes of the
+    # (nt, 3, 3) array (measured 2.73), which a pass that holds that array
+    # exceeds (4.05)
+    mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.2, 0.0), 0.4))
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
+    assemble_dtn_matrix(mesh, field)              # the dissection, and any lazy import
+    elements = fem._element_matrices(mesh, complex_admittivity(field))
+    tracemalloc.start()
+    try:
+        assemble_dtn_matrix(mesh, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4 * elements.nbytes
+
+
+@pytest.mark.parametrize("shape, b, modes", [("disk", 0.0, 0), ("disk", 0.5, 0), ("disk", 0.0, 4),
+                                             ("disk", 0.5, 4), ("depth 0", 0.5, 0)])
+def test_operator_written_into_a_buffer_keeps_its_bits(shape, b, modes):
+    # B written into the first bytes of a buffer, whatever it held, in its
+    # own dtype: the bits of B in new memory; the root's update is formed in
+    # the buffer, except at a root that is a leaf
+    mesh = (build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4)) if shape == "disk"
+            else _small_mesh())
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=b, omega=1.0)
+    ref = assemble_dtn_matrix(mesh, field, modes).matrix
+    n = len(mesh.boundary_loop)
+    buf = bytearray(b"\xff" * (n * n * 16))
+    dtn = assemble_dtn_matrix(mesh, field, modes, out=buf)
+    assert dtn.matrix.dtype == ref.dtype and dtn.matrix.tobytes() == ref.tobytes()
+    assert np.shares_memory(dtn.matrix, np.frombuffer(buf, np.uint8))
 
 
 def test_operator_peak_drops_the_gather_of_a_root_child(monkeypatch):
@@ -739,13 +825,13 @@ def test_operator_peak_drops_the_gather_of_a_root_child(monkeypatch):
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_checksum_roundoff_at_contrast_1e6(b):
     # the checksum's mismatch at the contrast where roundoff is worst, two
-    # decades inside the operator's 1e-8 bound (measured 2.3e-11 and 4.0e-11);
+    # decades inside the operator's 1e-8 bound (measured 1.7e-11 and 8.2e-11);
     # carrying the load leaves S as the pass without it gives it
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
     gamma = complex_admittivity(AdmittivityField.from_scalars(mesh, a=1e6, b=b, omega=1.0))
     sys_ = DirichletSystem(mesh, gamma)
     x = np.random.default_rng(0).standard_normal(mesh.n_vertices)
-    load, s = fem._condense(sys_.elements, mesh.dissection, sys_.apply(x))
+    load, s = fem._condense(fem._leaf_elements(mesh, sys_.gamma), mesh.dissection, x)
     assert np.array_equal(s, sys_.operator)
     assert np.array_equal(s, sys_._condensed[1])
     sx = s @ x[sys_.boundary]
@@ -803,6 +889,24 @@ def test_operator_matches_dense_schur_complement(shape, a, b, modes):
     # condition of K_ii, which grows with the contrast
     tol = 1e-11 if a > 1.0 else 1e-12
     assert np.abs(dtn.matrix - ref).max() <= tol * np.abs(ref).max()
+
+
+def test_dtn_archive_has_the_bytes_of_np_savez(tmp_path):
+    # written from each array's own memory, the archive keeps the bytes that
+    # np.savez gives the same entries
+    mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.2, 0.0), 0.4))
+    field = AdmittivityField.from_scalars(mesh, a=1.0, b=0.5, omega=1.0)
+    for provenance in (None, {"config": "a.cfg", "note": "ünïcode"}):
+        pair = (assemble_dtn_matrix(mesh, field, 3), assemble_dtn_matrix(mesh, background(mesh), 3))
+        write_dtn(pair, tmp_path / "dtn.npz", provenance)
+        lines = np.array([f"{k}: {v}" for k, v in (provenance or {}).items()], dtype=str)
+        ref = io.BytesIO()
+        np.savez(ref, format=DTN_FORMAT, provenance=lines, modes=np.int64(3),
+                 n_nodes=np.int64(pair[0].basis.size), omega=np.float64(1.0),
+                 h=np.float64(mesh.h), radius=np.float64(mesh.domain_radius),
+                 thetas=pair[0].basis.thetas, perturbed=pair[0].matrix,
+                 background=pair[1].matrix)
+        assert (tmp_path / "dtn.npz").read_bytes() == ref.getvalue()
 
 
 def test_dtn_file_roundtrip_is_bit_exact(tmp_path):

@@ -9,7 +9,6 @@ operators differ by the scalar factor (sigma0 - i omega epsilon0).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ class FieldError(ValueError):
 
 
 _DEFINITE_TOL = 1e-12
-_JUMP_MARGIN = 1e-9
 
 
 def sym_eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,16 +101,6 @@ class AdmittivityField:
     def sigma(self) -> np.ndarray:
         return np.eye(2) + self.a
 
-    def epsilon(self) -> np.ndarray:
-        return self.b
-
-    def uniform_bounds(self, mask: np.ndarray) -> tuple[float, float]:
-        """(m, M): lowest sigma eigenvalue and largest |b| operator norm over the
-        selected triangles."""
-        lo, _ = sym_eig_bounds(self.sigma()[mask])
-        blo, bhi = sym_eig_bounds(self.b[mask])
-        return float(lo.min()), float(np.maximum(np.abs(blo), np.abs(bhi)).max())
-
 
 def reduce_background(inp: ReductionInput, mesh: Mesh) -> AdmittivityField:
     """Map a (sigma0, epsilon0) background problem to the unit-background form.
@@ -138,66 +126,3 @@ def reduce_background(inp: ReductionInput, mesh: Mesh) -> AdmittivityField:
 def complex_admittivity(field: AdmittivityField) -> np.ndarray:
     """Per-element gamma = sigma - i omega epsilon (identity off the inclusion)."""
     return field.sigma() - 1j * field.omega * field.b
-
-
-def original_admittivity(inp: ReductionInput, mesh: Mesh) -> np.ndarray:
-    """Per-element gamma for the unreduced problem: (sigma0 I + alpha) -
-    i omega (epsilon0 I + beta)."""
-    nt = mesh.n_triangles
-    alpha = _sym_batch(inp.alpha, nt, "alpha")
-    beta = _sym_batch(inp.beta, nt, "beta")
-    eye = np.broadcast_to(np.eye(2), (nt, 2, 2))
-    return (inp.sigma0 * eye + alpha) - 1j * inp.omega * (inp.epsilon0 * eye + beta)
-
-
-@dataclass(frozen=True)
-class JumpReport:
-    """Definiteness of the conductivity perturbation on the contact slab
-    {x in D : h_D(theta) - delta < x.theta <= h_D(theta)}."""
-
-    theta: tuple[float, float]
-    sign: str              # "positive" | "negative" | "indefinite"
-    c_theta: float
-    m: float
-    big_m: float
-    omega_max: float
-
-
-def jump_analysis(field: AdmittivityField, theta, delta: float) -> JumpReport:
-    """Scan inclusion triangles whose centroid lies in the depth-delta contact
-    slab for the direction theta and report the definiteness of a there.
-
-    The admissible-frequency bound is sqrt(m * C) / M for a negative jump and
-    +inf for a positive one.
-    """
-    t = np.asarray(theta, dtype=float).reshape(2)
-    if abs(np.hypot(t[0], t[1]) - 1.0) > 1e-9:
-        raise FieldError("theta must be a unit vector")
-    if delta <= 0:
-        raise FieldError("delta must be positive")
-    mesh = field.mesh
-    inc = mesh.labels == INCLUSION
-    cents = mesh.centroids()
-    if mesh.inclusion is not None:
-        h_d = mesh.inclusion.support(t)
-    else:
-        if not inc.any():
-            raise FieldError("field has no inclusion elements")
-        h_d = float((cents[inc] @ t).max())
-    depth = cents @ t
-    slab = inc & (depth > h_d - delta) & (depth <= h_d + 1e-12)
-    if not slab.any():
-        raise FieldError("contact slab contains no inclusion elements")
-
-    lo_a, hi_a = sym_eig_bounds(field.a[slab])
-    m, big_m = field.uniform_bounds(slab)
-    if lo_a.min() > 0:
-        sign, c = "positive", float(lo_a.min()) - _JUMP_MARGIN
-        omega_max = math.inf
-    elif hi_a.max() < 0:
-        sign, c = "negative", float(-hi_a.max()) - _JUMP_MARGIN
-        omega_max = math.sqrt(max(m * c, 0.0)) / big_m if big_m > 0 else math.inf
-    else:
-        sign, c, omega_max = "indefinite", 0.0, 0.0
-    return JumpReport(theta=(t[0], t[1]), sign=sign, c_theta=max(c, 0.0), m=m,
-                      big_m=big_m, omega_max=omega_max)

@@ -10,29 +10,22 @@ g: at the Galerkin level <L f, g> = g^T S f with S = K_bb - K_bi K_ii^-1 K_ib,
 the Schur complement of the stiffness matrix onto the boundary nodes.  One
 pass over the mesh's nested dissection condenses the element matrices onto
 the boundary in dense fronts, eliminating the interior nodes and keeping the
-boundary nodes, and yields S as the root's update matrix; the elimination
-blocks, which a solve keeps, give the discrete solution of any trace (see
-``DirichletSystem``).  A coefficient with no imaginary part (omega = 0, a
-real jump, and always the background sigma = 1, epsilon = 0) is condensed in
-real arithmetic; a complex trace is then solved as its real and imaginary
-columns through the same real blocks.  A system forms and checks S only
-when S is first asked for, and each solve checks its interior residual.
-The solver runs on numpy alone.
+boundary nodes, and yields S as the root's update matrix; the same pass
+condenses a checksum load, against which S is checked (``_operator``).  A
+coefficient with no imaginary part (omega = 0, a real jump, and always the
+background sigma = 1, epsilon = 0) is condensed in real arithmetic.  The
+solver runs on numpy alone.
 
 Traces are discretized in one basis, the nodal one: a trace's coefficients
 are its boundary-node values, so expanding a trace is exact.  A measurement
 with trigonometric current patterns exp(i n theta), |n| <= N, is a band
 limit on the operator, and it is written in that same basis as Q^T S^T Q
 with Q the least-squares projection onto those modes.
-
-A separated-variables oracle for the concentric two-layer disk provides the
-reference eigenvalues used to validate the assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -83,63 +76,27 @@ class BoundaryBasis:
 
 
 def nodal_basis_for_mesh(mesh: Mesh) -> BoundaryBasis:
-    return BoundaryBasis(thetas=_boundary_thetas(mesh), radius=mesh.domain_radius)
-
-
-def _boundary_thetas(mesh: Mesh) -> np.ndarray:
     p = mesh.boundary_points
-    return np.arctan2(p[:, 1], p[:, 0])
-
-
-def fourier_trace(mesh: Mesh, n: int) -> np.ndarray:
-    """Nodal values of exp(i n theta) on the boundary loop."""
-    return np.exp(1j * n * _boundary_thetas(mesh))
+    return BoundaryBasis(thetas=np.arctan2(p[:, 1], p[:, 0]), radius=mesh.domain_radius)
 
 
 # ---------------------------------------------------------------------------
-# Assembly and Dirichlet solves
-
-
-@dataclass
-class SolveResult:
-    """Nodal solution with its relative interior residual."""
-
-    u: np.ndarray
-    residual: float
+# Assembly and condensation
 
 
 class DirichletSystem:
-    """P1 stiffness K as per-triangle element matrices, condensed onto the
-    boundary nodes by the mesh's nested dissection (``Mesh.dissection``).
+    """The coefficient of a P1 stiffness K on a mesh, checked for the
+    condensation of K onto the boundary nodes by the mesh's nested dissection
+    (``Mesh.dissection``, condensed by ``_operator``).
 
     The coefficient is a per-triangle complex symmetric 2x2 matrix; the real
     part must be uniformly positive definite.  A coefficient with no
-    imaginary part gives real element matrices and real fronts.  The system
-    keeps the coefficient, ``gamma``: a condensation forms each leaf's
-    element matrices as it assembles the leaf, a few leaves at a time
-    (``_leaf_elements``), and only ``apply``, which sums K u, forms and
-    keeps them all.  K is symmetric (checked in each condensation, leaf by leaf: a
-    relative defect |K_e - K_e^T| / |K_e| above 1e-8 raises SolverError).
-
-    One post-order pass over the dissection tree (multifrontal, Duff & Reid,
-    ACM TOMS 9, 1983) assembles each leaf's dense front from its element
-    matrices and extend-adds the children's update matrices into an inner
-    node's front, in row blocks, so that no gather copies a whole update;
-    an inner front, exactly symmetric, is held as three of its four blocks
-    (``_condense``).
-    Each front [[F_ee, F_ek], [F_ke, F_kk]], its eliminated vertices e first
-    and its kept vertices k last, gives X = F_ee^-1 F_ek (LAPACK, partial
-    pivoting; a singular front raises SolverError) and the update matrix
-    F_kk - F_ke X, symmetrized.  The root keeps exactly the boundary nodes,
-    in loop order, so its update matrix is the Schur complement
-    S = K_bb - K_bi K_ii^-1 K_ib: ``operator``, read-only and exactly
-    symmetric, maps a trace to the boundary currents of its solution.  The
-    dissection must eliminate every interior vertex exactly once and no
-    boundary vertex (checked when the system is built).
-
-    Each condensation runs on first use.  ``operator`` carries a checksum
-    load through its pass and drops each X as soon as its front has used
-    it; ``solve`` condenses on its own and keeps the X of every front.
+    imaginary part is kept real, ``gamma``, and gives real element matrices
+    and real fronts.  The dissection must eliminate every interior vertex
+    exactly once and no boundary vertex, and its root must keep the boundary
+    loop in order (checked when the system is built).  The system forms no
+    element matrices: the condensation forms each leaf's as it assembles the
+    leaf (``_leaf_elements``).
     """
 
     def __init__(self, mesh: Mesh, gamma: np.ndarray):
@@ -162,62 +119,6 @@ class DirichletSystem:
             raise SolverError("the dissection does not eliminate each interior vertex "
                               "exactly once and keep the boundary loop")
 
-    @cached_property
-    def _condensed(self) -> tuple[list, np.ndarray]:
-        """The X of every front, in the dissection's order, and S."""
-        return _condense(_leaf_elements(self.mesh, self.gamma), self.mesh.dissection)
-
-    @cached_property
-    def _elements(self) -> np.ndarray:
-        """All (nt, 3, 3) element matrices, formed for ``apply`` alone."""
-        return _element_matrices(self.mesh, self.gamma)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """K u for the nodal values u, summed from the element matrices."""
-        tri = self.mesh.triangles
-        ku = np.einsum("tij,tj->ti", self._elements, np.asarray(u)[tri])
-        return _bincount(tri.ravel(), ku.ravel(), self.mesh.n_vertices)
-
-    @cached_property
-    def operator(self) -> np.ndarray:
-        """S, formed on first access by ``_operator``: checked, read-only,
-        and from a pass that keeps no X."""
-        return _operator(self.mesh, _leaf_elements(self.mesh, self.gamma))
-
-    def solve(self, trace: np.ndarray) -> SolveResult:
-        """Solution with the given boundary-node values (ordered as the loop):
-        from the root down, each front's eliminated values are -X times its
-        kept ones, with a complex trace as [Re | Im] columns when X is real.
-        A relative interior residual above 1e-6 raises SolverError."""
-        trace = np.asarray(trace, dtype=complex)
-        if trace.shape != (len(self.boundary),):
-            raise SolverError("trace length must match the boundary loop")
-        u = np.zeros(self.mesh.n_vertices, dtype=complex)
-        u[self.boundary] = trace
-        scale = np.linalg.norm(self.apply(u)[self.interior])     # |K_ib f|
-        xs = self._condensed[0]
-        v = u if self.gamma.dtype.kind == "c" else np.column_stack([u.real, u.imag])
-        for front, x in zip(reversed(self.mesh.dissection), reversed(xs)):
-            v[front.eliminated] = -(x @ v[front.kept])
-        if v is not u:
-            u = v[:, 0] + 1j * v[:, 1]
-        res = np.linalg.norm(self.apply(u)[self.interior]) / max(scale, 1e-300)
-        if not res <= 1e-6:
-            raise SolverError(f"direct solve residual {res:.3g}; system may be singular")
-        return SolveResult(u=u, residual=float(res))
-
-    def pairing(self, u_full: np.ndarray, g_trace: np.ndarray) -> complex:
-        """Bilinear boundary pairing <L f, g> evaluated with the zero extension
-        of g (extension-independent up to the solve residual)."""
-        r = self.apply(u_full)[self.boundary]
-        return complex(np.dot(np.asarray(g_trace, dtype=complex), r))
-
-    def energy(self, u_full: np.ndarray) -> float:
-        """Dirichlet energy of |grad u| (unit coefficient)."""
-        g = element_gradients(self.mesh, u_full)
-        areas = self.mesh.triangle_areas()
-        return float(np.sum(areas * (np.abs(g) ** 2).sum(axis=1)))
-
 
 def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """np.bincount for real or complex weights."""
@@ -231,8 +132,7 @@ def _bincount(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 def _operator(mesh: Mesh, leaves, out=None) -> np.ndarray:
     """S, read-only, from one ``_condense`` pass over the mesh's dissection
-    with the element matrices ``leaves`` gives, which keeps no X, formed in
-    ``out`` if given.
+    with the element matrices ``leaves`` gives, formed in ``out`` if given.
     SolverError above 1e-8 in either of two relative defects, zero in exact
     arithmetic: S 1 (constants carry no current), and a checksum, the load
     K x of a seeded random x on every vertex condensed in the same pass,
@@ -260,20 +160,25 @@ def _operator(mesh: Mesh, leaves, out=None) -> np.ndarray:
 _EXTEND_ADD_BYTES = 1 << 18
 
 
-def _condense(leaves, fronts, x: Optional[np.ndarray] = None, out=None
-              ) -> tuple[list | np.ndarray, np.ndarray]:
-    """One post-order pass over the fronts of a dissection (see
-    ``DirichletSystem``): the X of every front, in their order, and the
-    root's update matrix.  ``leaves`` gives the element matrices of each
-    leaf, in the fronts' order, taken as the leaf is assembled, so that the
-    pass holds no more of them than ``leaves`` forms at once; their relative
-    symmetry defect |K_e - K_e^T| / |K_e| is summed leaf by leaf and raises
-    SolverError above 1e-8 once the pass is done.  Given x on every vertex,
-    the pass carries the load K x too, and gives its condensed load in place
-    of the X, each X dropped once its front has used it: a leaf's load is
-    its front times x at its vertices, each child's condensed load is
-    extend-added at its update's positions, and a front passes on
-    l_k - X^T l_e.
+def _condense(leaves, fronts, x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """One post-order pass over the fronts of a dissection (multifrontal,
+    Duff & Reid, ACM TOMS 9, 1983): the condensed load of K x, for x on
+    every vertex, and the root's update matrix.  At a root that keeps the
+    boundary loop, as a ``DirichletSystem`` checks, the update is the Schur
+    complement S = K_bb - K_bi K_ii^-1 K_ib and the load S x_b.
+
+    ``leaves`` gives the element matrices of each leaf, in the fronts'
+    order, taken as the leaf is assembled, so that the pass holds no more of
+    them than ``leaves`` forms at once; their relative symmetry defect
+    |K_e - K_e^T| / |K_e| is summed leaf by leaf and raises SolverError
+    above 1e-8 once the pass is done.  A leaf's front is assembled from its
+    element matrices, and its load is the front times x at its vertices; an
+    inner front's children's updates and condensed loads are extend-added
+    at their positions.  Each front [[F_ee, F_ek], [F_ke, F_kk]], its
+    eliminated vertices e first and its kept vertices k last, gives
+    X = F_ee^-1 F_ek (LAPACK, partial pivoting; a singular front raises
+    SolverError), the update matrix F_kk - F_ke X, symmetrized, and the
+    condensed load l_k - X^T l_e; X goes once its front has used it.
 
     An inner front is the sum of its children's updates, each exactly
     symmetric, so it is exactly symmetric too: it is assembled as F_ee,
@@ -283,7 +188,7 @@ def _condense(leaves, fronts, x: Optional[np.ndarray] = None, out=None
     row blocks, each gather of a block at most ``_EXTEND_ADD_BYTES``: the
     same adds as one np.ix_ gather of the whole front, so S keeps its
     bits."""
-    updates, loads, xs = [None] * len(fronts), [None] * len(fronts), []
+    updates, loads = [None] * len(fronts), [None] * len(fronts)
     skew = norm = 0.0
     for k, front in enumerate(fronts):
         ne, nk = len(front.eliminated), len(front.kept)
@@ -309,9 +214,8 @@ def _condense(leaves, fronts, x: Optional[np.ndarray] = None, out=None
                         f[rows[r:r + n, None], cols] += u[urows[r:r + n, None], ucols]
                 del u
                 updates[c] = None
-                if x is not None:
-                    l[pos] += loads[c]
-                    loads[c] = None
+                l[pos] += loads[c]
+                loads[c] = None
         else:
             ke = next(leaves)
             d = ke - ke.transpose(0, 2, 1)
@@ -319,8 +223,7 @@ def _condense(leaves, fronts, x: Optional[np.ndarray] = None, out=None
             m, loc = ne + nk, front.local
             f = _bincount((loc[:, :, None] * m + loc[:, None, :]).ravel(), ke.ravel(),
                           m * m).reshape(m, m)
-            if x is not None:
-                l = f @ x[np.concatenate([front.eliminated, front.kept])]
+            l = f @ x[np.concatenate([front.eliminated, front.kept])]
             fee, fek, fke, fkk = f[:ne, :ne], f[:ne, ne:], f[ne:, :ne], f[ne:, ne:]
             del f
         try:
@@ -335,17 +238,14 @@ def _condense(leaves, fronts, x: Optional[np.ndarray] = None, out=None
         u += u.T
         u *= 0.5
         updates[k] = u
-        if x is None:
-            xs.append(xf)
-        else:
-            loads[k] = l[ne:] - xf.T @ l[:ne]
+        loads[k] = l[ne:] - xf.T @ l[:ne]
         # updates[k] holds u now: the name goes too, so that the update is
         # freed once its parent has added it, not after the next product
         del xf, u
     defect = np.sqrt(skew / norm)
     if not defect <= 1e-8:
         raise SolverError(f"stiffness matrix symmetry defect {defect:.3g}")
-    return (xs if x is None else loads[-1]), updates[-1]
+    return loads[-1], updates[-1]
 
 
 def _p1_geometry(mesh: Mesh, triangles=slice(None)
@@ -391,15 +291,6 @@ def _leaf_elements(mesh: Mesh, gamma: np.ndarray):
             del gamma
         yield from np.split(k, np.cumsum([len(t) for t in batch[:-1]]))
         del k
-
-
-def element_gradients(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """Per-triangle constant gradient of a P1 function; (nt, 2) complex."""
-    bvec, cvec, area = _p1_geometry(mesh)
-    uv = np.asarray(u, dtype=complex)[mesh.triangles]
-    gx = (uv * bvec).sum(axis=1) / (2.0 * area)
-    gy = (uv * cvec).sum(axis=1) / (2.0 * area)
-    return np.stack([gx, gy], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +355,6 @@ def band_limited(matrix: np.ndarray, thetas: np.ndarray, modes: int) -> np.ndarr
 
 
 def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
-                        system: Optional[DirichletSystem] = None,
                         out=None) -> DtNMatrix:
     """B[j, k] = <L phi_j, phi_k> = phi_k^T S phi_j over the nodal basis, read
     off the boundary operator S: S^T, in S's own arithmetic, or for
@@ -472,16 +362,14 @@ def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
     buffer of at least n^2 complex128 for n boundary nodes, B is written
     into its first bytes and is a view of them.
 
-    S is the given system's, or else formed by ``_operator`` from the
-    field's coefficient: the field goes once the coefficient is formed, and
-    the coefficient, checked as a system checks it, once the last leaf's
-    element matrices are formed.  S goes before the band limit's last
-    product, which writes B."""
+    S is formed by ``_operator`` from the field's coefficient: the field
+    goes once the coefficient is formed, and the coefficient, checked by a
+    ``DirichletSystem``, once the last leaf's element matrices are formed.
+    S goes before the band limit's last product, which writes B."""
     basis, omega, n = nodal_basis_for_mesh(mesh), field.omega, len(mesh.boundary_loop)
-    if system is None:
-        leaves = _leaf_elements(mesh, DirichletSystem(mesh, complex_admittivity(field)).gamma)
+    leaves = _leaf_elements(mesh, DirichletSystem(mesh, complex_admittivity(field)).gamma)
     del field
-    s = system.operator if system else _operator(mesh, leaves, out)
+    s = _operator(mesh, leaves, out)
 
     def matrix(dtype):          # B's memory: the first bytes of out, or new
         if out is None:
@@ -497,24 +385,6 @@ def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
         if not np.shares_memory(b, s):      # S formed in out is B: it is exactly symmetric
             b[...] = s.T
     return DtNMatrix(basis=basis, omega=omega, matrix=b, mesh_h=mesh.h, modes=modes)
-
-
-def analytic_two_layer_dtn(rho: float, k: complex, n: int) -> complex:
-    """Boundary-operator eigenvalue of the concentric two-layer unit disk.
-
-    Separation of variables with contrast k inside radius rho gives
-    lambda_n = |n| (1 - mu rho^(2|n|)) / (1 + mu rho^(2|n|)), mu = (1-k)/(1+k).
-    """
-    if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0, 1)")
-    if k == -1:
-        raise ValueError("contrast k = -1 is singular")
-    n = abs(int(n))
-    if n == 0:
-        return 0.0 + 0.0j
-    mu = (1.0 - k) / (1.0 + k)
-    q = mu * rho ** (2 * n)
-    return n * (1.0 - q) / (1.0 + q)
 
 
 # ---------------------------------------------------------------------------
@@ -554,79 +424,6 @@ def quadratic_gap(gap: DtNMatrix, coef: np.ndarray):
         vals = np.real(np.sum(cols * w, axis=0))
     vals = np.where(np.isfinite(vals), vals, np.inf)
     return float(vals[0]) if c.ndim == 1 else vals
-
-
-# ---------------------------------------------------------------------------
-# Integral-inequality check for two coefficient pairs
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    lhs: float
-    gap: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-def prop21_check(field1: AdmittivityField, field2: AdmittivityField,
-                 omega: float, f_trace: np.ndarray,
-                 systems: Optional[tuple[DirichletSystem, DirichletSystem]] = None
-                 ) -> InequalityReport:
-    """Sandwich check LHS <= Re <(L2 - L1) f, conj f> <= RHS with
-
-      LHS = int (s1 + i w e1) { (s1 + w^2 e1 s1^-1 e1)^-1 - s2^-1 } (s1 - i w e1)
-            grad u1 . conj(grad u1)
-      RHS = int { (s2 + w^2 e2 s2^-1 e2) - s1 } grad u1 . conj(grad u1)
-
-    evaluated on the discrete solution u1.  The allowed slack is
-    5 times an a-priori first-order energy-error bound h * E(u1);
-    at the Galerkin level the inequalities hold to solver precision, so the
-    slack only guards against roundoff on near-equality cases.
-    """
-    mesh = field1.mesh
-    if field2.mesh is not mesh:
-        raise SolverError("fields must share a mesh")
-    if abs(field1.omega - omega) > 0 or abs(field2.omega - omega) > 0:
-        raise SolverError("omega must match both fields")
-    f_trace = np.asarray(f_trace, dtype=complex)
-
-    if systems is None:
-        sys1 = DirichletSystem(mesh, complex_admittivity(field1))
-        sys2 = DirichletSystem(mesh, complex_admittivity(field2))
-    else:
-        sys1, sys2 = systems
-    u1 = sys1.solve(f_trace).u
-    g1 = element_gradients(mesh, u1)
-    areas = mesh.triangle_areas()
-
-    s1, e1 = field1.sigma(), field1.epsilon()
-    s2, e2 = field2.sigma(), field2.epsilon()
-    s1_inv = np.linalg.inv(s1)
-    s2_inv = np.linalg.inv(s2)
-    t1 = s1 + omega ** 2 * np.einsum("tij,tjk,tkl->til", e1, s1_inv, e1)
-    mid = np.linalg.inv(t1) - s2_inv
-    a_plus = s1 + 1j * omega * e1
-    a_minus = s1 - 1j * omega * e1
-    m_lhs = np.einsum("tij,tjk,tkl->til", a_plus, mid.astype(complex), a_minus)
-    m_rhs = (s2 + omega ** 2 * np.einsum("tij,tjk,tkl->til", e2, s2_inv, e2) - s1)
-
-    def form(mat, g):
-        return float(np.real(np.sum(areas * np.einsum(
-            "ti,tij,tj->t", np.conj(g), mat.astype(complex), g))))
-
-    lhs = form(m_lhs, g1)
-    rhs = form(m_rhs, g1)
-
-    conj_f = np.conj(f_trace)
-    gap = float(np.real(sys2.pairing(sys2.solve(f_trace).u, conj_f)
-                        - sys1.pairing(u1, conj_f)))
-    # the discrete inequalities are exact, so the slack only needs to cover
-    # solver roundoff; it is still capped by the first-order energy bound
-    energy = sys1.energy(u1)
-    slack = 5.0 * min(mesh.h * energy, 1e-9 * (1.0 + abs(lhs) + abs(rhs) + energy))
-    passed = (lhs <= gap + slack) and (gap <= rhs + slack)
-    return InequalityReport(lhs=lhs, gap=gap, rhs=rhs, slack=slack, passed=passed)
 
 
 # ---------------------------------------------------------------------------

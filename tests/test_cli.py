@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import math
 import os
 import pickle
@@ -399,12 +400,30 @@ def test_mleval_rows_equal_per_point_values(tmp_path):
     rows = [ln.split(",") for ln in out.read_text().splitlines()
             if not ln.startswith(("#", "alpha"))]
     assert len(rows) == 169
-    for r in rows:
+    grid = np.linspace(-31, 31, 13).tolist()
+    for k, r in enumerate(rows):
+        im, re = divmod(k, 13)
+        assert r[:3] == [f"{0.5:.17g}", f"{grid[re]:.17g}", f"{grid[im]:.17g}"]
         z = complex(float(r[1]), float(r[2]))
         v = ml_eval(p, z)
         assert r[3:5] == [f"{v.real:.17g}", f"{v.imag:.17g}"]
         assert r[5] == sectors(0.5, np.array([z]))[0]
     assert ["inf", "0"] in [r[3:5] for r in rows]
+
+
+def test_every_name_the_tracer_wraps_resolves(tmp_path):
+    # perfbench/tracing.py wraps package names where their callers look them
+    # up, reading each from its owner's __dict__: a name dropped or renamed
+    # raises KeyError on entry, and mleval's grid reaches the wrapped
+    # evaluation point for point
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert main(["mleval", "--alpha", "0.5", "--grid", "-3 3 -3 3 5",
+                     "--out", str(tmp_path / "ml.csv")]) == 0
+    assert tracer.counts["mittag.points"] == 25
 
 
 def test_mleval_huge_grid_is_warning_free(tmp_path):

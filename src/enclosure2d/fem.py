@@ -382,7 +382,10 @@ def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
         b = np.matmul(a, pinv, out=matrix(complex))
     else:
         b = matrix(s.dtype)
-        if not np.shares_memory(b, s):      # S formed in out is B: it is exactly symmetric
+        # an inner root forms S in out, where it is B, exactly symmetric; S is
+        # copied without out, or when the dissection is one front, whose root
+        # is a leaf and forms S in its own front
+        if not np.shares_memory(b, s):
             b[...] = s.T
     return DtNMatrix(basis=basis, omega=omega, matrix=b, mesh_h=mesh.h, modes=modes)
 
@@ -405,13 +408,12 @@ def gap_matrix(pair: DtnPair) -> DtNMatrix:
                    scale=max(b1.scale, b0.scale))
 
 
-def quadratic_gap(gap: DtNMatrix, coef: np.ndarray):
-    """Re <(L1 - L0) f, conj(f)> from the operator gap and the expansion
-    coefficients of f: a float for (size,) coefficients, one value per column
-    for (size, k).  A form whose products pass double range is inf."""
+def quadratic_gap(gap: DtNMatrix, coef: np.ndarray) -> np.ndarray:
+    """Re <(L1 - L0) f, conj(f)> from the operator gap and the (size, k)
+    expansion coefficients of k traces f, one column each: one value per
+    column.  A form whose products pass double range is inf."""
     c = np.asarray(coef, dtype=complex)
-    cols = c[:, None] if c.ndim == 1 else c
-    cc = np.conj(cols)
+    cc = np.conj(c)
     g = gap.matrix
     with np.errstate(over="ignore", invalid="ignore"):
         if np.iscomplexobj(g):
@@ -421,9 +423,8 @@ def quadratic_gap(gap: DtNMatrix, coef: np.ndarray):
             k = cc.shape[1]
             w = g @ np.hstack([cc.real, cc.imag])
             w = w[:, :k] + 1j * w[:, k:]
-        vals = np.real(np.sum(cols * w, axis=0))
-    vals = np.where(np.isfinite(vals), vals, np.inf)
-    return float(vals[0]) if c.ndim == 1 else vals
+        vals = np.real(np.sum(c * w, axis=0))
+    return np.where(np.isfinite(vals), vals, np.inf)
 
 
 # ---------------------------------------------------------------------------

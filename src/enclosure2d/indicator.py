@@ -7,8 +7,9 @@ interiors and true inclusion shapes appear exclusively in the validation
 helpers, which keeps the reconstruction side honest.
 
 Every consumer takes a probe as one ``ProbeSpec`` whose ``tau`` is the whole
-ladder: the indicators and the energy oracle evaluate a ladder in one call,
-and the slope fit and the transition search read their taus from it.
+ladder: the indicators and the energy oracle evaluate it in one call and
+return one value per tau, the slope fit reads its taus from it, and the
+transition search classifies its values in ladder order.
 
 The depth-t exponential indicator obeys log|I(tau, t)| ~ 2 tau (h(theta) - t),
 so the support value in a direction is recovered as t plus the slope of a
@@ -93,45 +94,38 @@ class RegionEstimate:
 # Quadratic-form indicators
 
 
-def _ladder_forms(gap: DtNMatrix, traces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms Re <(L1 - L0) f, conj f> of the traces f of a probe
-    (one row per tau), with their expansion coefficients, one column per tau.
-    From the first trace that overflows on, the forms are inf and have no
-    column."""
-    traces = np.atleast_2d(traces)
+def _ladder_forms(gap: DtNMatrix, traces: np.ndarray) -> np.ndarray:
+    """Quadratic forms Re <(L1 - L0) f, conj f> of the traces f of a probe,
+    one row per tau: one form per tau, inf from the first trace that
+    overflows on."""
     finite = np.isfinite(traces).all(axis=1)
     stop = len(finite) if finite.all() else int(finite.argmin())
-    coef = gap.basis.expand(traces[:stop].T)
     vals = np.full(len(finite), np.inf)
-    vals[:stop] = quadratic_gap(gap, coef)
-    return vals, coef
+    vals[:stop] = quadratic_gap(gap, gap.basis.expand(traces[:stop].T))
+    return vals
 
 
-def indicator_cgo(gap: DtNMatrix, spec: ProbeSpec):
-    """Depth-shifted exponential-probe indicator from the operator gap: a
-    float for a scalar tau, one value per tau for a ladder."""
-    vals = _ladder_forms(gap, cgo_trace(spec, gap.basis.points))[0]
-    return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
+def indicator_cgo(gap: DtNMatrix, spec: ProbeSpec) -> np.ndarray:
+    """Depth-shifted exponential-probe indicator from the operator gap, one
+    value per tau."""
+    return _ladder_forms(gap, cgo_trace(spec, gap.basis.points))
 
 
-def indicator_ml(gap: DtNMatrix, spec: ProbeSpec):
-    """Cone-probe indicator from the operator gap: a float for a scalar tau,
-    one value per tau for a ladder, inf from the first overflowing trace on;
-    rejects probes whose base cone meets the operators' domain."""
+def indicator_ml(gap: DtNMatrix, spec: ProbeSpec) -> np.ndarray:
+    """Cone-probe indicator from the operator gap, one value per tau, inf
+    from the first overflowing trace on; rejects probes whose base cone
+    meets the operators' domain."""
     basis = gap.basis
     spec = replace(spec, domain_radius=basis.radius)     # checks the base cone
-    vals = _ladder_forms(gap, ml_probe_trace(spec, basis.points))[0]
-    return float(vals[0]) if np.ndim(spec.tau) == 0 else vals
+    return _ladder_forms(gap, ml_probe_trace(spec, basis.points))
 
 
-def j_oracle(mesh: Mesh, spec: ProbeSpec):
+def j_oracle(mesh: Mesh, spec: ProbeSpec) -> np.ndarray:
     """Ground-truth probe energy: quadrature of |grad probe|^2 over the labeled
-    inclusion elements, a float for a scalar tau and one value per tau for a
-    ladder (validation mode only)."""
+    inclusion elements, one value per tau (validation mode only)."""
     inc = mesh.labels == INCLUSION
     g = probe_gradient(spec, mesh.centroids()[inc])
-    vals = np.sum(mesh.triangle_areas()[inc] * (np.abs(g) ** 2).sum(axis=-1), axis=-1)
-    return float(vals) if np.ndim(spec.tau) == 0 else vals
+    return np.sum(mesh.triangle_areas()[inc] * (np.abs(g) ** 2).sum(axis=-1), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +180,12 @@ def fit_support_directions(gap: DtNMatrix,
 # Cone-probe transition search
 
 
-def classify_series(taus: np.ndarray, values: np.ndarray,
-                    noise_floors: np.ndarray) -> tuple[str, bool]:
-    """Label a series "growth" or "decay" by the monotonicity of log|I| over
-    the trailing half; ties are labelled growth with a low-confidence flag
-    (growth errs toward a shallower, containment-safe estimate).
+def classify_series(values: np.ndarray, noise_floors: np.ndarray) -> tuple[str, bool]:
+    """Label the indicator values of a probe over its tau ladder "growth" or
+    "decay" by the monotonicity of log|I| over the trailing half; ties are
+    labelled growth with a low-confidence flag (growth errs toward a
+    shallower, containment-safe estimate).  The values come in ladder order,
+    each with its own noise floor; the taus themselves are not needed.
 
     Samples below their roundoff noise floor (and everything after the first
     such sample) are discarded.  A sustained decline followed by an explosive
@@ -229,7 +224,8 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
                          t_interval: tuple[float, float],
                          dt_tol: float = 0.02) -> TransitionEstimate:
     """Bisect the decay/growth transition of the cone-probe indicator in t,
-    each step over the probe's tau ladder (the probe's own t is not read).
+    each step classifying the forms of the probe's tau ladder at that t (the
+    probe's own t is not read).
 
     The search interval must lie in (-inf, 0); if both endpoints classify the
     same there is no transition to report.
@@ -240,27 +236,27 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
     the size of its terms, not of the small difference B1 - B0).  Taken as
     independent across the m x m entries, these errors move a sample
     Re c^T (B1 - B0) conj(c) by about u s |c|^2 <= u s m max|c|^2, the floor
-    of its tau; ``classify_series`` discards a sample below ten times its
-    floor, together with the rest of its ladder.
+    of its tau.  The coefficients c are the trace f itself, so each floor is
+    u s m max|f|^2 from its own trace; ``classify_series`` discards a sample
+    below ten times its floor, together with the rest of its ladder.
     """
     t_lo, t_hi = float(t_interval[0]), float(t_interval[1])
     if not (t_lo < t_hi < 0):
         raise IndicatorError("search interval must satisfy t_lo < t_hi < 0")
-    taus = np.asarray(spec.tau, dtype=float)
     basis = gap.basis
     noise = 1e-16 * gap.scale * gap.matrix.shape[0]
     low_conf = 0
 
     def classify(t: float) -> str:
         nonlocal low_conf
-        # samples from the first overflowing trace on stay infinite
         probe = replace(spec, t=t, domain_radius=basis.radius)   # checks the base cone
-        vals, coef = _ladder_forms(gap, ml_probe_trace(probe, basis.points))
-        floors = np.zeros(len(taus))
-        # a floor that overflows is inf, which discards its sample
+        traces = ml_probe_trace(probe, basis.points)
+        # a floor that overflows is inf, which discards its sample; the forms
+        # are inf from the first overflowing trace on, which ends the series
+        # before the floors of those traces are read
         with np.errstate(over="ignore"):
-            floors[:coef.shape[1]] = np.max(np.abs(coef), axis=0) ** 2 * noise
-        label, tie = classify_series(taus, vals, floors)
+            floors = np.max(np.abs(traces), axis=1) ** 2 * noise
+        label, tie = classify_series(_ladder_forms(gap, traces), floors)
         if tie:
             low_conf += 1
         return label

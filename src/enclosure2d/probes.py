@@ -11,15 +11,15 @@ and decay algebraically outside it; cone membership and shape-avoidance tests
 live here alongside the trace evaluators.
 
 A ``ProbeSpec`` is the whole description of a probe, its tau ladder included:
-traces and gradients take the ladder in one call, one row per tau, each equal
-to that tau's value alone.
+tau is always a ladder, and traces and gradients evaluate it in one call, one
+row per tau, each equal to the one row of a ladder holding that tau alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -141,9 +141,9 @@ class ProbeSpec:
     """CGO (pure exponential) or Mittag-Leffler probe parameters.
 
     ``theta_perp`` must be a unit vector orthogonal to ``theta``; flipping its
-    sign conjugates the probe values.  ``tau`` is one value or a ladder of
-    them (an array); a ladder's traces and gradients have one row per tau,
-    each equal to that tau's alone.  ML probes additionally carry the cone
+    sign conjugates the probe values.  ``tau`` is the ladder, a non-empty
+    1-D array of non-negative values, kept as float64; traces and gradients
+    have one row per tau.  ML probes additionally carry the cone
     vertex ``y`` outside the domain and the order ``alpha`` in (0, 1); the
     vertex cone of half-aperture pi*alpha/2 must avoid the domain disk, which
     is checked when ``domain_radius`` is supplied.
@@ -153,7 +153,7 @@ class ProbeSpec:
     theta: tuple[float, float]
     theta_perp: tuple[float, float]
     t: float
-    tau: Union[float, np.ndarray]
+    tau: np.ndarray
     y: Optional[tuple[float, float]] = None
     alpha: Optional[float] = None
     domain_radius: Optional[float] = None
@@ -163,8 +163,10 @@ class ProbeSpec:
         tp = _unit(self.theta_perp, "theta_perp")
         if abs(th @ tp) > 1e-9:
             raise ProbeError("theta_perp must be orthogonal to theta")
-        if np.any(np.asarray(self.tau) < 0):
-            raise ProbeError("tau must be nonnegative")
+        tau = np.asarray(self.tau, dtype=float)
+        if tau.ndim != 1 or tau.size == 0 or np.any(tau < 0):
+            raise ProbeError("tau must be a non-empty 1-D ladder of nonnegative values")
+        object.__setattr__(self, "tau", tau)
         if self.kind == "cgo":
             return
         if self.kind != "mittag_leffler":
@@ -208,8 +210,8 @@ def cgo_trace(spec: ProbeSpec, points) -> np.ndarray:
 
 
 def cgo_gradient(spec: ProbeSpec, points) -> np.ndarray:
-    """Gradient tau*(theta + i theta_perp) times the trace value, per point:
-    (n_points, 2), or (n_tau, n_points, 2) for a ladder."""
+    """Gradient tau*(theta + i theta_perp) times the trace value, per tau and
+    point: (n_tau, n_points, 2)."""
     vals = cgo_trace(spec, points)
     d = np.multiply.outer(spec.tau, np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
     return vals[..., None] * d[..., None, :]

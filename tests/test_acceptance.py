@@ -221,7 +221,7 @@ def test_criterion_5_negative_jump_sign():
             warnings.simplefilter("ignore")
             for a in ang:
                 th = np.array([math.cos(a), math.sin(a)])
-                vals = [indicator_cgo(gap, cgo_spec(th, 0.5, float(t))) for t in taus]
+                vals = [indicator_cgo(gap, cgo_spec(th, 0.5, t))[0] for t in taus[:, None]]
                 w = max(w, max(vals[len(vals) // 2:]))
         worst[omega] = w
         assert w < 0, f"omega={omega}: trailing indicator max {w:.3e} not negative"
@@ -352,15 +352,15 @@ def test_criterion_8_sandwich_band(cone_bench):
     band_lo, band_hi = math.inf, 0.0
     for y, th, h_true in _cone_probe_geometry()[::5]:
         t = h_true - 0.1
-        for tau in taus:
+        for tau in taus[:, None]:
             spec = ProbeSpec(kind="mittag_leffler", theta=tuple(th),
-                             theta_perp=tuple(rot90(th)), t=t, tau=float(tau),
+                             theta_perp=tuple(rot90(th)), t=t, tau=tau,
                              y=tuple(y), alpha=0.5)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                tr = ml_probe_trace(spec, pts)
+                tr = ml_probe_trace(spec, pts)[0]
             ind = abs(float(np.real(np.dot(tr, gap.matrix @ np.conj(tr)))))
-            j = j_oracle(mesh, spec)
+            j = j_oracle(mesh, spec)[0]
             ratio = ind / j
             band_lo = min(band_lo, ratio)
             band_hi = max(band_hi, ratio)
@@ -380,9 +380,9 @@ def test_criterion_9_perp_flip_invariance(positive_jump_bench):
         warnings.simplefilter("ignore")
         for a in ang:
             th = np.array([math.cos(a), math.sin(a)])
-            for tau in taus:
-                v1 = indicator_cgo(gap, cgo_spec(th, 0.0, float(tau)))
-                v2 = indicator_cgo(gap, cgo_spec(th, 0.0, float(tau), perp_sign=-1.0))
+            for tau in taus[:, None]:
+                v1 = indicator_cgo(gap, cgo_spec(th, 0.0, tau))[0]
+                v2 = indicator_cgo(gap, cgo_spec(th, 0.0, tau, perp_sign=-1.0))[0]
                 worst = max(worst, abs(v1 - v2) / max(abs(v1), 1.0))
     assert worst <= 1e-10
     print(f"\nACCEPTANCE 9 PASS: worst flip deviation {worst:.2e}")

@@ -50,8 +50,8 @@ def energy_gap_direct(mesh, field, f):
 
 def energy_gap(pair, coef):
     """The same form from an assembled (perturbed, background) pair and the
-    expansion coefficients of f."""
-    return quadratic_gap(gap_matrix(pair), coef)
+    (size, 1) expansion coefficients of f."""
+    return quadratic_gap(gap_matrix(pair), coef)[0]
 
 
 def _mode_matrix(thetas, n_modes):
@@ -179,8 +179,8 @@ def test_energy_gap_signs():
     assert energy_gap_direct(mesh, pos, f) > -1e-10
     neg = AdmittivityField.from_scalars(mesh, a=-0.5, b=0.0, omega=0.0)
     th = np.array([1.0, 0.0])
-    spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(rot90(th)), t=0.5, tau=8.0)
-    probe = cgo_trace(spec, mesh.boundary_points)
+    spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(rot90(th)), t=0.5, tau=[8.0])
+    probe = cgo_trace(spec, mesh.boundary_points)[0]
     assert energy_gap_direct(mesh, neg, probe) < 1e-12
 
 
@@ -190,7 +190,7 @@ def test_energy_gap_from_matrices_matches_fields():
     pair = (assemble_dtn_matrix(mesh, field),
             assemble_dtn_matrix(mesh, background(mesh, 1.0)))
     f = fourier_trace(mesh, 1) + 0.3 * fourier_trace(mesh, 3)
-    coef = pair[0].basis.expand(f)
+    coef = pair[0].basis.expand(f[:, None])
     via_matrices = energy_gap(pair, coef)
     direct = energy_gap_direct(mesh, field, f)
     assert via_matrices == pytest.approx(direct, rel=1e-8)
@@ -206,8 +206,8 @@ def test_energy_gap_perp_flip_invariance():
     pts = basis.points
     for sign in (1.0, -1.0):
         spec = ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(sign * rot90(th)),
-                         t=0.2, tau=4.0)
-        coef = basis.expand(cgo_trace(spec, pts))
+                         t=0.2, tau=[4.0])
+        coef = basis.expand(cgo_trace(spec, pts).T)
         val = energy_gap(pair, coef)
         if sign == 1.0:
             ref = val
@@ -912,17 +912,17 @@ def test_probe_discrete_harmonicity_first_order(kind):
     th = np.array([1.0, 0.0])
     if kind == "cgo":
         spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=tuple(rot90(th)),
-                         t=0.0, tau=2.0)
+                         t=0.0, tau=[2.0])
     else:
         spec = ProbeSpec(kind="mittag_leffler", theta=(1.0, 0.0),
-                         theta_perp=tuple(rot90(th)), t=-0.5, tau=2.0,
+                         theta_perp=tuple(rot90(th)), t=-0.5, tau=[2.0],
                          y=(3.0, 0.0), alpha=0.5)
     rels = []
     for h in (0.1, 0.05):
         mesh = build_disk_mesh(1.0, h, None)
         sys_ = ReferenceSystem(mesh, np.broadcast_to(
             np.eye(2, dtype=complex), (mesh.n_triangles, 2, 2)).copy())
-        v = (cgo_trace if kind == "cgo" else ml_probe_trace)(spec, mesh.vertices)
+        v = (cgo_trace if kind == "cgo" else ml_probe_trace)(spec, mesh.vertices)[0]
         r = sys_.apply(v)
         r_i = r[sys_.interior]
         k_ii = sys_.k[sys_.interior][:, sys_.interior].tocsc()
@@ -956,7 +956,8 @@ def test_conjugate_coefficients_fourier():
 def test_quadratic_gap_real_gap_and_coefficient_columns(two_layer, kind):
     # a real full pair gives a real gap, whose stacked real product agrees
     # with the complex one (band-limited operators are complex, through the
-    # complex mode projector); (size, k) coefficients give one value per column
+    # complex mode projector); (size, k) coefficients give one value per
+    # column, each within roundoff of its own (size, 1) block's
     mesh, field = two_layer
     modes = 8 if kind == "fourier" else 0
     pair = (assemble_dtn_matrix(mesh, field, modes),
@@ -970,8 +971,7 @@ def test_quadratic_gap_real_gap_and_coefficient_columns(two_layer, kind):
     cols = quadratic_gap(gap, coef)
     assert cols.shape == (5,)
     for j in range(5):
-        one = quadratic_gap(gap, coef[:, j])
-        assert isinstance(one, float)
+        one = quadratic_gap(gap, coef[:, j:j + 1])[0]
         ref = float(np.real(np.dot(coef[:, j], g @ np.conj(coef[:, j]))))
         scale = np.abs(coef[:, j]) @ np.abs(g) @ np.abs(coef[:, j])
         assert abs(one - ref) <= 1e-13 * scale

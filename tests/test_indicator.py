@@ -40,25 +40,25 @@ def disk_gap():
 def test_indicator_zero_for_empty_inclusion(empty_gap):
     th = np.array([1.0, 0.0])
     for tau in (1.0, 4.0):
-        val = indicator_cgo(empty_gap, cgo_spec(th, 0.3, tau))
+        val = indicator_cgo(empty_gap, cgo_spec(th, 0.3, [tau]))[0]
         assert abs(val) < 1e-10
 
 
 def test_indicator_ml_zero_for_empty_inclusion(empty_gap):
-    val = indicator_ml(empty_gap, ml_spec((3.0, 0.0), (1.0, 0.0), -0.5, 1.5))
+    val = indicator_ml(empty_gap, ml_spec((3.0, 0.0), (1.0, 0.0), -0.5, [1.5]))[0]
     assert abs(val) < 1e-10
 
 
 def test_indicator_ml_rejects_bad_cone(empty_gap):
     with pytest.raises(ProbeError):
-        indicator_ml(empty_gap, ml_spec((3.0, 0.0), (-1.0, 0.0), -0.5, 1.5))
+        indicator_ml(empty_gap, ml_spec((3.0, 0.0), (-1.0, 0.0), -0.5, [1.5]))
 
 
 def test_indicator_ml_perp_flip_invariance(disk_gap):
     _, gap = disk_gap
     th = np.array([0.8, 0.6])
-    a = indicator_ml(gap, ml_spec((3.0, 1.0), th, -0.7, 2.0))
-    b = indicator_ml(gap, ml_spec((3.0, 1.0), th, -0.7, 2.0, perp_sign=-1.0))
+    a = indicator_ml(gap, ml_spec((3.0, 1.0), th, -0.7, [2.0]))[0]
+    b = indicator_ml(gap, ml_spec((3.0, 1.0), th, -0.7, [2.0], perp_sign=-1.0))[0]
     assert a == pytest.approx(b, abs=1e-10 * max(abs(a), 1.0))
 
 
@@ -70,9 +70,9 @@ def test_indicator_ml_near_one_reduces_to_cgo(disk_gap):
     y = np.array([3.0, 0.0])
     th = np.array([1.0, 0.0])
     t, tau = -3.3, 2.0
-    ml = indicator_ml(gap, ml_spec(y, th, t, tau, alpha=1 - 1e-9))
+    ml = indicator_ml(gap, ml_spec(y, th, t, [tau], alpha=1 - 1e-9))[0]
     scale = math.exp(2 * tau * (-(y @ th) - t))
-    cgo = indicator_cgo(gap, cgo_spec(th, 0.0, tau))
+    cgo = indicator_cgo(gap, cgo_spec(th, 0.0, [tau]))[0]
     assert ml == pytest.approx(scale * cgo, rel=1e-5)
 
 
@@ -80,7 +80,7 @@ def test_indicator_decays_beyond_support(disk_gap):
     _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = np.geomspace(1.0, 0.3 / 0.03, 10)
-    vals = np.array([abs(indicator_cgo(gap, cgo_spec(th, 0.7, float(t)))) for t in taus])
+    vals = np.abs([indicator_cgo(gap, cgo_spec(th, 0.7, t))[0] for t in taus[:, None]])
     tail = vals[taus >= 2.0]
     assert np.all(np.diff(tail) < 0)
     assert vals[-1] < 0.2 * vals[0]
@@ -91,7 +91,7 @@ def test_indicator_bounded_growth_at_support(disk_gap):
     _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = np.geomspace(1.0, 0.3 / 0.03, 10)
-    vals = np.array([indicator_cgo(gap, cgo_spec(th, 0.5, float(t))) for t in taus])
+    vals = np.array([indicator_cgo(gap, cgo_spec(th, 0.5, t))[0] for t in taus[:, None]])
     assert np.all(vals > 0)
     assert np.all(vals / taus ** 2 < 10 * (vals[0] / taus[0] ** 2))
 
@@ -157,21 +157,20 @@ def test_classifier_on_synthetic_exponentials():
     for gamma in (0.1, 0.5, 2.0):
         grow = np.exp(gamma * taus)
         decay = np.exp(-gamma * taus)
-        assert classify_series(taus, grow, np.zeros(10))[0] == "growth"
-        assert classify_series(taus, decay, np.zeros(10))[0] == "decay"
+        assert classify_series(grow, np.zeros(10))[0] == "growth"
+        assert classify_series(decay, np.zeros(10))[0] == "decay"
 
 
 def test_classifier_censors_explosive_tail():
     taus = np.geomspace(0.5, 4.0, 10)
     vals = np.exp(-0.5 * taus)
     vals[-2:] *= np.array([1e4, 1e12])   # leakage signature
-    label, _ = classify_series(taus, vals, np.zeros(10))
+    label, _ = classify_series(vals, np.zeros(10))
     assert label == "decay"
 
 
 def test_classifier_ties_flag_low_confidence():
-    taus = np.geomspace(0.5, 4.0, 10)
-    label, tie = classify_series(taus, np.ones(10), np.zeros(10))
+    label, tie = classify_series(np.ones(10), np.zeros(10))
     assert label == "growth" and tie
 
 
@@ -185,17 +184,19 @@ def test_transition_search_no_transition_on_empty(empty_gap):
     assert est.h_est is None
 
 
-def test_tau_ladder_matches_scalar_calls(disk_gap):
-    # one call per ladder gives the per-tau values; the ML traces at the last
-    # two taus overflow, and their samples are inf either way
+def test_tau_ladder_matches_one_tau_ladders(disk_gap):
+    # one call per ladder gives the values of one-entry ladders; the ML traces
+    # at the last two taus overflow, and their samples are inf either way
     _, gap = disk_gap
     th = np.array([1.0, 0.0])
     taus = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 10.0, 12.0])
     ladder = indicator_ml(gap, ml_spec((3.0, 0.0), th, -6.0, taus))
-    singles = np.array([indicator_ml(gap, ml_spec((3.0, 0.0), th, -6.0, float(t))) for t in taus])
+    singles = np.array([indicator_ml(gap, ml_spec((3.0, 0.0), th, -6.0, t))[0]
+                        for t in taus[:, None]])
     assert np.isinf(ladder[-2:]).all() and np.isinf(singles[-2:]).all()
-    # a ladder's forms come from one matrix-matrix product, a single tau's from
-    # a matrix-vector one, whose sums run in other orders: they agree within
+    # a ladder's forms come from one matrix-matrix product, a one-entry
+    # ladder's from a product with one column, whose sums run in other
+    # orders (pairwise along a contiguous axis): they agree within
     # the noise floor u s m max|c|^2 of transition_search_ml's error model, the
     # level below which the search cannot tell samples apart (at tau = 1.5 the
     # form cancels by 1.2e5, so 1e-12 relative is past its own roundoff)
@@ -204,7 +205,7 @@ def test_tau_ladder_matches_scalar_calls(disk_gap):
     assert (np.abs(ladder[:-2] - singles[:-2]) <= floor).all()
     taus = np.geomspace(1.0, 10.0, 8)
     ladder = indicator_cgo(gap, cgo_spec(th, 0.3, taus))
-    singles = [indicator_cgo(gap, cgo_spec(th, 0.3, float(t))) for t in taus]
+    singles = [indicator_cgo(gap, cgo_spec(th, 0.3, t))[0] for t in taus[:, None]]
     np.testing.assert_allclose(ladder, singles, rtol=1e-12, atol=0)
 
 
@@ -260,11 +261,11 @@ def test_transition_search_checks_the_cone_against_the_operators(empty_gap):
 
 def test_j_oracle_zero_cases():
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.0, 0.0), 0.5))
-    spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3, tau=0.0)
-    assert j_oracle(mesh, spec) == 0.0
+    spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3, tau=[0.0])
+    assert j_oracle(mesh, spec).tolist() == [0.0]
     empty = build_disk_mesh(1.0, 0.1, None)
-    spec2 = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3, tau=2.0)
-    assert j_oracle(empty, spec2) == 0.0
+    spec2 = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3, tau=[2.0])
+    assert j_oracle(empty, spec2).tolist() == [0.0]
     ladder = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=0.3,
                        tau=np.array([0.0, 2.0]))
     assert j_oracle(empty, ladder).tolist() == [0.0, 0.0]
@@ -276,8 +277,8 @@ def test_j_oracle_matches_dense_quadrature():
     # by dense midpoint sampling of the true disk
     mesh = build_disk_mesh(1.0, 0.025, ShapeSpec.disk((0.0, 0.0), 0.5))
     tau, t = 3.0, 0.6
-    spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=t, tau=tau)
-    val = j_oracle(mesh, spec)
+    spec = ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(0.0, 1.0), t=t, tau=[tau])
+    val = j_oracle(mesh, spec)[0]
     n = 1200
     xs = np.linspace(-0.5, 0.5, n, endpoint=False) + 0.5 / n
     gx, gy = np.meshgrid(xs, xs)
@@ -290,7 +291,7 @@ def test_j_oracle_matches_dense_quadrature():
 @pytest.mark.parametrize("family", ["cgo", "mittag_leffler"])
 def test_ladder_gradients_and_j_equal_single_tau(family):
     # one call per ladder gives each tau's gradients and probe energy bit for
-    # bit, so indicate's J column is the single-tau oracle's
+    # bit, so indicate's J column is the one-entry ladder's oracle
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.1, 0.0), 0.5))
     taus = np.geomspace(0.35, 6.0, 7)
     if family == "cgo":
@@ -302,10 +303,10 @@ def test_ladder_gradients_and_j_equal_single_tau(family):
     grads = gradient(probe, pts)
     js = j_oracle(mesh, probe)
     assert grads.shape == (len(taus), len(pts), 2) and js.shape == taus.shape
-    for k, tau in enumerate(taus.tolist()):
+    for k, tau in enumerate(taus[:, None]):
         single = replace(probe, tau=tau)
-        np.testing.assert_array_equal(grads[k], gradient(single, pts))
-        assert js[k] == j_oracle(mesh, single)
+        np.testing.assert_array_equal(grads[k], gradient(single, pts)[0])
+        assert js[k] == j_oracle(mesh, single)[0]
 
 
 # -- region assembly -------------------------------------------------------------
@@ -411,6 +412,6 @@ def test_overflowing_form_is_inf_not_nan(disk_gap):
     # at tau = 5.9 the cone probe's trace is finite but its quadratic form
     # passes double range; the form is inf, as from an overflowing trace on
     _, gap = disk_gap
-    assert indicator_ml(gap, ml_spec((3.0, 0.0), (1.0, 0.0), -6.0, 5.9)) == np.inf
+    assert indicator_ml(gap, ml_spec((3.0, 0.0), (1.0, 0.0), -6.0, [5.9])).tolist() == [np.inf]
     ladder = indicator_ml(gap, ml_spec((3.0, 0.0), (1.0, 0.0), -6.0, np.array([1.0, 5.9])))
     assert np.isfinite(ladder[0]) and ladder[1] == np.inf

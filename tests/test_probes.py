@@ -14,51 +14,52 @@ from builders import cgo_spec, ml_spec
 
 def test_cgo_trace_at_zero_tau_is_one():
     pts = np.array([[0.3, -0.2], [0.9, 0.1]])
-    assert np.allclose(cgo_trace(cgo_spec(tau=0.0), pts), 1.0)
+    assert np.allclose(cgo_trace(cgo_spec(tau=[0.0]), pts), 1.0)
 
 
 def test_cgo_trace_unit_modulus_on_level_line():
-    spec = cgo_spec(t=0.4, tau=3.0)
+    spec = cgo_spec(t=0.4, tau=[3.0])
     pts = np.array([[0.4, y] for y in (-0.5, 0.0, 0.7)])
     assert np.allclose(np.abs(cgo_trace(spec, pts)), 1.0)
 
 
 def test_cgo_trace_depth_decay():
-    spec = cgo_spec(t=0.5, tau=2.0)
-    val = cgo_trace(spec, np.array([[0.0, 0.0]]))[0]
+    spec = cgo_spec(t=0.5, tau=[2.0])
+    val = cgo_trace(spec, np.array([[0.0, 0.0]]))[0, 0]
     assert abs(val) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_cgo_overflow_guard():
     with pytest.raises(ProbeError):
-        cgo_trace(cgo_spec(t=-1.0, tau=500.0), np.array([[1.0, 0.0]]))
+        cgo_trace(cgo_spec(t=-1.0, tau=[500.0]), np.array([[1.0, 0.0]]))
 
 
 def test_cgo_gradient_structure():
-    spec = cgo_spec(tau=1.0)
+    spec = cgo_spec(tau=[1.0])
     pts = np.array([[0.0, 0.0]])
-    g = cgo_gradient(spec, pts)[0]
+    g = cgo_gradient(spec, pts)[0, 0]
     assert np.allclose(g, np.array([1.0, 0.0]) + 1j * np.array([0.0, 1.0]))
 
 
 def test_cgo_gradient_modulus_sqrt2_tau():
-    spec = cgo_spec(t=0.1, tau=2.5)
+    spec = cgo_spec(t=0.1, tau=[2.5])
     pts = np.array([[0.2, 0.4], [-0.3, 0.1]])
     vals = cgo_trace(spec, pts)
     grads = cgo_gradient(spec, pts)
-    mods = np.sqrt((np.abs(grads) ** 2).sum(axis=1))
+    mods = np.sqrt((np.abs(grads) ** 2).sum(axis=-1))
     assert np.allclose(mods, math.sqrt(2) * 2.5 * np.abs(vals), rtol=1e-12)
 
 
 def test_cgo_gradient_finite_difference():
-    spec = cgo_spec(theta=(0.6, 0.8), t=0.2, tau=1.7)
+    spec = cgo_spec(theta=(0.6, 0.8), t=0.2, tau=[1.7])
     p = np.array([0.31, -0.12])
     h = 1e-6
-    g = cgo_gradient(spec, p[None, :])[0]
+    g = cgo_gradient(spec, p[None, :])[0, 0]
     for i in range(2):
         dp = np.zeros(2)
         dp[i] = h
-        fd = (cgo_trace(spec, (p + dp)[None, :])[0] - cgo_trace(spec, (p - dp)[None, :])[0]) / (2 * h)
+        fd = (cgo_trace(spec, (p + dp)[None, :])[0, 0]
+              - cgo_trace(spec, (p - dp)[None, :])[0, 0]) / (2 * h)
         assert abs(fd - g[i]) <= 1e-6 * abs(g[i])
 
 
@@ -67,8 +68,8 @@ def test_cgo_scaling_identity():
     th = np.array([1.0, 0.0])
     pts = np.array([[0.2, 0.5], [-0.4, 0.1], [0.9, -0.3]])
     tau, t = 1.3, 0.45
-    shifted = cgo_trace(cgo_spec(t=t, tau=tau), pts)
-    plain = cgo_trace(cgo_spec(t=0.0, tau=tau), pts)
+    shifted = cgo_trace(cgo_spec(t=t, tau=[tau]), pts)
+    plain = cgo_trace(cgo_spec(t=0.0, tau=[tau]), pts)
     q_shifted = np.sum(shifted * np.conj(shifted))
     q_plain = np.sum(plain * np.conj(plain))
     assert abs(q_shifted - math.exp(-2 * tau * t) * q_plain) <= 1e-12 * abs(q_shifted)
@@ -78,8 +79,8 @@ def test_perp_flip_conjugates_values():
     th = np.array([0.6, 0.8])
     tp = rot90(th)
     pts = np.array([[0.3, -0.7], [0.1, 0.2]])
-    a = cgo_trace(ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(tp), t=0.1, tau=2.0), pts)
-    b = cgo_trace(ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(-tp), t=0.1, tau=2.0), pts)
+    a = cgo_trace(ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(tp), t=0.1, tau=[2.0]), pts)
+    b = cgo_trace(ProbeSpec(kind="cgo", theta=tuple(th), theta_perp=tuple(-tp), t=0.1, tau=[2.0]), pts)
     assert np.allclose(np.conj(a), b, rtol=1e-14)
 
 
@@ -88,7 +89,7 @@ def test_perp_flip_conjugates_values():
 
 def test_ml_probe_at_zero_tau():
     pts = np.array([[0.1, 0.1], [-0.5, 0.4]])
-    assert np.allclose(ml_probe_trace(ml_spec(tau=0.0), pts), 1.0)
+    assert np.allclose(ml_probe_trace(ml_spec(tau=[0.0]), pts), 1.0)
 
 
 def test_ml_probe_alpha_one_limit_is_exponential():
@@ -103,38 +104,38 @@ def test_ml_probe_alpha_one_limit_is_exponential():
 
 def test_ml_probe_decay_sector_small_at_large_tau():
     # point well inside the decay cone complement
-    spec = ml_spec(y=(3.0, 0.0), theta=(1.0, 0.0), t=-0.5, tau=100.0)
+    spec = ml_spec(y=(3.0, 0.0), theta=(1.0, 0.0), t=-0.5, tau=[100.0])
     pts = np.array([[0.0, 0.0]])  # behind the vertex, decay region
-    val = ml_probe_trace(spec, pts)[0]
+    val = ml_probe_trace(spec, pts)[0, 0]
     assert abs(val) < 0.05
 
 
 def test_ml_gradient_zero_at_zero_tau():
     pts = np.array([[0.3, 0.2]])
-    g = ml_probe_gradient(ml_spec(tau=0.0), pts)
+    g = ml_probe_gradient(ml_spec(tau=[0.0]), pts)
     assert np.allclose(g, 0.0)
 
 
 def test_ml_gradient_modulus_relation():
-    spec = ml_spec(tau=2.0, t=-1.0)
+    spec = ml_spec(tau=[2.0], t=-1.0)
     pts = np.array([[0.4, 0.3]])
     w = spec.ml_argument(pts)
-    g = ml_probe_gradient(spec, pts)[0]
+    g = ml_probe_gradient(spec, pts)[0, 0]
     mod = math.sqrt(float((np.abs(g) ** 2).sum()))
-    expected = math.sqrt(2) * 2.0 * abs(ml_deriv_many(MLParams(alpha=0.5), w)[0])
+    expected = math.sqrt(2) * 2.0 * abs(ml_deriv_many(MLParams(alpha=0.5), w)[0, 0])
     assert mod == pytest.approx(expected, rel=1e-10)
 
 
 def test_ml_gradient_finite_difference():
-    spec = ml_spec(t=-0.8, tau=1.5)
+    spec = ml_spec(t=-0.8, tau=[1.5])
     p = np.array([0.25, -0.15])
     h = 2e-6
-    g = ml_probe_gradient(spec, p[None, :])[0]
+    g = ml_probe_gradient(spec, p[None, :])[0, 0]
     for i in range(2):
         dp = np.zeros(2)
         dp[i] = h
-        fd = (ml_probe_trace(spec, (p + dp)[None, :])[0]
-              - ml_probe_trace(spec, (p - dp)[None, :])[0]) / (2 * h)
+        fd = (ml_probe_trace(spec, (p + dp)[None, :])[0, 0]
+              - ml_probe_trace(spec, (p - dp)[None, :])[0, 0]) / (2 * h)
         assert abs(fd - g[i]) <= 1e-5 * max(abs(g[i]), 1e-12)
 
 
@@ -305,9 +306,19 @@ def test_critical_offset_requires_bracketing():
 
 def test_probe_spec_validation():
     with pytest.raises(ProbeError):
-        ProbeSpec(kind="cgo", theta=(1.0, 0.1), theta_perp=(0.0, 1.0), t=0.0, tau=1.0)
+        ProbeSpec(kind="cgo", theta=(1.0, 0.1), theta_perp=(0.0, 1.0), t=0.0, tau=[1.0])
     with pytest.raises(ProbeError):
-        ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(1.0, 0.0), t=0.0, tau=1.0)
+        ProbeSpec(kind="cgo", theta=(1.0, 0.0), theta_perp=(1.0, 0.0), t=0.0, tau=[1.0])
     with pytest.raises(ProbeError):
         ProbeSpec(kind="mittag_leffler", theta=(1.0, 0.0), theta_perp=(0.0, 1.0),
-                  t=0.0, tau=1.0)  # missing vertex and order
+                  t=0.0, tau=[1.0])  # missing vertex and order
+
+
+def test_probe_spec_tau_is_a_non_empty_ladder():
+    # a probe is evaluated over a tau ladder, a 1-D array with at least one
+    # entry: one tau is a one-entry ladder, kept as a float array
+    for tau in (2.0, [[1.0, 2.0]], []):
+        with pytest.raises(ProbeError, match="ladder"):
+            cgo_spec(tau=tau)
+    ladder = cgo_spec(tau=[2]).tau
+    assert ladder.dtype == float and ladder.tolist() == [2.0]

@@ -2,11 +2,13 @@
 reconstruction.
 
 Configuration is a flat sectioned key-value file (INI syntax, see
-``example_config``); every output file carries provenance lines with the
-config hash, mesh size, and solver tolerance: a header in the text files, and
-the ``provenance`` entry of the operator archive.  Reconstruction commands
-consume only that archive and the probe configuration, never the mesh
-interior, unless validation mode is switched on.
+``example_config``; an undeclared section or key is refused); every output
+file carries provenance lines with the config hash, mesh size, and solver
+tolerance: a header in the text files, and the ``provenance`` entry of the
+operator archive.  Only mesh and dtn read ``[domain]``: reconstruction
+commands take the domain radius and mesh size from that archive and the
+probes from the config, never the mesh interior, unless validation mode
+rebuilds the mesh from the archive's radius and size and the config's inclusion.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -85,22 +87,25 @@ class ExperimentConfig:
     validation_mode: bool = False
     config_hash: str = ""
 
-    def tau_ladder(self) -> np.ndarray:
+    def tau_ladder(self, h: float) -> np.ndarray:
         """Geometric tau grid from tau_min to tau_max, by default to the
-        mesh-resolution cap 0.3 / mesh_h (at least 2 tau_min)."""
+        mesh-resolution cap 0.3 / h of mesh size h (at least 2 tau_min)."""
         top = self.tau_max
         if top is None:
-            top = max(0.3 / self.mesh_h, 2.0 * self.tau_min)
+            top = max(0.3 / h, 2.0 * self.tau_min)
         return np.geomspace(self.tau_min, top, self.tau_points)
 
-    def probes(self, radius: float) -> list[ProbeSpec]:
-        """The configured family's probes at depth t over the tau ladder, with
-        theta_perp the left normal of theta: exponential probes in equally
-        spaced directions, or cone probes with vertices on the ring, each
-        probing at the configured offset angle from the outward radial
-        (alternating side), whose cones must avoid the domain disk of the
-        given radius."""
-        taus = self.tau_ladder()
+    def probes(self, h: float) -> list[ProbeSpec]:
+        """The configured family's probes at depth t over the tau ladder for
+        mesh size h, with theta_perp the left normal of theta: exponential
+        probes in equally spaced directions, or cone probes with vertices on
+        the ring, each probing at the configured offset angle from the outward
+        radial (alternating side).  Warns if the ladder's top exceeds the
+        mesh-resolution advisory 0.9 / h."""
+        taus = self.tau_ladder(h)
+        if taus[-1] * h > 0.9:
+            warnings.warn(f"tau_max = {taus[-1]:g} exceeds the mesh-resolution "
+                          f"advisory {0.9 / h:g} for mesh_h = {h:g}")
         if self.probe_family == "cgo":
             ang = 2 * math.pi * np.arange(self.n_directions) / self.n_directions
             return [ProbeSpec(kind="cgo", theta=(c, s), theta_perp=(-s, c), t=self.t_value,
@@ -113,12 +118,11 @@ class ExperimentConfig:
             c, s = math.cos(ang), math.sin(ang)
             y = (self.vertex_ring_radius * math.cos(phi), self.vertex_ring_radius * math.sin(phi))
             probes.append(ProbeSpec(kind="mittag_leffler", theta=(c, s), theta_perp=(-s, c),
-                                    t=self.t_value, tau=taus, y=y, alpha=self.ml_alpha,
-                                    domain_radius=radius))
+                                    t=self.t_value, tau=taus, y=y, alpha=self.ml_alpha))
         return probes
 
-    def provenance(self) -> dict:
-        return {"config": self.config_hash, "mesh_h": f"{self.mesh_h:.17g}",
+    def provenance(self, h: float) -> dict:
+        return {"config": self.config_hash, "mesh_h": f"{h:.17g}",
                 "solver_tol": "1e-10", "version": __version__}
 
 
@@ -166,6 +170,19 @@ directory = out
 """
 
 
+# every section and key a config may hold; refine_levels and validation_mode
+# are read only to refuse them when set
+_CONFIG_KEYS = {
+    "domain": ("radius", "mesh_h", "refine_levels"),
+    "inclusion": ("kind", "center", "radius", "semi_axes", "rotation", "vertices"),
+    "coefficients": ("a", "b", "omega"),
+    "background": ("sigma0", "epsilon0", "omega", "alpha", "beta"),
+    "probes": ("family", "directions", "t", "tau_min", "tau_max", "tau_points", "ml_alpha",
+               "vertex_ring_radius", "vertex_count", "direction_offset_deg", "t_search"),
+    "output": ("directory", "validation_mode"),
+}
+
+
 def load_config(path) -> ExperimentConfig:
     text = Path(path).read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -173,6 +190,13 @@ def load_config(path) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    # a [DEFAULT] section would lend its keys to every section
+    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -254,8 +278,6 @@ def load_config(path) -> ExperimentConfig:
     cfg.t_search = get("probes", "t_search", _parse_pair, cfg.t_search)
     if not (0 < cfg.ml_alpha < 1):
         raise ConfigError("[probes] ml_alpha must lie in (0, 1)")
-    if cfg.vertex_ring_radius <= cfg.domain_radius:
-        raise ConfigError("[probes] vertex ring must lie outside the domain")
     if cfg.tau_points < 5:
         raise ConfigError("[probes] need at least 5 tau points")
     if not cfg.tau_min > 0:
@@ -275,11 +297,6 @@ def load_config(path) -> ExperimentConfig:
            False):
         raise ConfigError("[output] validation_mode: use the --validate flag of indicate "
                           "and reconstruct; set it to false or remove it")
-    # the command's one advisory, on the top of the ladder every probe takes
-    top = cfg.tau_ladder()[-1]
-    if top * cfg.mesh_h > 0.9:
-        warnings.warn(f"tau_max = {top:g} exceeds the mesh-resolution "
-                      f"advisory {0.9 / cfg.mesh_h:g} for mesh_h = {cfg.mesh_h:g}")
     return cfg
 
 
@@ -365,7 +382,7 @@ def _in_workers(task, n: int) -> list:
 def cmd_mesh(cfg: ExperimentConfig) -> int:
     mesh = _build_mesh(cfg)
     out = _out(cfg) / "mesh.txt"
-    write_mesh(mesh, out, provenance=cfg.provenance())
+    write_mesh(mesh, out, provenance=cfg.provenance(mesh.h))
     print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles, "
           f"{len(mesh.boundary_loop)} boundary nodes -> {out}")
     return 0
@@ -411,7 +428,7 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
                            matrix=np.frombuffer(shared, dtype, n * n, i * n * n * 16).reshape(n, n))
                  for i, (dtype, scale) in enumerate(_in_workers(operator, len(names))))
     out = _out(cfg) / DTN_FILE
-    write_dtn(pair, out, provenance=cfg.provenance())
+    write_dtn(pair, out, provenance=cfg.provenance(mesh.h))
     del pair            # the views of the map, which it cannot close while they stand
     shared.close()
     print(f"operators: {n} nodes, band limit {modes or 'none'} -> {out}")
@@ -431,9 +448,10 @@ def _load_gap(cfg: ExperimentConfig) -> DtNMatrix:
 
 def cmd_indicate(cfg: ExperimentConfig) -> int:
     gap = _load_gap(cfg)
-    mesh = _build_mesh(cfg) if cfg.validation_mode else None
+    mesh = (build_disk_mesh(gap.basis.radius, gap.mesh_h, cfg.inclusion)
+            if cfg.validation_mode else None)
     rows = []
-    for probe in cfg.probes(gap.basis.radius):
+    for probe in cfg.probes(gap.mesh_h):
         vals = indicator_cgo(gap, probe) if probe.kind == "cgo" else indicator_ml(gap, probe)
         js = j_oracle(mesh, probe).tolist() if mesh is not None else [None] * len(vals)
         y_x, y_y = probe.y or (None, None)
@@ -444,20 +462,20 @@ def cmd_indicate(cfg: ExperimentConfig) -> int:
                          "logabsI": math.log(abs(val)) if val != 0 and math.isfinite(val)
                          else None})
     out = _out(cfg) / "indicators.csv"
-    write_indicator_csv(out, rows, provenance=cfg.provenance())
+    write_indicator_csv(out, rows, provenance=cfg.provenance(gap.mesh_h))
     print(f"indicators: {len(rows)} rows -> {out}")
     return 0
 
 
 def cmd_reconstruct(cfg: ExperimentConfig) -> int:
     gap = _load_gap(cfg)
-    probes = cfg.probes(gap.basis.radius)
+    probes = cfg.probes(gap.mesh_h)
     out = _out(cfg)
     if cfg.probe_family == "cgo":
         fits = fit_support_directions(gap, probes)
-        region = convex_hull_estimate(fits, cfg.domain_radius)
+        region = convex_hull_estimate(fits, gap.basis.radius)
         with open(out / "hull.csv", "w") as f:
-            f.write(provenance_header(cfg.provenance()))
+            f.write(provenance_header(cfg.provenance(gap.mesh_h)))
             f.write("x,y\n")
             for p in region.polygon:
                 f.write(f"{p[0]:.17g},{p[1]:.17g}\n")
@@ -473,9 +491,9 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
             tag = f"{est.h_est:.4f}" if est.h_est is not None else "none"
             y = probe.y
             print(f"vertex ({y[0]:+.3f},{y[1]:+.3f}) offset estimate: {tag} [{est.status}]")
-        region = cone_carving(ests, cfg.domain_radius)
+        region = cone_carving(ests, gap.basis.radius)
         with open(out / "cones.csv", "w") as f:
-            f.write(provenance_header(cfg.provenance()))
+            f.write(provenance_header(cfg.provenance(gap.mesh_h)))
             f.write("vertex_x,vertex_y,axis_x,axis_y,half_aperture\n")
             for c in region.cones:
                 f.write(f"{c.vertex[0]:.17g},{c.vertex[1]:.17g},"
@@ -486,7 +504,7 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
                   f"{cones_avoid_shape(region, cfg.inclusion)}")
     write_region_svg(out / "overlay.svg", region,
                      true_shape=cfg.inclusion if cfg.validation_mode else None,
-                     provenance=cfg.provenance())
+                     provenance=cfg.provenance(gap.mesh_h))
     print(f"overlay -> {out / 'overlay.svg'}")
     return 0
 

@@ -113,11 +113,10 @@ def indicator_cgo(gap: DtNMatrix, spec: ProbeSpec) -> np.ndarray:
 
 def indicator_ml(gap: DtNMatrix, spec: ProbeSpec) -> np.ndarray:
     """Cone-probe indicator from the operator gap, one value per tau, inf
-    from the first overflowing trace on; rejects probes whose base cone
-    meets the operators' domain."""
-    basis = gap.basis
-    spec = replace(spec, domain_radius=basis.radius)     # checks the base cone
-    return _ladder_forms(gap, ml_probe_trace(spec, basis.points))
+    from the first overflowing trace on; rejects probes whose vertex or base
+    cone meets the operators' domain."""
+    spec.check_domain(gap.basis.radius)
+    return _ladder_forms(gap, ml_probe_trace(spec, gap.basis.points))
 
 
 def j_oracle(mesh: Mesh, spec: ProbeSpec) -> np.ndarray:
@@ -225,7 +224,8 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
                          dt_tol: float = 0.02) -> TransitionEstimate:
     """Bisect the decay/growth transition of the cone-probe indicator in t,
     each step classifying the forms of the probe's tau ladder at that t (the
-    probe's own t is not read).
+    probe's own t is not read).  The probe is checked against the operators'
+    domain once, before the first step: its base cone does not depend on t.
 
     The search interval must lie in (-inf, 0); if both endpoints classify the
     same there is no transition to report.
@@ -244,13 +244,13 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
     if not (t_lo < t_hi < 0):
         raise IndicatorError("search interval must satisfy t_lo < t_hi < 0")
     basis = gap.basis
+    spec.check_domain(basis.radius)
     noise = 1e-16 * gap.scale * gap.matrix.shape[0]
     low_conf = 0
 
     def classify(t: float) -> str:
         nonlocal low_conf
-        probe = replace(spec, t=t, domain_radius=basis.radius)   # checks the base cone
-        traces = ml_probe_trace(probe, basis.points)
+        traces = ml_probe_trace(replace(spec, t=t), basis.points)
         # a floor that overflows is inf, which discards its sample; the forms
         # are inf from the first overflowing trace on, which ends the series
         # before the floors of those traces are read

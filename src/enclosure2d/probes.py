@@ -144,9 +144,9 @@ class ProbeSpec:
     sign conjugates the probe values.  ``tau`` is the ladder, a non-empty
     1-D array of non-negative values, kept as float64; traces and gradients
     have one row per tau.  ML probes additionally carry the cone
-    vertex ``y`` outside the domain and the order ``alpha`` in (0, 1); the
-    vertex cone of half-aperture pi*alpha/2 must avoid the domain disk, which
-    is checked when ``domain_radius`` is supplied.
+    vertex ``y`` and the order ``alpha`` in (0, 1).  A probe knows no domain:
+    ``check_domain`` judges its vertex and vertex cone against the disk of
+    the operators it meets.
     """
 
     kind: str                     # "cgo" | "mittag_leffler"
@@ -156,7 +156,6 @@ class ProbeSpec:
     tau: np.ndarray
     y: Optional[tuple[float, float]] = None
     alpha: Optional[float] = None
-    domain_radius: Optional[float] = None
 
     def __post_init__(self):
         th = _unit(self.theta, "theta")
@@ -175,12 +174,13 @@ class ProbeSpec:
             raise ProbeError("ML probes need a vertex y and an order alpha")
         if not (0 < self.alpha < 1):
             raise ProbeError("ML probe order must lie in (0, 1)")
-        if self.domain_radius is not None:
-            if np.hypot(*self.y) <= self.domain_radius:
-                raise ProbeError("ML probe vertex must lie outside the domain")
-            if not cone_avoids_shape(self.base_cone(),
-                                     ShapeSpec.disk((0.0, 0.0), self.domain_radius)):
-                raise ProbeError("vertex cone must avoid the domain disk")
+
+    def check_domain(self, radius: float) -> None:
+        """Reject an ML probe whose vertex or vertex cone meets the disk of this radius."""
+        if np.hypot(*self.y) <= radius:
+            raise ProbeError("ML probe vertex must lie outside the domain")
+        if not cone_avoids_shape(self.base_cone(), ShapeSpec.disk((0.0, 0.0), radius)):
+            raise ProbeError("vertex cone must avoid the domain disk")
 
     def base_cone(self) -> ConeSpec:
         """Cone at zero offset (vertex y)."""

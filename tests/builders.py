@@ -20,14 +20,12 @@ def cgo_spec(theta=(1.0, 0.0), t=0.0, tau=(1.0,), perp_sign=1.0):
                      t=t, tau=tau)
 
 
-def ml_spec(y=(3.0, 0.0), theta=(-1.0, 0.0), t=-0.5, tau=(1.0,), alpha=0.5, perp_sign=1.0,
-            radius=None):
-    """A cone probe with vertex y over the tau ladder tau, checked against the
-    domain of the given radius if one is given."""
+def ml_spec(y=(3.0, 0.0), theta=(-1.0, 0.0), t=-0.5, tau=(1.0,), alpha=0.5, perp_sign=1.0):
+    """A cone probe with vertex y over the tau ladder tau."""
     th = np.asarray(theta, dtype=float)
     return ProbeSpec(kind="mittag_leffler", theta=tuple(th),
                      theta_perp=tuple(perp_sign * rot90(th)), t=t, tau=tau, y=tuple(y),
-                     alpha=alpha, domain_radius=radius)
+                     alpha=alpha)
 
 
 def random_invertible(rng):

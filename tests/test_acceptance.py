@@ -304,10 +304,10 @@ def test_cone_estimates_are_stable_under_operator_roundoff(cone_pair, monkeypatc
     within one bisection step of its estimate on the unperturbed operators."""
     mesh, pair = cone_pair
     shape = ShapeSpec.disk((0.3, 0.0), 0.3)
-    cfg = ExperimentConfig(mesh_h=0.0102, inclusion=shape, probe_family="mittag_leffler",
+    cfg = ExperimentConfig(inclusion=shape, probe_family="mittag_leffler",
                            t_value=-0.7, tau_min=0.35, tau_max=2.4, tau_points=16,
                            vertex_count=8, t_search=(-6.0, -0.2))
-    probes = cfg.probes(1.0)
+    probes = cfg.probes(mesh.h)
     # a probe's traces do not depend on the operators: compute each once
     traces, trace = {}, indicator.ml_probe_trace
 

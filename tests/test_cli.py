@@ -150,15 +150,49 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_unknown_sections_and_keys_are_refused(tmp_path, capsys, monkeypatch):
+    # formerly read past: a misspelt key or section fell back to its default
+    # and mesh exited 0.  A [DEFAULT] section would lend its keys to every
+    # section, and keys are checked in their own section only
+    for k, (old, new, message) in enumerate([
+            ("tau_min = 1.0", "tau_mx = 5", "[probes] unknown key 'tau_mx'"),
+            ("directions = 8", "direction = 8", "[probes] unknown key 'direction'"),
+            ("[probes]", "[probe]", "unknown section [probe]"),
+            ("[domain]", "[DEFAULT]\nmesh_h = 0.08\n\n[domain]", "unknown section [DEFAULT]"),
+            ("mesh_h = 0.08", "mesh_h = 0.08\ndirections = 8",
+             "[domain] unknown key 'directions'")]):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+        assert main(["mesh", "--config", _write(tmp_path, text, f"{k}.cfg")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # [inclusion] takes every shape's keys; the three CI templates and the
+    # benchmark's two configs load
+    shapes = BASE_CONFIG.format(out=tmp_path).replace("radius = 0.5", "radius = 0.5\n"
+                                                      "semi_axes = 0.4 0.2\nrotation = 0.1\n"
+                                                      "vertices = 0 0; 1 0; 0 1")
+    template = example_config()
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)     # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for k, text in enumerate([shapes, template,
+                              template.replace("kind = disk ", "kind = ellipse ").replace(
+                                  "\nradius = 0.5\n", "\nsemi_axes = 0.45 0.25\nrotation = 0.4\n"),
+                              template.replace("family = cgo", "family = mittag_leffler"),
+                              workloads.HULL_CONFIG, workloads.CONE_CONFIG]):
+        load_config(_write(tmp_path, text, f"ok{k}.cfg"))
+
+
 def _advisories(caught) -> list[str]:
     return [str(w.message) for w in caught if "mesh-resolution advisory" in str(w.message)]
 
 
 def test_tau_ladder_default_and_advisory(tmp_path):
-    # the default ladder runs to 0.3 / mesh_h, or to 2 tau_min if that is
-    # higher; the advisory judges the ladder's top, explicit or default,
-    # against 0.9 / mesh_h and warns once on load
-    assert np.array_equal(ExperimentConfig(mesh_h=0.03, tau_points=10).tau_ladder(),
+    # the default ladder runs to 0.3 / h, or to 2 tau_min if that is higher;
+    # the advisory judges the ladder's top, explicit or default, against
+    # 0.9 / h and warns once when the probes are built, not on load.  h is
+    # the operators' mesh size: the config's mesh_h = 0.08 is not read
+    assert np.array_equal(ExperimentConfig(tau_points=10).tau_ladder(0.03),
                           np.geomspace(1.0, 0.3 / 0.03, 10))
     cases = [("tau_min = 1.0", []),
              ("tau_min = 1.0\ntau_max = 20.0", ["tau_max = 20 exceeds the mesh-resolution "
@@ -166,25 +200,28 @@ def test_tau_ladder_default_and_advisory(tmp_path):
              ("tau_min = 10.0", ["tau_max = 20 exceeds the mesh-resolution "
                                  "advisory 18 for mesh_h = 0.05"])]
     for k, (probes, expected) in enumerate(cases):
-        text = BASE_CONFIG.format(out=tmp_path).replace("mesh_h = 0.08", "mesh_h = 0.05")
+        text = BASE_CONFIG.format(out=tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            load_config(_write(tmp_path, text.replace("tau_min = 1.0", probes), f"{k}.cfg"))
+            cfg = load_config(_write(tmp_path, text.replace("tau_min = 1.0", probes), f"{k}.cfg"))
+            assert _advisories(caught) == []
+            cfg.probes(0.05)
         assert _advisories(caught) == expected
 
 
 def test_advisory_warns_once_per_command(tmp_path):
-    # a ladder past 0.9 / mesh_h = 11.25: each command warns once, on load,
-    # and neither the indicators of 8 directions nor their support fits
-    # repeat it per tau
+    # a ladder past 0.9 / mesh_h = 11.25: indicate and reconstruct, which
+    # build the ladder, warn once each, and neither the indicators of 8
+    # directions nor their support fits repeat it per tau; mesh and dtn
+    # build no ladder and do not warn
     out = tmp_path / "out"
     cfg = _write(tmp_path, BASE_CONFIG.format(out=out).replace("tau_min = 1.0",
                                                                "tau_min = 1.0\ntau_max = 12.0"))
-    for command in ("dtn", "indicate", "reconstruct"):
+    for command, warned in (("mesh", 0), ("dtn", 0), ("indicate", 1), ("reconstruct", 1)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main([command, "--config", cfg]) == 0
-        assert len(_advisories(caught)) == 1, command
+        assert len(_advisories(caught)) == warned, command
 
 
 def test_mesh_command(tmp_path, capsys):
@@ -547,7 +584,7 @@ def test_mittag_leffler_template_search_is_warning_free(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ests = [transition_search_ml(gap, probe, cfg.t_search)
-                for probe in cfg.probes(gap.basis.radius)]
+                for probe in cfg.probes(gap.mesh_h)]
     assert [e.h_est for e in ests] == 2 * [-3.115625, -2.5156250000000004, -2.590625,
                                            -3.0031250000000003, -2.553125,
                                            -3.0406250000000004, -3.0781250000000004,
@@ -644,6 +681,43 @@ def test_ml_reconstruct_pipeline(tmp_path, capsys):
              if "," in ln and not ln.startswith(("#", "vertex"))]
     assert len(cones) >= 1
     assert "cones avoid true inclusion: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("template", [BASE_CONFIG, ML_CONFIG], ids=["cgo", "mittag_leffler"])
+def test_inverse_commands_take_the_domain_from_the_archive(tmp_path, template, capsys):
+    # indicate and reconstruct, plain and under --validate, on a config whose
+    # [domain] differs from the archive's: every output and every line they
+    # print are those of the matching config, except the config hash.  Formerly
+    # the tau ladder, the hull's clip, the carving raster, the J column's mesh
+    # and the mesh_h provenance came from [domain]
+    text = template.format(out=tmp_path / "match")
+    h = load_config(_write(tmp_path, text)).mesh_h
+    stale = text.replace(f"radius = 1.0\nmesh_h = {h}", "radius = 1.2\nmesh_h = 0.06")
+    assert "radius = 1.2" in stale
+    configs = [_write(tmp_path, text), _write(tmp_path, stale, "stale.cfg")]
+    assert main(["dtn", "--config", configs[0]]) == 0
+    capsys.readouterr()
+    (tmp_path / "stale").mkdir()
+    shutil.copy(tmp_path / "match" / "dtn.npz", tmp_path / "stale")
+    runs = []
+    for cfg, out in zip(configs, ("match", "stale")):
+        files = {}
+        for validate in ([], ["--validate"]):
+            for command in ("indicate", "reconstruct"):
+                assert main([command, "--config", cfg, "--out", str(tmp_path / out),
+                             *validate]) == 0
+                printed = capsys.readouterr()
+                files[command, *validate, "stdout"] = printed.out.replace(out, "OUT")
+                assert printed.err == ""
+            for path in sorted((tmp_path / out).iterdir()):
+                if path.suffix != ".npz":
+                    files[path.name, *validate] = [ln for ln in path.read_text().splitlines()
+                                                   if "config: " not in ln]
+        runs.append(files)
+    assert runs[0] == runs[1]
+    indicators = runs[0]["indicators.csv", "--validate"]
+    assert f"# mesh_h: {h:.17g}" in indicators
+    assert all(row.rsplit(",", 1)[1] for row in indicators[4:])      # J filled in
 
 
 def _package_env():
@@ -786,7 +860,7 @@ def test_worker_warnings_reach_the_parent_in_input_order(tmp_path, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["reconstruct", "--config", cfg]) == 0
-    probes = load_config(cfg).probes(1.0)
+    probes = load_config(cfg).probes(0.05)
     assert [(w.category, str(w.message)) for w in caught] == \
         [(MLAccuracyWarning, f"search from {p.y}") for p in probes]
     assert {(w.filename, w.lineno) for w in caught} == \
@@ -862,8 +936,8 @@ def test_dtn_bytes_do_not_follow_the_blas_threads(tmp_path):
 def test_probes_reproduce_the_configured_geometry(family):
     # equally spaced directions, or ring vertices each probing at the offset
     # angle from the outward radial on alternating sides, bit for bit; every
-    # probe carries the whole tau ladder at the configured depth, and every
-    # cone avoids the domain
+    # probe carries the whole tau ladder for the given mesh size at the
+    # configured depth, and every cone avoids the unit domain
     cfg = ExperimentConfig(probe_family=family, n_directions=6, vertex_count=5, t_value=-0.4)
     if family == "cgo":
         ang = 2 * math.pi * np.arange(6) / 6
@@ -875,22 +949,40 @@ def test_probes_reproduce_the_configured_geometry(family):
             ang = phi + (1.0 if k % 2 == 0 else -1.0) * math.radians(70.0)
             expected.append((3.0 * np.array([math.cos(phi), math.sin(phi)]),
                              np.array([math.cos(ang), math.sin(ang)])))
-    probes = cfg.probes(cfg.domain_radius)
+    probes = cfg.probes(0.04)
     assert len(probes) == len(expected)
-    domain = ShapeSpec.disk((0.0, 0.0), cfg.domain_radius)
+    domain = ShapeSpec.disk((0.0, 0.0), 1.0)
     for probe, (y, th) in zip(probes, expected):
         assert probe.kind == family and probe.t == -0.4
         assert probe.theta == tuple(th) and probe.theta_perp == tuple(rot90(th))
-        np.testing.assert_array_equal(probe.tau, cfg.tau_ladder())
+        np.testing.assert_array_equal(probe.tau, cfg.tau_ladder(0.04))
         if y is None:
             assert probe.y is None
         else:
             assert probe.y == tuple(y) and probe.alpha == cfg.ml_alpha
             assert cone_avoids_shape(probe.base_cone(), domain)
+            probe.check_domain(1.0)
 
 
 def test_probes_reject_cones_that_meet_the_domain():
     # at radius 2.8 the default ring's cones (3 sin 65 deg = 2.72 from the
-    # centre) reach into the domain
+    # centre) reach into the domain; at radius 3 the ring's vertices lie on it
+    probe = ExperimentConfig(probe_family="mittag_leffler").probes(0.05)[0]
     with pytest.raises(ProbeError, match="vertex cone"):
-        ExperimentConfig(probe_family="mittag_leffler").probes(2.8)
+        probe.check_domain(2.8)
+    with pytest.raises(ProbeError, match="vertex must lie outside"):
+        probe.check_domain(3.0)
+
+
+def test_cone_vertices_inside_the_archive_domain_exit_2(tmp_path, capsys):
+    # the ring is judged against the archive's radius where the probes meet
+    # the operators, with the exit 2 that the config check gave before; a
+    # cgo config reads no ring and is not refused for one
+    text = EMPTY_CONFIG.format(out=tmp_path / "out").replace(
+        "t = 0.2", "t = 0.2\nvertex_ring_radius = 0.9")
+    assert main(["dtn", "--config", _write(tmp_path, text)]) == 0
+    ml = _write(tmp_path, text.replace("family = cgo", "family = mittag_leffler"), "ml.cfg")
+    capsys.readouterr()
+    for command in ("indicate", "reconstruct"):
+        assert main([command, "--config", ml]) == 2
+        assert capsys.readouterr().err == "error: ML probe vertex must lie outside the domain\n"

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from enclosure2d import indicator, probes
 from enclosure2d.admittivity import AdmittivityField
 from enclosure2d.fem import assemble_dtn_matrix, gap_matrix
 from enclosure2d.indicator import (IndicatorError, SupportFit, classify_series,
@@ -249,11 +250,28 @@ def test_transition_search_interval_validation(empty_gap):
 
 
 def test_transition_search_checks_the_cone_against_the_operators(empty_gap):
-    # the probe's own radius is not trusted: a cone that meets the operators'
-    # domain is rejected even when the probe was built for a smaller one
+    # a probe carries no domain: a cone that meets the operators' domain is
+    # rejected by the search itself
     probe = ml_spec((3.0, 0.0), (-1.0, 0.0), -0.5, np.geomspace(0.5, 2.0, 8))
-    with pytest.raises(ProbeError):
+    with pytest.raises(ProbeError, match="vertex cone"):
         transition_search_ml(empty_gap, probe, (-4.0, -0.3))
+
+
+def test_transition_search_checks_the_domain_once(disk_gap, monkeypatch):
+    # the base cone does not move with t, so one search checks it once, not
+    # once per classification: the 2 endpoints and the 9 bisection steps
+    _, gap = disk_gap
+    checks, classified = [], []
+    avoids, classify = probes.cone_avoids_shape, indicator.classify_series
+    monkeypatch.setattr(probes, "cone_avoids_shape",
+                        lambda *args: checks.append(args) or avoids(*args))
+    monkeypatch.setattr(indicator, "classify_series",
+                        lambda *args: classified.append(args) or classify(*args))
+    ang = math.radians(70.0)
+    probe = ml_spec((3.0, 0.0), (math.cos(ang), math.sin(ang)), -0.2,
+                    np.geomspace(0.35, 2.4, 16))
+    assert transition_search_ml(gap, probe, (-6.0, -0.2)).status == "ok"
+    assert (len(checks), len(classified)) == (1, 11)
 
 
 # -- ground-truth energy oracle -------------------------------------------------

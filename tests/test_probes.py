@@ -140,14 +140,15 @@ def test_ml_gradient_finite_difference():
 
 
 def test_ml_probe_requires_exterior_vertex_and_clear_cone():
-    with pytest.raises(ProbeError):
-        ml_spec(y=(0.5, 0.0), radius=1.0)          # vertex inside the domain
-    with pytest.raises(ProbeError):
-        ml_spec(y=(3.0, 0.0), theta=(-1.0, 0.0), radius=1.0)  # cone swallows the domain
+    with pytest.raises(ProbeError, match="vertex must lie outside"):
+        ml_spec(y=(0.5, 0.0)).check_domain(1.0)                   # vertex inside the domain
+    with pytest.raises(ProbeError, match="vertex cone must avoid"):
+        ml_spec(y=(3.0, 0.0), theta=(-1.0, 0.0)).check_domain(1.0)  # cone swallows the domain
 
 
 def test_ml_probe_valid_cone_accepted():
-    spec = ml_spec(y=(3.0, 0.0), theta=(1.0, 0.0), radius=1.0)
+    spec = ml_spec(y=(3.0, 0.0), theta=(1.0, 0.0))
+    spec.check_domain(1.0)
     assert spec.base_cone().vertex == (3.0, 0.0)
 
 

@@ -2,13 +2,16 @@
 reconstruction.
 
 Configuration is a flat sectioned key-value file (INI syntax, see
-``example_config``; an undeclared section or key is refused); every output
-file carries provenance lines with the config hash, mesh size, and solver
-tolerance: a header in the text files, and the ``provenance`` entry of the
-operator archive.  Only mesh and dtn read ``[domain]``: reconstruction
-commands take the domain radius and mesh size from that archive and the
-probes from the config, never the mesh interior, unless validation mode
-rebuilds the mesh from the archive's radius and size and the config's inclusion.
+``example_config``).  A section or key that no read takes under the config's
+own choices is refused: a disk's ``semi_axes``, say, or ``[coefficients]``
+beside ``[background]``; ``[probes]`` is the exception, and takes both probe
+families' keys whichever family it names.  Every output file carries
+provenance lines with the config hash, mesh size, and solver tolerance: a
+header in the text files, and the ``provenance`` entry of the operator
+archive.  Only mesh and dtn use ``[domain]``: reconstruction commands take
+the domain radius and mesh size from that archive and the probes from the
+config, never the mesh interior, unless validation mode rebuilds the mesh
+from the archive's radius and size and the config's inclusion.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -170,19 +173,6 @@ directory = out
 """
 
 
-# every section and key a config may hold; refine_levels and validation_mode
-# are read only to refuse them when set
-_CONFIG_KEYS = {
-    "domain": ("radius", "mesh_h", "refine_levels"),
-    "inclusion": ("kind", "center", "radius", "semi_axes", "rotation", "vertices"),
-    "coefficients": ("a", "b", "omega"),
-    "background": ("sigma0", "epsilon0", "omega", "alpha", "beta"),
-    "probes": ("family", "directions", "t", "tau_min", "tau_max", "tau_points", "ml_alpha",
-               "vertex_ring_radius", "vertex_count", "direction_offset_deg", "t_search"),
-    "output": ("directory", "validation_mode"),
-}
-
-
 def load_config(path) -> ExperimentConfig:
     text = Path(path).read_text()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -191,16 +181,14 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     # a [DEFAULT] section would lend its keys to every section
-    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
-        if section not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in _CONFIG_KEYS[section]:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+    read = set()        # every (section, key) that get took, present in the file or not
 
     def get(section, key, cast, default=None, required=False):
+        read.add((section, key))
         if not (required or parser.has_option(section, key)):
             return default
         raw = parser.get(section, key)      # NoOptionError if a required key is missing
@@ -218,33 +206,28 @@ def load_config(path) -> ExperimentConfig:
     if get("domain", "refine_levels", int, 0) != 0:
         raise ConfigError("[domain] refine_levels: mesh refinement is not supported; "
                           "set it to 0 or remove it")
-    if cfg.domain_radius <= 0:
-        raise ConfigError("[domain] radius must be positive")
-    if not (0 < cfg.mesh_h < cfg.domain_radius / 4):
-        raise ConfigError("[domain] mesh_h must lie in (0, radius/4)")
 
-    if parser.has_section("inclusion"):
-        kind = parser.get("inclusion", "kind", fallback="none").strip().lower()
-        if kind == "none":
-            cfg.inclusion = None
-        else:
-            center = get("inclusion", "center", _parse_pair, (0.0, 0.0))
-            try:
-                if kind == "disk":
-                    cfg.inclusion = ShapeSpec.disk(center, get("inclusion", "radius", float,
-                                                               required=True))
-                elif kind == "ellipse":
-                    cfg.inclusion = ShapeSpec.ellipse(
-                        center, get("inclusion", "semi_axes", _parse_pair, required=True),
-                        get("inclusion", "rotation", float, 0.0))
-                elif kind == "polygon":
-                    verts = get("inclusion", "vertices", lambda text: [
-                        _parse_pair(p) for p in text.split(";") if p.strip()], required=True)
-                    cfg.inclusion = ShapeSpec.polygon(np.array(verts))
-                else:
-                    raise ConfigError(f"[inclusion] unknown kind {kind!r}")
-            except (MeshError, configparser.NoOptionError) as exc:
-                raise ConfigError(f"[inclusion] {exc}") from exc
+    kind = get("inclusion", "kind", str, "none").strip().lower()
+    if kind != "none":
+        # a polygon's vertices place it: only a disk and an ellipse read a center
+        center = (get("inclusion", "center", _parse_pair, (0.0, 0.0))
+                  if kind in ("disk", "ellipse") else None)
+        try:
+            if kind == "disk":
+                cfg.inclusion = ShapeSpec.disk(center, get("inclusion", "radius", float,
+                                                           required=True))
+            elif kind == "ellipse":
+                cfg.inclusion = ShapeSpec.ellipse(
+                    center, get("inclusion", "semi_axes", _parse_pair, required=True),
+                    get("inclusion", "rotation", float, 0.0))
+            elif kind == "polygon":
+                verts = get("inclusion", "vertices", lambda text: [
+                    _parse_pair(p) for p in text.split(";") if p.strip()], required=True)
+                cfg.inclusion = ShapeSpec.polygon(np.array(verts))
+            else:
+                raise ConfigError(f"[inclusion] unknown kind {kind!r}")
+        except (MeshError, configparser.NoOptionError) as exc:
+            raise ConfigError(f"[inclusion] {exc}") from exc
 
     cfg.a_value = get("coefficients", "a", float, cfg.a_value)
     cfg.b_value = get("coefficients", "b", float, cfg.b_value)
@@ -261,6 +244,9 @@ def load_config(path) -> ExperimentConfig:
         cfg.beta_orig = get("background", "beta", float, 0.0)
         if s0 < 0 or e0 <= 0:
             raise ConfigError("[background] needs sigma0 >= 0 and epsilon0 > 0")
+        if parser.has_section("coefficients"):
+            raise ConfigError("[coefficients] is not read beside [background], which sets "
+                              "the coefficients; remove one of the two")
 
     cfg.probe_family = get("probes", "family", str, cfg.probe_family).strip().lower()
     if cfg.probe_family not in ("cgo", "mittag_leffler"):
@@ -297,6 +283,15 @@ def load_config(path) -> ExperimentConfig:
            False):
         raise ConfigError("[output] validation_mode: use the --validate flag of indicate "
                           "and reconstruct; set it to false or remove it")
+
+    # the reads above are the format: a section or key that none of them took,
+    # under the choices the file makes itself, would be ignored, so it is refused
+    for section in parser.sections():
+        if not any(s == section for s, _ in read):
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in read:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
     return cfg
 
 

@@ -331,8 +331,15 @@ def check_band_limit(modes: int, nodes: int) -> None:
 
 def _mode_form(matrix: np.ndarray, thetas: np.ndarray, modes: int
                ) -> tuple[np.ndarray, np.ndarray]:
-    """P+^T (P^T B P) and P+ of ``band_limited``: all of Q^T B Q but its last
-    product."""
+    """P+^T (P^T B P) and P+ for a nodal operator matrix B, whose product
+    is Q^T B Q: the operator measured with the trigonometric current patterns
+    exp(i n theta), |n| <= modes, where Q = P P+ projects node values onto
+    them by least squares, with P the (nodes, 2 modes + 1) mode matrix at the
+    node angles ``thetas``.
+
+    Formed with products of P only, the last left to the caller.  Its
+    quadratic form on a trace f is that of the modes' matrix P^T B P on the
+    coefficients c = P+ f, because conj(P+) = J P+ with J the mode reversal."""
     check_band_limit(modes, len(thetas))
     p = np.exp(1j * np.outer(thetas, np.arange(-modes, modes + 1)))
     # the singular-value cutoff of lstsq(rcond=None); pinv's default is 1e-15
@@ -340,27 +347,13 @@ def _mode_form(matrix: np.ndarray, thetas: np.ndarray, modes: int
     return pinv.T @ (p.T @ (matrix @ p)), pinv
 
 
-def band_limited(matrix: np.ndarray, thetas: np.ndarray, modes: int) -> np.ndarray:
-    """Q^T B Q for a nodal operator matrix B: the operator measured with the
-    trigonometric current patterns exp(i n theta), |n| <= modes, where
-    Q = P P+ projects node values onto them by least squares, with P the
-    (nodes, 2 modes + 1) mode matrix at the node angles ``thetas``.
-
-    Formed as P+^T (P^T B P) P+, with products of P only (``_mode_form``,
-    then its last product).  Its quadratic form on a trace f is that of the
-    modes' matrix P^T B P on the coefficients c = P+ f, because
-    conj(P+) = J P+ with J the mode reversal."""
-    a, pinv = _mode_form(matrix, thetas, modes)
-    return a @ pinv
-
-
 def assemble_dtn_matrix(mesh: Mesh, field: AdmittivityField, modes: int = 0,
                         out=None) -> DtNMatrix:
     """B[j, k] = <L phi_j, phi_k> = phi_k^T S phi_j over the nodal basis, read
     off the boundary operator S: S^T, in S's own arithmetic, or for
-    modes >= 1 its complex ``band_limited`` form.  Given ``out``, a writable
-    buffer of at least n^2 complex128 for n boundary nodes, B is written
-    into its first bytes and is a view of them.
+    modes >= 1 its complex band limit Q^T S^T Q (``_mode_form``).  Given
+    ``out``, a writable buffer of at least n^2 complex128 for n boundary
+    nodes, B is written into its first bytes and is a view of them.
 
     S is formed by ``_operator`` from the field's coefficient: the field
     goes once the coefficient is formed, and the coefficient, checked by a

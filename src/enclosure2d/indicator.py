@@ -38,6 +38,7 @@ _SUPPORT_TOL = 1e-9
 _SVG_SIZE = 600
 _FIT_RESIDUAL = 0.05
 _CARVE_RESOLUTION = 512      # side of the cone estimate's raster mask, in cells
+_SEARCH_DT = 0.02            # width at which the transition search stops bisecting
 
 
 class IndicatorError(ValueError):
@@ -220,8 +221,7 @@ def classify_series(values: np.ndarray, noise_floors: np.ndarray) -> tuple[str, 
 
 
 def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
-                         t_interval: tuple[float, float],
-                         dt_tol: float = 0.02) -> TransitionEstimate:
+                         t_interval: tuple[float, float]) -> TransitionEstimate:
     """Bisect the decay/growth transition of the cone-probe indicator in t,
     each step classifying the forms of the probe's tau ladder at that t (the
     probe's own t is not read).  The probe is checked against the operators'
@@ -268,7 +268,7 @@ def transition_search_ml(gap: DtNMatrix, spec: ProbeSpec,
                                   h_est=None, bracket=(t_lo, t_hi),
                                   status="no_transition", low_confidence_steps=low_conf)
     lo, hi = t_lo, t_hi
-    while hi - lo > dt_tol:
+    while hi - lo > _SEARCH_DT:
         mid = 0.5 * (lo + hi)
         if classify(mid) == "growth":
             lo = mid

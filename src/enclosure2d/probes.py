@@ -209,14 +209,6 @@ def cgo_trace(spec: ProbeSpec, points) -> np.ndarray:
     return np.exp(ex + 1j * np.multiply.outer(spec.tau, p @ tp))
 
 
-def cgo_gradient(spec: ProbeSpec, points) -> np.ndarray:
-    """Gradient tau*(theta + i theta_perp) times the trace value, per tau and
-    point: (n_tau, n_points, 2)."""
-    vals = cgo_trace(spec, points)
-    d = np.multiply.outer(spec.tau, np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
-    return vals[..., None] * d[..., None, :]
-
-
 def ml_probe_trace(spec: ProbeSpec, points) -> np.ndarray:
     """E_alpha evaluated at the depth-shifted cone coordinate of each point."""
     if spec.kind != "mittag_leffler":
@@ -224,14 +216,13 @@ def ml_probe_trace(spec: ProbeSpec, points) -> np.ndarray:
     return ml_eval_many(MLParams(alpha=spec.alpha), spec.ml_argument(points))
 
 
-def ml_probe_gradient(spec: ProbeSpec, points) -> np.ndarray:
-    """Gradient tau*(theta + i theta_perp) E_alpha'(w(x)), shaped as ``cgo_gradient``'s."""
-    if spec.kind != "mittag_leffler":
-        raise ProbeError("ml_probe_gradient needs a mittag_leffler probe")
-    dv = ml_deriv_many(MLParams(alpha=spec.alpha), spec.ml_argument(points))
+def probe_gradient(spec: ProbeSpec, points) -> np.ndarray:
+    """Gradient tau*(theta + i theta_perp) u'(w(x)), per tau and point:
+    (n_tau, n_points, 2), with u' the trace for an exponential probe and
+    E_alpha' for a Mittag-Leffler one."""
+    if spec.kind == "cgo":
+        dv = cgo_trace(spec, points)
+    else:
+        dv = ml_deriv_many(MLParams(alpha=spec.alpha), spec.ml_argument(points))
     d = np.multiply.outer(spec.tau, np.asarray(spec.theta) + 1j * np.asarray(spec.theta_perp))
     return dv[..., None] * d[..., None, :]
-
-
-def probe_gradient(spec: ProbeSpec, points) -> np.ndarray:
-    return cgo_gradient(spec, points) if spec.kind == "cgo" else ml_probe_gradient(spec, points)

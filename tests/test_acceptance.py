@@ -283,7 +283,7 @@ def test_criterion_7_cone_transitions(cone_bench):
             probe = ProbeSpec(kind="mittag_leffler", theta=tuple(th),
                               theta_perp=tuple(rot90(th)), t=-0.2, tau=taus, y=tuple(y),
                               alpha=0.5)
-            est = transition_search_ml(gap, probe, (-6.0, -0.2), dt_tol=0.01)
+            est = transition_search_ml(gap, probe, (-6.0, -0.2))
             ests.append(est)
             assert est.status == "ok"
             err = abs(est.h_est - h_true)

@@ -87,11 +87,14 @@ def test_example_config_parses(tmp_path):
     assert cfg.inclusion is not None and cfg.inclusion.kind == "disk"
 
 
-def test_config_validation_errors(tmp_path):
-    bad = BASE_CONFIG.format(out=tmp_path) + "\n"
-    bad = bad.replace("mesh_h = 0.08", "mesh_h = 0.6")
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, bad))
+def test_config_validation_errors(tmp_path, capsys):
+    # the mesher owns the check of [domain]: mesh and dtn refuse a mesh size
+    # outside (0, radius/4) before they build anything
+    bad = BASE_CONFIG.format(out=tmp_path / "out").replace("mesh_h = 0.08", "mesh_h = 0.6")
+    for command in ("mesh", "dtn"):
+        assert main([command, "--config", _write(tmp_path, bad)]) == 2
+        assert "target_h must lie in (0, domain_radius/4)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     bad2 = BASE_CONFIG.format(out=tmp_path).replace("family = cgo", "family = sine")
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, bad2, "e2.cfg"))
@@ -164,18 +167,32 @@ def test_unknown_sections_and_keys_are_refused(tmp_path, capsys, monkeypatch):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
         assert main(["mesh", "--config", _write(tmp_path, text, f"{k}.cfg")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-    # [inclusion] takes every shape's keys; the three CI templates and the
-    # benchmark's two configs load
-    shapes = BASE_CONFIG.format(out=tmp_path).replace("radius = 0.5", "radius = 0.5\n"
-                                                      "semi_axes = 0.4 0.2\nrotation = 0.1\n"
-                                                      "vertices = 0 0; 1 0; 0 1")
+    # a key is refused where the config's own choices leave it unread, which
+    # formerly loaded and was ignored: a disk's semi_axes, a polygon's center,
+    # an [inclusion] without kind (no inclusion) and [coefficients] beside
+    # [background]
+    polygon = "kind = polygon\nvertices = -0.2 -0.2; 0.2 -0.2; 0 0.2\ncenter = 0.0 0.0"
+    for k, (old, new, message) in enumerate([
+            ("radius = 0.5", "radius = 0.5\nsemi_axes = 0.4 0.2",
+             "[inclusion] unknown key 'semi_axes'"),
+            ("kind = disk\ncenter = 0.0 0.0\nradius = 0.5", polygon,
+             "[inclusion] unknown key 'center'"),
+            ("kind = disk\ncenter = 0.0 0.0\n", "", "[inclusion] unknown key 'radius'"),
+            ("[probes]", "[background]\nsigma0 = 1.0\nepsilon0 = 1.0\nomega = 1.0\n\n[probes]",
+             "[coefficients] is not read beside [background], which sets the coefficients; "
+             "remove one of the two")]):
+        text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
+        assert main(["mesh", "--config", _write(tmp_path, text, f"shape{k}.cfg")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # the three CI templates and the benchmark's two configs load
     template = example_config()
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)     # for its dataclasses
     spec.loader.exec_module(workloads)
-    for k, text in enumerate([shapes, template,
+    for k, text in enumerate([template,
                               template.replace("kind = disk ", "kind = ellipse ").replace(
                                   "\nradius = 0.5\n", "\nsemi_axes = 0.45 0.25\nrotation = 0.4\n"),
                               template.replace("family = cgo", "family = mittag_leffler"),
@@ -598,6 +615,7 @@ def test_zero_gap_search_is_warning_free(tmp_path):
     text = example_config().replace("family = cgo", "family = mittag_leffler")
     text = text.replace("kind = disk", "kind = none").replace("directory = out",
                                                             f"directory = {tmp_path / 'out'}")
+    text = text.replace("center = 0.0 0.0\nradius = 0.5\n", "")     # no inclusion reads them
     cfg = _write(tmp_path, text)
     assert main(["dtn", "--config", cfg]) == 0
     proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "reconstruct",
@@ -689,18 +707,24 @@ def test_inverse_commands_take_the_domain_from_the_archive(tmp_path, template, c
     # [domain] differs from the archive's: every output and every line they
     # print are those of the matching config, except the config hash.  Formerly
     # the tau ladder, the hull's clip, the carving raster, the J column's mesh
-    # and the mesh_h provenance came from [domain]
+    # and the mesh_h provenance came from [domain], and a mesh_h that the
+    # mesher refuses was refused on load
     text = template.format(out=tmp_path / "match")
     h = load_config(_write(tmp_path, text)).mesh_h
     stale = text.replace(f"radius = 1.0\nmesh_h = {h}", "radius = 1.2\nmesh_h = 0.06")
-    assert "radius = 1.2" in stale
-    configs = [_write(tmp_path, text), _write(tmp_path, stale, "stale.cfg")]
+    coarse = text.replace(f"mesh_h = {h}", "mesh_h = 0.6")
+    assert "radius = 1.2" in stale and "mesh_h = 0.6\n" in coarse
+    configs = [_write(tmp_path, text), _write(tmp_path, stale, "stale.cfg"),
+               _write(tmp_path, coarse, "coarse.cfg")]
+    assert main(["mesh", "--config", configs[2], "--out", str(tmp_path / "mesh")]) == 2
     assert main(["dtn", "--config", configs[0]]) == 0
     capsys.readouterr()
-    (tmp_path / "stale").mkdir()
-    shutil.copy(tmp_path / "match" / "dtn.npz", tmp_path / "stale")
+    outs = ("match", "stale", "coarse")
+    for out in outs[1:]:
+        (tmp_path / out).mkdir()
+        shutil.copy(tmp_path / "match" / "dtn.npz", tmp_path / out)
     runs = []
-    for cfg, out in zip(configs, ("match", "stale")):
+    for cfg, out in zip(configs, outs):
         files = {}
         for validate in ([], ["--validate"]):
             for command in ("indicate", "reconstruct"):
@@ -714,7 +738,7 @@ def test_inverse_commands_take_the_domain_from_the_archive(tmp_path, template, c
                     files[path.name, *validate] = [ln for ln in path.read_text().splitlines()
                                                    if "config: " not in ln]
         runs.append(files)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     indicators = runs[0]["indicators.csv", "--validate"]
     assert f"# mesh_h: {h:.17g}" in indicators
     assert all(row.rsplit(",", 1)[1] for row in indicators[4:])      # J filled in
@@ -817,7 +841,10 @@ def test_an_invalid_field_fails_dtn_once(tmp_path, old, new, message):
     out = tmp_path / "out"
     text = BASE_CONFIG.format(out=out)
     assert old in text
-    cfg = _write(tmp_path, text.replace(old, new))
+    text = text.replace(old, new)
+    if "[background]" in new:       # which [coefficients] is refused beside
+        text = text.replace("[coefficients]\na = 1.0\nb = 0.5\nomega = 1.0\n\n", "")
+    cfg = _write(tmp_path, text)
     proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "dtn", "--config", cfg],
                           cwd=tmp_path, env=_package_env(), capture_output=True, text=True,
                           timeout=120)

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from enclosure2d import fem
 from enclosure2d.admittivity import AdmittivityField, complex_admittivity
 from enclosure2d.fem import (DTN_FORMAT, BoundaryBasis, DirichletSystem, DtNMatrix,
-                             SolverError, assemble_dtn_matrix, band_limited, gap_matrix,
+                             SolverError, assemble_dtn_matrix, gap_matrix,
                              nodal_basis_for_mesh, quadratic_gap, read_dtn, write_dtn)
 from enclosure2d.mesh import BACKGROUND, INCLUSION, Mesh, ShapeSpec, build_disk_mesh
 from enclosure2d.probes import rot90, cgo_trace, ml_probe_trace, ProbeSpec
@@ -57,6 +57,13 @@ def energy_gap(pair, coef):
 def _mode_matrix(thetas, n_modes):
     """(nodes, 2N + 1) values of exp(i n theta), n = -N..N, at the node angles."""
     return np.exp(1j * np.outer(thetas, np.arange(-n_modes, n_modes + 1)))
+
+
+def _band_limited(matrix, thetas, modes):
+    """Q^T B Q, the band limit assemble_dtn_matrix writes: fem._mode_form's
+    two factors and their last product."""
+    a, pinv = fem._mode_form(matrix, thetas, modes)
+    return a @ pinv
 
 
 def test_p1_reproduces_linear_harmonics():
@@ -224,7 +231,7 @@ def test_reduction_scaling_of_operators():
     reduced = reduce_background(inp, mesh)
     s_orig = boundary_operator(DirichletSystem(mesh, original_admittivity(inp, mesh)))
     b_red = assemble_dtn_matrix(mesh, reduced, 4)
-    b_orig = band_limited(s_orig.T, b_red.basis.thetas, 4)   # as assemble_dtn_matrix forms it
+    b_orig = _band_limited(s_orig.T, b_red.basis.thetas, 4)   # as assemble_dtn_matrix forms it
     scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
     defect = np.linalg.norm(b_orig - scale * b_red.matrix)
     assert defect <= 1e-8 * np.linalg.norm(b_orig)
@@ -437,7 +444,7 @@ def test_fourier_expand_matches_lstsq(which):
     # projection P lstsq(P, f) of a trace onto the modes
     thetas, n = _band_limit_cases()[which]
     p = _mode_matrix(thetas, n)
-    q = band_limited(np.eye(len(thetas)), thetas, n)
+    q = _band_limited(np.eye(len(thetas)), thetas, n)
     rng = np.random.default_rng(11)
     size = 2 * n + 1
     outside = np.exp(1j * (n + 1) * thetas)               # first mode outside the span
@@ -948,7 +955,7 @@ def test_conjugate_coefficients_fourier():
     f = rng.normal(size=nb) + 1j * rng.normal(size=nb)
     c = pinv @ f
     modal = c @ (p.T @ b @ p) @ np.conj(c[::-1])
-    nodal = f @ band_limited(b, thetas, 2) @ np.conj(f)
+    nodal = f @ _band_limited(b, thetas, 2) @ np.conj(f)
     assert abs(nodal - modal) <= 1e-12 * abs(modal)
 
 

@@ -17,8 +17,7 @@ from enclosure2d.indicator import (IndicatorError, SupportFit, classify_series,
                                    transition_search_ml, write_indicator_csv,
                                    write_region_svg)
 from enclosure2d.mesh import ShapeSpec, build_disk_mesh
-from enclosure2d.probes import (ProbeError, ProbeSpec, cgo_gradient, ml_probe_gradient,
-                                ml_probe_trace)
+from enclosure2d.probes import ProbeError, ProbeSpec, ml_probe_trace, probe_gradient
 from builders import background, cgo_spec, ml_spec
 from indicator_csv import read_indicator_csv
 
@@ -313,17 +312,16 @@ def test_ladder_gradients_and_j_equal_single_tau(family):
     mesh = build_disk_mesh(1.0, 0.1, ShapeSpec.disk((0.1, 0.0), 0.5))
     taus = np.geomspace(0.35, 6.0, 7)
     if family == "cgo":
-        probe, gradient = cgo_spec((0.6, 0.8), 0.2, taus), cgo_gradient
+        probe = cgo_spec((0.6, 0.8), 0.2, taus)
     else:
         probe = ml_spec((3.0, 0.0), (math.cos(1.2), math.sin(1.2)), -0.7, taus)
-        gradient = ml_probe_gradient
     pts = mesh.centroids()
-    grads = gradient(probe, pts)
+    grads = probe_gradient(probe, pts)
     js = j_oracle(mesh, probe)
     assert grads.shape == (len(taus), len(pts), 2) and js.shape == taus.shape
     for k, tau in enumerate(taus[:, None]):
         single = replace(probe, tau=tau)
-        np.testing.assert_array_equal(grads[k], gradient(single, pts)[0])
+        np.testing.assert_array_equal(grads[k], probe_gradient(single, pts)[0])
         assert js[k] == j_oracle(mesh, single)[0]
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from enclosure2d.mesh import ShapeSpec
 from enclosure2d.mittag import MLParams, ml_deriv_many
-from enclosure2d.probes import (ConeSpec, ProbeError, ProbeSpec, cgo_gradient,
-                                cgo_trace, cone_avoids_shape, cone_contains_many,
-                                critical_cone_offset, ml_probe_gradient,
-                                ml_probe_trace, rot90)
+from enclosure2d.probes import (ConeSpec, ProbeError, ProbeSpec, cgo_trace,
+                                cone_avoids_shape, cone_contains_many,
+                                critical_cone_offset, ml_probe_trace, probe_gradient,
+                                rot90)
 from builders import cgo_spec, ml_spec
 
 
@@ -37,7 +37,7 @@ def test_cgo_overflow_guard():
 def test_cgo_gradient_structure():
     spec = cgo_spec(tau=[1.0])
     pts = np.array([[0.0, 0.0]])
-    g = cgo_gradient(spec, pts)[0, 0]
+    g = probe_gradient(spec, pts)[0, 0]
     assert np.allclose(g, np.array([1.0, 0.0]) + 1j * np.array([0.0, 1.0]))
 
 
@@ -45,7 +45,7 @@ def test_cgo_gradient_modulus_sqrt2_tau():
     spec = cgo_spec(t=0.1, tau=[2.5])
     pts = np.array([[0.2, 0.4], [-0.3, 0.1]])
     vals = cgo_trace(spec, pts)
-    grads = cgo_gradient(spec, pts)
+    grads = probe_gradient(spec, pts)
     mods = np.sqrt((np.abs(grads) ** 2).sum(axis=-1))
     assert np.allclose(mods, math.sqrt(2) * 2.5 * np.abs(vals), rtol=1e-12)
 
@@ -54,7 +54,7 @@ def test_cgo_gradient_finite_difference():
     spec = cgo_spec(theta=(0.6, 0.8), t=0.2, tau=[1.7])
     p = np.array([0.31, -0.12])
     h = 1e-6
-    g = cgo_gradient(spec, p[None, :])[0, 0]
+    g = probe_gradient(spec, p[None, :])[0, 0]
     for i in range(2):
         dp = np.zeros(2)
         dp[i] = h
@@ -112,7 +112,7 @@ def test_ml_probe_decay_sector_small_at_large_tau():
 
 def test_ml_gradient_zero_at_zero_tau():
     pts = np.array([[0.3, 0.2]])
-    g = ml_probe_gradient(ml_spec(tau=[0.0]), pts)
+    g = probe_gradient(ml_spec(tau=[0.0]), pts)
     assert np.allclose(g, 0.0)
 
 
@@ -120,7 +120,7 @@ def test_ml_gradient_modulus_relation():
     spec = ml_spec(tau=[2.0], t=-1.0)
     pts = np.array([[0.4, 0.3]])
     w = spec.ml_argument(pts)
-    g = ml_probe_gradient(spec, pts)[0, 0]
+    g = probe_gradient(spec, pts)[0, 0]
     mod = math.sqrt(float((np.abs(g) ** 2).sum()))
     expected = math.sqrt(2) * 2.0 * abs(ml_deriv_many(MLParams(alpha=0.5), w)[0, 0])
     assert mod == pytest.approx(expected, rel=1e-10)
@@ -130,7 +130,7 @@ def test_ml_gradient_finite_difference():
     spec = ml_spec(t=-0.8, tau=[1.5])
     p = np.array([0.25, -0.15])
     h = 2e-6
-    g = ml_probe_gradient(spec, p[None, :])[0, 0]
+    g = probe_gradient(spec, p[None, :])[0, 0]
     for i in range(2):
         dp = np.zeros(2)
         dp[i] = h

@@ -43,30 +43,6 @@ def _sym_batch(values, n: int, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ReductionInput:
-    """Original-background problem data: constants (sigma0, epsilon0), frequency
-    omega, and per-inclusion-triangle perturbations alpha, beta (2x2 symmetric)."""
-
-    sigma0: float
-    epsilon0: float
-    omega: float
-    alpha: np.ndarray   # (nt, 2, 2), zero off the inclusion
-    beta: np.ndarray    # (nt, 2, 2)
-
-    def __post_init__(self):
-        if self.sigma0 < 0:
-            raise FieldError("sigma0 must be nonnegative")
-        if self.epsilon0 <= 0:
-            raise FieldError("epsilon0 must be positive")
-        if self.omega < 0:
-            raise FieldError("omega must be nonnegative")
-
-    @property
-    def denom(self) -> float:
-        return self.sigma0 ** 2 + self.omega ** 2 * self.epsilon0 ** 2
-
-
-@dataclass(frozen=True)
 class AdmittivityField:
     """Reduced-form field: sigma = I + a, epsilon = b on the inclusion,
     (I, 0) elsewhere, at frequency omega."""
@@ -89,21 +65,24 @@ class AdmittivityField:
         self.b.setflags(write=False)
 
     @staticmethod
-    def from_scalars(mesh: Mesh, a: float, b: float, omega: float) -> "AdmittivityField":
-        """Scalar contrasts a, b applied on every inclusion triangle."""
-        inc = (mesh.labels == INCLUSION).astype(float)
+    def from_scalars(mesh: Mesh, a: float, b: float, omega: float, sigma0: float = 1.0,
+                     epsilon0: float = 0.0) -> "AdmittivityField":
+        """Scalar jumps a, b of sigma and epsilon (a*I, b*I) on every inclusion
+        triangle over the constant background (sigma0, epsilon0), reduced to
+        the unit background by `reduce_background`."""
+        inc = (mesh.labels == INCLUSION).astype(float)[:, None, None]
         eye = np.eye(2)
-        return AdmittivityField(mesh=mesh,
-                                a=inc[:, None, None] * a * eye,
-                                b=inc[:, None, None] * b * eye,
-                                omega=float(omega))
+        return reduce_background(mesh, inc * a * eye, inc * b * eye, omega, sigma0, epsilon0)
 
     def sigma(self) -> np.ndarray:
         return np.eye(2) + self.a
 
 
-def reduce_background(inp: ReductionInput, mesh: Mesh) -> AdmittivityField:
-    """Map a (sigma0, epsilon0) background problem to the unit-background form.
+def reduce_background(mesh: Mesh, alpha, beta, omega: float, sigma0: float = 1.0,
+                      epsilon0: float = 0.0) -> AdmittivityField:
+    """Map the jumps alpha, beta (2x2 symmetric per triangle, zero off the
+    inclusion) of sigma and epsilon over the constant background (sigma0,
+    epsilon0) at frequency omega to the unit-background form:
 
     sigma~ = (sigma0 sigma + omega^2 epsilon0 epsilon) / (sigma0^2 + omega^2 epsilon0^2)
     epsilon~ = (sigma0 epsilon - epsilon0 sigma) / (sigma0^2 + omega^2 epsilon0^2)
@@ -111,16 +90,20 @@ def reduce_background(inp: ReductionInput, mesh: Mesh) -> AdmittivityField:
     and the returned perturbations are a = sigma~ - I, b = epsilon~ on the
     inclusion.  The admittivity factorizes exactly:
     sigma - i omega epsilon = (sigma0 - i omega epsilon0)(sigma~ - i omega epsilon~).
+    At (sigma0, epsilon0) = (1, 0) the map leaves the jumps as they are.
     """
-    if inp.denom == 0:
+    for name, value in (("sigma0", sigma0), ("epsilon0", epsilon0), ("omega", omega)):
+        if value < 0:
+            raise FieldError(f"{name} must be nonnegative")
+    denom = sigma0 ** 2 + omega ** 2 * epsilon0 ** 2
+    if denom == 0:
         raise FieldError("sigma0^2 + omega^2 epsilon0^2 must be nonzero")
     nt = mesh.n_triangles
-    alpha = _sym_batch(inp.alpha, nt, "alpha")
-    beta = _sym_batch(inp.beta, nt, "beta")
-    s0, e0, w = inp.sigma0, inp.epsilon0, inp.omega
-    a = (s0 * alpha + w ** 2 * e0 * beta) / inp.denom
-    b = (s0 * beta - e0 * alpha) / inp.denom
-    return AdmittivityField(mesh=mesh, a=a, b=b, omega=w)
+    alpha = _sym_batch(alpha, nt, "alpha")
+    beta = _sym_batch(beta, nt, "beta")
+    a = (sigma0 * alpha + omega ** 2 * epsilon0 * beta) / denom
+    b = (sigma0 * beta - epsilon0 * alpha) / denom
+    return AdmittivityField(mesh=mesh, a=a, b=b, omega=float(omega))
 
 
 def complex_admittivity(field: AdmittivityField) -> np.ndarray:

@@ -3,15 +3,18 @@ reconstruction.
 
 Configuration is a flat sectioned key-value file (INI syntax, see
 ``example_config``).  A section or key that no read takes under the config's
-own choices is refused: a disk's ``semi_axes``, say, or ``[coefficients]``
-beside ``[background]``; ``[probes]`` is the exception, and takes both probe
-families' keys whichever family it names.  Every output file carries
-provenance lines with the config hash, mesh size, and solver tolerance: a
-header in the text files, and the ``provenance`` entry of the operator
-archive.  Only mesh and dtn use ``[domain]``: reconstruction commands take
-the domain radius and mesh size from that archive and the probes from the
-config, never the mesh interior, unless validation mode rebuilds the mesh
-from the archive's radius and size and the config's inclusion.
+own choices is refused: a disk's ``semi_axes``, say; ``[probes]`` is the
+exception, and takes both probe families' keys whichever family it names.
+``[coefficients]`` states the one material: the jumps ``a`` and ``b`` of sigma
+and epsilon on the inclusion over the constant background ``sigma0``,
+``epsilon0`` (default 1 and 0) at frequency ``omega``, which the field
+reduces to the unit background.  Every output file carries provenance lines
+with the config hash, mesh size, and solver tolerance: a header in the text
+files, and the ``provenance`` entry of the operator archive.  Only mesh and
+dtn use ``[domain]``: reconstruction commands take the domain radius and mesh
+size from that archive and the probes from the config, never the mesh
+interior, unless validation mode rebuilds the mesh from the archive's radius
+and size and the config's inclusion.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -40,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, mittag
-from .admittivity import AdmittivityField, FieldError, ReductionInput, reduce_background
+from .admittivity import AdmittivityField, FieldError
 from .fem import (DtNMatrix, SolverError, assemble_dtn_matrix, check_band_limit, gap_matrix,
                   nodal_basis_for_mesh, read_dtn, write_dtn)
 from .indicator import (IndicatorError, cone_carving, convex_hull_estimate,
@@ -72,9 +75,8 @@ class ExperimentConfig:
     a_value: float = 1.0
     b_value: float = 0.0
     omega: float = 0.0
-    background: Optional[tuple[float, float, float]] = None   # sigma0, epsilon0, omega
-    alpha_orig: float = 0.0
-    beta_orig: float = 0.0
+    sigma0: float = 1.0
+    epsilon0: float = 0.0
     probe_family: str = "cgo"
     n_directions: int = 16
     t_value: float = 0.0
@@ -143,17 +145,11 @@ radius = 0.5
 ; polygon: vertices = x1 y1; x2 y2; ... (convex, counterclockwise)
 
 [coefficients]
-a = 1.0               ; conductivity contrast (a*I on the inclusion)
-b = 0.0               ; permittivity (b*I on the inclusion)
+a = 1.0               ; jump of the conductivity (a*I on the inclusion)
+b = 0.0               ; jump of the permittivity (b*I on the inclusion)
 omega = 0.0           ; frequency
-
-; optional original-background block; triggers the unit-background reduction
-;[background]
-;sigma0 = 1.0
-;epsilon0 = 1.0
-;omega = 1.0
-;alpha = 1.0          ; conductivity perturbation (alpha*I on the inclusion)
-;beta = 0.5           ; permittivity perturbation
+;sigma0 = 1.0         ; background conductivity (default 1)
+;epsilon0 = 0.0       ; background permittivity (default 0)
 
 [probes]
 family = cgo          ; cgo | mittag_leffler
@@ -232,21 +228,11 @@ def load_config(path) -> ExperimentConfig:
     cfg.a_value = get("coefficients", "a", float, cfg.a_value)
     cfg.b_value = get("coefficients", "b", float, cfg.b_value)
     cfg.omega = get("coefficients", "omega", float, cfg.omega)
-    if cfg.omega < 0:
-        raise ConfigError("[coefficients] omega must be nonnegative")
-
-    if parser.has_section("background"):
-        s0 = get("background", "sigma0", float, 1.0)
-        e0 = get("background", "epsilon0", float, 1.0)
-        w = get("background", "omega", float, 0.0)
-        cfg.background = (s0, e0, w)
-        cfg.alpha_orig = get("background", "alpha", float, 0.0)
-        cfg.beta_orig = get("background", "beta", float, 0.0)
-        if s0 < 0 or e0 <= 0:
-            raise ConfigError("[background] needs sigma0 >= 0 and epsilon0 > 0")
-        if parser.has_section("coefficients"):
-            raise ConfigError("[coefficients] is not read beside [background], which sets "
-                              "the coefficients; remove one of the two")
+    cfg.sigma0 = get("coefficients", "sigma0", float, cfg.sigma0)
+    cfg.epsilon0 = get("coefficients", "epsilon0", float, cfg.epsilon0)
+    for key in ("omega", "sigma0", "epsilon0"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"[coefficients] {key} must be nonnegative")
 
     cfg.probe_family = get("probes", "family", str, cfg.probe_family).strip().lower()
     if cfg.probe_family not in ("cgo", "mittag_leffler"):
@@ -310,19 +296,15 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _build_mesh(cfg: ExperimentConfig) -> Mesh:
-    return build_disk_mesh(cfg.domain_radius, cfg.mesh_h, cfg.inclusion)
+    try:
+        return build_disk_mesh(cfg.domain_radius, cfg.mesh_h, cfg.inclusion)
+    except MeshError as exc:        # each of the mesher's checks reads the mesh size
+        raise ConfigError(f"[domain] mesh_h: {exc}") from exc
 
 
 def _build_field(cfg: ExperimentConfig, mesh: Mesh) -> AdmittivityField:
-    if cfg.background is not None:
-        s0, e0, w = cfg.background
-        inc = (mesh.labels == 1).astype(float)[:, None, None]
-        eye = np.eye(2)
-        inp = ReductionInput(sigma0=s0, epsilon0=e0, omega=w,
-                             alpha=inc * cfg.alpha_orig * eye,
-                             beta=inc * cfg.beta_orig * eye)
-        return reduce_background(inp, mesh)
-    return AdmittivityField.from_scalars(mesh, cfg.a_value, cfg.b_value, cfg.omega)
+    return AdmittivityField.from_scalars(mesh, cfg.a_value, cfg.b_value, cfg.omega,
+                                         cfg.sigma0, cfg.epsilon0)
 
 
 def _out(cfg: ExperimentConfig) -> Path:
@@ -391,7 +373,6 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
         check_band_limit(modes, len(mesh.boundary_loop))
     except ValueError as exc:
         raise ConfigError(f"--modes: {exc}") from exc
-    omega = cfg.background[2] if cfg.background is not None else cfg.omega
     names = ("perturbed", "background")
     n = len(mesh.boundary_loop)
     # one anonymous map shared with the workers, a half for each operator: a
@@ -407,7 +388,7 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
         half = memoryview(shared)[i * n * n * 16:(i + 1) * n * n * 16]
         try:
             dtn = assemble_dtn_matrix(mesh, _build_field(cfg, mesh) if i == 0
-                                      else AdmittivityField.from_scalars(mesh, 0.0, 0.0, omega),
+                                      else AdmittivityField.from_scalars(mesh, 0, 0, cfg.omega),
                                       modes, out=half)
         except SolverError as exc:
             raise SolverError(f"{names[i]} operator: {exc}") from exc
@@ -419,7 +400,8 @@ def cmd_dtn(cfg: ExperimentConfig, modes: int = 0) -> int:
     mesh.dissection
 
     basis = nodal_basis_for_mesh(mesh)
-    pair = tuple(DtNMatrix(basis=basis, omega=omega, mesh_h=mesh.h, modes=modes, scale=scale,
+    pair = tuple(DtNMatrix(basis=basis, omega=cfg.omega, mesh_h=mesh.h, modes=modes,
+                           scale=scale,
                            matrix=np.frombuffer(shared, dtype, n * n, i * n * n * 16).reshape(n, n))
                  for i, (dtype, scale) in enumerate(_in_workers(operator, len(names))))
     out = _out(cfg) / DTN_FILE

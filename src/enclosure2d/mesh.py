@@ -418,7 +418,8 @@ def build_disk_mesh(domain_radius: float, target_h: float,
     elements instead of aligning with a node ring.
     """
     if not (0 < target_h < domain_radius / 4):
-        raise MeshError("target_h must lie in (0, domain_radius/4)")
+        raise MeshError(f"mesh size {target_h:g} must lie in (0, radius/4) = "
+                        f"(0, {domain_radius / 4:g})")
     if inclusion is not None:
         gap = domain_radius - inclusion.max_norm()
         if gap < 2 * target_h:
@@ -450,7 +451,7 @@ def build_disk_mesh(domain_radius: float, target_h: float,
     if inclusion is not None:
         labels = np.where(inclusion.contains(cents), INCLUSION, BACKGROUND)
         if int((labels == INCLUSION).sum()) < 8:
-            raise MeshError("target_h too coarse: fewer than 8 triangles inside the inclusion")
+            raise MeshError("mesh size too coarse: fewer than 8 triangles inside the inclusion")
     else:
         labels = np.full(len(triangles), BACKGROUND, dtype=np.int64)
 

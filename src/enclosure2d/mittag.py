@@ -16,7 +16,8 @@ points.  A contour's weights and node powers are computed once, and each
 node of each point then costs one subtraction and one division.  Contours
 and residues are found for slices of _BATCH points, and a contour's points
 are summed in chunks of at most _CHUNK (point, node) entries, so that beyond
-its values a batch holds only a contour key and a flag per point.  A call
+its values a batch holds only a contour key and its place in key order per
+point.  A call
 has a fixed cost that large batches share: the probe indicators pass a whole
 tau ladder per call and ``mleval`` its whole grid.  A z that is not finite
 raises MLError.
@@ -324,10 +325,10 @@ def _contour(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     # computed for k >= 0 only, and each node of each point costs one
     # subtraction and one division.
     out = np.empty_like(z)
-    on_left = np.zeros(z.shape, dtype=bool)
+    # the points grouped by contour, each group in input order
+    order, ends = np.argsort(key, kind="stable"), np.cumsum(counts)
     for i, kv in enumerate(keys.tolist()):
-        g = np.flatnonzero(key == kv)
-        on_left[g] = left[i]
+        g = order[ends[i] - counts[i]:ends[i]]
         if kv == _ZERO:
             out[g] = 1.0 / math.gamma(beta)
             continue
@@ -339,16 +340,18 @@ def _contour(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
         s_a = np.exp(alpha * log_s)
         w_c, s_ac = w[1:].conj(), s_a[1:].conj()
         rows = max(1, _CHUNK // (m + 1))
+        w, s_a, w_c, s_ac = w[:, None], s_a[:, None], w_c[:, None], s_ac[:, None]
         for c in range(0, g.size, rows):
             j = g[c:c + rows]
-            zj = z[j, None]
+            # a lone point as a pair, whose column numpy would sum pairwise
+            zj = z[np.resize(j, max(j.size, 2))]
             up = w / (s_a - zj)
             down = w_c / (s_ac - zj)
-            # cumsum adds each row's nodes in order, whatever the chunk's
-            # size; adding the two halves last keeps E(conj z) = conj E(z)
-            out[j] = up[:, 0] + (np.cumsum(up[:, 1:], axis=1)[:, -1]
-                                 + np.cumsum(down, axis=1)[:, -1])
-    lefts = np.flatnonzero(on_left)
+            # a sum down the node axis adds each point's nodes in order,
+            # whatever the chunk's size; adding the two halves last keeps
+            # E(conj z) = conj E(z)
+            out[j] = (up[0] + (up[1:].sum(axis=0) + down.sum(axis=0)))[:j.size]
+    lefts = np.flatnonzero(left[np.searchsorted(keys, key)])
     for c in range(0, lefts.size, _BATCH):
         j = lefts[c:c + _BATCH]
         res, inf = _residue(z[j], alpha, beta)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from enclosure2d import fem
-from enclosure2d.admittivity import (AdmittivityField, FieldError, ReductionInput, _sym_batch,
+from enclosure2d.admittivity import (AdmittivityField, FieldError, _sym_batch,
                                      complex_admittivity, sym_eig_bounds)
 from enclosure2d.fem import DirichletSystem, SolverError
 from enclosure2d.mesh import INCLUSION, Mesh
@@ -206,14 +206,15 @@ def prop21_check(field1: AdmittivityField, field2: AdmittivityField,
     return InequalityReport(lhs=lhs, gap=gap, rhs=rhs, slack=slack, passed=passed)
 
 
-def original_admittivity(inp: ReductionInput, mesh: Mesh) -> np.ndarray:
-    """Per-element gamma for the unreduced problem: (sigma0 I + alpha) -
-    i omega (epsilon0 I + beta)."""
+def original_admittivity(mesh: Mesh, alpha, beta, omega: float, sigma0: float,
+                         epsilon0: float) -> np.ndarray:
+    """Per-element gamma for the unreduced problem with jumps alpha, beta over
+    the background (sigma0, epsilon0): (sigma0 I + alpha) - i omega (epsilon0 I + beta)."""
     nt = mesh.n_triangles
-    alpha = _sym_batch(inp.alpha, nt, "alpha")
-    beta = _sym_batch(inp.beta, nt, "beta")
+    alpha = _sym_batch(alpha, nt, "alpha")
+    beta = _sym_batch(beta, nt, "beta")
     eye = np.broadcast_to(np.eye(2), (nt, 2, 2))
-    return (inp.sigma0 * eye + alpha) - 1j * inp.omega * (inp.epsilon0 * eye + beta)
+    return (sigma0 * eye + alpha) - 1j * omega * (epsilon0 * eye + beta)
 
 
 @dataclass(frozen=True)

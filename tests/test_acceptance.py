@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from enclosure2d import indicator
-from enclosure2d.admittivity import (AdmittivityField, ReductionInput,
-                                     complex_admittivity, reduce_background)
+from enclosure2d.admittivity import AdmittivityField, complex_admittivity, reduce_background
 from enclosure2d.cli import ExperimentConfig
 from enclosure2d.fem import (DirichletSystem, assemble_dtn_matrix, gap_matrix,
                              nodal_basis_for_mesh)
@@ -131,12 +130,13 @@ def test_criterion_2_reduction_identity():
     mesh = build_disk_mesh(1.0, 0.05, ShapeSpec.disk((0.0, 0.0), 0.5))
     inc = (mesh.labels == INCLUSION).astype(float)[:, None, None]
     eye = np.eye(2)
-    inp = ReductionInput(sigma0=1.0, epsilon0=1.0, omega=1.0,
-                         alpha=inc * 1.0 * eye, beta=inc * 0.5 * eye)
-    reduced = reduce_background(inp, mesh)
-    _, b_orig = _mode_matrix(mesh, DirichletSystem(mesh, original_admittivity(inp, mesh)), 6)
+    s0, e0, w = 1.0, 1.0, 1.0
+    alpha, beta = inc * 1.0 * eye, inc * 0.5 * eye
+    reduced = reduce_background(mesh, alpha, beta, w, sigma0=s0, epsilon0=e0)
+    gamma_orig = original_admittivity(mesh, alpha, beta, w, s0, e0)
+    _, b_orig = _mode_matrix(mesh, DirichletSystem(mesh, gamma_orig), 6)
     _, b_red = _mode_matrix(mesh, DirichletSystem(mesh, complex_admittivity(reduced)), 6)
-    scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
+    scale = s0 - 1j * w * e0
     defect = np.linalg.norm(b_orig - scale * b_red) / np.linalg.norm(b_orig)
     assert defect <= 1e-8
     print(f"\nACCEPTANCE 2 PASS: relative Frobenius defect {defect:.2e}")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from enclosure2d.admittivity import (AdmittivityField, FieldError, ReductionInput,
-                                     complex_admittivity, reduce_background, sym_eig_bounds)
+from enclosure2d.admittivity import (AdmittivityField, FieldError, complex_admittivity,
+                                     reduce_background, sym_eig_bounds)
 from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from builders import random_invertible
 from oracles import jump_analysis, original_admittivity
@@ -15,33 +15,34 @@ def mesh():
     return build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
 
 
-def _scalar_input(mesh, s0, e0, w, alpha, beta):
+def _scalar_jumps(mesh, alpha, beta):
+    """The jumps alpha*I and beta*I on the inclusion, zero elsewhere."""
     inc = (mesh.labels == INCLUSION).astype(float)[:, None, None]
     eye = np.eye(2)
-    return ReductionInput(sigma0=s0, epsilon0=e0, omega=w,
-                          alpha=inc * alpha * eye, beta=inc * beta * eye)
+    return inc * alpha * eye, inc * beta * eye
 
 
 def test_identity_background_passthrough(mesh):
-    inp = _scalar_input(mesh, 1.0, 1e-9, 0.0, 0.7, 0.3)
-    # sigma0 = 1, omega = 0: the reduced conductivity equals the original one
-    field = reduce_background(inp, mesh)
+    alpha, beta = _scalar_jumps(mesh, 0.7, 0.3)
+    # sigma0 = 1, epsilon0 = 0: the reduced jumps equal the original ones
+    field = reduce_background(mesh, alpha, beta, 0.0, sigma0=1.0, epsilon0=0.0)
     inc = mesh.labels == INCLUSION
-    assert np.allclose(field.a[inc], 0.7 * np.eye(2), atol=1e-8)
+    assert (field.a[inc] == 0.7 * np.eye(2)).all()
+    assert np.array_equal(field.a, alpha) and np.array_equal(field.b, beta)
 
 
 def test_zero_sigma0_jump_proportional_to_permittivity(mesh):
     # with sigma0 = 0 the reduced conductivity jump is (eps - eps0) / eps0
-    inp = _scalar_input(mesh, 0.0, 2.0, 1.0, 0.0, 0.8)
-    field = reduce_background(inp, mesh)
+    field = reduce_background(mesh, *_scalar_jumps(mesh, 0.0, 0.8), 1.0, sigma0=0.0,
+                              epsilon0=2.0)
     inc = mesh.labels == INCLUSION
     assert np.allclose(field.a[inc], (0.8 / 2.0) * np.eye(2), atol=1e-12)
 
 
 def test_scalar_reduction_example(mesh):
     # sigma0 = eps0 = omega = 1, sigma = 3, eps = 2 on the inclusion
-    inp = _scalar_input(mesh, 1.0, 1.0, 1.0, 2.0, 1.0)
-    field = reduce_background(inp, mesh)
+    field = reduce_background(mesh, *_scalar_jumps(mesh, 2.0, 1.0), 1.0, sigma0=1.0,
+                              epsilon0=1.0)
     inc = mesh.labels == INCLUSION
     sigma_t = np.eye(2) + field.a[inc][0]
     eps_t = field.b[inc][0]
@@ -59,32 +60,33 @@ def test_factorization_holds_elementwise(mesh):
     alpha = inc * (q + q.T)
     q2 = rng.normal(size=(2, 2)) * 0.5
     beta = inc * (q2 + q2.T)
-    inp = ReductionInput(sigma0=1.3, epsilon0=0.8, omega=1.7, alpha=alpha, beta=beta)
-    field = reduce_background(inp, mesh)
-    gamma_orig = original_admittivity(inp, mesh)
+    s0, e0, w = 1.3, 0.8, 1.7
+    field = reduce_background(mesh, alpha, beta, w, sigma0=s0, epsilon0=e0)
+    gamma_orig = original_admittivity(mesh, alpha, beta, w, s0, e0)
     gamma_red = complex_admittivity(field)
-    scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
+    scale = s0 - 1j * w * e0
     assert np.allclose(gamma_orig, scale * gamma_red, atol=1e-12)
 
 
 def test_reduction_roundtrip(mesh):
-    inp = _scalar_input(mesh, 1.4, 0.9, 2.0, 0.6, -0.2)
-    field = reduce_background(inp, mesh)
+    s0, e0, w = 1.4, 0.9, 2.0
+    jumps = _scalar_jumps(mesh, 0.6, -0.2)
+    field = reduce_background(mesh, *jumps, w, sigma0=s0, epsilon0=e0)
     # the inverse of the reduction map recovers (alpha, beta) from (a, b)
-    s0, e0, w = inp.sigma0, inp.epsilon0, inp.omega
     alpha = s0 * field.a - w ** 2 * e0 * field.b
     beta = e0 * field.a + s0 * field.b
-    assert np.allclose(alpha, inp.alpha, atol=1e-12)
-    assert np.allclose(beta, inp.beta, atol=1e-12)
+    assert np.allclose(alpha, jumps[0], atol=1e-12)
+    assert np.allclose(beta, jumps[1], atol=1e-12)
 
 
 def test_degenerate_background_rejected(mesh):
+    jumps = _scalar_jumps(mesh, 0.5, 0.5)
+    with pytest.raises(FieldError, match="sigma0 must be nonnegative"):
+        reduce_background(mesh, *jumps, 0.0, sigma0=-0.1, epsilon0=1.0)
+    with pytest.raises(FieldError, match="epsilon0 must be nonnegative"):
+        reduce_background(mesh, *jumps, 1.0, sigma0=1.0, epsilon0=-0.1)
     with pytest.raises(FieldError):
-        ReductionInput(sigma0=-0.1, epsilon0=1.0, omega=0.0,
-                       alpha=np.zeros((1, 2, 2)), beta=np.zeros((1, 2, 2)))
-    inp = _scalar_input(mesh, 0.0, 1.0, 0.0, 0.5, 0.5)
-    with pytest.raises(FieldError):
-        reduce_background(inp, mesh)
+        reduce_background(mesh, *jumps, 0.0, sigma0=0.0, epsilon0=1.0)
 
 
 def test_complex_admittivity_values(mesh):

@@ -15,10 +15,10 @@ import pytest
 import enclosure2d
 import enclosure2d.cli as cli
 from enclosure2d.cli import ConfigError, ExperimentConfig, example_config, load_config, main
-from enclosure2d.admittivity import AdmittivityField
+from enclosure2d.admittivity import AdmittivityField, reduce_background
 from enclosure2d.fem import assemble_dtn_matrix, gap_matrix, read_dtn
 from enclosure2d.indicator import j_oracle, transition_search_ml
-from enclosure2d.mesh import ShapeSpec, build_disk_mesh
+from enclosure2d.mesh import INCLUSION, ShapeSpec, build_disk_mesh
 from enclosure2d.mittag import MLAccuracyWarning, MLParams, ml_eval, sectors
 from enclosure2d.probes import ProbeError, ProbeSpec, cone_avoids_shape, rot90
 from dtn_archive import CORRUPTIONS, MATRICES, entries, rewrite
@@ -93,7 +93,8 @@ def test_config_validation_errors(tmp_path, capsys):
     bad = BASE_CONFIG.format(out=tmp_path / "out").replace("mesh_h = 0.08", "mesh_h = 0.6")
     for command in ("mesh", "dtn"):
         assert main([command, "--config", _write(tmp_path, bad)]) == 2
-        assert "target_h must lie in (0, domain_radius/4)" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: [domain] mesh_h: mesh size 0.6 must lie in "
+                                           "(0, radius/4) = (0, 0.25)\n")
     assert not (tmp_path / "out").exists()
     bad2 = BASE_CONFIG.format(out=tmp_path).replace("family = cgo", "family = sine")
     with pytest.raises(ConfigError):
@@ -168,9 +169,9 @@ def test_unknown_sections_and_keys_are_refused(tmp_path, capsys, monkeypatch):
         assert main(["mesh", "--config", _write(tmp_path, text, f"{k}.cfg")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     # a key is refused where the config's own choices leave it unread, which
-    # formerly loaded and was ignored: a disk's semi_axes, a polygon's center,
-    # an [inclusion] without kind (no inclusion) and [coefficients] beside
-    # [background]
+    # formerly loaded and was ignored: a disk's semi_axes, a polygon's center
+    # and an [inclusion] without kind (no inclusion).  [coefficients] holds the
+    # background's constants: the former [background] section is unknown
     polygon = "kind = polygon\nvertices = -0.2 -0.2; 0.2 -0.2; 0 0.2\ncenter = 0.0 0.0"
     for k, (old, new, message) in enumerate([
             ("radius = 0.5", "radius = 0.5\nsemi_axes = 0.4 0.2",
@@ -179,8 +180,7 @@ def test_unknown_sections_and_keys_are_refused(tmp_path, capsys, monkeypatch):
              "[inclusion] unknown key 'center'"),
             ("kind = disk\ncenter = 0.0 0.0\n", "", "[inclusion] unknown key 'radius'"),
             ("[probes]", "[background]\nsigma0 = 1.0\nepsilon0 = 1.0\nomega = 1.0\n\n[probes]",
-             "[coefficients] is not read beside [background], which sets the coefficients; "
-             "remove one of the two")]):
+             "unknown section [background]")]):
         text = BASE_CONFIG.format(out=tmp_path / "out").replace(old, new)
         assert main(["mesh", "--config", _write(tmp_path, text, f"shape{k}.cfg")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -794,6 +794,53 @@ def test_dtn_workers_give_the_in_process_operators(tmp_path):
     assert [b.matrix.dtype for b in written] == [complex, float]
 
 
+def _with_coefficients(text, keys):
+    """text with the [coefficients] lines keys added after its omega."""
+    assert text.count("\nomega = 1.0\n") == 1
+    return text.replace("\nomega = 1.0\n", f"\nomega = 1.0\n{keys}")
+
+
+def test_unit_background_written_out_keeps_the_operators(tmp_path):
+    # sigma0 = 1 and epsilon0 = 0 are the defaults: written out, they give the
+    # operator matrices of the config that leaves them out
+    runs = []
+    for k, keys in enumerate(["", "sigma0 = 1.0\nepsilon0 = 0.0\n"]):
+        out = tmp_path / f"out{k}"
+        text = _with_coefficients(BASE_CONFIG.format(out=out), keys)
+        assert main(["dtn", "--config", _write(tmp_path, text, f"{k}.cfg")]) == 0
+        runs.append(entries(out / "dtn.npz"))
+    for name in MATRICES:
+        assert runs[0][name].dtype == runs[1][name].dtype, name
+        assert runs[0][name].tobytes() == runs[1][name].tobytes(), name
+
+
+def test_negative_background_constants_are_refused(tmp_path, capsys):
+    for key in ("sigma0", "epsilon0"):
+        text = _with_coefficients(BASE_CONFIG.format(out=tmp_path / "out"), f"{key} = -0.5\n")
+        assert main(["mesh", "--config", _write(tmp_path, text, f"{key}.cfg")]) == 2
+        assert capsys.readouterr().err == f"error: [coefficients] {key} must be nonnegative\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_general_background_gives_the_reduced_operators(tmp_path):
+    # [coefficients] over the background (sigma0, epsilon0) = (1.3, 0.8): the
+    # perturbed operator is that of reduce_background's field for the same
+    # jump tensors, and the background operator the unit background's
+    text = _with_coefficients(BASE_CONFIG.format(out=tmp_path / "out"),
+                              "sigma0 = 1.3\nepsilon0 = 0.8\n")
+    path = _write(tmp_path, text)
+    assert main(["dtn", "--config", path]) == 0
+    mesh = cli._build_mesh(load_config(path))
+    inc = (mesh.labels == INCLUSION).astype(float)[:, None, None]
+    reduced = reduce_background(mesh, inc * 1.0 * np.eye(2), inc * 0.5 * np.eye(2), 1.0,
+                                sigma0=1.3, epsilon0=0.8)
+    unit = AdmittivityField.from_scalars(mesh, 0.0, 0.0, 1.0)
+    written = read_dtn(tmp_path / "out" / "dtn.npz")
+    for name, b, fld in zip(MATRICES, written, (reduced, unit), strict=True):
+        ref = assemble_dtn_matrix(mesh, fld).matrix
+        assert b.matrix.dtype == ref.dtype and b.matrix.tobytes() == ref.tobytes(), name
+
+
 def test_dtn_operators_reach_the_command_through_shared_memory(tmp_path, monkeypatch):
     # each worker writes its operator into its half of a map shared with the
     # command's process: only its dtype and scale cross the pipe
@@ -833,7 +880,7 @@ def test_dtn_builds_no_field_in_its_own_process(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("old, new, message", [
     ("\na = 1.0\n", "\na = -1.0\n", "sigma = I + a must be uniformly positive definite"),
-    ("[probes]", "[background]\nsigma0 = 0\nomega = 0\n\n[probes]",
+    ("\nomega = 1.0\n", "\nomega = 1.0\nsigma0 = 0\n",
      "sigma0^2 + omega^2 epsilon0^2 must be nonzero")])
 def test_an_invalid_field_fails_dtn_once(tmp_path, old, new, message):
     # the field is built in a worker; its error is reported once, as a
@@ -842,8 +889,6 @@ def test_an_invalid_field_fails_dtn_once(tmp_path, old, new, message):
     text = BASE_CONFIG.format(out=out)
     assert old in text
     text = text.replace(old, new)
-    if "[background]" in new:       # which [coefficients] is refused beside
-        text = text.replace("[coefficients]\na = 1.0\nb = 0.5\nomega = 1.0\n\n", "")
     cfg = _write(tmp_path, text)
     proc = subprocess.run([sys.executable, "-m", "enclosure2d.cli", "dtn", "--config", cfg],
                           cwd=tmp_path, env=_package_env(), capture_output=True, text=True,

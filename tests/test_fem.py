@@ -222,17 +222,18 @@ def test_energy_gap_perp_flip_invariance():
 
 
 def test_reduction_scaling_of_operators():
-    from enclosure2d.admittivity import ReductionInput, reduce_background
+    from enclosure2d.admittivity import reduce_background
     mesh = build_disk_mesh(1.0, 0.08, ShapeSpec.disk((0.0, 0.0), 0.5))
     inc = (mesh.labels == INCLUSION).astype(float)[:, None, None]
     eye = np.eye(2)
-    inp = ReductionInput(sigma0=1.0, epsilon0=1.0, omega=1.0,
-                         alpha=inc * 1.0 * eye, beta=inc * 0.5 * eye)
-    reduced = reduce_background(inp, mesh)
-    s_orig = boundary_operator(DirichletSystem(mesh, original_admittivity(inp, mesh)))
+    s0, e0, w = 1.0, 1.0, 1.0
+    alpha, beta = inc * 1.0 * eye, inc * 0.5 * eye
+    reduced = reduce_background(mesh, alpha, beta, w, sigma0=s0, epsilon0=e0)
+    s_orig = boundary_operator(DirichletSystem(
+        mesh, original_admittivity(mesh, alpha, beta, w, s0, e0)))
     b_red = assemble_dtn_matrix(mesh, reduced, 4)
     b_orig = _band_limited(s_orig.T, b_red.basis.thetas, 4)   # as assemble_dtn_matrix forms it
-    scale = inp.sigma0 - 1j * inp.omega * inp.epsilon0
+    scale = s0 - 1j * w * e0
     defect = np.linalg.norm(b_orig - scale * b_red.matrix)
     assert defect <= 1e-8 * np.linalg.norm(b_orig)
 

@@ -551,8 +551,9 @@ def main(argv=None) -> int:
         if name == "dtn":
             p.add_argument("--basis", choices=("nodal", "fourier"), default="nodal",
                            help="fourier: measure with trigonometric current patterns")
-            p.add_argument("--modes", type=int, default=8,
-                           help="band limit N >= 1 of the patterns when --basis fourier")
+            p.add_argument("--modes", type=int,
+                           help="band limit N >= 1 of the patterns when --basis fourier "
+                                "(default 8)")
 
     p = sub.add_parser("mleval")
     p.add_argument("--alpha", type=float, required=True)
@@ -576,9 +577,14 @@ def main(argv=None) -> int:
         if args.command == "mesh":
             return cmd_mesh(cfg)
         if args.command == "dtn":
-            if args.basis == "fourier" and args.modes < 1:
-                raise ConfigError(f"--modes: band limit N = {args.modes} must be at least 1")
-            return cmd_dtn(cfg, args.modes if args.basis == "fourier" else 0)
+            if args.basis != "fourier":
+                if args.modes is not None:
+                    raise ConfigError("--modes: a band limit needs --basis fourier")
+                return cmd_dtn(cfg)
+            modes = 8 if args.modes is None else args.modes
+            if modes < 1:
+                raise ConfigError(f"--modes: band limit N = {modes} must be at least 1")
+            return cmd_dtn(cfg, modes)
         if args.command == "indicate":
             return cmd_indicate(cfg)
         if args.command == "reconstruct":

@@ -316,81 +316,56 @@ def nested_dissection(mesh: Mesh) -> tuple[Front, ...]:
     each node, into a complete binary tree of depth ceil(log2(nt / 128)), so
     that a leaf holds at most 128 triangles.  Each interior vertex is
     eliminated at the lowest node that holds all its triangles: with lo and
-    hi the smallest and largest leaf index among them, the node
-    bit_length(lo ^ hi) levels above the leaves, at index lo >> level.
+    hi the smallest and largest leaf index among them, the node at height
+    bit_length(lo ^ hi) over the leaves, at index lo >> height.
     Boundary vertices are never eliminated, so the root keeps exactly the
     boundary loop.  Depends on the mesh alone."""
     tri, n = mesh.triangles, mesh.n_vertices
     depth = max(0, math.ceil(math.log2(len(tri) / _LEAF_TRIANGLES)))
-    # each node's triangles stay contiguous in `order`, between consecutive
-    # cuts; one stable sort a level orders each node along its wider extent,
-    # keyed by node and by the centroid's rank on that axis
-    cents = mesh.centroids()
-    ranks = np.stack([np.unique(x, return_inverse=True)[1] for x in cents.T], axis=1)
-    order, cuts = np.arange(len(tri)), np.array([0, len(tri)])
+    # node by node, a stable sort along the wider extent, halved at the median
+    x, y = mesh.centroids().T
+    leaves = [np.arange(len(tri))]
     for _ in range(depth):
-        c = cents[order]
-        extent = np.maximum.reduceat(c, cuts[:-1]) - np.minimum.reduceat(c, cuts[:-1])
-        node = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
-        axis = (extent[:, 1] > extent[:, 0]).astype(np.int64)[node]
-        key = node * len(tri) + ranks[order, axis]
-        order = order[np.argsort(key, kind="stable")]
-        halves = np.zeros(2 * len(cuts) - 1, dtype=np.int64)
-        halves[1::2], halves[2::2] = (cuts[:-1] + cuts[1:]) // 2, cuts[1:]
-        cuts = halves
+        halves = []
+        for t in leaves:
+            xt, yt = x[t], y[t]
+            t = t[np.argsort(yt if np.ptp(yt) > np.ptp(xt) else xt, kind="stable")]
+            halves += [t[:len(t) // 2], t[len(t) // 2:]]
+        leaves = halves
     leaf = np.empty(len(tri), dtype=np.int64)
-    leaf[order] = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    for i, t in enumerate(leaves):
+        leaf[t] = i
 
     # the node that eliminates each vertex, as level * 2^depth + index
-    lo, hi = np.full(n, len(cuts) - 1), np.zeros(n, dtype=np.int64)
+    lo, hi = np.full(n, len(leaves) - 1), np.zeros(n, dtype=np.int64)
     np.minimum.at(lo, tri, leaf[:, None])
     np.maximum.at(hi, tri, leaf[:, None])
-    up = np.frexp(lo ^ hi)[1]                # levels above the leaves: bit_length(lo ^ hi)
+    up = np.frexp(lo ^ hi)[1]                # height over the leaves: bit_length(lo ^ hi)
     owner = (up << depth) + (lo >> up)
     owner[mesh.boundary_loop] = -1
 
-    # level by level, the (node, vertex) pairs of its fronts as node * n + vertex:
-    # a leaf holds its triangles' vertices, an inner node its children's kept ones
-    keys = _unique(leaf[:, None] * n + tri)
-    levels = []     # per level: its front vertices, their bounds and splits, and `above`
-    for level in range(depth + 1):
-        node, v = np.divmod(keys, n)
-        mine = owner[v] == (level << depth) + node
-        # each front lists its eliminated vertices, then its kept ones, ascending
-        verts = v[np.argsort(2 * node + ~mine, kind="stable")]
-        bounds = np.searchsorted(node, np.arange(2 ** (depth - level) + 1))
-        split = bounds[:-1] + np.bincount(node[mine], minlength=len(bounds) - 1)
-        if level == depth and np.array_equal(verts[split[0]:], np.sort(mesh.boundary_loop)):
-            verts[split[0]:] = mesh.boundary_loop
-        where = np.empty(len(keys), dtype=np.int64)      # each pair's front position
-        where[np.searchsorted(keys, node * n + verts)] = np.arange(len(keys)) - bounds[node]
-        if level:
-            above[kept] = where[np.searchsorted(keys, parent)]
-        else:
-            local = where[np.searchsorted(keys, leaf[:, None] * n + tri)]
-        kept = np.arange(len(verts)) >= split[node]
-        parent = (node[kept] >> 1) * n + verts[kept]
-        keys = _unique(parent)
-        # the front positions of the kept vertices one level up, set by the next pass
-        above = np.zeros(len(verts), dtype=np.int64)
-        levels.append((verts, bounds, split, above))
-
     fronts: list[Front] = []
+    where = np.empty(n, dtype=np.int64)      # each vertex's position in the latest front
 
     def subtree(level: int, i: int) -> int:
         """Append the fronts of the subtree at (level, i), children first;
-        the index of its root front."""
-        verts, bounds, split, _ = levels[level]
+        the index of its root front.  A leaf holds its triangles' vertices,
+        an inner node its children's kept ones."""
         if level:
-            _, below, below_split, above = levels[level - 1]
-            children = tuple((subtree(level - 1, j), above[below_split[j]:below[j + 1]])
-                             for j in (2 * i, 2 * i + 1))
+            below = [subtree(level - 1, j) for j in (2 * i, 2 * i + 1)]
             tris = np.zeros(0, dtype=np.int64)
+            verts = _unique(np.concatenate([fronts[c].kept for c in below]))
         else:
-            children, tris = (), order[cuts[i]:cuts[i + 1]]
-        fronts.append(Front(eliminated=verts[bounds[i]:split[i]],
-                            kept=verts[split[i]:bounds[i + 1]], triangles=tris,
-                            local=local[tris], children=children))
+            below, tris = [], leaves[i]
+            verts = _unique(tri[tris])
+        mine = owner[verts] == (level << depth) + i
+        eliminated, kept = verts[mine], verts[~mine]
+        if level == depth and np.array_equal(kept, np.sort(mesh.boundary_loop)):
+            kept = mesh.boundary_loop
+        where[np.concatenate([eliminated, kept])] = np.arange(len(verts))
+        fronts.append(Front(eliminated=eliminated, kept=kept, triangles=tris,
+                            local=where[tri[tris]],
+                            children=tuple((c, where[fronts[c].kept]) for c in below)))
         return len(fronts) - 1
 
     subtree(depth, 0)
@@ -398,9 +373,9 @@ def nested_dissection(mesh: Mesh) -> tuple[Front, ...]:
 
 
 def _unique(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of an integer array, by one sort; numpy 2's
-    np.unique, which hashes them first, took five times as long on the
-    leaves' keys of a 58,806-triangle mesh."""
+    """The sorted distinct values of an integer array, by one sort; with
+    numpy 2's np.unique, which hashes them first, the dissection of a
+    58,806-triangle mesh took 8 % longer."""
     a = np.sort(a, axis=None)
     return a[np.concatenate([[True], a[1:] != a[:-1]])]
 

@@ -53,7 +53,7 @@ _LOG_STAR_MAX = 700.0        # cap on log|s*|, far past the last level that move
 _NO_POLE = np.iinfo(np.int64).min   # contour key of the points without a pole,
 _ZERO = _NO_POLE + 1         # and of z = 0; every pole's key is larger
 _BATCH = 1 << 12             # points whose contours and residues are found at a time
-_CHUNK = 1 << 12             # (point, node) entries summed at a time
+_CHUNK = 1 << 14             # (point, node) entries summed at a time
 
 
 class MLError(ValueError):
@@ -124,7 +124,9 @@ def _eval_batch(z: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     if not np.isfinite(zf).all():
         raise MLError("z must be finite")
     if alpha == 1.0 and beta == 1.0:
-        return np.exp(zf).reshape(shape)
+        # an overflow gives inf, as on the contour, and warns of nothing
+        with np.errstate(over="ignore"):
+            return np.exp(zf).reshape(shape)
     return _contour(zf, alpha, beta).reshape(shape)
 
 

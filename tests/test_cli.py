@@ -481,12 +481,14 @@ def test_every_name_the_tracer_wraps_resolves(tmp_path):
 
 
 def test_mleval_huge_grid_is_warning_free(tmp_path):
-    # tier-1 turns RuntimeWarning into an error; E_1/2 overflows at +1e300
+    # tier-1 turns RuntimeWarning into an error; E_1/2 and E_1 = exp overflow
+    # at +1e300
     out = tmp_path / "ml.csv"
-    assert main(["mleval", "--alpha", "0.5", "--grid", "-1e300 1e300 -1 1 3",
-                 "--out", str(out)]) == 0
-    assert [f"{1e300:.17g}", "0", "inf", "0", "exponential_growth"] in [
-        ln.split(",")[1:] for ln in out.read_text().splitlines()]
+    for alpha in ("0.5", "1"):
+        assert main(["mleval", "--alpha", alpha, "--grid", "-1e300 1e300 -1 1 3",
+                     "--out", str(out)]) == 0
+        assert [f"{1e300:.17g}", "0", "inf", "0", "exponential_growth"] in [
+            ln.split(",")[1:] for ln in out.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("argv", [
@@ -498,6 +500,7 @@ def test_mleval_huge_grid_is_warning_free(tmp_path):
     ["mleval", "--alpha", "0.5", "--grid", "0 1 nan 1 3", "--out", "{tmp}/ml.csv"],
     ["dtn", "--config", "{cfg}", "--basis", "fourier", "--modes", "0"],
     ["mleval", "--alpha", "0.5", "--grid", "1e308 -1e308 0 1 3", "--out", "{tmp}/ml.csv"],
+    ["dtn", "--config", "{cfg}", "--modes", "4"],
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     cfg = _write(tmp_path, BASE_CONFIG.format(out=tmp_path / "out"))
